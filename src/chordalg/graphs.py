@@ -11,7 +11,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterable, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import NotChordal, TooLarge, UnknownNode
 
@@ -118,25 +118,49 @@ class Graph:
         return comps
 
 
-def bfs_distances(g: Graph, sources, cutoff: Optional[int] = None) -> Dict[int, int]:
-    """Distances from a node or a set of nodes, optionally truncated at cutoff."""
-    adj = g.adj
-    if isinstance(sources, int):
-        frontier = [sources]
-    else:
-        frontier = sorted(sources)
-    dist = dict.fromkeys(frontier, 0)
-    d = 0
-    while frontier and (cutoff is None or d < cutoff):
-        d += 1
+class BfsBall:
+    """Breadth-first ball around a node or a set of nodes, grown on demand.
+
+    Levels are labelled whole, so every labelled node carries its exact
+    distance and a caller may stop as soon as it has the labels it reads,
+    then resume the same search later.
+    """
+
+    __slots__ = ("adj", "dist", "frontier", "depth")
+
+    def __init__(self, g: Graph, sources):
+        self.adj = g.adj
+        self.frontier = [sources] if isinstance(sources, int) else sorted(sources)
+        self.dist: Dict[int, int] = dict.fromkeys(self.frontier, 0)
+        self.depth = 0
+
+    def grow(self) -> List[int]:
+        """Label the next level and return it (empty once exhausted)."""
+        adj, dist = self.adj, self.dist
+        d = self.depth + 1
         nxt = []
-        for u in frontier:
+        for u in self.frontier:
             for w in adj[u]:
                 if w not in dist:
                     dist[w] = d
                     nxt.append(w)
-        frontier = nxt
-    return dist
+        self.frontier = nxt
+        self.depth = d
+        return nxt
+
+    def reach(self, targets, limit: int) -> None:
+        """Grow until every target is labelled or the depth reaches `limit`."""
+        missing = {t for t in targets if t not in self.dist}
+        while missing and self.frontier and self.depth < limit:
+            missing.difference_update(self.grow())
+
+
+def bfs_distances(g: Graph, sources, cutoff: Optional[int] = None) -> Dict[int, int]:
+    """Distances from a node or a set of nodes, optionally truncated at cutoff."""
+    ball = BfsBall(g, sources)
+    while ball.frontier and (cutoff is None or ball.depth < cutoff):
+        ball.grow()
+    return ball.dist
 
 
 def ball(g: Graph, center: int, radius: int) -> "Graph":

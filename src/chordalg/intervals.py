@@ -338,9 +338,6 @@ def color_budget(k: int, omega: int) -> int:
     return (k + 1) * omega // k + 1
 
 
-BOUNDARY_SPACING_EXTRA = 0  # boundaries at exact min-distance k+3
-
-
 def _select_boundaries(cp: CliquePath, spacing: int) -> List[int]:
     """Clique indices pairwise at min-distance exactly `spacing`, greedily
     from the canonical left end."""
@@ -399,9 +396,10 @@ def color_strip(g: Graph, strip, k: int) -> Coloring:
     return _color_component(CliquePath.from_strip(g, strip), k)
 
 
-def color_stage_lengths(k: int) -> List[int]:
-    """Collect radii of the simulated coloring: structure gather, id-based
-    boundary symmetry breaking, segment fill."""
+def strip_stages(k: int) -> List[int]:
+    """Collect radii charged for one distributed strip routine (the coloring,
+    or the skeleton branch of the independent set) at parameter k: structure
+    gather, id-based boundary symmetry breaking, segment fill."""
     return [2 * k + 12] + [k + 6] * 9 + [3 * k + 15]
 
 
@@ -411,8 +409,9 @@ def color_interval_distributed(h: Graph, k: int, round_cap=None):
     from . import localsim
 
     colors = color_interval(h, k)
-    stages = {v: list(color_stage_lengths(k)) for v in h.nodes}
-    cap = round_cap or 2 * (sum(color_stage_lengths(k)) + 10)
+    schedule = strip_stages(k)
+    stages = {v: schedule for v in h.nodes}
+    cap = round_cap or 2 * (sum(schedule) + 10)
     transcript = localsim.run(
         h, localsim.UniformStagedProgram(stages, colors), cap)
     return dict(transcript.outputs), transcript
@@ -482,6 +481,19 @@ def mis_eps_to_k(eps: float) -> int:
     return math.ceil(2.5 / eps + 0.5)
 
 
+def _mis_interval_parts(h: Graph, eps: float):
+    """k, the clique paths of h without its dominated nodes, and the chosen
+    set; shared by the centralized and the distributed interval MIS."""
+    if not 0 < eps < 1:
+        raise BadEpsilon("eps must lie in (0, 1)")
+    k = mis_eps_to_k(eps)
+    cps = clique_path(remove_dominated(h))
+    chosen: Set[int] = set()
+    for cp in cps:
+        chosen |= _mis_component(cp, k)
+    return k, cps, chosen
+
+
 def mis_interval(h: Graph, eps: float) -> Set[int]:
     """Independent set of size at least alpha(h) / (1 + eps) on an interval graph.
 
@@ -489,14 +501,7 @@ def mis_interval(h: Graph, eps: float) -> Set[int]:
     skeleton is picked and exact sets are filled in between consecutive
     skeleton members and on both tails.
     """
-    if not 0 < eps < 1:
-        raise BadEpsilon("eps must lie in (0, 1)")
-    require_interval(h)
-    k = mis_eps_to_k(eps)
-    chosen: Set[int] = set()
-    for cp in clique_path(remove_dominated(h)):
-        chosen |= _mis_component(cp, k)
-    return chosen
+    return _mis_interval_parts(h, eps)[2]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ engine offers two services with honest round costs:
   rounds (the ``gather`` combinator is that flooding, and tests hold the two
   sides equal) while letting large simulations skip per-node payload copies.
 * ``Send(target, payload, latency)``: multi-hop unicast delivered after
-  `latency` rounds; `latency` must be at least the graph distance.
+  `latency` rounds; `latency` must be at least the graph distance (checked
+  exactly under ``__debug__`` by a search at most `latency` hops deep).
 
 Nodes that finished still relay traffic: the engine performs delivery for
 every collect or send regardless of the state of intermediate nodes.
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from .errors import RoundCapExceeded
-from .graphs import Graph, bfs_distances
+from .graphs import BfsBall, Graph, bfs_distances
 
 NO_OUTPUT = object()
 
@@ -103,12 +104,19 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
     message_counts: List[int] = []
     service_counts: List[int] = []
     log: Optional[List[List[Tuple[int, int, Any]]]] = [] if record_messages else None
-    dist_cache: Dict[int, Dict[int, int]] = {}
+    send_balls: Dict[int, BfsBall] = {}
 
-    def hop_distance(u, v):
-        if u not in dist_cache:
-            dist_cache[u] = bfs_distances(g, u)
-        return dist_cache[u].get(v)
+    def check_latency(u, req):
+        """Exact check that req.target lies within req.latency hops of u;
+        u's ball grows only as far as this and earlier sends need."""
+        ball = send_balls.get(u)
+        if ball is None:
+            ball = send_balls[u] = BfsBall(g, u)
+        ball.reach((req.target,), req.latency)
+        d = ball.dist.get(req.target)
+        if d is None or d > req.latency:
+            raise RuntimeError("node %r is not within latency %d of sender %d"
+                               % (req.target, req.latency, u))
 
     def transcript(rounds, complete):
         return Transcript(rounds, dict(outputs), complete,
@@ -152,14 +160,8 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
                 if isinstance(req, Collect):
                     collect_buffer.append((v, req, rnd))
                 elif isinstance(req, Send):
-                    d = None
                     if __debug__:
-                        d = hop_distance(v, req.target)
-                        if d is None:
-                            raise RuntimeError("send to unreachable node")
-                        if req.latency < d:
-                            raise RuntimeError(
-                                "latency %d below distance %d" % (req.latency, d))
+                        check_latency(v, req)
                     pending.setdefault(rnd + req.latency, {}).setdefault(
                         req.target, []).append((("msg", v), req.payload))
                     if log is not None:

@@ -19,7 +19,7 @@ from .cliqueforest import (
 )
 from .errors import AlphaTooLarge, BadEpsilon, debug_invariants
 from .graphs import Graph, bfs_distances, mcs_order
-from .intervals import mis_eps_to_k, mis_interval, mis_strip
+from .intervals import mis_eps_to_k, mis_strip, strip_stages
 from . import localsim
 from .localsim import Collect, StepResult
 
@@ -267,11 +267,6 @@ def exact_branch_stages(d: int) -> List[int]:
     return [2 * d + 6]
 
 
-def approx_branch_stages(eps: float) -> List[int]:
-    ki = mis_eps_to_k(eps / 8.0)
-    return [2 * ki + 12] + [ki + 6] * 9 + [3 * ki + 15]
-
-
 class MisProgram:
     """Uniform-schedule node program: one collection per peeling iteration,
     then the branch-specific work, then the membership output."""
@@ -281,17 +276,16 @@ class MisProgram:
     def __init__(self, run: MisRun):
         self.run = run
         self.radius = peel_radius(run.params.d)
+        self.stages = {
+            "approx": strip_stages(mis_eps_to_k(run.params.eps / 8.0)),
+            "exact": exact_branch_stages(run.params.d),
+        }
 
     def init(self, node, neighbors):
         return {"id": node, "iter": 0, "stage": None}
 
     def _branch_stages(self, v) -> List[int]:
-        tag = self.run.state.branch.get(v)
-        if tag == "approx":
-            return approx_branch_stages(self.run.params.eps)
-        if tag == "exact":
-            return exact_branch_stages(self.run.params.d)
-        return []
+        return self.stages.get(self.run.state.branch.get(v), [])
 
     def step(self, state, rnd, inbox):
         v = state["id"]
@@ -326,7 +320,8 @@ class MisProgram:
 
 def default_round_cap(g: Graph, eps: float) -> int:
     params = MisParams.from_eps(eps)
-    worst = params.k * peel_radius(params.d) + sum(approx_branch_stages(eps)) + 10
+    approx = strip_stages(mis_eps_to_k(eps / 8.0))
+    worst = params.k * peel_radius(params.d) + sum(approx) + 10
     return 2 * worst
 
 
@@ -349,14 +344,13 @@ def mis_chordal_distributed(g: Graph, eps: float, round_cap: Optional[int] = Non
 def mis_interval_distributed(h: Graph, eps: float, round_cap: Optional[int] = None):
     """Distributed form of the interval MIS routine: same output set, with
     rounds charged per component branch (exact window or skeleton build)."""
-    from .intervals import clique_path, remove_dominated
+    from .intervals import _mis_interval_parts
 
-    chosen = mis_interval(h, eps)
-    ki = mis_eps_to_k(eps)
+    ki, cps, chosen = _mis_interval_parts(h, eps)
     exact_stage = [10 * ki + 2]
-    approx_stage = [2 * ki + 12] + [ki + 6] * 9 + [3 * ki + 15]
+    approx_stage = strip_stages(ki)
     stages = {v: [2] for v in h.nodes}  # dominated-node screening
-    for cp in clique_path(remove_dominated(h)):
+    for cp in cps:
         branch = exact_stage if cp.strip.diameter() <= 10 * ki else approx_stage
         for v in cp.nodes():
             stages[v] = [2] + branch

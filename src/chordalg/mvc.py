@@ -18,8 +18,10 @@ from .cliqueforest import (
     clique_word, path_diameter, remove_paths, strips_from_traces,
 )
 from .errors import EpsilonTooSmall, NonTermination, debug_invariants
-from .graphs import Graph, bfs_distances, omega_oracle
-from .intervals import color_budget, color_strip, extend_coloring, greedy_fill
+from .graphs import BfsBall, Graph, bfs_distances, omega_oracle
+from .intervals import (
+    color_budget, color_strip, extend_coloring, greedy_fill, strip_stages,
+)
 from . import localsim
 from .localsim import Collect, Send, StepResult
 
@@ -31,14 +33,9 @@ def eps_to_k(eps: float) -> int:
 
 
 # Round schedule constants. The pruning radius follows the collection radius
-# used by the per-node loop; the coloring stages charge the structure gather,
-# the id-based boundary symmetry breaking, and the segment fill.
+# used by the per-node loop; the coloring stages are `strip_stages(k)`.
 def prune_radius(k: int) -> int:
     return 10 * k
-
-
-def color_stages(k: int) -> List[int]:
-    return [2 * k + 12] + [k + 6] * 9 + [3 * k + 15]
 
 
 def correction_poll_radius(k: int) -> int:
@@ -74,13 +71,6 @@ class Layering:
         return sorted(v for v, l in self.layer.items() if l == i)
 
 
-def _attach_sides(forest, path):
-    sides = []
-    for attach in (path.attach_s, path.attach_e):
-        sides.append(forest.cliques[attach] if attach is not None else None)
-    return sides
-
-
 def prune_layers(g: Graph, k: int) -> Layering:
     """Iteratively peel pendant paths and long internal paths off the forest.
 
@@ -103,38 +93,42 @@ def prune_layers(g: Graph, k: int) -> Layering:
             raise NonTermination("no peelable path found on a nonempty forest")
         new_forest, removed = remove_paths(forest, g, selected)
         records = []
-        ball_cache: Dict[frozenset, Dict[int, int]] = {}
+        wanted: Dict[frozenset, Set[int]] = {}
         for p in selected:
             path_ids = set(p.cliques)
             members = sorted(
                 v for v in p.node_set()
                 if all(j in path_ids for j in forest.phi[v])
             )
-            side_sets = _attach_sides(forest, p)
-            records.append(PeelPath(
+            record = PeelPath(
                 tuple(p.clique_sets()), p.kind,
-                side_sets[0], side_sets[1], tuple(members),
-            ))
-            # parent assignment: nearest attach clique within k + 3, ties by word
-            side_dist = []
-            for side in side_sets:
-                if side is None:
-                    side_dist.append(None)
-                elif side in ball_cache:
-                    side_dist.append(ball_cache[side])
-                else:
-                    dmap = bfs_distances(g, side, cutoff=k + 3)
-                    ball_cache[side] = dmap
-                    side_dist.append(dmap)
-            for v in members:
+                forest.cliques[p.attach_s] if p.attach_s is not None else None,
+                forest.cliques[p.attach_e] if p.attach_e is not None else None,
+                tuple(members),
+            )
+            records.append(record)
+            for side in (record.attach_s, record.attach_e):
+                if side is not None:
+                    wanted.setdefault(side, set()).update(members)
+        # parent assignment: nearest attach clique within k + 3, ties by word;
+        # each side's ball grows only until it has labelled its members
+        side_dist = {}
+        for side, targets in wanted.items():
+            ball = BfsBall(g, side)
+            ball.reach(targets, k + 3)
+            side_dist[side] = (ball.dist, clique_word(side))
+        for record in records:
+            for v in record.members:
                 layering.layer[v] = i
                 best = None
-                for side, dmap in zip(side_sets, side_dist):
-                    if dmap is None or v not in dmap:
+                for side in (record.attach_s, record.attach_e):
+                    if side is None:
                         continue
-                    key = (dmap[v], clique_word(side))
-                    if best is None or key < best[0]:
-                        best = (key, side)
+                    dmap, word = side_dist[side]
+                    if v in dmap:
+                        key = (dmap[v], word)
+                        if best is None or key < best[0]:
+                            best = (key, side)
                 if best is None:
                     layering.parent[v] = None
                 else:
@@ -381,6 +375,7 @@ class MvcProgram:
         self.run = run
         self.registry = _Registry()
         self.k = run.k
+        self.color_stages = strip_stages(run.k)
 
     # -- helpers ----------------------------------------------------------
     def _levels(self, v) -> List[int]:
@@ -433,16 +428,16 @@ class MvcProgram:
             if run.layering.layer[v] == i:
                 state["phase"] = "color"
                 state["stage"] = 0
-                stages = color_stages(self.k)
                 return StepResult(
                     state, publish={"layer": i},
-                    requests=[Collect(stages[0], tag="color", want_data=False)])
+                    requests=[Collect(self.color_stages[0], tag="color",
+                                      want_data=False)])
             state["iter"] = i + 1
             return StepResult(state, requests=[
                 Collect(prune_radius(self.k), tag="prune", want_data=False)])
 
         if state["phase"] == "color":
-            stages = color_stages(self.k)
+            stages = self.color_stages
             state["stage"] += 1
             if state["stage"] < len(stages):
                 return StepResult(state, requests=[

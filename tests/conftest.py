@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import strategies as st
 
-from chordalg import Graph
+from chordalg import Graph, gen_spider
 
 
 def graph_from_edge_mask(n, mask):
@@ -36,6 +36,20 @@ def cycle_graph(m):
     for u in range(1, m):
         g.add_edge(u, u + 1)
     g.add_edge(m, 1)
+    return g
+
+
+def dumbbell(legs, leg_len, bridge):
+    """Two spiders whose centers are joined by a path of `bridge` edges."""
+    g = gen_spider(legs, leg_len)
+    offset = len(g)
+    for u, v in list(g.edges()):
+        g.add_edge(u + offset, v + offset)
+    prev, nxt = 1, 2 * offset + 1
+    for _ in range(bridge - 1):
+        g.add_edge(prev, nxt)
+        prev, nxt = nxt, nxt + 1
+    g.add_edge(prev, 1 + offset)
     return g
 
 

@@ -3,7 +3,8 @@ import pytest
 from chordalg import (
     BadEpsilon, Graph, Infeasible, NotInterval, NotProperInterval,
     alpha_oracle, clique_path, color_interval, distance_k_mis, extend_coloring,
-    gen_interval, gen_path, gen_spider, mis_interval, omega_oracle,
+    gen_interval, gen_path, gen_spider, mis_interval, mis_interval_distributed,
+    omega_oracle,
     remove_dominated, verify_coloring, verify_is,
 )
 from chordalg.cliqueforest import IntervalStrip
@@ -205,10 +206,13 @@ class TestDistanceKMis:
 
 class TestMisInterval:
     def test_eps_validation(self):
-        with pytest.raises(BadEpsilon):
-            mis_interval(gen_path(5), 0.0)
-        with pytest.raises(BadEpsilon):
-            mis_interval(gen_path(5), 1.0)
+        for solve in (mis_interval, mis_interval_distributed):
+            with pytest.raises(BadEpsilon):
+                solve(gen_path(5), 0.0)
+            with pytest.raises(BadEpsilon):
+                solve(gen_path(5), 1.0)
+            with pytest.raises(BadEpsilon):  # checked before the interval test
+                solve(gen_spider(3, 2), 1.0)
 
     def test_small_components_solved_exactly(self):
         g = gen_interval(200, seed=2)
@@ -238,8 +242,9 @@ class TestMisInterval:
         assert (1 + eps) * len(chosen) >= 450
 
     def test_not_interval_rejected(self):
-        with pytest.raises(NotInterval):
-            mis_interval(gen_spider(3, 2), 0.4)
+        for solve in (mis_interval, mis_interval_distributed):
+            with pytest.raises(NotInterval):
+                solve(gen_spider(3, 2), 0.4)
 
 
 class TestDistributedVariants:

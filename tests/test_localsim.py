@@ -226,3 +226,59 @@ def test_uniform_staged_program_rounds():
     t = sim_run(g, UniformStagedProgram(stages, {v: v for v in g.nodes}), 20)
     assert t.rounds_elapsed == 5
     assert t.outputs == {v: v for v in g.nodes}
+
+
+class PlannedSends:
+    """Node 1 issues the planned Sends per round and outputs after the last
+    planned round; every other node outputs at once."""
+
+    step_every_round = False
+
+    def __init__(self, plan):
+        self.plan = plan  # round -> list of Send
+
+    def init(self, node, neighbors):
+        return node
+
+    def step(self, state, rnd, inbox):
+        if state != 1:
+            return StepResult(state, output=0) if rnd == 0 else StepResult(state)
+        later = [r for r in self.plan if r > rnd]
+        if later:
+            return StepResult(state, requests=list(self.plan.get(rnd, [])),
+                              wake_at=min(later))
+        return StepResult(state, output=0, requests=list(self.plan.get(rnd, [])))
+
+
+def test_send_latency_equal_to_distance_is_accepted():
+    t = run(gen_path(6), PlannedSends({0: [Send(6, "x", latency=5)]}), 10)
+    assert t.complete
+
+
+def test_send_latency_one_below_distance_raises():
+    with pytest.raises(RuntimeError):
+        run(gen_path(6), PlannedSends({0: [Send(6, "x", latency=4)]}), 10)
+
+
+@pytest.mark.parametrize("target", [3, 99])
+def test_send_outside_the_senders_component_raises(target):
+    g = Graph([(1, 2), (3, 4)])  # 3 is in another component, 99 is no node
+    with pytest.raises(RuntimeError):
+        run(g, PlannedSends({0: [Send(target, "x", latency=10)]}), 20)
+
+
+def test_send_check_resumes_a_ball_grown_for_a_near_target():
+    # distances from node 1 on the path: node j sits at j - 1
+    near = Send(3, "near", latency=5)
+    with pytest.raises(RuntimeError):
+        run(gen_path(10), PlannedSends({0: [near], 2: [Send(9, "far", latency=7)]}), 20)
+    t = run(gen_path(10), PlannedSends({0: [near], 2: [Send(8, "at", latency=7)]}), 20)
+    assert t.complete
+
+
+def test_send_check_rejects_a_target_inside_a_ball_grown_deeper():
+    deep = Send(10, "deep", latency=9)
+    with pytest.raises(RuntimeError):
+        run(gen_path(10), PlannedSends({0: [deep], 2: [Send(8, "x", latency=6)]}), 20)
+    t = run(gen_path(10), PlannedSends({0: [deep], 2: [Send(8, "x", latency=7)]}), 20)
+    assert t.complete

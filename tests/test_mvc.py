@@ -7,7 +7,7 @@ from chordalg import (
     gen_spider, mvc_centralized, mvc_distributed, omega_oracle, prune_layers,
     verify_coloring,
 )
-from chordalg.cliqueforest import strips_from_traces
+from chordalg.cliqueforest import INTERNAL, clique_word, strips_from_traces
 from chordalg.fileio import coloring_to_text
 from chordalg.graphs import bfs_distances
 from chordalg.intervals import color_budget, require_interval
@@ -16,7 +16,7 @@ from chordalg.mvc import (
     mvc_distributed_run,
 )
 
-from conftest import complete_graph
+from conftest import complete_graph, dumbbell
 
 
 def bound(k, omega):
@@ -76,6 +76,45 @@ class TestPruneLayers:
         for a, b in zip(counts, counts[1:]):
             if a:
                 assert b < a / 2 or b == 0
+
+
+def reference_parents(g, layering, k):
+    """Parents and children recomputed from full radius-(k + 3) balls around
+    every attach clique: nearest clique wins, ties broken by clique word."""
+    parent, children = {}, {}
+    for i, records in layering.peeled_paths.items():
+        for record in records:
+            balls = [(bfs_distances(g, side, cutoff=k + 3), side)
+                     for side in (record.attach_s, record.attach_e)
+                     if side is not None]
+            for v in record.members:
+                keys = [((dist[v], clique_word(side)), side)
+                        for dist, side in balls if v in dist]
+                parent[v] = max(min(keys)[1]) if keys else None
+                if keys:
+                    children.setdefault(parent[v], {}).setdefault(i, []).append(v)
+    children = {par: {i: tuple(sorted(vs)) for i, vs in per.items()}
+                for par, per in children.items()}
+    return parent, children
+
+
+@pytest.mark.parametrize("seed,k", [(1, 4), (5, 2), (21, 4), (33, 3), (40, 6)])
+def test_prune_parents_match_full_balls_on_generated(seed, k):
+    g = gen_chordal(400, seed=seed, max_clique=6)
+    layering = prune_layers(g, k)
+    assert (layering.parent, layering.children) == reference_parents(g, layering, k)
+
+
+def test_prune_parents_match_full_balls_on_dumbbell():
+    k = 4
+    g = dumbbell(3, 6, 3 * k + 8)
+    layering = prune_layers(g, k)
+    kinds = [r.kind for records in layering.peeled_paths.values() for r in records]
+    assert INTERNAL in kinds
+    parent, children = reference_parents(g, layering, k)
+    assert (layering.parent, layering.children) == (parent, children)
+    # the internal path's far middle is beyond k + 3 of both junctions
+    assert None in parent.values() and any(p is not None for p in parent.values())
 
 
 class TestColorLayers:

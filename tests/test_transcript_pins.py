@@ -1,0 +1,61 @@
+"""Simulated transcripts pinned byte for byte.
+
+The digests were recorded before the engine's Send check and the programs'
+stage schedules were reworked; any change to rounds, traffic or outputs of
+these runs shows up here.
+"""
+
+import hashlib
+
+import pytest
+
+from chordalg import (
+    color_interval_distributed, gen_chordal, gen_interval, mis_chordal_distributed,
+    mis_interval_distributed, mvc_distributed,
+)
+
+from conftest import dumbbell
+
+
+def digest(transcript):
+    return hashlib.sha256(transcript.serialize().encode()).hexdigest()
+
+
+TREE = gen_chordal(300, seed=11, max_clique=6)
+# the bridge peels as an internal path, and its independent set takes the
+# approximate branch
+DUMBBELL = dumbbell(3, 5, 400)
+INTERVAL = gen_interval(200, seed=3)
+
+
+PINNED = {
+    "tree-mvc": (lambda: mvc_distributed(TREE, 0.5),
+                 "67032f72e3b7493e7192092155ac922ab00b3456faac91520e8c268c9756ff7b"),
+    "tree-mis": (lambda: mis_chordal_distributed(TREE, 0.4),
+                 "5b542e0b67f07f1ac026e7c013681abaafe0d31cf7fa46ab45bcfbabfe56ff91"),
+    "dumbbell-mvc": (lambda: mvc_distributed(DUMBBELL, 1.0),
+                     "b976a5a6ae50649e5746591e9fa27a4a692ecf5c6897ba79097fa29acfd6576e"),
+    "dumbbell-mis": (lambda: mis_chordal_distributed(DUMBBELL, 0.4),
+                     "c28f74879d4b8a298e0ed14622a3a1f5c9691a75158a1a62d782c22acbb07fc8"),
+    "interval-mis": (lambda: mis_interval_distributed(INTERVAL, 0.4),
+                     "be7157c03257622f460baad99722f625c7e7e35add21357e41e18a8b281dfde1"),
+    "interval-coloring": (lambda: color_interval_distributed(INTERVAL, 3),
+                          "b3e05b87db27fe3a346b30d0ce2e48336a4939a0435790af8cf886d529c24f74"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_transcript_digest_is_pinned(name):
+    solve, expected = PINNED[name]
+    _, transcript = solve()
+    assert digest(transcript) == expected
+
+
+def test_dumbbell_reaches_internal_peel_and_approx_branch():
+    from chordalg.cliqueforest import INTERNAL
+    from chordalg.mis import mis_chordal_run
+    from chordalg.mvc import prune_layers
+
+    records = prune_layers(DUMBBELL, 2).peeled_paths.values()
+    assert any(r.kind == INTERNAL for rs in records for r in rs)
+    assert "approx" in mis_chordal_run(DUMBBELL, 0.4).state.branch.values()
