@@ -2,13 +2,11 @@
 # and the locality guarantee ("after t rounds you know your radius-t ball").
 
 from chordalg import Graph, gen_path
-from chordalg.localsim import (
-    Collect, StepResult, gather, quiescence_detect, run,
-)
+from chordalg.localsim import Collect, StepResult, gather, run
 
 # Flooding for two rounds teaches the center of a 5-path every id.
 t = run(gen_path(5), gather(2), round_cap=10)
-print("rounds:", t.rounds_elapsed, "quiescent:", quiescence_detect(t))
+print("rounds:", t.rounds_elapsed, "complete:", t.complete)
 print("node 3 knows:", sorted(t.outputs[3]))
 
 # Messages travel one hop per round, so state after round t is a function of

@@ -21,7 +21,7 @@ from .cliqueforest import (
 )
 from .localsim import (
     Collect, GatherProgram, Send, SequencedProgram, StepResult, Transcript,
-    UniformStagedProgram, gather, quiescence_detect, run,
+    UniformStagedProgram, gather, run,
 )
 from .intervals import (
     CliquePath, SkeletonPairs, clique_path, color_interval,

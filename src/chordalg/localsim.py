@@ -9,16 +9,25 @@ engine offers two services with honest round costs:
   taken at request time. Semantically identical to flooding for `radius`
   rounds (the ``gather`` combinator is that flooding, and tests hold the two
   sides equal) while letting large simulations skip per-node payload copies.
+  With ``want_data=False`` it is a pure timer, and every node requesting the
+  same tag and radius in a round receives one shared result.
 * ``Send(target, payload, latency)``: multi-hop unicast delivered after
   `latency` rounds; `latency` must be at least the graph distance (checked
   exactly under ``__debug__`` by a search at most `latency` hops deep).
 
 Nodes that finished still relay traffic: the engine performs delivery for
 every collect or send regardless of the state of intermediate nodes.
+
+A node steps in round 0 and afterwards only in rounds where it has a
+delivery or asked to wake (``wake_at``). The engine keeps a heap of those due
+rounds and jumps from one to the next, recording the rounds in between as
+quiet; a program that sets ``step_every_round`` steps every node in every
+round instead.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -80,11 +89,6 @@ class Transcript:
         return "\n".join(lines) + "\n"
 
 
-def quiescence_detect(t: Transcript) -> bool:
-    """True iff every node produced its final output before the cap."""
-    return t.complete
-
-
 def run(g: Graph, program, round_cap: int, record_messages: bool = False,
         scan: str = "forward") -> Transcript:
     """Execute `program` on every node of `g` in lockstep rounds.
@@ -98,13 +102,28 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
     states = {v: program.init(v, tuple(sorted(g.adj[v]))) for v in nodes}
     outputs: Dict[int, Any] = {}
     published: Dict[int, Dict[str, Any]] = {v: {} for v in nodes}
-    pending: Dict[int, Dict[int, list]] = {}  # round -> node -> inbox items
-    wake: Dict[int, set] = {}
+    # round -> node -> inbox items; a wake is an entry with no items
+    agenda: Dict[int, Dict[int, list]] = {}
+    due_rounds: List[int] = []  # min-heap of the rounds in `agenda`
     step_every_round = getattr(program, "step_every_round", True)
     message_counts: List[int] = []
     service_counts: List[int] = []
     log: Optional[List[List[Tuple[int, int, Any]]]] = [] if record_messages else None
     send_balls: Dict[int, BfsBall] = {}
+
+    def inbox_at(at, v) -> list:
+        """v's inbox items for round `at`, which becomes due."""
+        if at <= rnd:
+            raise RuntimeError("delivery due at round %d, not after round %d"
+                               % (at, rnd))
+        inboxes = agenda.get(at)
+        if inboxes is None:
+            inboxes = agenda[at] = {}
+            heapq.heappush(due_rounds, at)
+        items = inboxes.get(v)
+        if items is None:
+            items = inboxes[v] = []
+        return items
 
     def check_latency(u, req):
         """Exact check that req.target lies within req.latency hops of u;
@@ -118,29 +137,36 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
             raise RuntimeError("node %r is not within latency %d of sender %d"
                                % (req.target, req.latency, u))
 
+    def pad_to(rounds):
+        """Record the quiet rounds up to (not including) round `rounds`."""
+        quiet = rounds - len(message_counts)
+        message_counts.extend([0] * quiet)
+        service_counts.extend([0] * quiet)
+        if log is not None:
+            log.extend([] for _ in range(quiet))
+
     def transcript(rounds, complete):
         return Transcript(rounds, dict(outputs), complete,
                           message_counts, service_counts, log)
 
     # round 0 is the setup phase: every node steps once with an empty inbox
     # and may already send; a message sent in round r is readable in round
-    # r + 1, so after round t every node has exactly its radius-t knowledge
-    for rnd in range(0, round_cap + 1):
-        due_map = pending.pop(rnd, {})
-        due = set(due_map) | wake.pop(rnd, set())
-        if step_every_round or rnd == 0:
-            due = set(nodes)
-        order = sorted(due)
+    # r + 1, so after round t every node has exactly its radius-t knowledge.
+    # Rounds in which no node has a delivery or a wake are skipped unless the
+    # program steps every round; they are recorded as quiet.
+    rnd = 0
+    while True:
+        inboxes = agenda.pop(rnd, {})
+        order = nodes if step_every_round or rnd == 0 else sorted(inboxes)
         if scan == "reverse":
             order = order[::-1]
         msg_count = 0
         svc_count = 0
         round_log: List[Tuple[int, int, Any]] = []
         publish_buffer: List[Tuple[int, Dict[str, Any]]] = []
-        collect_buffer: List[Tuple[int, Collect, int]] = []
+        collect_buffer: List[Tuple[int, Collect]] = []
         for v in order:
-            inbox = dict(due_map.get(v, ()))
-            res = program.step(states[v], rnd, inbox)
+            res = program.step(states[v], rnd, dict(inboxes.get(v, ())))
             states[v] = res.state
             if res.output is not NO_OUTPUT:
                 if v in outputs and outputs[v] != res.output:
@@ -150,20 +176,19 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
                 if nbr not in g.adj[v]:
                     raise RuntimeError("node %d sent to non-neighbor %d" % (v, nbr))
                 payload = res.outbox[nbr]
-                pending.setdefault(rnd + 1, {}).setdefault(nbr, []).append(
-                    (("msg", v), payload))
+                inbox_at(rnd + 1, nbr).append((("msg", v), payload))
                 msg_count += 1
                 if log is not None:
                     round_log.append((v, nbr, payload))
             for req in res.requests:
                 svc_count += 1
                 if isinstance(req, Collect):
-                    collect_buffer.append((v, req, rnd))
+                    collect_buffer.append((v, req))
                 elif isinstance(req, Send):
                     if __debug__:
                         check_latency(v, req)
-                    pending.setdefault(rnd + req.latency, {}).setdefault(
-                        req.target, []).append((("msg", v), req.payload))
+                    inbox_at(rnd + req.latency, req.target).append(
+                        (("msg", v), req.payload))
                     if log is not None:
                         round_log.append((v, req.target, req.payload))
                 else:
@@ -173,29 +198,45 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
             if res.wake_at is not None:
                 if res.wake_at <= rnd:
                     raise RuntimeError("wake_at must be in the future")
-                wake.setdefault(res.wake_at, set()).add(v)
+                inbox_at(res.wake_at, v)
         # publishes land after every step of the round, then collects snapshot
         for v, items in publish_buffer:
             published[v].update(items)
-        for v, req, at in collect_buffer:
+        timers: Dict[Tuple[Any, int], Tuple[Tuple[str, Any], CollectResult]] = {}
+        for v, req in collect_buffer:
             if req.want_data:
                 ball = bfs_distances(g, v, cutoff=req.radius)
                 members = tuple(sorted(ball))
                 adjacency = {u: tuple(sorted(g.adj[u] & ball.keys())) for u in members}
                 snapshot = {u: dict(published[u]) for u in members}
-                result = CollectResult(req.tag, req.radius, at, members, adjacency, snapshot)
+                item = (("collect", req.tag), CollectResult(
+                    req.tag, req.radius, rnd, members, adjacency, snapshot))
             else:
-                result = CollectResult(req.tag, req.radius, at)
-            pending.setdefault(rnd + req.radius, {}).setdefault(v, []).append(
-                (("collect", req.tag), result))
+                # a pure timer: every requester of this (tag, radius) in this
+                # round receives the same frozen result
+                item = timers.get((req.tag, req.radius))
+                if item is None:
+                    item = timers[req.tag, req.radius] = (
+                        ("collect", req.tag), CollectResult(req.tag, req.radius, rnd))
+            inbox_at(rnd + req.radius, v).append(item)
         message_counts.append(msg_count)
         service_counts.append(svc_count)
         if log is not None:
             log.append(round_log)
         if len(outputs) == len(nodes):
             return transcript(max(rnd, 1), True)
-    raise RoundCapExceeded("round cap %d reached" % round_cap,
-                           transcript(round_cap, False))
+        if step_every_round:
+            nxt = rnd + 1
+            if due_rounds and due_rounds[0] == nxt:
+                heapq.heappop(due_rounds)
+        else:
+            nxt = heapq.heappop(due_rounds) if due_rounds else round_cap + 1
+        if nxt > round_cap:
+            pad_to(round_cap + 1)
+            raise RoundCapExceeded("round cap %d reached" % round_cap,
+                                   transcript(round_cap, False))
+        pad_to(nxt)
+        rnd = nxt
 
 
 class GatherProgram:
@@ -257,6 +298,8 @@ class UniformStagedProgram:
     def __init__(self, stages: Dict[int, List[int]], outputs: Dict[int, Any]):
         self.stages = stages
         self.outputs = outputs
+        self.collects = {r: Collect(r, tag="work", want_data=False)
+                         for radii in stages.values() for r in radii}
 
     def init(self, node, neighbors):
         return {"id": node, "stage": -1}
@@ -266,8 +309,7 @@ class UniformStagedProgram:
         stages = self.stages[v]
         state["stage"] += 1
         if state["stage"] < len(stages):
-            return StepResult(state, requests=[
-                Collect(stages[state["stage"]], tag="work", want_data=False)])
+            return StepResult(state, requests=[self.collects[stages[state["stage"]]]])
         return StepResult(state, output=self.outputs[v])
 
 

@@ -275,24 +275,25 @@ class MisProgram:
 
     def __init__(self, run: MisRun):
         self.run = run
-        self.radius = peel_radius(run.params.d)
+        self.peel = Collect(peel_radius(run.params.d), tag="peel", want_data=False)
         self.stages = {
-            "approx": strip_stages(mis_eps_to_k(run.params.eps / 8.0)),
-            "exact": exact_branch_stages(run.params.d),
+            branch: [Collect(r, tag="branch", want_data=False) for r in radii]
+            for branch, radii in (
+                ("approx", strip_stages(mis_eps_to_k(run.params.eps / 8.0))),
+                ("exact", exact_branch_stages(run.params.d)))
         }
 
     def init(self, node, neighbors):
         return {"id": node, "iter": 0, "stage": None}
 
-    def _branch_stages(self, v) -> List[int]:
+    def _branch_stages(self, v) -> List[Collect]:
         return self.stages.get(self.run.state.branch.get(v), [])
 
     def step(self, state, rnd, inbox):
         v = state["id"]
         if state["iter"] == 0 and state["stage"] is None and rnd == 0:
             state["iter"] = 1
-            return StepResult(state, requests=[
-                Collect(self.radius, tag="peel", want_data=False)])
+            return StepResult(state, requests=[self.peel])
         if state["stage"] is None:
             publish = {}
             if self.run.state.layer.get(v) == state["iter"]:
@@ -301,20 +302,17 @@ class MisProgram:
                     publish["in_set"] = True
             if state["iter"] < self.run.params.k:
                 state["iter"] += 1
-                return StepResult(state, publish=publish, requests=[
-                    Collect(self.radius, tag="peel", want_data=False)])
+                return StepResult(state, publish=publish, requests=[self.peel])
             stages = self._branch_stages(v)
             if not stages:
                 return StepResult(state, publish=publish,
                                   output=(v in self.run.chosen))
             state["stage"] = 0
-            return StepResult(state, publish=publish, requests=[
-                Collect(stages[0], tag="branch", want_data=False)])
+            return StepResult(state, publish=publish, requests=[stages[0]])
         stages = self._branch_stages(v)
         state["stage"] += 1
         if state["stage"] < len(stages):
-            return StepResult(state, requests=[
-                Collect(stages[state["stage"]], tag="branch", want_data=False)])
+            return StepResult(state, requests=[stages[state["stage"]]])
         return StepResult(state, output=(v in self.run.chosen))
 
 

@@ -375,7 +375,14 @@ class MvcProgram:
         self.run = run
         self.registry = _Registry()
         self.k = run.k
-        self.color_stages = strip_stages(run.k)
+        self.prune = Collect(prune_radius(run.k), tag="prune", want_data=False)
+        self.color_stages = [Collect(r, tag="color", want_data=False)
+                             for r in strip_stages(run.k)]
+        self.polls = {
+            level: Collect(correction_poll_radius(run.k), tag=("poll", level),
+                           want_data=False)
+            for per in run.layering.children.values() for level in per
+        }
 
     # -- helpers ----------------------------------------------------------
     def _levels(self, v) -> List[int]:
@@ -406,9 +413,7 @@ class MvcProgram:
                               publish={"final": state["color"]})
         level = state["levels"][0]
         state["await"] = (level, rnd)
-        req = Collect(correction_poll_radius(self.k), tag=("poll", level),
-                      want_data=False)
-        return StepResult(state, requests=[req], output=state["color"],
+        return StepResult(state, requests=[self.polls[level]], output=state["color"],
                           publish={"final": state["color"]})
 
     # -- engine interface --------------------------------------------------
@@ -421,27 +426,22 @@ class MvcProgram:
         run = self.run
         if state["phase"] == "prune":
             if rnd == 0:
-                return StepResult(state, requests=[
-                    Collect(prune_radius(self.k), tag="prune", want_data=False)])
+                return StepResult(state, requests=[self.prune])
             assert any(key == ("collect", "prune") for key in inbox)
             i = state["iter"]
             if run.layering.layer[v] == i:
                 state["phase"] = "color"
                 state["stage"] = 0
-                return StepResult(
-                    state, publish={"layer": i},
-                    requests=[Collect(self.color_stages[0], tag="color",
-                                      want_data=False)])
+                return StepResult(state, publish={"layer": i},
+                                  requests=[self.color_stages[0]])
             state["iter"] = i + 1
-            return StepResult(state, requests=[
-                Collect(prune_radius(self.k), tag="prune", want_data=False)])
+            return StepResult(state, requests=[self.prune])
 
         if state["phase"] == "color":
             stages = self.color_stages
             state["stage"] += 1
             if state["stage"] < len(stages):
-                return StepResult(state, requests=[
-                    Collect(stages[state["stage"]], tag="color", want_data=False)])
+                return StepResult(state, requests=[stages[state["stage"]]])
             state["color"] = run.base_colors[v]
             if run.layering.parent[v] is None:
                 state["color"] = run.final_colors[v]
@@ -464,9 +464,7 @@ class MvcProgram:
             )
             if not ready:
                 state["await"] = (level, rnd)
-                return StepResult(state, requests=[
-                    Collect(correction_poll_radius(self.k),
-                            tag=("poll", level), want_data=False)])
+                return StepResult(state, requests=[self.polls[level]])
             kids = run.layering.children[v][level]
             sends = [
                 Send(child, ("set_color", run.final_colors[child]),

@@ -2,8 +2,8 @@ import pytest
 
 from chordalg import Graph, RoundCapExceeded, gen_path, gen_spider
 from chordalg.localsim import (
-    Collect, GatherProgram, Send, SequencedProgram, StepResult, gather,
-    quiescence_detect, run,
+    Collect, CollectResult, GatherProgram, Send, SequencedProgram, StepResult,
+    gather, run,
 )
 
 
@@ -40,7 +40,7 @@ def test_echo_one_round():
     t = run(gen_path(4), Echo(), 10)
     assert t.rounds_elapsed == 1
     assert t.outputs == {1: 1, 2: 2, 3: 3, 4: 4}
-    assert quiescence_detect(t)
+    assert t.complete
 
 
 def test_gather_radius_two_on_path_center():
@@ -75,7 +75,7 @@ def test_round_cap_exceeded_carries_partial_transcript():
     with pytest.raises(RoundCapExceeded) as exc:
         run(gen_path(3), Sleeper(50), 5)
     t = exc.value.transcript
-    assert not quiescence_detect(t)
+    assert not t.complete
     assert t.rounds_elapsed == 5
 
 
@@ -163,24 +163,28 @@ def test_send_multi_hop_latency_is_enforced():
         run(gen_path(4), BadSend(), 10)
 
 
+class Relay:
+    """Node 1 sends "hi" to node 4 with latency 3; node 4 outputs what it
+    received and when."""
+
+    step_every_round = False
+
+    def init(self, node, neighbors):
+        return node
+
+    def step(self, state, rnd, inbox):
+        if rnd == 0 and state == 1:
+            return StepResult(state, output=0,
+                              requests=[Send(4, "hi", latency=3)])
+        for key, payload in inbox.items():
+            if key[0] == "msg":
+                return StepResult(state, output=(key[1], payload, rnd))
+        if state != 4:
+            return StepResult(state, output=0)
+        return StepResult(state)
+
+
 def test_send_multi_hop_delivery():
-    class Relay:
-        step_every_round = False
-
-        def init(self, node, neighbors):
-            return node
-
-        def step(self, state, rnd, inbox):
-            if rnd == 0 and state == 1:
-                return StepResult(state, output=0,
-                                  requests=[Send(4, "hi", latency=3)])
-            for key, payload in inbox.items():
-                if key[0] == "msg":
-                    return StepResult(state, output=(key[1], payload, rnd))
-            if state != 4:
-                return StepResult(state, output=0)
-            return StepResult(state)
-
     t = run(gen_path(4), Relay(), 10)
     assert t.outputs[4] == (1, "hi", 3)
 
@@ -282,3 +286,108 @@ def test_send_check_rejects_a_target_inside_a_ball_grown_deeper():
         run(gen_path(10), PlannedSends({0: [deep], 2: [Send(8, "x", latency=6)]}), 20)
     t = run(gen_path(10), PlannedSends({0: [deep], 2: [Send(8, "x", latency=7)]}), 20)
     assert t.complete
+
+
+# rounds in which no node has a delivery or a wake are skipped; the tests
+# below pin what the transcript records for them
+
+
+class IdleWaiter:
+    """Node 1 wakes once in round 3 and never outputs; the rest output at
+    once."""
+
+    step_every_round = False
+
+    def init(self, node, neighbors):
+        return node
+
+    def step(self, state, rnd, inbox):
+        if state != 1:
+            return StepResult(state, output=0) if rnd == 0 else StepResult(state)
+        return StepResult(state, wake_at=3) if rnd == 0 else StepResult(state)
+
+
+class SteppedIdleWaiter(IdleWaiter):
+    step_every_round = True
+
+
+def test_idle_program_pads_to_the_cap():
+    cap = 12
+    with pytest.raises(RoundCapExceeded) as exc:
+        run(gen_path(3), IdleWaiter(), cap)
+    t = exc.value.transcript
+    assert not t.complete
+    assert t.rounds_elapsed == cap
+    assert len(t.message_counts) == len(t.service_counts) == cap + 1
+    assert t.message_counts == t.service_counts == [0] * (cap + 1)
+    with pytest.raises(RoundCapExceeded) as stepped:
+        run(gen_path(3), SteppedIdleWaiter(), cap)
+    assert stepped.value.transcript.serialize() == t.serialize()
+
+
+def test_message_log_holds_the_skipped_rounds():
+    t = run(gen_path(4), Relay(), 10, record_messages=True)
+    assert t.rounds_elapsed == 3
+    assert len(t.message_log) == len(t.message_counts) == 4
+    assert t.message_log == [[(1, 4, "hi")], [], [], []]
+    assert t.service_counts == [1, 0, 0, 0]
+
+
+def test_delivery_and_wake_in_one_round_step_once():
+    class WakeAndMessage:
+        """Node 1 messages node 2, which also asks to wake in round 1."""
+
+        step_every_round = False
+
+        def __init__(self):
+            self.steps = []
+
+        def init(self, node, neighbors):
+            return node
+
+        def step(self, state, rnd, inbox):
+            if state == 1:
+                if rnd == 0:
+                    return StepResult(state, outbox={2: "hi"}, output=0)
+                return StepResult(state)
+            self.steps.append((rnd, sorted(inbox)))
+            if rnd == 0:
+                return StepResult(state, wake_at=1)
+            return StepResult(state, output=rnd)
+
+    program = WakeAndMessage()
+    t = run(gen_path(2), program, 10)
+    assert program.steps == [(0, []), (1, [("msg", 1)])]
+    assert t.outputs == {1: 0, 2: 1}
+
+
+def test_timer_collects_share_one_result():
+    class Timer:
+        step_every_round = False
+
+        def __init__(self):
+            self.received = []
+
+        def init(self, node, neighbors):
+            return node
+
+        def step(self, state, rnd, inbox):
+            if rnd == 0:
+                return StepResult(state, requests=[
+                    Collect(2, tag="t", want_data=False)])
+            self.received.append(inbox[("collect", "t")])
+            return StepResult(state, output=rnd)
+
+    program = Timer()
+    t = run(gen_path(5), program, 10)
+    assert t.outputs == {v: 2 for v in range(1, 6)}
+    first = program.received[0]
+    assert first == CollectResult("t", 2, 0)
+    assert all(result is first for result in program.received)
+
+
+@pytest.mark.parametrize("request_", [Collect(0, tag="t", want_data=False),
+                                      Send(1, "self", latency=0)])
+def test_delivery_in_the_requesting_round_raises(request_):
+    with pytest.raises(RuntimeError):
+        run(gen_path(3), PlannedSends({0: [request_]}), 10)

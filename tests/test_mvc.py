@@ -255,7 +255,6 @@ FROZEN_CAP_CONSTANT = 4  # calibrated once on small instances
 
 
 def test_quiescence_under_frozen_cap():
-    from chordalg.localsim import quiescence_detect
     for n, seed in ((64, 1), (128, 0), (256, 2)):
         g = gen_chordal(n, seed=seed, max_clique=6)
         if omega_oracle(g) < 4:
@@ -263,7 +262,7 @@ def test_quiescence_under_frozen_cap():
         eps = 0.5
         cap = 10 * math.ceil((1 / eps) * math.ceil(math.log2(n))) * FROZEN_CAP_CONSTANT
         _, transcript = mvc_distributed(g, eps, round_cap=cap)
-        assert quiescence_detect(transcript)
+        assert transcript.complete
 
 
 def test_debug_invariant_sweeps_run_clean():

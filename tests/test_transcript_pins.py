@@ -1,8 +1,10 @@
 """Simulated transcripts pinned byte for byte.
 
 The digests were recorded before the engine's Send check and the programs'
-stage schedules were reworked; any change to rounds, traffic or outputs of
-these runs shows up here.
+stage schedules were reworked, and before the engine skipped quiet rounds;
+any change to rounds, traffic or outputs of these runs shows up here. The
+coloring and independent-set programs must reproduce them when the engine
+steps each round's nodes in reverse order, too.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ from chordalg import (
     color_interval_distributed, gen_chordal, gen_interval, mis_chordal_distributed,
     mis_interval_distributed, mvc_distributed,
 )
+from chordalg import localsim, mis, mvc
 
 from conftest import dumbbell
 
@@ -49,6 +52,29 @@ def test_transcript_digest_is_pinned(name):
     solve, expected = PINNED[name]
     _, transcript = solve()
     assert digest(transcript) == expected
+
+
+def mvc_reverse_scan(g, eps):
+    program = mvc.MvcProgram(mvc.mvc_pipeline(g, eps))
+    return localsim.run(g, program, mvc.default_round_cap(g, eps), scan="reverse")
+
+
+def mis_reverse_scan(g, eps):
+    program = mis.MisProgram(mis.mis_chordal_run(g, eps))
+    return localsim.run(g, program, mis.default_round_cap(g, eps), scan="reverse")
+
+
+REVERSE_SCAN = {
+    "tree-mvc": lambda: mvc_reverse_scan(TREE, 0.5),
+    "tree-mis": lambda: mis_reverse_scan(TREE, 0.4),
+    "dumbbell-mvc": lambda: mvc_reverse_scan(DUMBBELL, 1.0),
+    "dumbbell-mis": lambda: mis_reverse_scan(DUMBBELL, 0.4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REVERSE_SCAN))
+def test_reverse_scan_matches_the_pinned_digest(name):
+    assert digest(REVERSE_SCAN[name]()) == PINNED[name][1]
 
 
 def test_dumbbell_reaches_internal_peel_and_approx_branch():
