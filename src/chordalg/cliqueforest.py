@@ -1,5 +1,5 @@
 """Maximal cliques, the canonical maximum-weight clique forest, local views,
-and path classification on forests.
+path classification on forests, and the peeling loop both algorithms run.
 
 The forest is made unique by a total order on the weighted clique
 intersection edges: weight first, then the sorted member words of the two
@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from .errors import DiameterTooSmall, RadiusTooSmall
 from .graphs import Graph, alpha_oracle, bfs_distances, _require_chordal
@@ -235,6 +235,26 @@ class ForestPath:
             out |= self.forest.cliques[i]
         return out
 
+    def attach_cliques(self) -> Tuple[Optional[FrozenSet[int]], Optional[FrozenSet[int]]]:
+        """The junction cliques at the start and end sides (None if free)."""
+        return tuple(None if a is None else self.forest.cliques[a]
+                     for a in (self.attach_s, self.attach_e))
+
+
+def walk_path(fadj, comp) -> List[int]:
+    """The cliques of a path component `comp` of a forest, in path order
+    from its smallest-id end."""
+    compset = set(comp)
+    seq = [min(i for i in compset
+               if sum(1 for j in fadj[i] if j in compset) <= 1)]
+    prev = None
+    while len(seq) < len(compset):
+        cur = seq[-1]
+        nxt = [j for j in fadj[cur] if j in compset and j != prev]
+        prev = cur
+        seq.append(nxt[0])
+    return seq
+
 
 def _orient(forest, seq, attach_s, attach_e):
     if forest.words[seq[0]] > forest.words[seq[-1]]:
@@ -266,7 +286,6 @@ def classify_paths(forest: CliqueForest) -> List[ForestPath]:
                     seen.add(j)
                     comp.append(j)
                     queue.append(j)
-        compset = set(comp)
         if len(comp) == 1:
             seq = comp
             junctions = sorted(
@@ -276,17 +295,7 @@ def classify_paths(forest: CliqueForest) -> List[ForestPath]:
             attach_s = junctions[0] if junctions else None
             attach_e = junctions[1] if len(junctions) > 1 else None
         else:
-            ends = sorted(
-                i for i in comp
-                if sum(1 for j in forest.fadj[i] if j in compset) <= 1
-            )
-            seq = [ends[0]]
-            prev = None
-            while len(seq) < len(comp):
-                cur = seq[-1]
-                nxt = [j for j in forest.fadj[cur] if j in compset and j != prev]
-                prev = cur
-                seq.append(nxt[0])
+            seq = walk_path(forest.fadj, comp)
             attach = []
             for end in (seq[0], seq[-1]):
                 junctions = [j for j in forest.fadj[end] if j not in lowset]
@@ -438,20 +447,6 @@ def path_alpha(g: Graph, path: ForestPath) -> int:
     return len(alpha_oracle(g.subgraph(path.node_set())))
 
 
-def path_alpha_at_least(g: Graph, path: ForestPath, bound: int) -> bool:
-    """Early-exit test for path_alpha >= bound via the exact strip sweep."""
-    strip = path_strip(path)
-    chosen = 0
-    blocked_to = -1
-    for v in sorted(strip.lo, key=lambda v: (strip.hi[v], strip.lo[v], v)):
-        if strip.lo[v] > blocked_to:
-            chosen += 1
-            if chosen >= bound:
-                return True
-            blocked_to = strip.hi[v]
-    return chosen >= bound
-
-
 def remove_paths(forest: CliqueForest, g: Graph, paths) -> Tuple[CliqueForest, Set[int]]:
     """Peel the given paths off the forest.
 
@@ -477,3 +472,39 @@ def remove_paths(forest: CliqueForest, g: Graph, paths) -> Tuple[CliqueForest, S
         if a in remap and b in remap
     }
     return CliqueForest(cliques, edges), removed_nodes
+
+
+@dataclass(frozen=True)
+class PeelStep:
+    """One peeling iteration: the forest before it, the paths it peels and,
+    per path, the nodes whose whole subtree lies on that path."""
+
+    index: int
+    forest: CliqueForest
+    paths: Tuple[ForestPath, ...]
+    members: Tuple[Tuple[int, ...], ...]
+
+
+def peel(g: Graph, select) -> Iterator[PeelStep]:
+    """The peeling loop shared by coloring and independent set.
+
+    Builds the clique forest of `g` once and yields step 1, 2, ... without
+    end; `select(i, forest, paths)` picks the paths of step i among all
+    classified paths. A step's paths are removed only when the caller asks
+    for the next step, so a caller that stops after a step removes nothing
+    more.
+    """
+    forest = clique_forest(g)
+    i = 1
+    while True:
+        paths = tuple(select(i, forest, classify_paths(forest)))
+        members = []
+        for p in paths:
+            ids = set(p.cliques)
+            members.append(tuple(sorted(
+                v for v in p.node_set() if all(j in ids for j in forest.phi[v]))))
+        yield PeelStep(i, forest, paths, tuple(members))
+        forest, removed = remove_paths(forest, g, paths)
+        if set().union(*members) != removed:
+            raise AssertionError("peel bookkeeping mismatch")
+        i += 1

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
-from .cliqueforest import IntervalStrip, clique_forest, clique_word
+from .cliqueforest import IntervalStrip, clique_forest, clique_word, walk_path
 from .errors import BadEpsilon, Infeasible, NotInterval, NotProperInterval
 from .graphs import Graph, bfs_distances
 
@@ -134,25 +134,9 @@ def _component_strips(h: Graph) -> List[IntervalStrip]:
                     seen.add(j)
                     comp.append(j)
                     stack.append(j)
-        compset = set(comp)
         if all(forest.degree(i) <= 2 for i in comp):
             # the canonical forest is already a path through this component
-            if len(comp) == 1:
-                seq = [forest.cliques[comp[0]]]
-            else:
-                ends = sorted(
-                    (i for i in comp
-                     if sum(1 for j in forest.fadj[i] if j in compset) <= 1),
-                    key=lambda i: forest.words[i],
-                )
-                idx_seq = [ends[0]]
-                prev = None
-                while len(idx_seq) < len(comp):
-                    nxt = [j for j in forest.fadj[idx_seq[-1]]
-                           if j in compset and j != prev]
-                    prev = idx_seq[-1]
-                    idx_seq.append(nxt[0])
-                seq = [forest.cliques[i] for i in idx_seq]
+            seq = [forest.cliques[i] for i in walk_path(forest.fadj, comp)]
         else:
             # weight ties let the canonical forest branch even on interval
             # graphs; fall back to an explicit consecutive arrangement

@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from .cliqueforest import (
-    INTERNAL, classify_paths, clique_forest, path_alpha_at_least, path_diameter,
-    remove_paths, strips_from_traces,
+    INTERNAL, path_diameter, path_strip, peel, strips_from_traces,
 )
 from .errors import AlphaTooLarge, BadEpsilon, debug_invariants
-from .graphs import Graph, bfs_distances, mcs_order
+from .graphs import Graph, mcs_order
 from .intervals import mis_eps_to_k, mis_strip, strip_stages
 from . import localsim
 from .localsim import Collect, StepResult
@@ -72,9 +71,8 @@ class PeelState:
         return out
 
 
-def _gavril_greedy(g: Graph, nodes, cap: Optional[int] = None):
-    """Exact maximum independent set of a chordal induced subgraph, with an
-    optional early exit once `cap` members are found."""
+def _gavril_greedy(g: Graph, nodes):
+    """Exact maximum independent set of a chordal induced subgraph."""
     sub = g.subgraph(nodes)
     order = mcs_order(sub).order
     taken = set()
@@ -82,52 +80,36 @@ def _gavril_greedy(g: Graph, nodes, cap: Optional[int] = None):
     for v in order:
         if v not in blocked:
             taken.add(v)
-            if cap is not None and len(taken) >= cap:
-                return taken
             blocked.add(v)
             blocked |= sub.adj[v]
     return taken
 
 
-def _alpha_at_least(g: Graph, nodes, bound: int) -> bool:
-    return len(_gavril_greedy(g, nodes, cap=bound)) >= bound
-
-
-def absorbing_mis(g: Graph, component, anchor, forbidden,
+def absorbing_mis(cliques, component, anchor,
                   alpha_cap: Optional[int] = None) -> Set[int]:
     """Maximum independent set of a small interval component.
 
-    With an anchor clique, nodes are taken simplicial-first starting from the
-    one remotest from the anchor. Remoteness is position along the clique
-    path of the component-plus-anchor graph (hop counts are too coarse: all
-    of a hanging clique sits at hop distance one, yet only its far end keeps
-    the chosen set absorbing). The far-end sweep makes the chosen set absorb
-    all independence of its closed residual neighborhood minus `forbidden`.
-    Without an anchor any maximum independent set qualifies and the
-    elimination-order greedy is returned.
+    `cliques` is the clique path the component was peeled from, ordered so
+    that its last clique lies next to the `anchor` clique. Nodes are taken
+    simplicial-first starting from the one remotest from the anchor.
+    Remoteness is position along the clique path of the component-plus-anchor
+    graph (hop counts are too coarse: all of a hanging clique sits at hop
+    distance one, yet only its far end keeps the chosen set absorbing). The
+    far-end sweep makes the chosen set absorb all independence of its closed
+    residual neighborhood minus the nodes already blocked.
     """
-    from .intervals import clique_path
-
     component = set(component)
-    if alpha_cap is not None and _alpha_at_least(g, component, alpha_cap):
-        raise AlphaTooLarge("component independence number reaches %d" % alpha_cap)
-    if anchor is None:
-        return _gavril_greedy(g, component)
-    from .cliqueforest import IntervalStrip
-
-    cps = clique_path(g.subgraph(component | set(anchor)))
-    if len(cps) != 1:
-        raise AssertionError("anchored component is not connected")
-    strip = cps[0].strip
-    anchor_set = frozenset(anchor)
-    spots = [j for j, c in enumerate(strip.cliques) if c == anchor_set]
-    if len(spots) != 1 or spots[0] not in (0, len(strip.cliques) - 1):
-        raise AssertionError("anchor clique is not an end of the strip")
-    if spots[0] == 0:  # flip the anchor to the right end
-        strip = IntervalStrip(list(reversed(strip.cliques)))
+    anchor = frozenset(anchor)
+    strips = strips_from_traces(list(cliques) + [anchor], component | anchor,
+                                oriented=True)
+    if len(strips) != 1 or strips[0].cliques[-1] != anchor:
+        raise AssertionError("anchored strip is not one path ending at the anchor")
     # smallest right endpoint in the anchored strip = remotest simplicial
     # node first; anchor members only widen ranges, they are never picked
-    return strip.greedy_mis(allowed=component)
+    chosen = strips[0].greedy_mis(allowed=component)
+    if alpha_cap is not None and len(chosen) >= alpha_cap:
+        raise AlphaTooLarge("component independence number reaches %d" % alpha_cap)
+    return chosen
 
 
 def _outside_anchor(g: Graph, record_sides, component, w_set, residual):
@@ -156,29 +138,28 @@ class MisRun:
 def mis_chordal_run(g: Graph, eps: float) -> MisRun:
     params = MisParams.from_eps(eps)
     d, iters = params.d, params.k
-    forest = clique_forest(g)
+
+    def select(i, forest, paths):
+        if i < iters:
+            return [p for p in paths
+                    if p.kind != INTERNAL or path_diameter(g, p) >= 2 * d + 3]
+        return [p for p in paths
+                if p.kind != INTERNAL or len(path_strip(p).greedy_mis()) >= d]
+
     residual = set(g.nodes)
     chosen: Set[int] = set()
     forbidden: Set[int] = set()
     state = PeelState(params)
     state.residuals.append(set(residual))
-    for i in range(1, iters + 1):
+    for step in peel(g, select):
+        i, forest = step.index, step.forest
         state.deg3_counts.append(
             sum(1 for j in range(len(forest)) if forest.degree(j) > 2))
-        paths = classify_paths(forest)
-        if i < iters:
-            selected = [p for p in paths
-                        if p.kind != INTERNAL or path_diameter(g, p) >= 2 * d + 3]
-        else:
-            selected = [p for p in paths
-                        if p.kind != INTERNAL or path_alpha_at_least(g, p, d)]
         frozen_forbidden = frozenset(forbidden)
         gained: Set[int] = set()
         removed_all: Set[int] = set()
-        for p in selected:
-            path_ids = set(p.cliques)
-            w_set = {v for v in p.node_set()
-                     if all(j in path_ids for j in forest.phi[v])}
+        for p, members in zip(step.paths, step.members):
+            w_set = set(members)
             removed_all |= w_set
             for v in w_set:
                 state.layer[v] = i
@@ -186,18 +167,22 @@ def mis_chordal_run(g: Graph, eps: float) -> MisRun:
             active = w_set - frozen_forbidden
             if not active:
                 continue
-            sides = (p.forest.cliques[p.attach_s] if p.attach_s is not None else None,
-                     p.forest.cliques[p.attach_e] if p.attach_e is not None else None)
+            sides = p.attach_cliques()
             for strip in strips_from_traces(p.clique_sets(), active):
                 comp = set(strip.nodes)
-                if _alpha_at_least(g, comp, d):
+                if len(strip.greedy_mis()) >= d:
                     part = mis_strip(g, strip, eps / 8.0)
                     tag = "approx"
                 else:
                     if i < iters:
                         anchor = _outside_anchor(g, sides, comp, w_set, residual)
-                        part = absorbing_mis(g, comp, anchor, frozen_forbidden,
-                                             alpha_cap=d)
+                        if anchor is None:
+                            part = _gavril_greedy(g, comp)
+                        else:
+                            cliques = p.clique_sets()
+                            if anchor == sides[0]:
+                                cliques.reverse()
+                            part = absorbing_mis(cliques, comp, anchor, alpha_cap=d)
                         state.absorption.append(AbsorptionRecord(
                             i, frozenset(comp), frozenset(part),
                             frozen_forbidden, anchor))
@@ -214,10 +199,8 @@ def mis_chordal_run(g: Graph, eps: float) -> MisRun:
             forbidden |= g.adj[v]
         residual -= removed_all
         state.residuals.append(set(residual))
-        if i < iters:
-            forest, removed = remove_paths(forest, g, selected)
-            if removed != removed_all:
-                raise AssertionError("peel bookkeeping mismatch")
+        if i == iters:
+            break
     run = MisRun(g, params, chosen, state)
     if debug_invariants() and not verify_absorption(g, run):
         raise AssertionError("absorption equation violated")

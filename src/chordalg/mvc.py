@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from .cliqueforest import (
-    INTERNAL, CliqueForest, IntervalStrip, classify_paths, clique_forest,
-    clique_word, path_diameter, remove_paths, strips_from_traces,
+    INTERNAL, CliqueForest, IntervalStrip, clique_word, path_diameter, peel,
+    strips_from_traces, walk_path,
 )
 from .errors import EpsilonTooSmall, NonTermination, debug_invariants
 from .graphs import BfsBall, Graph, bfs_distances, omega_oracle
@@ -79,33 +79,25 @@ def prune_layers(g: Graph, k: int) -> Layering:
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    forest = clique_forest(g)
-    layering = Layering({}, {}, {}, {}, 0, len(forest), [forest])
+
+    def select(i, forest, paths):
+        return [p for p in paths
+                if p.kind != INTERNAL or path_diameter(g, p) >= 3 * k]
+
+    layering = Layering({}, {}, {}, {}, 0, 0)
     children_raw: Dict[int, Dict[int, List[int]]] = {}
-    i = 1
-    while len(forest):
-        paths = classify_paths(forest)
-        selected = [
-            p for p in paths
-            if p.kind != INTERNAL or path_diameter(g, p) >= 3 * k
-        ]
-        if not selected:
+    for step in peel(g, select):
+        i = step.index
+        layering.forest_history.append(step.forest)
+        if not len(step.forest):
+            break
+        if not step.paths:
             raise NonTermination("no peelable path found on a nonempty forest")
-        new_forest, removed = remove_paths(forest, g, selected)
         records = []
         wanted: Dict[frozenset, Set[int]] = {}
-        for p in selected:
-            path_ids = set(p.cliques)
-            members = sorted(
-                v for v in p.node_set()
-                if all(j in path_ids for j in forest.phi[v])
-            )
-            record = PeelPath(
-                tuple(p.clique_sets()), p.kind,
-                forest.cliques[p.attach_s] if p.attach_s is not None else None,
-                forest.cliques[p.attach_e] if p.attach_e is not None else None,
-                tuple(members),
-            )
+        for p, members in zip(step.paths, step.members):
+            record = PeelPath(tuple(p.clique_sets()), p.kind, *p.attach_cliques(),
+                              members)
             records.append(record)
             for side in (record.attach_s, record.attach_e):
                 if side is not None:
@@ -136,12 +128,8 @@ def prune_layers(g: Graph, k: int) -> Layering:
                     layering.parent[v] = par
                     children_raw.setdefault(par, {}).setdefault(i, []).append(v)
         layering.peeled_paths[i] = records
-        if set().union(*(r.members for r in records)) != removed:
-            raise AssertionError("peel bookkeeping mismatch")
-        layering.forest_history.append(new_forest)
-        forest = new_forest
-        i += 1
     layering.num_layers = i - 1
+    layering.clique_count = len(layering.forest_history[0])
     layering.children = {
         par: {l: tuple(sorted(vs)) for l, vs in per.items()}
         for par, per in children_raw.items()
@@ -522,21 +510,9 @@ def local_peel_decision(gball: Graph, center: int, residual, k: int):
     def certified(i):
         return all(dist.get(u, radius + 1) <= radius - 1 for u in view.cliques[i])
 
-    subtree = list(view.phi[center])
-    if any(view.degree(i) > 2 for i in subtree):
+    if any(view.degree(i) > 2 for i in view.phi[center]):
         return False, None
-    # order the center's subtree as a path
-    if len(subtree) > 1:
-        inner = {i: [j for j in view.fadj[i] if j in set(subtree)] for i in subtree}
-        ends = sorted(i for i in subtree if len(inner[i]) <= 1)
-        seq = [ends[0]]
-        prev = None
-        while len(seq) < len(subtree):
-            nxt = [j for j in inner[seq[-1]] if j != prev]
-            prev = seq[-1]
-            seq.append(nxt[0])
-        subtree = seq
-    run_seq = list(subtree)
+    run_seq = walk_path(view.fadj, view.phi[center])
     stops = []
     blocked = set()
     for at_front in (False, True):

@@ -1,4 +1,5 @@
 import math
+import types
 
 import pytest
 
@@ -8,10 +9,14 @@ from chordalg import (
     mis_chordal_distributed, mis_interval_distributed, residual_alpha_check,
     verify_absorption, verify_is,
 )
+import chordalg
+import chordalg.mis as mis_module
+from chordalg.cliqueforest import IntervalStrip, clique_forest
 from chordalg.graphs import bfs_distances
+from chordalg.intervals import clique_path
 from chordalg.mis import MisParams, mis_chordal_run, _gavril_greedy
 
-from conftest import complete_graph
+from conftest import complete_graph, dumbbell
 
 
 class TestMisParams:
@@ -31,10 +36,15 @@ class TestMisParams:
                 MisParams.from_eps(bad)
 
 
+def path_cliques(n):
+    """The clique path {1,2}, {2,3}, ..., {n-1,n} of gen_path(n)."""
+    return [frozenset({v, v + 1}) for v in range(1, n)]
+
+
 class TestAbsorbingMis:
     def test_path_with_anchor_beyond_the_end(self):
         g = gen_path(5)
-        chosen = absorbing_mis(g, {1, 2, 3, 4}, frozenset({4, 5}), set())
+        chosen = absorbing_mis(path_cliques(4), {1, 2, 3, 4}, frozenset({4, 5}))
         assert chosen == {1, 3}
         # absorption, brute-forced: closed neighborhood of the chosen set
         region = set()
@@ -43,18 +53,18 @@ class TestAbsorbingMis:
         assert len(chosen) == brute_alpha(g.subgraph(region))
 
     def test_single_clique_takes_furthest_node(self):
-        g = Graph([(1, 2), (1, 3), (2, 3), (3, 4)])
-        chosen = absorbing_mis(g, {1, 2, 3}, frozenset({3, 4}), set())
+        chosen = absorbing_mis([frozenset({1, 2, 3})], {1, 2, 3}, frozenset({3, 4}))
         assert chosen == {1}
 
     def test_without_anchor_returns_elimination_greedy(self):
+        # unanchored components are solved by the MCS-order greedy directly
         g = gen_path(7)
-        assert absorbing_mis(g, set(g.nodes), None, set()) == alpha_oracle(g)
+        assert _gavril_greedy(g, set(g.nodes)) == alpha_oracle(g)
 
     def test_alpha_cap(self):
-        g = gen_path(9)
         with pytest.raises(AlphaTooLarge):
-            absorbing_mis(g, set(g.nodes), None, set(), alpha_cap=3)
+            absorbing_mis(path_cliques(8), set(range(1, 9)), frozenset({8, 9}),
+                          alpha_cap=3)
 
 
 class TestMisChordalCentralized:
@@ -167,6 +177,66 @@ class TestMisIntervalDistributed:
         assert transcript.complete
 
 
-def test_gavril_greedy_cap_short_circuits():
-    g = gen_path(50)
-    assert len(_gavril_greedy(g, set(g.nodes), cap=5)) == 5
+def complete_binary_tree(depth):
+    return Graph([(v // 2, v) for v in range(2, 2 ** (depth + 1))])
+
+
+def test_last_iteration_exact_branch():
+    g = complete_binary_tree(12)
+    run = mis_chordal_run(g, 0.4)
+    k = run.params.k
+    assert any(run.state.branch[v] == "exact"
+               for v, i in run.state.layer.items() if i == k)
+    assert verify_is(g, run.chosen)
+    assert len(alpha_oracle(g)) <= 1.4 * len(run.chosen)
+
+
+def rebuilt_anchored_mis(g, component, anchor):
+    """The anchored sweep on a clique path rebuilt from the induced subgraph
+    of component plus anchor, flipped so the anchor clique comes last."""
+    (cp,) = clique_path(g.subgraph(set(component) | anchor))
+    cliques = list(cp.cliques)
+    if cliques[0] == anchor:
+        cliques.reverse()
+    assert cliques[-1] == anchor
+    return IntervalStrip(cliques).greedy_mis(allowed=set(component))
+
+
+def test_anchored_mis_matches_rebuilt_clique_path(monkeypatch):
+    calls = []
+
+    def spy(cliques, component, anchor, alpha_cap=None):
+        chosen = absorbing_mis(cliques, component, anchor, alpha_cap)
+        calls.append((set(component), anchor, chosen))
+        return chosen
+
+    monkeypatch.setattr(mis_module, "absorbing_mis", spy)
+    graphs = [dumbbell(3, 5, 400)]
+    graphs += [gen_chordal(600, seed=seed, max_clique=6) for seed in range(1, 6)]
+    for g in graphs:
+        calls.clear()
+        mis_chordal_run(g, 0.4)
+        assert calls
+        for component, anchor, chosen in calls:
+            assert chosen == rebuilt_anchored_mis(g, component, anchor)
+
+
+def test_mis_run_builds_one_forest_and_no_clique_path(monkeypatch):
+    built = []
+
+    def counting_forest(g):
+        built.append(len(g))
+        return clique_forest(g)
+
+    def no_clique_path(h):
+        raise AssertionError("clique path rebuilt from a subgraph")
+
+    for module in vars(chordalg).values():
+        if not isinstance(module, types.ModuleType):
+            continue
+        if getattr(module, "clique_forest", None) is clique_forest:
+            monkeypatch.setattr(module, "clique_forest", counting_forest)
+        if getattr(module, "clique_path", None) is clique_path:
+            monkeypatch.setattr(module, "clique_path", no_clique_path)
+    mis_chordal_run(dumbbell(3, 5, 400), 0.4)
+    assert len(built) == 1
