@@ -3,13 +3,15 @@ path classification on forests, and the peeling loop both algorithms run.
 
 The forest is made unique by a total order on the weighted clique
 intersection edges: weight first, then the sorted member words of the two
-endpoint cliques. Everything downstream (peeling, coloring, correction)
-relies on that canonical choice, so the tie-breaking here is load-bearing.
+endpoint cliques. Cliques are numbered in word order, so the greedy scan
+ranks edges by (weight, lower id, higher id), which is the same order.
+Everything downstream (peeling, coloring, correction) relies on that
+canonical choice, so the tie-breaking here is load-bearing.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
@@ -83,32 +85,31 @@ class _UnionFind:
         return True
 
 
-def _greedy_forest(words, weight: Dict[Tuple[int, int], int]) -> Set[Tuple[int, int]]:
+def _greedy_forest(n: int, weight: Dict[Tuple[int, int], int]) -> Set[Tuple[int, int]]:
     """Unique maximum-weight spanning forest of a weighted clique graph.
 
-    Edges are scanned in decreasing order of (weight, lower word, higher
-    word); the total order makes greedy selection canonical.
+    The `n` cliques must be numbered in word order and every key must be a
+    pair (a, b) with a < b. Then decreasing (weight, a, b) is decreasing
+    (weight, lower word, higher word), and that total order makes greedy
+    selection canonical.
     """
-    ranked = sorted(
-        weight.items(), key=lambda kv: (kv[1], words[kv[0][0]], words[kv[0][1]]),
-        reverse=True,
-    )
-    uf = _UnionFind(len(words))
+    ranked = sorted(((w, a, b) for (a, b), w in weight.items()), reverse=True)
+    uf = _UnionFind(n)
     edges = set()
-    for (a, b), _w in ranked:
+    for _w, a, b in ranked:
         if uf.union(a, b):
             edges.add((a, b))
+            if len(edges) == n - 1:
+                break  # spanning tree: no later edge can join two trees
     return edges
 
 
-def _max_weight_forest(words, phi_lists) -> Set[Tuple[int, int]]:
-    """Forest over all cliques, weights accumulated one shared node at a time."""
-    weight: Dict[Tuple[int, int], int] = {}
+def _max_weight_forest(n: int, phi_lists) -> Set[Tuple[int, int]]:
+    """Forest over all cliques, weight = number of shared nodes."""
+    weight: Counter = Counter()
     for ids in phi_lists:
-        ids = sorted(ids)
-        for a, b in combinations(ids, 2):
-            weight[(a, b)] = weight.get((a, b), 0) + 1
-    return _greedy_forest(words, weight)
+        weight.update(combinations(sorted(ids), 2))
+    return _greedy_forest(n, weight)
 
 
 class CliqueForest:
@@ -166,12 +167,11 @@ class CliqueForest:
 
 def clique_forest(g: Graph) -> CliqueForest:
     cliques = maximal_cliques(g)
-    words = [clique_word(c) for c in cliques]
     phi: Dict[int, List[int]] = {}
     for i, c in enumerate(cliques):
         for v in c:
             phi.setdefault(v, []).append(i)
-    edges = _max_weight_forest(words, phi.values())
+    edges = _max_weight_forest(len(cliques), phi.values())
     return CliqueForest(cliques, edges)
 
 
@@ -183,6 +183,8 @@ def local_view(ball: Graph, center: int, d: int) -> CliqueForest:
     within distance d-1 the maximal cliques containing it are exact, and the
     unique spanning forest of each such clique family is the node's subtree,
     so the union of those edges is a sub-forest of the global clique forest.
+    Cliques are numbered in word order, as in `clique_forest`, so both rank
+    edges by the same (weight, lower id, higher id) order.
     """
     if d < 2:
         raise RadiusTooSmall("local views need radius at least 2")
@@ -207,7 +209,7 @@ def local_view(ball: Graph, center: int, d: int) -> CliqueForest:
             inter = len(cliques[a] & cliques[b])
             if inter:
                 weight[(a, b)] = inter
-        edges |= _greedy_forest(words, weight)
+        edges |= _greedy_forest(len(words), weight)
     return CliqueForest(cliques, edges)
 
 
@@ -459,11 +461,10 @@ def remove_paths(forest: CliqueForest, g: Graph, paths) -> Tuple[CliqueForest, S
         if p.kind == INTERNAL and path_diameter(g, p) < 4:
             raise DiameterTooSmall("internal path of diameter < 4 cannot be peeled")
         removed_ids |= set(p.cliques)
-    removed_nodes = set()
+    on_removed: Counter = Counter()
     for i in removed_ids:
-        for v in forest.cliques[i]:
-            if all(j in removed_ids for j in forest.phi[v]):
-                removed_nodes.add(v)
+        on_removed.update(forest.cliques[i])
+    removed_nodes = {v for v, c in on_removed.items() if c == len(forest.phi[v])}
     keep = [i for i in range(len(forest)) if i not in removed_ids]
     remap = {old: new for new, old in enumerate(keep)}
     cliques = [forest.cliques[i] for i in keep]

@@ -191,25 +191,43 @@ def _is_peo(g: Graph, order) -> bool:
 def mcs_order(g: Graph) -> EliminationOrder:
     """Maximum cardinality search; ties broken by smallest node id.
 
+    Unvisited nodes wait in buckets by weight (the number of visited
+    neighbors), each bucket a min-heap of node ids, and `top` steps down past
+    buckets that have run empty. A node is pushed again whenever its weight
+    rises; an entry whose weight is no longer the node's own (or whose node
+    is visited) is skipped when popped. So each visit takes the largest
+    weight, then the smallest id, in O(n + m) pushes and pops.
+
     Returns the visit order reversed, so that if the graph is chordal the
     returned order is a perfect elimination ordering (later neighbors of each
     node form a clique). `is_perfect` reports whether that holds.
     """
-    visited = set()
-    weight = {v: 0 for v in g.adj}
-    heap = [(0, v) for v in sorted(g.adj)]
-    heapq.heapify(heap)
+    adj = g.adj
+    heappop, heappush = heapq.heappop, heapq.heappush
+    weight = dict.fromkeys(adj, 0)  # -1 once visited
+    buckets = [sorted(adj)]
+    top = 0
     visit = []
-    while heap:
-        negw, v = heapq.heappop(heap)
-        if v in visited or -negw != weight[v]:
+    while top >= 0:
+        bucket = buckets[top]
+        if not bucket:
+            top -= 1
             continue
-        visited.add(v)
+        v = heappop(bucket)
+        if weight[v] != top:
+            continue
+        weight[v] = -1
         visit.append(v)
-        for u in g.adj[v]:
-            if u not in visited:
-                weight[u] += 1
-                heapq.heappush(heap, (-weight[u], u))
+        for u in adj[v]:
+            w = weight[u]
+            if w >= 0:
+                w += 1
+                weight[u] = w
+                if w == len(buckets):
+                    buckets.append([])
+                heappush(buckets[w], u)
+                if w > top:
+                    top = w
     order = tuple(reversed(visit))
     return EliminationOrder(order, _is_peo(g, order))
 

@@ -182,14 +182,17 @@ def is_proper_interval(h: Graph) -> bool:
 
 
 def dominated_nodes(h: Graph):
+    """Ends of edges whose closed neighborhood strictly contains the other end's."""
+    closed = {v: nbrs | {v} for v, nbrs in h.adj.items()}
     doomed = set()
-    for u, v in h.edges():
-        nu = h.closed_neighborhood(u)
-        nv = h.closed_neighborhood(v)
-        if nu < nv:
-            doomed.add(v)
-        elif nv < nu:
-            doomed.add(u)
+    for u, nu in closed.items():
+        for v in h.adj[u]:
+            if u < v:
+                nv = closed[v]
+                if nu < nv:
+                    doomed.add(v)
+                elif nv < nu:
+                    doomed.add(u)
     return doomed
 
 

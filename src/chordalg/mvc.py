@@ -322,12 +322,26 @@ class MvcRun:
         return color_budget(self.k, self.omega)
 
 
-def mvc_pipeline(g: Graph, eps: float) -> MvcRun:
-    omega = omega_oracle(g)
+def _require_eps(eps: float, omega: int):
     if omega and eps < 2.0 / omega:
         raise EpsilonTooSmall("eps %.4f below 2/omega = %.4f" % (eps, 2.0 / omega))
+
+
+def mvc_pipeline(g: Graph, eps: float) -> MvcRun:
+    """Peel, color every layer, correct; both variants share the result.
+
+    ω is read off the largest clique of the forest the peel builds, so the
+    check eps >= 2/ω follows the peel. The errors keep their order: a graph
+    that is not chordal raises NotChordal from the forest, and for eps < 2/ω
+    the peel runs with k >= 2 and cannot raise first. Only eps <= 0, for
+    which no k exists, asks the ω oracle up front.
+    """
+    if eps <= 0:
+        _require_eps(eps, omega_oracle(g))
     k = eps_to_k(eps)
     layering = prune_layers(g, k)
+    omega = max(map(len, layering.forest_history[0].cliques), default=0)
+    _require_eps(eps, omega)
     base = color_layers(g, layering, k)
     final = correct_colors(g, layering, base, k)
     return MvcRun(g, eps, k, omega, layering, base, final)

@@ -1,19 +1,21 @@
+from itertools import combinations
+
 import pytest
 
 from chordalg import (
     DiameterTooSmall, Graph, NotChordal, RadiusTooSmall, alpha_oracle,
-    classify_paths, clique_forest, edge_less, gen_chordal, gen_interval,
-    gen_path, gen_spider, local_view, maximal_cliques, path_alpha,
+    classify_paths, clique_forest, edge_less, gen_caterpillar, gen_chordal,
+    gen_interval, gen_path, gen_spider, local_view, maximal_cliques, path_alpha,
     path_diameter, remove_paths,
 )
 from chordalg.cliqueforest import (
     BINARY_COMPONENT, INTERNAL, PENDANT, CliqueForest, EdgeTriple,
-    IntervalStrip, strips_from_traces,
+    IntervalStrip, clique_word, strips_from_traces,
 )
 from chordalg.fileio import forest_dump
 from chordalg.graphs import ball, bfs_distances
 
-from conftest import brute_maximal_cliques, complete_graph
+from conftest import brute_maximal_cliques, complete_graph, dumbbell
 
 
 def words_of(forest):
@@ -96,6 +98,54 @@ class TestCliqueForest:
     def test_dump_format_frozen(self):
         f = clique_forest(gen_path(4))
         assert forest_dump(f) == "C0: 1,2\nC1: 2,3\nC2: 3,4\nE: 0-1\nE: 1-2\n"
+
+
+def word_keyed_signature(g):
+    """Reference forest: Kruskal over every intersecting clique pair, ranked
+    by decreasing (weight, lower word, higher word), with no clique ids."""
+    words = [clique_word(c) for c in maximal_cliques(g)]
+    ranked = []
+    for x, y in combinations(words, 2):
+        w = len(set(x) & set(y))
+        if w:
+            ranked.append((w, min(x, y), max(x, y)))
+    ranked.sort(reverse=True)
+    root = {x: x for x in words}
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    edges = []
+    for _w, x, y in ranked:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            root[ry] = rx
+            edges.append((x, y))
+    return tuple(sorted(words)), tuple(sorted(edges))
+
+
+class TestForestMatchesWordKeyedKruskal:
+    @pytest.mark.parametrize("g", [
+        gen_chordal(150, seed=2, max_clique=6),
+        gen_chordal(200, seed=8, max_clique=10),
+        gen_interval(120, seed=3),
+        gen_interval(150, seed=12, span=300, max_len=40),
+        dumbbell(3, 8, 5),
+        gen_caterpillar(12, 3),
+        gen_caterpillar(30, 1),
+    ], ids=["chordal-2", "chordal-8", "interval-3", "interval-12", "dumbbell",
+            "caterpillar-12x3", "caterpillar-30x1"])
+    def test_signature(self, g):
+        assert clique_forest(g).signature() == word_keyed_signature(g)
+
+    def test_more_seeds(self):
+        for seed in range(6):
+            g = gen_chordal(60, seed=100 + seed, max_clique=5)
+            assert clique_forest(g).signature() == word_keyed_signature(g)
+            h = gen_interval(60, seed=100 + seed)
+            assert clique_forest(h).signature() == word_keyed_signature(h)
 
 
 class TestLocalView:

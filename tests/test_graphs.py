@@ -1,9 +1,13 @@
+import heapq
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordalg import (
     Graph, NotChordal, TooLarge, UnknownNode, alpha_oracle, brute_alpha,
-    brute_chromatic, gen_caterpillar, gen_chordal, greedy_color_reverse_peo,
+    brute_chromatic, gen_caterpillar, gen_chordal, gen_interval,
+    greedy_color_reverse_peo,
     is_chordal, mcs_order, omega_oracle, verify_coloring, verify_is,
 )
 from chordalg.graphs import induced_cycle_chordality
@@ -46,6 +50,77 @@ class TestMcsOrder:
                     for b in later:
                         if a < b:
                             assert g.has_edge(a, b)
+
+
+def lazy_heap_mcs(g):
+    """Reference MCS: one heap of (-weight, id) entries, stale ones skipped."""
+    visited = set()
+    weight = {v: 0 for v in g.adj}
+    heap = [(0, v) for v in sorted(g.adj)]
+    heapq.heapify(heap)
+    visit = []
+    while heap:
+        negw, v = heapq.heappop(heap)
+        if v in visited or -negw != weight[v]:
+            continue
+        visited.add(v)
+        visit.append(v)
+        for u in g.adj[v]:
+            if u not in visited:
+                weight[u] += 1
+                heapq.heappush(heap, (-weight[u], u))
+    return tuple(reversed(visit))
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Up to 30 nodes with gaps in their ids, any edges: often disconnected
+    and often not chordal."""
+    ids = draw(st.lists(st.integers(1, 80), max_size=30, unique=True))
+    g = Graph(nodes=ids)
+    if len(ids) > 1:
+        pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+        for u, v in draw(st.lists(pairs, max_size=70)):
+            if u != v:
+                g.add_edge(u, v)
+    return g
+
+
+def reversed_build(g):
+    return Graph(reversed(list(g.edges())), nodes=sorted(g.adj, reverse=True))
+
+
+class TestMcsMatchesLazyHeap:
+    def check(self, g):
+        eo = mcs_order(g)
+        assert eo.order == lazy_heap_mcs(g)
+        assert mcs_order(reversed_build(g)) == eo
+        return eo
+
+    def test_empty_graph(self):
+        assert self.check(Graph()).order == ()
+
+    @given(small_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_small_graphs(self, g):
+        eo = self.check(g)
+        assert eo.is_perfect == induced_cycle_chordality(g)
+
+    @given(sparse_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_sparse_graphs_with_id_gaps(self, g):
+        self.check(g)
+
+    def test_generated_chordal_and_interval(self):
+        for seed in range(4):
+            assert self.check(gen_chordal(300, seed=seed, max_clique=8)).is_perfect
+            assert self.check(gen_interval(200, seed=seed)).is_perfect
+
+    def test_disconnected_non_chordal(self):
+        g = cycle_graph(6)
+        for u, v in gen_caterpillar(4, 2).edges():
+            g.add_edge(u + 10, v + 10)
+        assert not self.check(g).is_perfect
 
 
 class TestChordality:

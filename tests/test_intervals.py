@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from chordalg import (
     BadEpsilon, Graph, Infeasible, NotInterval, NotProperInterval,
@@ -10,10 +11,11 @@ from chordalg import (
 from chordalg.cliqueforest import IntervalStrip
 from chordalg.graphs import bfs_distances
 from chordalg.intervals import (
-    color_budget, greedy_fill, is_proper_interval, mis_eps_to_k, require_interval,
+    color_budget, dominated_nodes, greedy_fill, is_proper_interval, mis_eps_to_k,
+    require_interval,
 )
 
-from conftest import complete_graph
+from conftest import complete_graph, small_graphs
 
 
 def overlapping_blocks(width, count, overlap):
@@ -146,6 +148,37 @@ class TestColorInterval:
     def test_k_must_be_at_least_two(self):
         with pytest.raises(ValueError):
             color_interval(gen_path(4), 1)
+
+
+def dominated_per_edge(h):
+    """Reference: both closed neighborhoods built afresh for every edge."""
+    doomed = set()
+    for u, v in h.edges():
+        nu, nv = h.closed_neighborhood(u), h.closed_neighborhood(v)
+        if nu < nv:
+            doomed.add(v)
+        elif nv < nu:
+            doomed.add(u)
+    return doomed
+
+
+class TestDominatedNodes:
+    def test_generated_interval_graphs(self):
+        for seed in range(5):
+            g = gen_interval(150, seed=seed)
+            assert dominated_nodes(g) == dominated_per_edge(g)
+        g = gen_interval(200, seed=7, span=200, max_len=40)
+        assert dominated_nodes(g) == dominated_per_edge(g)
+
+    def test_blocks_and_twins(self):
+        g = overlapping_blocks(5, 4, 2)
+        assert dominated_nodes(g) == dominated_per_edge(g)
+        assert dominated_nodes(complete_graph(4)) == set()
+
+    @given(small_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_any_small_graph(self, g):
+        assert dominated_nodes(g) == dominated_per_edge(g)
 
 
 class TestRemoveDominated:

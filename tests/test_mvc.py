@@ -3,12 +3,13 @@ import math
 import pytest
 
 from chordalg import (
-    EpsilonTooSmall, Graph, clique_forest, gen_chordal, gen_interval, gen_path,
+    EpsilonTooSmall, Graph, NotChordal, clique_forest, gen_chordal, gen_interval, gen_path,
     gen_spider, mvc_centralized, mvc_distributed, omega_oracle, prune_layers,
     verify_coloring,
 )
 from chordalg.cliqueforest import INTERNAL, clique_word, strips_from_traces
 from chordalg.fileio import coloring_to_text
+from chordalg import graphs
 from chordalg.graphs import bfs_distances
 from chordalg.intervals import color_budget, require_interval
 from chordalg.mvc import (
@@ -16,7 +17,7 @@ from chordalg.mvc import (
     mvc_distributed_run,
 )
 
-from conftest import complete_graph, dumbbell
+from conftest import complete_graph, cycle_graph, dumbbell
 
 
 def bound(k, omega):
@@ -175,8 +176,9 @@ class TestMvcCentralized:
             assert res.legal and res.palette == m
 
     def test_eps_too_small(self, k4):
-        with pytest.raises(EpsilonTooSmall):
-            mvc_centralized(k4, 0.3)
+        for eps in (0.3, 0.0, -0.5):
+            with pytest.raises(EpsilonTooSmall):
+                mvc_centralized(k4, eps)
 
     def test_ratio_on_generated(self):
         g = gen_chordal(500, seed=21, max_clique=6)
@@ -190,6 +192,34 @@ class TestMvcCentralized:
         assert omega >= 10
         res = verify_coloring(g, mvc_centralized(g, 0.2))
         assert res.legal and res.palette <= 1.2 * omega
+
+
+class TestOmegaFromForest:
+    @pytest.mark.parametrize("g", [
+        gen_chordal(300, seed=3, max_clique=8),
+        gen_interval(200, seed=4),
+        dumbbell(3, 8, 6),
+        Graph(),
+    ], ids=["chordal", "interval", "dumbbell", "empty"])
+    def test_one_mcs_per_run_and_oracle_omega(self, g, monkeypatch):
+        omega = omega_oracle(g)
+        eps = max(0.5, 2.0 / omega) if omega else 0.5
+        real = graphs.mcs_order
+        calls = []
+
+        def counting(h):
+            calls.append(len(h))
+            return real(h)
+
+        monkeypatch.setattr(graphs, "mcs_order", counting)
+        run = mvc_pipeline(g, eps)
+        assert calls == [len(g)]
+        assert run.omega == omega
+
+    def test_not_chordal_comes_first(self):
+        for eps in (0.01, 0.0, -1.0):
+            with pytest.raises(NotChordal):
+                mvc_pipeline(cycle_graph(5), eps)
 
 
 class TestMvcDistributed:
