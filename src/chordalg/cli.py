@@ -91,8 +91,14 @@ def _verify_solution(graph_path, solution_path, kind, eps=None):
     return {"result": len(members), "oracle": oracle, "ratio": ratio}
 
 
+def _require_round_cap(args):
+    if args.round_cap is not None and args.round_cap < 1:
+        raise BadSpec("--round-cap must be at least 1, not %d" % args.round_cap)
+
+
 def cmd_run(args, report=None) -> int:
     set_debug_invariants(args.debug_invariants)
+    _require_round_cap(args)
     g = fileio.read_graph(args.graph)
     rounds = ""
     layers = ""
@@ -184,6 +190,7 @@ def _fit_slope(xs, ys):
 
 def cmd_bench(args) -> int:
     set_debug_invariants(args.debug_invariants)
+    _require_round_cap(args)
     sizes = [int(s) for s in args.sizes.split(",")]
     writer = fileio.ReportWriter(args.out)
     points = []

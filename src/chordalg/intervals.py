@@ -398,7 +398,7 @@ def color_interval_distributed(h: Graph, k: int, round_cap=None):
     colors = color_interval(h, k)
     schedule = strip_stages(k)
     stages = {v: schedule for v in h.nodes}
-    cap = round_cap or 2 * (sum(schedule) + 10)
+    cap = 2 * (sum(schedule) + 10) if round_cap is None else round_cap
     transcript = localsim.run(
         h, localsim.UniformStagedProgram(stages, colors), cap)
     return dict(transcript.outputs), transcript
@@ -412,7 +412,7 @@ def distance_k_mis_distributed(h: Graph, k: int, round_cap=None):
     members = distance_k_mis(h, k)
     stages = {v: [2] + [k + 1] * 9 for v in h.nodes}
     outputs = {v: (v in members) for v in h.nodes}
-    cap = round_cap or 2 * (9 * (k + 1) + 12)
+    cap = 2 * (9 * (k + 1) + 12) if round_cap is None else round_cap
     transcript = localsim.run(
         h, localsim.UniformStagedProgram(stages, outputs), cap)
     return {v for v, flag in transcript.outputs.items() if flag}, transcript

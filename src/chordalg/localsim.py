@@ -23,13 +23,21 @@ delivery or asked to wake (``wake_at``). The engine keeps a heap of those due
 rounds and jumps from one to the next, recording the rounds in between as
 quiet; a program that sets ``step_every_round`` steps every node in every
 round instead.
+
+A step reads its inbox as a ``key -> payload`` dict that the engine hands
+over (it is not copied, and the step may keep it): ``("msg", sender)`` for a
+message or a Send, ``("collect", tag)`` for a Collect, in delivery order. A
+later item with the same key replaces an earlier one, keeping its position.
+A ``StepResult`` names only what the step does: ``outbox`` and ``publish``
+default to ``None``, ``requests`` to ``()``, ``output`` to ``NO_OUTPUT`` and
+``wake_at`` to ``None``.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .errors import RoundCapExceeded
 from .graphs import BfsBall, Graph, bfs_distances
@@ -61,14 +69,22 @@ class CollectResult:
     vars: Optional[Dict[int, Dict[str, Any]]] = None
 
 
-@dataclass
 class StepResult:
-    state: Any
-    outbox: Dict[int, Any] = field(default_factory=dict)
-    output: Any = NO_OUTPUT
-    requests: List[Any] = field(default_factory=list)
-    publish: Dict[str, Any] = field(default_factory=dict)
-    wake_at: Optional[int] = None
+    """What one step does: its new state, messages to neighbors, a final
+    output, service requests, published variables and a wake-up round."""
+
+    __slots__ = ("state", "outbox", "output", "requests", "publish", "wake_at")
+
+    def __init__(self, state: Any, outbox: Optional[Dict[int, Any]] = None,
+                 output: Any = NO_OUTPUT, requests: Sequence[Any] = (),
+                 publish: Optional[Dict[str, Any]] = None,
+                 wake_at: Optional[int] = None):
+        self.state = state
+        self.outbox = outbox
+        self.output = output
+        self.requests = requests
+        self.publish = publish
+        self.wake_at = wake_at
 
 
 @dataclass
@@ -98,12 +114,14 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
     """
     if round_cap < 1:
         raise ValueError("round_cap must be >= 1")
+    adj = g.adj
     nodes = g.sorted_nodes()
-    states = {v: program.init(v, tuple(sorted(g.adj[v]))) for v in nodes}
+    states = {v: program.init(v, tuple(sorted(adj[v]))) for v in nodes}
+    step = program.step
     outputs: Dict[int, Any] = {}
     published: Dict[int, Dict[str, Any]] = {v: {} for v in nodes}
-    # round -> node -> inbox items; a wake is an entry with no items
-    agenda: Dict[int, Dict[int, list]] = {}
+    # round -> node -> the inbox its step reads; a wake is an empty inbox
+    agenda: Dict[int, Dict[int, Dict[Any, Any]]] = {}
     due_rounds: List[int] = []  # min-heap of the rounds in `agenda`
     step_every_round = getattr(program, "step_every_round", True)
     message_counts: List[int] = []
@@ -111,8 +129,8 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
     log: Optional[List[List[Tuple[int, int, Any]]]] = [] if record_messages else None
     send_balls: Dict[int, BfsBall] = {}
 
-    def inbox_at(at, v) -> list:
-        """v's inbox items for round `at`, which becomes due."""
+    def inboxes_at(at) -> Dict[int, Dict[Any, Any]]:
+        """The inboxes of round `at`, which becomes due."""
         if at <= rnd:
             raise RuntimeError("delivery due at round %d, not after round %d"
                                % (at, rnd))
@@ -120,10 +138,14 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
         if inboxes is None:
             inboxes = agenda[at] = {}
             heapq.heappush(due_rounds, at)
-        items = inboxes.get(v)
-        if items is None:
-            items = inboxes[v] = []
-        return items
+        return inboxes
+
+    def deliver(inboxes, v, key, payload):
+        inbox = inboxes.get(v)
+        if inbox is None:
+            inboxes[v] = {key: payload}
+        else:
+            inbox[key] = payload
 
     def check_latency(u, req):
         """Exact check that req.target lies within req.latency hops of u;
@@ -163,62 +185,97 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
         msg_count = 0
         svc_count = 0
         round_log: List[Tuple[int, int, Any]] = []
+        next_inboxes = None  # round rnd + 1, made due by the first message
         publish_buffer: List[Tuple[int, Dict[str, Any]]] = []
         collect_buffer: List[Tuple[int, Collect]] = []
+        # a step's only request, when a timer, joins the requesters of its
+        # (tag, radius); other collects keep their request order
+        timer_groups: Dict[Tuple[Any, int], List[int]] = {}
         for v in order:
-            res = program.step(states[v], rnd, dict(inboxes.get(v, ())))
+            inbox = inboxes.get(v)
+            res = step(states[v], rnd, {} if inbox is None else inbox)
             states[v] = res.state
             if res.output is not NO_OUTPUT:
                 if v in outputs and outputs[v] != res.output:
                     raise RuntimeError("node %d changed its final output" % v)
                 outputs[v] = res.output
-            for nbr in sorted(res.outbox):
-                if nbr not in g.adj[v]:
-                    raise RuntimeError("node %d sent to non-neighbor %d" % (v, nbr))
-                payload = res.outbox[nbr]
-                inbox_at(rnd + 1, nbr).append((("msg", v), payload))
-                msg_count += 1
-                if log is not None:
-                    round_log.append((v, nbr, payload))
-            for req in res.requests:
-                svc_count += 1
-                if isinstance(req, Collect):
-                    collect_buffer.append((v, req))
-                elif isinstance(req, Send):
-                    if __debug__:
-                        check_latency(v, req)
-                    inbox_at(rnd + req.latency, req.target).append(
-                        (("msg", v), req.payload))
+            outbox = res.outbox
+            if outbox:
+                if next_inboxes is None:
+                    next_inboxes = inboxes_at(rnd + 1)
+                key = ("msg", v)
+                nbrs = adj[v]
+                for nbr in sorted(outbox):
+                    if nbr not in nbrs:
+                        raise RuntimeError("node %d sent to non-neighbor %d" % (v, nbr))
+                    payload = outbox[nbr]
+                    deliver(next_inboxes, nbr, key, payload)
                     if log is not None:
-                        round_log.append((v, req.target, req.payload))
-                else:
-                    raise TypeError("unknown service request %r" % (req,))
+                        round_log.append((v, nbr, payload))
+                msg_count += len(outbox)
+            requests = res.requests
+            if requests:
+                lone = len(requests) == 1
+                svc_count += len(requests)
+                for req in requests:
+                    kind = type(req)
+                    if kind is Collect:
+                        if lone and not req.want_data:
+                            group = timer_groups.get((req.tag, req.radius))
+                            if group is None:
+                                group = timer_groups[req.tag, req.radius] = []
+                            group.append(v)
+                        else:
+                            collect_buffer.append((v, req))
+                    elif kind is Send:
+                        if __debug__:
+                            check_latency(v, req)
+                        deliver(inboxes_at(rnd + req.latency), req.target,
+                                ("msg", v), req.payload)
+                        if log is not None:
+                            round_log.append((v, req.target, req.payload))
+                    else:
+                        raise TypeError("unknown service request %r" % (req,))
             if res.publish:
                 publish_buffer.append((v, res.publish))
             if res.wake_at is not None:
                 if res.wake_at <= rnd:
                     raise RuntimeError("wake_at must be in the future")
-                inbox_at(res.wake_at, v)
+                wakes = inboxes_at(res.wake_at)
+                if v not in wakes:
+                    wakes[v] = {}
+        # this round's inboxes go before the collects fill later rounds' ones
+        inboxes.clear()
         # publishes land after every step of the round, then collects snapshot
         for v, items in publish_buffer:
             published[v].update(items)
-        timers: Dict[Tuple[Any, int], Tuple[Tuple[str, Any], CollectResult]] = {}
+        # a pure timer: every requester of a (tag, radius) in this round
+        # receives the same frozen result
+        timers = {key: CollectResult(key[0], key[1], rnd) for key in timer_groups}
         for v, req in collect_buffer:
             if req.want_data:
                 ball = bfs_distances(g, v, cutoff=req.radius)
                 members = tuple(sorted(ball))
-                adjacency = {u: tuple(sorted(g.adj[u] & ball.keys())) for u in members}
+                adjacency = {u: tuple(sorted(adj[u] & ball.keys())) for u in members}
                 snapshot = {u: dict(published[u]) for u in members}
-                item = (("collect", req.tag), CollectResult(
-                    req.tag, req.radius, rnd, members, adjacency, snapshot))
+                result = CollectResult(
+                    req.tag, req.radius, rnd, members, adjacency, snapshot)
             else:
-                # a pure timer: every requester of this (tag, radius) in this
-                # round receives the same frozen result
-                item = timers.get((req.tag, req.radius))
-                if item is None:
-                    item = timers[req.tag, req.radius] = (
-                        ("collect", req.tag), CollectResult(req.tag, req.radius, rnd))
-            inbox_at(rnd + req.radius, v).append(item)
+                result = timers.get((req.tag, req.radius))
+                if result is None:
+                    result = timers[req.tag, req.radius] = CollectResult(
+                        req.tag, req.radius, rnd)
+            deliver(inboxes_at(rnd + req.radius), v, ("collect", req.tag), result)
+        for (tag, radius), group in timer_groups.items():
+            due = inboxes_at(rnd + radius)
+            key = ("collect", tag)
+            result = timers[tag, radius]
+            for v in group:
+                inbox = due.get(v)
+                if inbox is None:
+                    due[v] = {key: result}
+                else:
+                    inbox[key] = result
         message_counts.append(msg_count)
         service_counts.append(svc_count)
         if log is not None:
@@ -298,7 +355,7 @@ class UniformStagedProgram:
     def __init__(self, stages: Dict[int, List[int]], outputs: Dict[int, Any]):
         self.stages = stages
         self.outputs = outputs
-        self.collects = {r: Collect(r, tag="work", want_data=False)
+        self.requests = {r: (Collect(r, tag="work", want_data=False),)
                          for radii in stages.values() for r in radii}
 
     def init(self, node, neighbors):
@@ -309,7 +366,7 @@ class UniformStagedProgram:
         stages = self.stages[v]
         state["stage"] += 1
         if state["stage"] < len(stages):
-            return StepResult(state, requests=[self.collects[stages[state["stage"]]]])
+            return StepResult(state, requests=self.requests[stages[state["stage"]]])
         return StepResult(state, output=self.outputs[v])
 
 

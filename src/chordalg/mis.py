@@ -250,6 +250,20 @@ def exact_branch_stages(d: int) -> List[int]:
     return [2 * d + 6]
 
 
+class _MisNode:
+    """One node's own schedule (its peel layer, membership and branch
+    stages) and its progress through it."""
+
+    __slots__ = ("layer", "member", "stages", "iter", "stage")
+
+    def __init__(self, layer: Optional[int], member: bool, stages):
+        self.layer = layer
+        self.member = member
+        self.stages = stages
+        self.iter = 0  # peel iteration
+        self.stage: Optional[int] = None  # branch stage, once peeling ended
+
+
 class MisProgram:
     """Uniform-schedule node program: one collection per peeling iteration,
     then the branch-specific work, then the membership output."""
@@ -258,45 +272,43 @@ class MisProgram:
 
     def __init__(self, run: MisRun):
         self.run = run
-        self.peel = Collect(peel_radius(run.params.d), tag="peel", want_data=False)
+        self.peel_request = (
+            Collect(peel_radius(run.params.d), tag="peel", want_data=False),)
         self.stages = {
-            branch: [Collect(r, tag="branch", want_data=False) for r in radii]
+            branch: [(Collect(r, tag="branch", want_data=False),) for r in radii]
             for branch, radii in (
                 ("approx", strip_stages(mis_eps_to_k(run.params.eps / 8.0))),
                 ("exact", exact_branch_stages(run.params.d)))
         }
 
     def init(self, node, neighbors):
-        return {"id": node, "iter": 0, "stage": None}
-
-    def _branch_stages(self, v) -> List[Collect]:
-        return self.stages.get(self.run.state.branch.get(v), [])
+        run = self.run
+        return _MisNode(run.state.layer.get(node), node in run.chosen,
+                        self.stages.get(run.state.branch.get(node), ()))
 
     def step(self, state, rnd, inbox):
-        v = state["id"]
-        if state["iter"] == 0 and state["stage"] is None and rnd == 0:
-            state["iter"] = 1
-            return StepResult(state, requests=[self.peel])
-        if state["stage"] is None:
-            publish = {}
-            if self.run.state.layer.get(v) == state["iter"]:
-                publish["peeled"] = state["iter"]
-                if v in self.run.chosen:
+        if rnd == 0:
+            state.iter = 1
+            return StepResult(state, requests=self.peel_request)
+        stages = state.stages
+        if state.stage is None:
+            i = state.iter
+            publish = None
+            if state.layer == i:
+                publish = {"peeled": i}
+                if state.member:
                     publish["in_set"] = True
-            if state["iter"] < self.run.params.k:
-                state["iter"] += 1
-                return StepResult(state, publish=publish, requests=[self.peel])
-            stages = self._branch_stages(v)
+            if i < self.run.params.k:
+                state.iter = i + 1
+                return StepResult(state, publish=publish, requests=self.peel_request)
             if not stages:
-                return StepResult(state, publish=publish,
-                                  output=(v in self.run.chosen))
-            state["stage"] = 0
-            return StepResult(state, publish=publish, requests=[stages[0]])
-        stages = self._branch_stages(v)
-        state["stage"] += 1
-        if state["stage"] < len(stages):
-            return StepResult(state, requests=[stages[state["stage"]]])
-        return StepResult(state, output=(v in self.run.chosen))
+                return StepResult(state, publish=publish, output=state.member)
+            state.stage = 0
+            return StepResult(state, publish=publish, requests=stages[0])
+        state.stage += 1
+        if state.stage < len(stages):
+            return StepResult(state, requests=stages[state.stage])
+        return StepResult(state, output=state.member)
 
 
 def default_round_cap(g: Graph, eps: float) -> int:
@@ -314,7 +326,7 @@ def mis_chordal_distributed(g: Graph, eps: float, round_cap: Optional[int] = Non
     branch-dependent tail.
     """
     run = mis_chordal_run(g, eps)
-    cap = round_cap or default_round_cap(g, eps)
+    cap = default_round_cap(g, eps) if round_cap is None else round_cap
     transcript = localsim.run(g, MisProgram(run), cap)
     members = {v for v, flag in transcript.outputs.items() if flag}
     if members != run.chosen:
@@ -336,7 +348,7 @@ def mis_interval_distributed(h: Graph, eps: float, round_cap: Optional[int] = No
         for v in cp.nodes():
             stages[v] = [2] + branch
     outputs = {v: (v in chosen) for v in h.nodes}
-    cap = round_cap or 2 * (2 + sum(approx_stage) + 10)
+    cap = 2 * (2 + sum(approx_stage) + 10) if round_cap is None else round_cap
     transcript = localsim.run(h, localsim.UniformStagedProgram(stages, outputs), cap)
     members = {v for v, flag in transcript.outputs.items() if flag}
     return members, transcript

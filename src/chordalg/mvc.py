@@ -363,6 +363,22 @@ class _Registry:
         self.final_round: Dict[int, int] = {}
 
 
+class _MvcNode:
+    """One node's progress through the MVC program."""
+
+    __slots__ = ("id", "phase", "iter", "stage", "color", "levels", "poll", "wait")
+
+    def __init__(self, node):
+        self.id = node
+        self.phase = "prune"
+        self.iter = 1  # prune iteration
+        self.stage = 0  # color stage
+        self.color = None
+        self.levels: Optional[List[int]] = None  # correction levels to serve
+        self.poll: Optional[Tuple[int, int]] = None  # (level, round) polled
+        self.wait: Tuple[int, ...] = ()  # nodes that level waits for
+
+
 class MvcProgram:
     """Node program: prune loop, per-layer coloring, correction with waits.
 
@@ -377,9 +393,10 @@ class MvcProgram:
         self.run = run
         self.registry = _Registry()
         self.k = run.k
-        self.prune = Collect(prune_radius(run.k), tag="prune", want_data=False)
-        self.color_stages = [Collect(r, tag="color", want_data=False)
-                             for r in strip_stages(run.k)]
+        self.prune_request = (
+            Collect(prune_radius(run.k), tag="prune", want_data=False),)
+        self.color_requests = [(Collect(r, tag="color", want_data=False),)
+                               for r in strip_stages(run.k)]
         self.polls = {
             level: Collect(correction_poll_radius(run.k), tag=("poll", level),
                            want_data=False)
@@ -401,82 +418,77 @@ class MvcProgram:
         return tuple(sorted(need))
 
     def _finalize(self, state, rnd):
-        v = state["id"]
+        v = state.id
         self.registry.final_round.setdefault(v, rnd)
-        state["phase"] = "correct"
-        state["levels"] = self._levels(v)
+        state.phase = "correct"
+        state.levels = self._levels(v)
         return self._next_level(state, rnd)
 
-    def _next_level(self, state, rnd):
-        v = state["id"]
-        if not state["levels"]:
-            state["phase"] = "done"
-            return StepResult(state, output=state["color"],
-                              publish={"final": state["color"]})
-        level = state["levels"][0]
-        state["await"] = (level, rnd)
-        return StepResult(state, requests=[self.polls[level]], output=state["color"],
-                          publish={"final": state["color"]})
+    def _next_level(self, state, rnd, sends=()):
+        if not state.levels:
+            state.phase = "done"
+            return StepResult(state, output=state.color, requests=sends,
+                              publish={"final": state.color})
+        level = state.levels[0]
+        state.poll = (level, rnd)
+        state.wait = self._wait_set(state.id, level)
+        return StepResult(state, requests=[*sends, self.polls[level]],
+                          output=state.color, publish={"final": state.color})
 
     # -- engine interface --------------------------------------------------
     def init(self, node, neighbors):
-        return {"id": node, "phase": "prune", "iter": 1, "color": None,
-                "levels": None, "await": None, "stage": 0}
+        return _MvcNode(node)
 
     def step(self, state, rnd, inbox):
-        v = state["id"]
+        v = state.id
         run = self.run
-        if state["phase"] == "prune":
+        if state.phase == "prune":
             if rnd == 0:
-                return StepResult(state, requests=[self.prune])
-            assert any(key == ("collect", "prune") for key in inbox)
-            i = state["iter"]
+                return StepResult(state, requests=self.prune_request)
+            assert ("collect", "prune") in inbox
+            i = state.iter
             if run.layering.layer[v] == i:
-                state["phase"] = "color"
-                state["stage"] = 0
+                state.phase = "color"
+                state.stage = 0
                 return StepResult(state, publish={"layer": i},
-                                  requests=[self.color_stages[0]])
-            state["iter"] = i + 1
-            return StepResult(state, requests=[self.prune])
+                                  requests=self.color_requests[0])
+            state.iter = i + 1
+            return StepResult(state, requests=self.prune_request)
 
-        if state["phase"] == "color":
-            stages = self.color_stages
-            state["stage"] += 1
-            if state["stage"] < len(stages):
-                return StepResult(state, requests=[stages[state["stage"]]])
-            state["color"] = run.base_colors[v]
+        if state.phase == "color":
+            stages = self.color_requests
+            state.stage += 1
+            if state.stage < len(stages):
+                return StepResult(state, requests=stages[state.stage])
+            state.color = run.base_colors[v]
             if run.layering.parent[v] is None:
-                state["color"] = run.final_colors[v]
+                state.color = run.final_colors[v]
                 return self._finalize(state, rnd)
-            state["phase"] = "wait_color"
-            return StepResult(state, publish={"color": state["color"]})
+            state.phase = "wait_color"
+            return StepResult(state, publish={"color": state.color})
 
-        if state["phase"] == "wait_color":
+        if state.phase == "wait_color":
             for key, payload in sorted(inbox.items(), key=repr):
                 if key[0] == "msg" and payload[0] == "set_color":
-                    state["color"] = payload[1]
+                    state.color = payload[1]
                     return self._finalize(state, rnd)
             return StepResult(state)
 
-        if state["phase"] == "correct":
-            level, requested_at = state["await"]
-            ready = all(
-                self.registry.final_round.get(u, rnd + 1) <= requested_at
-                for u in self._wait_set(v, level)
-            )
-            if not ready:
-                state["await"] = (level, rnd)
-                return StepResult(state, requests=[self.polls[level]])
+        if state.phase == "correct":
+            level, requested_at = state.poll
+            final_round = self.registry.final_round
+            if not all(final_round.get(u, rnd + 1) <= requested_at
+                       for u in state.wait):
+                state.poll = (level, rnd)
+                return StepResult(state, requests=(self.polls[level],))
             kids = run.layering.children[v][level]
             sends = [
                 Send(child, ("set_color", run.final_colors[child]),
                      set_color_latency(self.k))
                 for child in kids
             ]
-            state["levels"] = state["levels"][1:]
-            res = self._next_level(state, rnd)
-            res.requests = sends + res.requests
-            return res
+            state.levels = state.levels[1:]
+            return self._next_level(state, rnd, sends)
 
         return StepResult(state)
 
@@ -489,7 +501,7 @@ def default_round_cap(g: Graph, eps: float) -> int:
 
 def mvc_distributed_run(run: MvcRun, round_cap: Optional[int] = None):
     """Simulate the node program on an already-computed pipeline."""
-    cap = round_cap or default_round_cap(run.g, run.eps)
+    cap = default_round_cap(run.g, run.eps) if round_cap is None else round_cap
     transcript = localsim.run(run.g, MvcProgram(run), cap)
     colors = dict(transcript.outputs)
     if colors != run.final_colors:

@@ -132,3 +132,14 @@ def test_run_mis_interval_local(workdir):
     text = (workdir / "r.csv").read_text()
     row = text.splitlines()[1]
     assert row.split(",")[7] != ""  # rounds recorded for the local mode
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_round_cap_below_one_is_a_bad_spec(workdir, capsys, cap):
+    assert main(["gen", "path", "6", "--out", "p.el"]) == 0
+    for algorithm in ("mvc", "mis"):
+        assert main(["run", algorithm, "local", "p.el", "--eps", "0.4",
+                     "--round-cap", cap]) == 2
+    assert main(["bench", "mis", "--sizes", "20", "--seeds", "1",
+                 "--round-cap", cap]) == 2
+    assert "--round-cap must be at least 1" in capsys.readouterr().err

@@ -1,10 +1,20 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chordalg import Graph, RoundCapExceeded, gen_path, gen_spider
-from chordalg.localsim import (
-    Collect, CollectResult, GatherProgram, Send, SequencedProgram, StepResult,
-    gather, run,
+from chordalg import (
+    Graph, RoundCapExceeded, color_interval_distributed, distance_k_mis_distributed,
+    gen_chordal, gen_interval, gen_path, gen_spider, mis_chordal_distributed,
+    mis_interval_distributed, mvc_distributed,
 )
+from chordalg.graphs import bfs_distances
+from chordalg.localsim import (
+    NO_OUTPUT, Collect, CollectResult, GatherProgram, Send, SequencedProgram,
+    StepResult, gather, run,
+)
+
+from conftest import small_graphs
+from reference_engine import reference_run
 
 
 class Echo:
@@ -391,3 +401,158 @@ def test_timer_collects_share_one_result():
 def test_delivery_in_the_requesting_round_raises(request_):
     with pytest.raises(RuntimeError):
         run(gen_path(3), PlannedSends({0: [request_]}), 10)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda cap: mvc_distributed(gen_chordal(50, seed=1, max_clique=4), 0.5,
+                                round_cap=cap),
+    lambda cap: mis_chordal_distributed(gen_chordal(50, seed=1, max_clique=4), 0.4,
+                                        round_cap=cap),
+    lambda cap: mis_interval_distributed(gen_interval(40, seed=1), 0.4, round_cap=cap),
+    lambda cap: color_interval_distributed(gen_interval(40, seed=1), 3, round_cap=cap),
+    lambda cap: distance_k_mis_distributed(gen_path(30), 3, round_cap=cap),
+], ids=["mvc", "mis-chordal", "mis-interval", "color-interval", "distance-k-mis"])
+def test_wrappers_hand_an_explicit_round_cap_of_zero_to_the_engine(solve):
+    with pytest.raises(ValueError, match="round_cap must be >= 1"):
+        solve(0)
+    with pytest.raises(RoundCapExceeded):
+        solve(1)
+
+
+def test_a_later_item_with_the_same_key_replaces_an_earlier_one():
+    class TwoItems:
+        """Node 1 messages node 2 and sends it a latency-1 Send in the same
+        step; both land in round 1 under the key ("msg", 1)."""
+
+        step_every_round = False
+
+        def __init__(self):
+            self.inboxes = []
+
+        def init(self, node, neighbors):
+            return node
+
+        def step(self, state, rnd, inbox):
+            if state == 1:
+                return StepResult(state, outbox={2: "first"}, output=0,
+                                  requests=[Send(2, "second", latency=1)])
+            if rnd == 0:
+                return StepResult(state, outbox={1: "hello"})
+            self.inboxes.append(list(inbox.items()))
+            return StepResult(state, output=0)
+
+    program = TwoItems()
+    t = run(gen_path(2), program, 5, record_messages=True)
+    assert program.inboxes == [[(("msg", 1), "second")]]
+    assert t.message_counts[0] == 2
+    assert t.message_log[0] == [(1, 2, "first"), (1, 2, "second"), (2, 1, "hello")]
+
+
+# ---------------------------------------------------------------------------
+# the engine against the former engine loop on scripted programs
+
+ACTIONS = ("msg", "send", "collect", "wake", "publish", "output")
+
+
+@st.composite
+def scripted_runs(draw):
+    """A small graph, a per-node script of actions at chosen rounds, whether
+    every node steps every round, and a round cap. A msg action sends one
+    payload to some neighbors, so it and a Send from the same node can land
+    in one inbox under one key."""
+    g = draw(small_graphs(max_nodes=6))
+    script = {}
+    for v in g.sorted_nodes():
+        dist = bfs_distances(g, v)
+        nbrs = sorted(g.adj[v])
+        per_round = {}
+        for i in range(draw(st.integers(0, 5))):
+            at = draw(st.integers(0, 6))
+            kind = draw(st.sampled_from(ACTIONS))
+            payload = (v, at, i)
+            if kind == "msg":
+                if not nbrs:
+                    continue
+                targets = draw(st.lists(st.sampled_from(nbrs), min_size=1))
+                action = ("msg", {u: payload for u in targets})
+            elif kind == "send":
+                target = draw(st.sampled_from(sorted(dist)))
+                latency = max(1, dist[target]) + draw(st.integers(0, 2))
+                action = ("send", Send(target, payload, latency))
+            elif kind == "collect":
+                action = ("collect", Collect(draw(st.integers(1, 3)),
+                                             tag=draw(st.sampled_from("ab")),
+                                             want_data=draw(st.booleans())))
+            elif kind == "wake":
+                action = ("wake", draw(st.integers(1, 3)))
+            elif kind == "publish":
+                action = ("publish", {draw(st.sampled_from("xy")): payload})
+            else:
+                action = ("output", None)
+            per_round.setdefault(at, []).append(action)
+        finish = draw(st.integers(0, 9))  # most nodes output, so runs complete
+        if finish < 9:
+            per_round.setdefault(finish, []).append(("output", None))
+        script[v] = per_round
+    return g, script, draw(st.booleans()), draw(st.integers(1, 14))
+
+
+class Scripted:
+    """Plays each node's script and records every inbox it reads. A node
+    asks to wake for its next scripted round unless a wake action says
+    otherwise."""
+
+    def __init__(self, script, step_every_round):
+        self.script = script
+        self.step_every_round = step_every_round
+        self.received = {v: [] for v in script}
+
+    def init(self, node, neighbors):
+        return node
+
+    def step(self, v, rnd, inbox):
+        self.received[v].append((rnd, list(inbox.items())))
+        outbox, requests, publish = {}, [], {}
+        output = NO_OUTPUT
+        later = [at for at in self.script[v] if at > rnd]
+        wake = min(later) if later else None
+        for kind, arg in self.script[v].get(rnd, ()):
+            if kind == "msg":
+                outbox.update(arg)
+            elif kind in ("send", "collect"):
+                requests.append(arg)
+            elif kind == "wake":
+                wake = rnd + arg
+            elif kind == "publish":
+                publish.update(arg)
+            else:
+                output = ("done", v)
+        return StepResult(v, outbox, output, requests, publish, wake)
+
+
+def run_scripted(engine, g, script, every, cap, scan):
+    program = Scripted(script, every)
+    try:
+        t = engine(g, program, cap, record_messages=True, scan=scan)
+    except RoundCapExceeded as exc:
+        t = exc.transcript
+    return t.serialize(), t.message_log, program.received
+
+
+class TestEngineMatchesReference:
+    @given(scripted_runs(), st.sampled_from(["forward", "reverse"]))
+    @settings(max_examples=200, deadline=None)
+    def test_scripted_programs(self, case, scan):
+        g, script, every, cap = case
+        assert (run_scripted(run, g, script, every, cap, scan)
+                == run_scripted(reference_run, g, script, every, cap, scan))
+
+    @pytest.mark.parametrize("scan", ["forward", "reverse"])
+    def test_gather_and_sequenced_programs(self, scan):
+        g = gen_spider(3, 4)
+        for program in (lambda: gather(3), lambda: SequencedProgram([gather(1), gather(2)])):
+            new = run(g, program(), 20, record_messages=True, scan=scan)
+            old = reference_run(g, program(), 20, record_messages=True, scan=scan)
+            assert new.serialize() == old.serialize()
+            assert new.message_log == old.message_log
+            assert new.outputs == old.outputs

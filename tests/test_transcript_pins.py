@@ -2,9 +2,10 @@
 
 The digests were recorded before the engine's Send check and the programs'
 stage schedules were reworked, and before the engine skipped quiet rounds;
-any change to rounds, traffic or outputs of these runs shows up here. The
-coloring and independent-set programs must reproduce them when the engine
-steps each round's nodes in reverse order, too.
+any change to rounds, traffic or outputs of these runs shows up here. Every
+run must reproduce them when the engine steps each round's nodes in reverse
+order, too. The node-steps of each run are pinned as well: the transcript
+fixes them, so a faster engine must make steps cheaper, not fewer.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ from chordalg import (
     color_interval_distributed, gen_chordal, gen_interval, mis_chordal_distributed,
     mis_interval_distributed, mvc_distributed,
 )
-from chordalg import localsim, mis, mvc
+from chordalg import localsim
 
 from conftest import dumbbell
 
@@ -31,50 +32,86 @@ DUMBBELL = dumbbell(3, 5, 400)
 INTERVAL = gen_interval(200, seed=3)
 
 
+# name -> (solve, transcript digest, node-steps of the run); the step counts
+# were recorded with the digests' engine, before node-steps were made cheaper
 PINNED = {
     "tree-mvc": (lambda: mvc_distributed(TREE, 0.5),
-                 "67032f72e3b7493e7192092155ac922ab00b3456faac91520e8c268c9756ff7b"),
+                 "67032f72e3b7493e7192092155ac922ab00b3456faac91520e8c268c9756ff7b",
+                 4366),
     "tree-mis": (lambda: mis_chordal_distributed(TREE, 0.4),
-                 "5b542e0b67f07f1ac026e7c013681abaafe0d31cf7fa46ab45bcfbabfe56ff91"),
+                 "5b542e0b67f07f1ac026e7c013681abaafe0d31cf7fa46ab45bcfbabfe56ff91",
+                 3856),
     "dumbbell-mvc": (lambda: mvc_distributed(DUMBBELL, 1.0),
-                     "b976a5a6ae50649e5746591e9fa27a4a692ecf5c6897ba79097fa29acfd6576e"),
+                     "b976a5a6ae50649e5746591e9fa27a4a692ecf5c6897ba79097fa29acfd6576e",
+                     5649),
     "dumbbell-mis": (lambda: mis_chordal_distributed(DUMBBELL, 0.4),
-                     "c28f74879d4b8a298e0ed14622a3a1f5c9691a75158a1a62d782c22acbb07fc8"),
+                     "c28f74879d4b8a298e0ed14622a3a1f5c9691a75158a1a62d782c22acbb07fc8",
+                     9569),
     "interval-mis": (lambda: mis_interval_distributed(INTERVAL, 0.4),
-                     "be7157c03257622f460baad99722f625c7e7e35add21357e41e18a8b281dfde1"),
+                     "be7157c03257622f460baad99722f625c7e7e35add21357e41e18a8b281dfde1",
+                     487),
     "interval-coloring": (lambda: color_interval_distributed(INTERVAL, 3),
-                          "b3e05b87db27fe3a346b30d0ce2e48336a4939a0435790af8cf886d529c24f74"),
+                          "b3e05b87db27fe3a346b30d0ce2e48336a4939a0435790af8cf886d529c24f74",
+                          2400),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_transcript_digest_is_pinned(name):
-    solve, expected = PINNED[name]
+    solve, expected, _ = PINNED[name]
     _, transcript = solve()
     assert digest(transcript) == expected
 
 
-def mvc_reverse_scan(g, eps):
-    program = mvc.MvcProgram(mvc.mvc_pipeline(g, eps))
-    return localsim.run(g, program, mvc.default_round_cap(g, eps), scan="reverse")
+class CountedSteps:
+    """A node program that counts the steps of the program it wraps."""
+
+    def __init__(self, program):
+        self.program = program
+        self.step_every_round = getattr(program, "step_every_round", True)
+        self.steps = 0
+
+    def init(self, node, neighbors):
+        return self.program.init(node, neighbors)
+
+    def step(self, state, rnd, inbox):
+        self.steps += 1
+        return self.program.step(state, rnd, inbox)
 
 
-def mis_reverse_scan(g, eps):
-    program = mis.MisProgram(mis.mis_chordal_run(g, eps))
-    return localsim.run(g, program, mis.default_round_cap(g, eps), scan="reverse")
+def watched_solve(monkeypatch, name, scan="forward"):
+    """Run a pinned solve with its engine run in `scan` order; returns the
+    transcript and the node-steps taken."""
+    engine = localsim.run
+    counted = []
+
+    def run(g, program, round_cap, **options):
+        counted.append(CountedSteps(program))
+        return engine(g, counted[-1], round_cap, **dict(options, scan=scan))
+
+    monkeypatch.setattr(localsim, "run", run)
+    _, transcript = PINNED[name][0]()
+    assert len(counted) == 1
+    return transcript, counted[0].steps
 
 
-REVERSE_SCAN = {
-    "tree-mvc": lambda: mvc_reverse_scan(TREE, 0.5),
-    "tree-mis": lambda: mis_reverse_scan(TREE, 0.4),
-    "dumbbell-mvc": lambda: mvc_reverse_scan(DUMBBELL, 1.0),
-    "dumbbell-mis": lambda: mis_reverse_scan(DUMBBELL, 0.4),
-}
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_step_count_is_pinned(monkeypatch, name):
+    _, expected, steps = PINNED[name]
+    transcript, counted = watched_solve(monkeypatch, name)
+    assert digest(transcript) == expected
+    assert counted == steps
 
 
-@pytest.mark.parametrize("name", sorted(REVERSE_SCAN))
-def test_reverse_scan_matches_the_pinned_digest(name):
-    assert digest(REVERSE_SCAN[name]()) == PINNED[name][1]
+REVERSE_SCAN = sorted(PINNED)
+
+
+@pytest.mark.parametrize("name", REVERSE_SCAN)
+def test_reverse_scan_matches_the_pinned_digest(monkeypatch, name):
+    _, expected, steps = PINNED[name]
+    transcript, counted = watched_solve(monkeypatch, name, scan="reverse")
+    assert digest(transcript) == expected
+    assert counted == steps
 
 
 def test_dumbbell_reaches_internal_peel_and_approx_branch():
