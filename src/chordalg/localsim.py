@@ -69,22 +69,17 @@ class CollectResult:
     vars: Optional[Dict[int, Dict[str, Any]]] = None
 
 
+@dataclass(slots=True)
 class StepResult:
     """What one step does: its new state, messages to neighbors, a final
     output, service requests, published variables and a wake-up round."""
 
-    __slots__ = ("state", "outbox", "output", "requests", "publish", "wake_at")
-
-    def __init__(self, state: Any, outbox: Optional[Dict[int, Any]] = None,
-                 output: Any = NO_OUTPUT, requests: Sequence[Any] = (),
-                 publish: Optional[Dict[str, Any]] = None,
-                 wake_at: Optional[int] = None):
-        self.state = state
-        self.outbox = outbox
-        self.output = output
-        self.requests = requests
-        self.publish = publish
-        self.wake_at = wake_at
+    state: Any
+    outbox: Optional[Dict[int, Any]] = None
+    output: Any = NO_OUTPUT
+    requests: Sequence[Any] = ()
+    publish: Optional[Dict[str, Any]] = None
+    wake_at: Optional[int] = None
 
 
 @dataclass
@@ -189,7 +184,9 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
         publish_buffer: List[Tuple[int, Dict[str, Any]]] = []
         collect_buffer: List[Tuple[int, Collect]] = []
         # a step's only request, when a timer, joins the requesters of its
-        # (tag, radius); other collects keep their request order
+        # (tag, radius): nearly every collect of the MIS and MVC programs.
+        # Groups are delivered after the buffered collects, which is why only
+        # a lone timer may join one: a step's own collects keep their order.
         timer_groups: Dict[Tuple[Any, int], List[int]] = {}
         for v in order:
             inbox = inboxes.get(v)
@@ -271,11 +268,7 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
             key = ("collect", tag)
             result = timers[tag, radius]
             for v in group:
-                inbox = due.get(v)
-                if inbox is None:
-                    due[v] = {key: result}
-                else:
-                    inbox[key] = result
+                deliver(due, v, key, result)
         message_counts.append(msg_count)
         service_counts.append(svc_count)
         if log is not None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .cliqueforest import (
     INTERNAL, path_diameter, path_strip, peel, strips_from_traces,
@@ -250,18 +250,16 @@ def exact_branch_stages(d: int) -> List[int]:
     return [2 * d + 6]
 
 
+@dataclass(slots=True)
 class _MisNode:
     """One node's own schedule (its peel layer, membership and branch
     stages) and its progress through it."""
 
-    __slots__ = ("layer", "member", "stages", "iter", "stage")
-
-    def __init__(self, layer: Optional[int], member: bool, stages):
-        self.layer = layer
-        self.member = member
-        self.stages = stages
-        self.iter = 0  # peel iteration
-        self.stage: Optional[int] = None  # branch stage, once peeling ended
+    layer: Optional[int]
+    member: bool
+    stages: Sequence[Tuple[Collect, ...]]
+    iter: int = 0  # peel iteration
+    stage: Optional[int] = None  # branch stage, once peeling ended
 
 
 class MisProgram:

@@ -363,20 +363,18 @@ class _Registry:
         self.final_round: Dict[int, int] = {}
 
 
+@dataclass(slots=True)
 class _MvcNode:
     """One node's progress through the MVC program."""
 
-    __slots__ = ("id", "phase", "iter", "stage", "color", "levels", "poll", "wait")
-
-    def __init__(self, node):
-        self.id = node
-        self.phase = "prune"
-        self.iter = 1  # prune iteration
-        self.stage = 0  # color stage
-        self.color = None
-        self.levels: Optional[List[int]] = None  # correction levels to serve
-        self.poll: Optional[Tuple[int, int]] = None  # (level, round) polled
-        self.wait: Tuple[int, ...] = ()  # nodes that level waits for
+    id: int
+    phase: str = "prune"
+    iter: int = 1  # prune iteration
+    stage: int = 0  # color stage
+    color: Optional[int] = None
+    levels: Optional[List[int]] = None  # correction levels to serve
+    poll: Optional[Tuple[int, int]] = None  # (level, round) polled
+    wait: Tuple[int, ...] = ()  # nodes that level waits for
 
 
 class MvcProgram:
