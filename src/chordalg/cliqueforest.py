@@ -27,39 +27,25 @@ def clique_word(clique) -> Word:
     return tuple(sorted(clique))
 
 
-@dataclass(frozen=True)
-class EdgeTriple:
-    """Comparison key of one weighted clique-intersection edge."""
-
-    w: int
-    l: Word
-    h: Word
-
-
-def edge_less(e: EdgeTriple, f: EdgeTriple) -> bool:
-    """Strict total order: weight, then lower word, then higher word."""
-    return (e.w, e.l, e.h) < (f.w, f.l, f.h)
-
-
 def maximal_cliques(g: Graph) -> List[FrozenSet[int]]:
     """All maximal cliques of a chordal graph, sorted by member word.
 
-    Candidates are the closed later-neighborhoods along a perfect elimination
-    ordering; a candidate anchored at v is non-maximal exactly when it is
-    contained in the candidate of some earlier node whose later neighbors
-    include v.
+    Candidates are the sets K(v) = {v} | L(v) along the perfect elimination
+    ordering, L and p as in `EliminationOrder` (Blair & Peyton 1993). K(v)
+    is not maximal iff some w has p(w) = v and |L(w)| = |L(v)| + 1. If so,
+    L(w) - {v} lies in L(v) (it is adjacent to v and after it) and has
+    |L(v)| members, so K(w) strictly contains K(v). Conversely, take the
+    latest w whose K(w) strictly contains K(v). If p(w) were some x before
+    v, then K(x) would contain L(w), which contains K(v), and x is not in
+    K(v), so K(x) would be a later such set. Hence p(w) = v, and then the
+    elimination-order property forces L(w) = {v} | L(v).
     """
     eo = _require_chordal(g)
-    pos = {v: i for i, v in enumerate(eo.order)}
-    later: Dict[int, Set[int]] = {
-        v: {u for u in g.adj[v] if pos[u] > pos[v]} for v in eo.order
+    later = eo.later
+    non_maximal = {
+        v for w, v in eo.parent.items()
+        if v is not None and len(later[w]) == len(later[v]) + 1
     }
-    non_maximal = set()
-    for w in eo.order:
-        kw = later[w] | {w}
-        for v in later[w]:
-            if later[v] <= kw:
-                non_maximal.add(v)
     cliques = [frozenset(later[v] | {v}) for v in eo.order if v not in non_maximal]
     cliques.sort(key=clique_word)
     return cliques
@@ -117,15 +103,12 @@ class CliqueForest:
 
     __slots__ = ("cliques", "words", "edges", "phi", "fadj")
 
-    def __init__(self, cliques: List[FrozenSet[int]], edges: Set[Tuple[int, int]]):
+    def __init__(self, cliques: List[FrozenSet[int]], edges: Set[Tuple[int, int]],
+                 phi: Optional[Dict[int, Tuple[int, ...]]] = None):
         self.cliques = tuple(cliques)
         self.words = tuple(clique_word(c) for c in cliques)
         self.edges = frozenset(tuple(sorted(e)) for e in edges)
-        phi: Dict[int, List[int]] = {}
-        for i, c in enumerate(self.cliques):
-            for v in c:
-                phi.setdefault(v, []).append(i)
-        self.phi = {v: tuple(ids) for v, ids in phi.items()}
+        self.phi = _member_ids(self.cliques) if phi is None else phi
         fadj: Dict[int, Set[int]] = {i: set() for i in range(len(self.cliques))}
         for a, b in self.edges:
             fadj[a].add(b)
@@ -165,14 +148,20 @@ class CliqueForest:
         return len(seen) == len(ids)
 
 
-def clique_forest(g: Graph) -> CliqueForest:
-    cliques = maximal_cliques(g)
+def _member_ids(cliques) -> Dict[int, Tuple[int, ...]]:
+    """Per node, the ids of the cliques holding it, in increasing order."""
     phi: Dict[int, List[int]] = {}
     for i, c in enumerate(cliques):
         for v in c:
             phi.setdefault(v, []).append(i)
+    return {v: tuple(ids) for v, ids in phi.items()}
+
+
+def clique_forest(g: Graph) -> CliqueForest:
+    cliques = maximal_cliques(g)
+    phi = _member_ids(cliques)
     edges = _max_weight_forest(len(cliques), phi.values())
-    return CliqueForest(cliques, edges)
+    return CliqueForest(cliques, edges, phi)
 
 
 def local_view(ball: Graph, center: int, d: int) -> CliqueForest:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
@@ -170,22 +170,18 @@ def ball(g: Graph, center: int, radius: int) -> "Graph":
 
 @dataclass(frozen=True)
 class EliminationOrder:
-    """A candidate perfect elimination ordering plus the verdict on it."""
+    """A candidate perfect elimination ordering plus the verdict on it.
+
+    `later[v]` is L(v), the neighbors of v after it in `order`, and
+    `parent[v]` is p(v), the earliest member of L(v) (None when L(v) is
+    empty). Both are read off the search that built the order, so they take
+    no part in comparisons.
+    """
 
     order: Tuple[int, ...]
     is_perfect: bool
-
-
-def _is_peo(g: Graph, order) -> bool:
-    pos = {v: i for i, v in enumerate(order)}
-    for v in order:
-        later = [u for u in g.adj[v] if pos[u] > pos[v]]
-        if not later:
-            continue
-        u0 = min(later, key=pos.__getitem__)
-        if not (set(later) - {u0}) <= g.adj[u0]:
-            return False
-    return True
+    later: Dict[int, Set[int]] = field(compare=False, repr=False)
+    parent: Dict[int, Optional[int]] = field(compare=False, repr=False)
 
 
 def mcs_order(g: Graph) -> EliminationOrder:
@@ -200,14 +196,23 @@ def mcs_order(g: Graph) -> EliminationOrder:
 
     Returns the visit order reversed, so that if the graph is chordal the
     returned order is a perfect elimination ordering (later neighbors of each
-    node form a clique). `is_perfect` reports whether that holds.
+    node form a clique). The same pass checks that (Tarjan & Yannakakis
+    1984): when v is visited, its visited neighbors are exactly L(v), and the
+    most recently visited of them is p(v); v's weight is |L(v)|. The order
+    is perfect iff L(v) - {p(v)} lies inside the neighborhood of p(v) for
+    every v, and `is_perfect` reports whether that holds.
     """
     adj = g.adj
     heappop, heappush = heapq.heappop, heapq.heappush
     weight = dict.fromkeys(adj, 0)  # -1 once visited
+    parent: Dict[int, Optional[int]] = dict.fromkeys(adj)
     buckets = [sorted(adj)]
+    buckets += [[] for _ in range(max(map(len, adj.values()), default=0))]
     top = 0
     visit = []
+    visited: Set[int] = set()
+    later: Dict[int, Set[int]] = {}
+    perfect = True
     while top >= 0:
         bucket = buckets[top]
         if not bucket:
@@ -217,19 +222,20 @@ def mcs_order(g: Graph) -> EliminationOrder:
         if weight[v] != top:
             continue
         weight[v] = -1
+        nbrs = adj[v]
+        lv = later[v] = nbrs & visited
+        if perfect and top > 1 and len(lv & adj[parent[v]]) != top - 1:
+            perfect = False
         visit.append(v)
-        for u in adj[v]:
-            w = weight[u]
-            if w >= 0:
-                w += 1
-                weight[u] = w
-                if w == len(buckets):
-                    buckets.append([])
-                heappush(buckets[w], u)
-                if w > top:
-                    top = w
-    order = tuple(reversed(visit))
-    return EliminationOrder(order, _is_peo(g, order))
+        visited.add(v)
+        for u in nbrs - visited:
+            w = weight[u] + 1
+            weight[u] = w
+            parent[u] = v  # the last visit to touch u sets p(u)
+            heappush(buckets[w], u)
+            if w > top:
+                top = w
+    return EliminationOrder(tuple(reversed(visit)), perfect, later, parent)
 
 
 def is_chordal(g: Graph) -> bool:
@@ -248,12 +254,7 @@ def omega_oracle(g: Graph) -> int:
     eo = _require_chordal(g)
     if not eo.order:
         return 0
-    pos = {v: i for i, v in enumerate(eo.order)}
-    best = 1
-    for v in eo.order:
-        later = sum(1 for u in g.adj[v] if pos[u] > pos[v])
-        best = max(best, later + 1)
-    return best
+    return max(map(len, eo.later.values())) + 1
 
 
 def alpha_oracle(g: Graph) -> Set[int]:

@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
-from .cliqueforest import IntervalStrip, clique_forest, clique_word, walk_path
+from .cliqueforest import (
+    IntervalStrip, clique_forest, clique_word, strips_from_traces, walk_path,
+)
 from .errors import BadEpsilon, Infeasible, NotInterval, NotProperInterval
 from .graphs import Graph, bfs_distances
 
@@ -22,7 +24,8 @@ Coloring = Dict[int, int]
 
 
 class CliquePath:
-    """One interval component: its ordered maximal cliques plus the subgraph."""
+    """One interval component: its ordered maximal cliques plus a graph that
+    holds exactly those nodes as one of its components."""
 
     def __init__(self, graph: Graph, cliques):
         self.strip = cliques if isinstance(cliques, IntervalStrip) else IntervalStrip(cliques)
@@ -89,7 +92,7 @@ def _arrange_cliques(cliques, cap: int = 500_000) -> Optional[List[frozenset]]:
         used.discard(i)
         for v in cliques[i]:
             remaining[v] += 1
-            if any(j in used for j in holders[v]):
+            if remaining[v] < len(holders[v]):  # some holder is still placed
                 open_nodes.add(v)
             else:
                 open_nodes.discard(v)
@@ -181,29 +184,38 @@ def is_proper_interval(h: Graph) -> bool:
     return not _has_claw(h)
 
 
-def dominated_nodes(h: Graph):
-    """Ends of edges whose closed neighborhood strictly contains the other end's."""
-    closed = {v: nbrs | {v} for v, nbrs in h.adj.items()}
-    doomed = set()
-    for u, nu in closed.items():
-        for v in h.adj[u]:
-            if u < v:
-                nv = closed[v]
-                if nu < nv:
-                    doomed.add(v)
-                elif nv < nu:
-                    doomed.add(u)
-    return doomed
+def strip_dominated(strip: IntervalStrip) -> Set[int]:
+    """Nodes of a strip whose closed neighborhood strictly contains another's.
+
+    The strip's cliques must be the maximal cliques of the graph it spans.
+    Then N[u] is inside N[v] iff u's clique range lies inside v's, so v is
+    dominated iff some other range lies strictly inside its own. With
+    `sufmin[j]` the smallest last clique among nodes whose first clique is
+    at least j, that is `sufmin[lo] < hi` or `sufmin[lo + 1] <= hi`: one
+    sweep.
+    """
+    lo, hi = strip.lo, strip.hi
+    t = len(strip.cliques)
+    sufmin = [t] * (t + 1)
+    for v, j in lo.items():
+        if hi[v] < sufmin[j]:
+            sufmin[j] = hi[v]
+    for j in range(t - 1, -1, -1):
+        if sufmin[j + 1] < sufmin[j]:
+            sufmin[j] = sufmin[j + 1]
+    return {v for v, j in lo.items() if sufmin[j] < hi[v] or sufmin[j + 1] <= hi[v]}
 
 
 def remove_dominated(h: Graph) -> Graph:
     """Drop every node whose closed neighborhood strictly contains another's.
 
-    One simultaneous pass; preserves the independence number and leaves a
-    proper interval graph.
+    One simultaneous pass, swept along each component's strip; preserves the
+    independence number and leaves a proper interval graph.
     """
-    require_interval(h)
-    return h.subgraph(h.nodes - dominated_nodes(h))
+    doomed: Set[int] = set()
+    for strip in _component_strips(h):
+        doomed |= strip_dominated(strip)
+    return h.subgraph(h.nodes - doomed)
 
 
 def extend_coloring(strip: IntervalStrip, budget: int, fixed: Coloring,
@@ -419,15 +431,15 @@ def distance_k_mis_distributed(h: Graph, k: int, round_cap=None):
 
 
 def mis_strip(g: Graph, strip, eps: float) -> Set[int]:
-    """Approximate MIS entry for callers that already hold a component's strip."""
-    from .cliqueforest import strips_from_traces
+    """Approximate MIS entry for callers that already hold a component's strip.
 
+    The strip's cliques must be the maximal cliques of the subgraph it spans.
+    """
     k = mis_eps_to_k(eps)
-    h = g.subgraph(strip.nodes)
-    survivors = h.nodes - dominated_nodes(h)
+    survivors = strip.nodes - strip_dominated(strip)
     chosen: Set[int] = set()
     for sub in strips_from_traces(strip.cliques, survivors):
-        chosen |= _mis_component(CliquePath.from_strip(h, sub), k)
+        chosen |= _mis_component(CliquePath.from_strip(g, sub), k)
     return chosen
 
 
@@ -470,11 +482,26 @@ def mis_eps_to_k(eps: float) -> int:
 
 def _mis_interval_parts(h: Graph, eps: float):
     """k, the clique paths of h without its dominated nodes, and the chosen
-    set; shared by the centralized and the distributed interval MIS."""
+    set; shared by the centralized and the distributed interval MIS.
+
+    h's strips are built once. Each is swept for its dominated nodes and
+    restricted to the rest with `strips_from_traces`. What is left is a
+    proper interval graph, whose connected components each have one clique
+    path up to reversal (Deng, Hell & Huang 1996), so these are the strips
+    that a clique forest of h without its dominated nodes would give.
+    """
     if not 0 < eps < 1:
         raise BadEpsilon("eps must lie in (0, 1)")
     k = mis_eps_to_k(eps)
-    cps = clique_path(remove_dominated(h))
+    strips: List[IntervalStrip] = []
+    survivors: Set[int] = set()
+    for strip in _component_strips(h):
+        keep = strip.nodes - strip_dominated(strip)
+        survivors |= keep
+        strips += strips_from_traces(strip.cliques, keep)
+    strips.sort(key=lambda s: clique_word(s.cliques[0]))
+    reduced = h.subgraph(survivors)
+    cps = [CliquePath(reduced, s) for s in strips]
     chosen: Set[int] = set()
     for cp in cps:
         chosen |= _mis_component(cp, k)

@@ -23,6 +23,23 @@ def small_graphs(draw, max_nodes=7):
     return graph_from_edge_mask(n, mask)
 
 
+@st.composite
+def interval_graphs(draw, max_nodes=24):
+    """Intersection graphs of up to `max_nodes` integer intervals, on ids
+    with gaps: often disconnected, often with nested and equal intervals."""
+    ids = draw(st.lists(st.integers(1, 90), min_size=1, max_size=max_nodes,
+                        unique=True))
+    spans = [(a, a + w) for a, w in draw(st.lists(
+        st.tuples(st.integers(0, 30), st.integers(0, 8)),
+        min_size=len(ids), max_size=len(ids)))]
+    g = Graph(nodes=ids)
+    for i, (u, (a, b)) in enumerate(zip(ids, spans)):
+        for w, (c, d) in zip(ids[i + 1:], spans[i + 1:]):
+            if a <= d and c <= b:
+                g.add_edge(u, w)
+    return g
+
+
 def complete_graph(m):
     g = Graph(nodes=range(1, m + 1))
     for u in range(1, m + 1):

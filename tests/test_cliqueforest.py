@@ -1,21 +1,29 @@
+from dataclasses import dataclass
 from itertools import combinations
+from typing import Tuple
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
 
 from chordalg import (
     DiameterTooSmall, Graph, NotChordal, RadiusTooSmall, alpha_oracle,
-    classify_paths, clique_forest, edge_less, gen_caterpillar, gen_chordal,
-    gen_interval, gen_path, gen_spider, local_view, maximal_cliques, path_alpha,
-    path_diameter, remove_paths,
+    classify_paths, clique_forest, gen_caterpillar, gen_chordal,
+    gen_interval, gen_path, gen_spider, is_chordal, local_view, maximal_cliques,
+    mcs_order, path_alpha, path_diameter, remove_paths,
 )
 from chordalg.cliqueforest import (
-    BINARY_COMPONENT, INTERNAL, PENDANT, CliqueForest, EdgeTriple,
+    BINARY_COMPONENT, INTERNAL, PENDANT, CliqueForest,
     IntervalStrip, clique_word, strips_from_traces,
 )
 from chordalg.fileio import forest_dump
 from chordalg.graphs import ball, bfs_distances
 
-from conftest import brute_maximal_cliques, complete_graph, dumbbell
+from conftest import (
+    brute_maximal_cliques, complete_graph, dumbbell, interval_graphs, small_graphs,
+)
+
+Word = Tuple[int, ...]
 
 
 def words_of(forest):
@@ -51,6 +59,80 @@ class TestMaximalCliques:
         c4 = Graph([(1, 2), (2, 3), (3, 4), (4, 1)])
         with pytest.raises(NotChordal):
             maximal_cliques(c4)
+
+
+def subset_test_cliques(g):
+    """Reference extraction: K(v) = {v} | L(v) along the MCS order, dropped
+    when it lies inside K(w) for some w with v in L(w)."""
+    order = mcs_order(g).order
+    pos = {v: i for i, v in enumerate(order)}
+    later = {v: {u for u in g.adj[v] if pos[u] > pos[v]} for v in order}
+    non_maximal = set()
+    for w in order:
+        kw = later[w] | {w}
+        for v in later[w]:
+            if later[v] <= kw:
+                non_maximal.add(v)
+    cliques = [frozenset(later[v] | {v}) for v in order if v not in non_maximal]
+    cliques.sort(key=clique_word)
+    return cliques
+
+
+def to_networkx(g):
+    h = nx.Graph()
+    h.add_nodes_from(g.adj)
+    h.add_edges_from(g.edges())
+    return h
+
+
+def chordal_corpus():
+    yield Graph()
+    yield Graph(nodes=[3, 8, 20])
+    yield dumbbell(3, 6, 5)
+    for seed in range(6):
+        yield gen_chordal(150, seed=seed, max_clique=2 + 2 * seed)
+        yield gen_interval(120, seed=seed)
+        yield gen_interval(80, seed=seed, span=60, max_len=25)
+
+
+class TestMaximalCliquesAgainstReferences:
+    def test_corpus_matches_subset_test(self):
+        for g in chordal_corpus():
+            assert maximal_cliques(g) == subset_test_cliques(g)
+
+    @given(interval_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_interval_graphs_match_subset_test(self, g):
+        assert maximal_cliques(g) == subset_test_cliques(g)
+
+    def test_corpus_matches_networkx(self):
+        for g in chordal_corpus():
+            h = to_networkx(g)
+            assert nx.is_chordal(h) and is_chordal(g)
+            assert set(maximal_cliques(g)) == set(nx.chordal_graph_cliques(h))
+
+    @given(small_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_small_graphs_match_networkx(self, g):
+        h = to_networkx(g)
+        assert is_chordal(g) == nx.is_chordal(h)
+        if is_chordal(g):
+            assert maximal_cliques(g) == subset_test_cliques(g)
+            assert set(maximal_cliques(g)) == set(nx.chordal_graph_cliques(h))
+
+
+@dataclass(frozen=True)
+class EdgeTriple:
+    """Comparison key of one weighted clique-intersection edge."""
+
+    w: int
+    l: Word
+    h: Word
+
+
+def edge_less(e: EdgeTriple, f: EdgeTriple) -> bool:
+    """Strict total order: weight, then lower word, then higher word."""
+    return (e.w, e.l, e.h) < (f.w, f.l, f.h)
 
 
 class TestEdgeOrder:

@@ -90,11 +90,36 @@ def reversed_build(g):
     return Graph(reversed(list(g.edges())), nodes=sorted(g.adj, reverse=True))
 
 
+def later_and_parent(g, order):
+    """Reference L(v) and p(v): the neighbors after v in `order` and the
+    earliest of them, recomputed from positions."""
+    pos = {v: i for i, v in enumerate(order)}
+    later = {v: {u for u in g.adj[v] if pos[u] > pos[v]} for v in order}
+    parent = {v: min(later[v], key=pos.__getitem__) if later[v] else None
+              for v in order}
+    return later, parent
+
+
+def is_peo_by_positions(g, order):
+    """Reference elimination-order check: a second pass over the order."""
+    pos = {v: i for i, v in enumerate(order)}
+    for v in order:
+        later = [u for u in g.adj[v] if pos[u] > pos[v]]
+        if not later:
+            continue
+        u0 = min(later, key=pos.__getitem__)
+        if not (set(later) - {u0}) <= g.adj[u0]:
+            return False
+    return True
+
+
 class TestMcsMatchesLazyHeap:
     def check(self, g):
         eo = mcs_order(g)
         assert eo.order == lazy_heap_mcs(g)
         assert mcs_order(reversed_build(g)) == eo
+        assert (eo.later, eo.parent) == later_and_parent(g, eo.order)
+        assert eo.is_perfect == is_peo_by_positions(g, eo.order)
         return eo
 
     def test_empty_graph(self):
@@ -155,6 +180,12 @@ class TestOracles:
         from conftest import brute_maximal_cliques
         g = gen_chordal(12, seed=3)
         assert omega_oracle(g) == max(len(c) for c in brute_maximal_cliques(g))
+
+    def test_omega_counts_later_neighbors(self):
+        for g in (gen_chordal(300, seed=2, max_clique=9), gen_interval(200, seed=3),
+                  Graph(nodes=[4, 9])):
+            later, _ = later_and_parent(g, mcs_order(g).order)
+            assert omega_oracle(g) == max(len(s) for s in later.values()) + 1
 
     def test_alpha_path5(self):
         assert len(alpha_oracle(path(5))) == 3

@@ -1,21 +1,24 @@
+from typing import Dict, List
+
 import pytest
 from hypothesis import given, settings
 
 from chordalg import (
     BadEpsilon, Graph, Infeasible, NotInterval, NotProperInterval,
     alpha_oracle, clique_path, color_interval, distance_k_mis, extend_coloring,
-    gen_interval, gen_path, gen_spider, mis_interval, mis_interval_distributed,
-    omega_oracle,
+    gen_interval, gen_path, gen_spider, graphs, intervals, mis_interval,
+    mis_interval_distributed, omega_oracle,
     remove_dominated, verify_coloring, verify_is,
 )
-from chordalg.cliqueforest import IntervalStrip
+from chordalg.cliqueforest import IntervalStrip, clique_word
 from chordalg.graphs import bfs_distances
 from chordalg.intervals import (
-    color_budget, dominated_nodes, greedy_fill, is_proper_interval, mis_eps_to_k,
-    require_interval,
+    _arrange_cliques, _component_strips, _mis_interval_parts, color_budget,
+    greedy_fill, is_proper_interval, mis_eps_to_k, require_interval,
+    strip_dominated,
 )
 
-from conftest import complete_graph, small_graphs
+from conftest import complete_graph, interval_graphs, small_graphs
 
 
 def overlapping_blocks(width, count, overlap):
@@ -162,23 +165,52 @@ def dominated_per_edge(h):
     return doomed
 
 
+def dominated_nodes(h):
+    """Reference: ends of edges whose closed neighborhood strictly contains
+    the other end's, one closed neighborhood per node."""
+    closed = {v: nbrs | {v} for v, nbrs in h.adj.items()}
+    doomed = set()
+    for u, nu in closed.items():
+        for v in h.adj[u]:
+            if u < v:
+                nv = closed[v]
+                if nu < nv:
+                    doomed.add(v)
+                elif nv < nu:
+                    doomed.add(u)
+    return doomed
+
+
+def swept_dominated(h):
+    """The strip sweep over every component of h."""
+    return set().union(*(strip_dominated(s) for s in _component_strips(h)))
+
+
 class TestDominatedNodes:
     def test_generated_interval_graphs(self):
         for seed in range(5):
             g = gen_interval(150, seed=seed)
             assert dominated_nodes(g) == dominated_per_edge(g)
+            assert swept_dominated(g) == dominated_per_edge(g)
         g = gen_interval(200, seed=7, span=200, max_len=40)
         assert dominated_nodes(g) == dominated_per_edge(g)
+        assert swept_dominated(g) == dominated_per_edge(g)
 
     def test_blocks_and_twins(self):
         g = overlapping_blocks(5, 4, 2)
         assert dominated_nodes(g) == dominated_per_edge(g)
+        assert swept_dominated(g) == dominated_per_edge(g)
         assert dominated_nodes(complete_graph(4)) == set()
 
     @given(small_graphs())
     @settings(max_examples=60, deadline=None)
     def test_any_small_graph(self, g):
         assert dominated_nodes(g) == dominated_per_edge(g)
+
+    @given(interval_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_strip_sweep_on_interval_graphs(self, g):
+        assert swept_dominated(g) == dominated_per_edge(g)
 
 
 class TestRemoveDominated:
@@ -202,6 +234,150 @@ class TestRemoveDominated:
             h = remove_dominated(g)
             assert len(alpha_oracle(h)) == len(alpha_oracle(g))
             assert is_proper_interval(h) or len(h) == 0
+
+
+def holder_scan_arrange(cliques, cap=500_000):
+    """Reference: the clique arrangement search that decides whether an undone
+    node stays open by scanning its holders, plus the steps it took."""
+    t = len(cliques)
+    order = sorted(range(t), key=lambda i: clique_word(cliques[i]))
+    remaining: Dict[int, int] = {}
+    holders: Dict[int, List[int]] = {}
+    for i, c in enumerate(cliques):
+        for v in c:
+            remaining[v] = remaining.get(v, 0) + 1
+            holders.setdefault(v, []).append(i)
+
+    def candidates(used, open_nodes):
+        if not open_nodes:
+            return [i for i in order if i not in used]
+        v = min(open_nodes, key=lambda u: (remaining[u], u))
+        pool = [i for i in holders[v] if i not in used and open_nodes <= cliques[i]]
+        pool.sort(key=lambda i: clique_word(cliques[i]))
+        return pool
+
+    used, open_nodes, placed, dead = set(), set(), [], set()
+
+    def do_place(i):
+        used.add(i)
+        placed.append(i)
+        for v in cliques[i]:
+            remaining[v] -= 1
+            if remaining[v] > 0:
+                open_nodes.add(v)
+            else:
+                open_nodes.discard(v)
+
+    def do_undo():
+        i = placed.pop()
+        used.discard(i)
+        for v in cliques[i]:
+            remaining[v] += 1
+            if any(j in used for j in holders[v]):
+                open_nodes.add(v)
+            else:
+                open_nodes.discard(v)
+
+    steps = 0
+    stack = [iter(candidates(used, open_nodes))]
+    while stack:
+        steps += 1
+        if steps > cap:
+            return None, steps
+        nxt = next(stack[-1], None)
+        if nxt is None:
+            stack.pop()
+            dead.add(frozenset(used))
+            if placed:
+                do_undo()
+            continue
+        do_place(nxt)
+        if len(placed) == t:
+            return [cliques[i] for i in placed], steps
+        if frozenset(used) in dead:
+            do_undo()
+            continue
+        stack.append(iter(candidates(used, open_nodes)))
+    return None, steps
+
+
+def arranged_components(g, monkeypatch):
+    """The clique lists `_component_strips(g)` hands to `_arrange_cliques`:
+    the components whose canonical forest branches."""
+    seen = []
+
+    def spy(cliques, cap=500_000):
+        seen.append(list(cliques))
+        return _arrange_cliques(cliques, cap)
+
+    with monkeypatch.context() as m:
+        m.setattr(intervals, "_arrange_cliques", spy)
+        try:
+            _component_strips(g)
+        except NotInterval:
+            pass
+    return seen
+
+
+def strip_words(strips):
+    return [[clique_word(c) for c in s.cliques] for s in strips]
+
+
+def reduced_strips(g):
+    return [cp.strip for cp in _mis_interval_parts(g, 0.4)[1]]
+
+
+def reduced_strips_rebuilt(g):
+    return _component_strips(g.subgraph(g.nodes - dominated_per_edge(g)))
+
+
+class TestArrangeCliques:
+    def test_matches_holder_scan_with_same_steps(self, monkeypatch):
+        instances = [gen_interval(150, seed=seed) for seed in range(6)]
+        instances += [Graph([(1, v) for v in range(2, 7)]), gen_spider(3, 2)]
+        arranged = 0
+        for g in instances:
+            for cliques in arranged_components(g, monkeypatch):
+                ref, steps = holder_scan_arrange(cliques)
+                assert _arrange_cliques(cliques) == ref
+                assert _arrange_cliques(cliques, cap=steps) == ref
+                assert _arrange_cliques(cliques, cap=steps - 1) is None
+                arranged += 1
+        assert arranged >= 10
+
+
+class TestReducedStrips:
+    @given(interval_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_traces_match_rebuilt_forest(self, g):
+        assert strip_words(reduced_strips(g)) == strip_words(reduced_strips_rebuilt(g))
+
+    def test_where_the_arrangement_search_runs(self, monkeypatch):
+        for seed in range(6):
+            g = gen_interval(150, seed=seed)
+            assert arranged_components(g, monkeypatch)
+            assert strip_words(reduced_strips(g)) == strip_words(reduced_strips_rebuilt(g))
+
+    def test_one_forest_and_one_search_per_call(self, monkeypatch):
+        forests, searches = [], []
+        real_forest, real_mcs = intervals.clique_forest, graphs.mcs_order
+
+        def counting_forest(h):
+            forests.append(len(h))
+            return real_forest(h)
+
+        def counting_mcs(h):
+            searches.append(len(h))
+            return real_mcs(h)
+
+        monkeypatch.setattr(intervals, "clique_forest", counting_forest)
+        monkeypatch.setattr(graphs, "mcs_order", counting_mcs)
+        g = gen_interval(150, seed=1)
+        for solve in (lambda h: mis_interval(h, 0.4), remove_dominated):
+            forests.clear()
+            searches.clear()
+            solve(g)
+            assert forests == [len(g)] and searches == [len(g)]
 
 
 class TestDistanceKMis:
