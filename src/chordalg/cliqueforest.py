@@ -1,25 +1,30 @@
 """Maximal cliques, the canonical maximum-weight clique forest, local views,
 path classification on forests, and the peeling loop both algorithms run.
 
-The forest is made unique by a total order on the weighted clique
-intersection edges: weight first, then the sorted member words of the two
-endpoint cliques. Cliques are numbered in word order, so the greedy scan
-ranks edges by (weight, lower id, higher id), which is the same order.
-Everything downstream (peeling, coloring, correction) relies on that
-canonical choice, so the tie-breaking here is load-bearing.
+The clique forest is the maximum-weight spanning forest of the clique
+intersection graph (weight = number of shared nodes). Ties are broken by a
+total order on the edges: weight first, then the sorted member words of the
+two endpoint cliques. Cliques are numbered in word order, so that is the
+order (weight, lower id, higher id), and Kruskal run in decreasing order of
+it picks the canonical forest. `clique_forest` does not run Kruskal: it reads
+the same forest off the clique tree that maximum cardinality search builds
+in passing (see `clique_forest`). Everything downstream (peeling, coloring,
+correction) relies on that canonical choice, so the tie-breaking here is
+load-bearing.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from .errors import DiameterTooSmall, RadiusTooSmall
 from .graphs import Graph, alpha_oracle, bfs_distances, _require_chordal
 
 Word = Tuple[int, ...]
+Link = Tuple[int, int, FrozenSet[int]]
 
 
 def clique_word(clique) -> Word:
@@ -27,28 +32,56 @@ def clique_word(clique) -> Word:
     return tuple(sorted(clique))
 
 
+def _clique_tree(g: Graph) -> Tuple[List[FrozenSet[int]], List[Word], List[Link]]:
+    """The maximal cliques of a chordal graph in word order, and the clique
+    tree T0 that maximum cardinality search builds (Blair & Peyton 1993,
+    "An introduction to chordal graphs and clique trees").
+
+    Walk the visit order with L and p as in `EliminationOrder`. A visit v
+    joins the clique being grown iff |L(v)| is one more than the |L| of the
+    previous visit u: then p(v) = u and L(v) = {u} | L(u), which is that
+    clique so far. Otherwise v opens the clique {v} | L(v). The comparison is
+    with the previous visit, not with p(v): two visits may both have p = u
+    and |L| = |L(u)| + 1 (two triangles on a shared edge), and only the
+    first of them extends K(u). A clique opened by v hangs in T0 below the
+    clique that owns p(v), and the two meet in exactly L(v); a visit with
+    p(v) = None starts a new tree. Returns the cliques, their words and T0's
+    edges as (child id, parent id, separator).
+    """
+    eo = _require_chordal(g)
+    later, parent = eo.later, eo.parent
+    grown: List[Set[int]] = []
+    owner: Dict[int, int] = {}
+    hangs: List[Link] = []
+    cur = -1  # the clique that visits extend
+    need = -1  # the |L| that extends it; none before the first visit
+    for v in reversed(eo.order):
+        lv = later[v]
+        size = len(lv)
+        if size != need:
+            if size:
+                hangs.append((cur + 1, owner[parent[v]], frozenset(lv)))
+            grown.append({v, *lv})
+            cur += 1
+        else:
+            grown[cur].add(v)
+        owner[v] = cur
+        need = size + 1
+    words = [clique_word(c) for c in grown]
+    order = sorted(range(len(grown)), key=words.__getitem__)
+    rank = {k: i for i, k in enumerate(order)}
+    return ([frozenset(grown[k]) for k in order], [words[k] for k in order],
+            [(rank[a], rank[b], sep) for a, b, sep in hangs])
+
+
 def maximal_cliques(g: Graph) -> List[FrozenSet[int]]:
     """All maximal cliques of a chordal graph, sorted by member word.
 
-    Candidates are the sets K(v) = {v} | L(v) along the perfect elimination
-    ordering, L and p as in `EliminationOrder` (Blair & Peyton 1993). K(v)
-    is not maximal iff some w has p(w) = v and |L(w)| = |L(v)| + 1. If so,
-    L(w) - {v} lies in L(v) (it is adjacent to v and after it) and has
-    |L(v)| members, so K(w) strictly contains K(v). Conversely, take the
-    latest w whose K(w) strictly contains K(v). If p(w) were some x before
-    v, then K(x) would contain L(w), which contains K(v), and x is not in
-    K(v), so K(x) would be a later such set. Hence p(w) = v, and then the
-    elimination-order property forces L(w) = {v} | L(v).
+    They are the cliques of the clique tree T0 built by `_clique_tree`: along
+    the MCS visit order, v joins the clique being grown iff |L(v)| is one
+    more than the previous visit's |L|, and otherwise opens {v} | L(v).
     """
-    eo = _require_chordal(g)
-    later = eo.later
-    non_maximal = {
-        v for w, v in eo.parent.items()
-        if v is not None and len(later[w]) == len(later[v]) + 1
-    }
-    cliques = [frozenset(later[v] | {v}) for v in eo.order if v not in non_maximal]
-    cliques.sort(key=clique_word)
-    return cliques
+    return _clique_tree(g)[0]
 
 
 class _UnionFind:
@@ -90,12 +123,45 @@ def _greedy_forest(n: int, weight: Dict[Tuple[int, int], int]) -> Set[Tuple[int,
     return edges
 
 
-def _max_weight_forest(n: int, phi_lists) -> Set[Tuple[int, int]]:
-    """Forest over all cliques, weight = number of shared nodes."""
-    weight: Counter = Counter()
-    for ids in phi_lists:
-        weight.update(combinations(sorted(ids), 2))
-    return _greedy_forest(n, weight)
+def _star_forest(n: int, links: List[Link]) -> Set[Tuple[int, int]]:
+    """The canonical forest from the clique tree T0: one star per separator.
+
+    `links` are T0's edges (a, b, K_a & K_b) over `n` cliques in word order.
+    For a separator S let E_S be the T0 edges with separator S. The cliques
+    that contain S form a subtree T_S of T0, walked from E_S's endpoints by
+    stepping to T0 neighbours that contain S (across an edge whose separator
+    strictly contains S). Removing E_S splits T_S into |E_S| + 1 pieces, and
+    two cliques in different pieces meet in exactly S. With `hub` the
+    largest id in T_S, every piece without it is joined to `hub` at the
+    piece's own largest id, its `top`.
+    """
+    tree: List[List[Tuple[int, FrozenSet[int]]]] = [[] for _ in range(n)]
+    ends: Dict[FrozenSet[int], List[int]] = {}  # S -> the endpoints of E_S
+    for a, b, sep in links:
+        tree[a].append((b, sep))
+        tree[b].append((a, sep))
+        ends.setdefault(sep, []).extend((a, b))
+    edges = set()
+    for sep, cut in ends.items():
+        tops = []
+        seen: Set[int] = set()
+        for start in cut:
+            if start in seen:
+                continue
+            seen.add(start)
+            top = start
+            stack = [start]
+            while stack:
+                for c, s in tree[stack.pop()]:
+                    if c not in seen and sep < s:
+                        seen.add(c)
+                        stack.append(c)
+                        if c > top:
+                            top = c
+            tops.append(top)
+        hub = max(tops)
+        edges.update((top, hub) for top in tops if top != hub)
+    return edges
 
 
 class CliqueForest:
@@ -104,9 +170,10 @@ class CliqueForest:
     __slots__ = ("cliques", "words", "edges", "phi", "fadj")
 
     def __init__(self, cliques: List[FrozenSet[int]], edges: Set[Tuple[int, int]],
-                 phi: Optional[Dict[int, Tuple[int, ...]]] = None):
+                 phi: Optional[Dict[int, Tuple[int, ...]]] = None,
+                 words: Optional[List[Word]] = None):
         self.cliques = tuple(cliques)
-        self.words = tuple(clique_word(c) for c in cliques)
+        self.words = tuple(map(clique_word, self.cliques) if words is None else words)
         self.edges = frozenset(tuple(sorted(e)) for e in edges)
         self.phi = _member_ids(self.cliques) if phi is None else phi
         fadj: Dict[int, Set[int]] = {i: set() for i in range(len(self.cliques))}
@@ -158,10 +225,28 @@ def _member_ids(cliques) -> Dict[int, Tuple[int, ...]]:
 
 
 def clique_forest(g: Graph) -> CliqueForest:
-    cliques = maximal_cliques(g)
-    phi = _member_ids(cliques)
-    edges = _max_weight_forest(len(cliques), phi.values())
-    return CliqueForest(cliques, edges, phi)
+    """The canonical clique forest of a chordal graph, read off the MCS
+    clique tree T0 of `_clique_tree` by the star rule of `_star_forest`.
+
+    This is the forest Kruskal picks in decreasing (weight, lower id,
+    higher id) order over every intersecting clique pair:
+    - Every maximum-weight spanning forest of the clique intersection graph
+      is a clique tree (T0 among them). So at each weight w, the components
+      of the edges heavier than w are the same in every such forest.
+    - The weight-w edges that join those components form one block per
+      separator S with |S| = w: the pieces of T_S are in distinct
+      components, and an edge (a, b) with |K_a & K_b| = w between two
+      components crosses an edge of T0 with separator K_a & K_b. T0
+      contracted is a forest, so no cycle crosses two separators, and
+      Kruskal treats each block on its own.
+    - A block is complete multipartite over the pieces of T_S. Kruskal in
+      decreasing (a, b) order reaches a piece first at its largest id, and
+      the largest partner there is the block's largest id; every piece
+      without that id is joined to it exactly once.
+    """
+    cliques, words, links = _clique_tree(g)
+    return CliqueForest(cliques, _star_forest(len(cliques), links),
+                        _member_ids(cliques), words)
 
 
 def local_view(ball: Graph, center: int, d: int) -> CliqueForest:
@@ -316,26 +401,23 @@ class IntervalStrip:
         t = len(self.cliques)
         lo: Dict[int, int] = {}
         hi: Dict[int, int] = {}
-        count: Dict[int, int] = {}
+        prev: FrozenSet[int] = frozenset()
         for j, c in enumerate(self.cliques):
-            for v in c:
-                lo.setdefault(v, j)
-                hi[v] = j
-                count[v] = count.get(v, 0) + 1
-        for v, c in count.items():
-            if hi[v] - lo[v] + 1 != c:
-                raise ValueError("clique list is not in path order (node %d)" % v)
+            for v in c - prev:
+                if v in lo:
+                    raise ValueError("clique list is not in path order (node %d)" % v)
+                lo[v] = j
+            for v in prev - c:
+                hi[v] = j - 1
+            prev = c
+        for v in prev:
+            hi[v] = t - 1
         self.lo, self.hi = lo, hi
-        reach = [j for j in range(t)]
-        for v in lo:
-            j = lo[v]
+        reach = list(range(t))
+        for v, j in lo.items():
             if hi[v] > reach[j]:
                 reach[j] = hi[v]
-        best = 0
-        self.jump = []
-        for j in range(t):
-            best = max(best, reach[j])
-            self.jump.append(best)
+        self.jump = list(accumulate(reach, max))
 
     @property
     def nodes(self):
@@ -450,10 +532,6 @@ def remove_paths(forest: CliqueForest, g: Graph, paths) -> Tuple[CliqueForest, S
         if p.kind == INTERNAL and path_diameter(g, p) < 4:
             raise DiameterTooSmall("internal path of diameter < 4 cannot be peeled")
         removed_ids |= set(p.cliques)
-    on_removed: Counter = Counter()
-    for i in removed_ids:
-        on_removed.update(forest.cliques[i])
-    removed_nodes = {v for v, c in on_removed.items() if c == len(forest.phi[v])}
     keep = [i for i in range(len(forest)) if i not in removed_ids]
     remap = {old: new for new, old in enumerate(keep)}
     cliques = [forest.cliques[i] for i in keep]
@@ -461,7 +539,16 @@ def remove_paths(forest: CliqueForest, g: Graph, paths) -> Tuple[CliqueForest, S
         (remap[a], remap[b]) for a, b in forest.edges
         if a in remap and b in remap
     }
-    return CliqueForest(cliques, edges), removed_nodes
+    # remap is increasing, so each restricted id tuple stays increasing
+    phi: Dict[int, Tuple[int, ...]] = {}
+    removed_nodes: Set[int] = set()
+    for v, ids in forest.phi.items():
+        kept = tuple([j for j in map(remap.get, ids) if j is not None])
+        if kept:
+            phi[v] = kept
+        else:
+            removed_nodes.add(v)
+    return CliqueForest(cliques, edges, phi, [forest.words[i] for i in keep]), removed_nodes
 
 
 @dataclass(frozen=True)

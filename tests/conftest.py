@@ -40,6 +40,37 @@ def interval_graphs(draw, max_nodes=24):
     return g
 
 
+@st.composite
+def chordal_graphs(draw, max_nodes=20, max_host=10):
+    """Intersection graphs of up to `max_nodes` random subtrees of a random
+    host tree (chordal by Gavril 1974), on ids with gaps: tie-heavy, often
+    disconnected. Each subtree spans up to three host nodes."""
+    host = draw(st.integers(1, max_host))
+    up = [None] + [draw(st.integers(0, i - 1)) for i in range(1, host)]
+
+    def to_root(x):
+        chain = [x]
+        while up[chain[-1]] is not None:
+            chain.append(up[chain[-1]])
+        return chain
+
+    ids = draw(st.lists(st.integers(1, 90), min_size=1, max_size=max_nodes,
+                        unique=True))
+    subtrees = []
+    for _ in ids:
+        chains = [to_root(x) for x in draw(st.lists(
+            st.integers(0, host - 1), min_size=1, max_size=3))]
+        common = set(chains[0]).intersection(*chains[1:])
+        meet = next(y for y in chains[0] if y in common)
+        subtrees.append({y for c in chains for y in c[:c.index(meet) + 1]})
+    g = Graph(nodes=ids)
+    for i, u in enumerate(ids):
+        for w, other in zip(ids[i + 1:], subtrees[i + 1:]):
+            if subtrees[i] & other:
+                g.add_edge(u, w)
+    return g
+
+
 def complete_graph(m):
     g = Graph(nodes=range(1, m + 1))
     for u in range(1, m + 1):

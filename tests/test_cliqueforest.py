@@ -13,14 +13,16 @@ from chordalg import (
     mcs_order, path_alpha, path_diameter, remove_paths,
 )
 from chordalg.cliqueforest import (
-    BINARY_COMPONENT, INTERNAL, PENDANT, CliqueForest,
-    IntervalStrip, clique_word, strips_from_traces,
+    BINARY_COMPONENT, INTERNAL, PENDANT, CliqueForest, IntervalStrip,
+    _clique_tree, _member_ids, clique_word, peel, strips_from_traces,
 )
 from chordalg.fileio import forest_dump
 from chordalg.graphs import ball, bfs_distances
+from chordalg.intervals import _component_strips
 
 from conftest import (
-    brute_maximal_cliques, complete_graph, dumbbell, interval_graphs, small_graphs,
+    brute_maximal_cliques, chordal_graphs, complete_graph, dumbbell,
+    interval_graphs, small_graphs,
 )
 
 Word = Tuple[int, ...]
@@ -217,9 +219,15 @@ class TestForestMatchesWordKeyedKruskal:
         dumbbell(3, 8, 5),
         gen_caterpillar(12, 3),
         gen_caterpillar(30, 1),
+        gen_interval(600, seed=1),
     ], ids=["chordal-2", "chordal-8", "interval-3", "interval-12", "dumbbell",
-            "caterpillar-12x3", "caterpillar-30x1"])
+            "caterpillar-12x3", "caterpillar-30x1", "interval-600"])
     def test_signature(self, g):
+        assert clique_forest(g).signature() == word_keyed_signature(g)
+
+    @given(chordal_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_subtree_intersection_graphs(self, g):
         assert clique_forest(g).signature() == word_keyed_signature(g)
 
     def test_more_seeds(self):
@@ -228,6 +236,53 @@ class TestForestMatchesWordKeyedKruskal:
             assert clique_forest(g).signature() == word_keyed_signature(g)
             h = gen_interval(60, seed=100 + seed)
             assert clique_forest(h).signature() == word_keyed_signature(h)
+
+
+def shared_separator(t, k):
+    """t cliques that pairwise meet in exactly {1, ..., k}, each with one to
+    three nodes of its own."""
+    g = complete_graph(k)
+    nxt = k + 1
+    for i in range(t):
+        own = list(range(nxt, nxt + 1 + i % 3))
+        nxt += len(own)
+        for a, b in combinations(list(range(1, k + 1)) + own, 2):
+            g.add_edge(a, b)
+    return g
+
+
+class TestStarRule:
+    @pytest.mark.parametrize("t", range(2, 9))
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_cliques_sharing_one_separator(self, t, k):
+        g = shared_separator(t, k)
+        cliques, _words, links = _clique_tree(g)
+        assert len(cliques) == t
+        assert [sep for _a, _b, sep in links] == [frozenset(range(1, k + 1))] * (t - 1)
+        f = clique_forest(g)
+        assert f.edges == {(i, t - 1) for i in range(t - 1)}
+        assert f.signature() == word_keyed_signature(g)
+
+    def test_two_triangles_on_a_shared_edge(self):
+        # MCS visits 1, 2, 3, 4; both 3 and 4 have p = 2 and |L| = 2, but
+        # only 3 extends the clique of 2
+        g = Graph([(1, 2), (1, 3), (2, 3), (1, 4), (2, 4)])
+        cliques, _words, links = _clique_tree(g)
+        assert cliques == [frozenset({1, 2, 3}), frozenset({1, 2, 4})]
+        assert links == [(1, 0, frozenset({1, 2}))]
+        assert clique_forest(g).signature() == word_keyed_signature(g)
+
+    def test_disjoint_union(self):
+        g = gen_chordal(80, seed=4, max_clique=5)
+        h = gen_interval(60, seed=2)
+        for v in h.adj:
+            g.add_node(v + 100)
+        for u, v in h.edges():
+            g.add_edge(u + 100, v + 100)
+        g.add_node(500)
+        f = clique_forest(g)
+        assert len(f.edges) == len(f) - len(g.connected_components())
+        assert f.signature() == word_keyed_signature(g)
 
 
 class TestLocalView:
@@ -374,6 +429,20 @@ class TestRemovePaths:
                 live -= removed
                 assert f.signature() == clique_forest(g.subgraph(live)).signature()
 
+    @pytest.mark.parametrize("g", [dumbbell(3, 5, 400), gen_chordal(300, seed=11, max_clique=6)],
+                             ids=["dumbbell", "chordal-11"])
+    def test_restricted_phi_matches_member_ids(self, g):
+        def select(i, forest, paths):
+            return [p for p in paths if p.kind != INTERNAL or path_diameter(g, p) >= 6]
+
+        steps = 0
+        for step in peel(g, select):
+            assert step.forest.phi == _member_ids(step.forest.cliques)
+            if not len(step.forest):
+                break
+            steps += 1
+        assert steps >= 2
+
 
 class TestStripsFromTraces:
     def test_restriction_splits_components(self):
@@ -390,10 +459,39 @@ class TestStripsFromTraces:
         assert list(strips[0].cliques) == [frozenset({2, 3})]
 
 
+def per_clique_fields(cliques):
+    """Reference strip fields by a loop over every node of every clique:
+    (in path order, lo, hi, jump)."""
+    lo, hi, count = {}, {}, {}
+    for j, c in enumerate(cliques):
+        for v in c:
+            lo.setdefault(v, j)
+            hi[v] = j
+            count[v] = count.get(v, 0) + 1
+    in_order = all(hi[v] - lo[v] + 1 == count[v] for v in count)
+    jump, best = [], 0
+    for j in range(len(cliques)):
+        best = max([best, j] + [hi[v] for v in lo if lo[v] == j])
+        jump.append(best)
+    return in_order, lo, hi, jump
+
+
 class TestIntervalStrip:
     def test_rejects_out_of_order_cliques(self):
         with pytest.raises(ValueError):
             IntervalStrip([frozenset({1, 2}), frozenset({3, 4}), frozenset({2, 3})])
+
+    @given(interval_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_fields_match_per_clique_loop(self, g):
+        for strip in _component_strips(g):
+            assert per_clique_fields(strip.cliques) == (True, strip.lo, strip.hi, strip.jump)
+            rotated = strip.cliques[1:] + strip.cliques[:1]
+            if per_clique_fields(rotated)[0]:
+                IntervalStrip(rotated)
+            else:
+                with pytest.raises(ValueError, match="not in path order"):
+                    IntervalStrip(rotated)
 
     def test_distances_on_path(self):
         g = gen_path(8)
