@@ -3,8 +3,9 @@
 
 from chordalg import (
     classify_paths, clique_forest, gen_chordal, gen_spider, local_view,
-    path_alpha, path_diameter, remove_paths,
+    path_diameter, remove_paths,
 )
+from chordalg.cliqueforest import path_strip
 from chordalg.fileio import forest_dump
 from chordalg.graphs import ball
 
@@ -14,11 +15,12 @@ print("cliques of the spider:")
 print(forest_dump(forest))
 
 # Path classification: the spider is three pendant chains meeting at one
-# degree-3 clique.
+# degree-3 clique. A path's cliques form an interval strip, whose greedy
+# sweep gives an exact maximum independent set.
 paths = classify_paths(forest)
 for p in paths:
     print(p.kind, "len", len(p.cliques),
-          "diameter", path_diameter(g, p), "alpha", path_alpha(g, p))
+          "diameter", path_diameter(g, p), "alpha", len(path_strip(p).greedy_mis()))
 
 # Peeling the pendant paths leaves exactly the clique forest of the residual
 # graph; this invariant carries the whole layering machinery.

@@ -16,7 +16,7 @@ from .graphs import (
 from .generators import gen_caterpillar, gen_chordal, gen_interval, gen_path, gen_spider
 from .cliqueforest import (
     CliqueForest, ForestPath, IntervalStrip, classify_paths, clique_forest,
-    clique_word, local_view, maximal_cliques, path_alpha, path_diameter,
+    clique_word, local_view, maximal_cliques, path_diameter,
     remove_paths, strips_from_traces,
 )
 from .localsim import (

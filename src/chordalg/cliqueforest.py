@@ -21,7 +21,7 @@ from itertools import accumulate, combinations
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from .errors import DiameterTooSmall, RadiusTooSmall
-from .graphs import Graph, alpha_oracle, bfs_distances, _require_chordal
+from .graphs import Graph, bfs_distances, _require_chordal
 
 Word = Tuple[int, ...]
 Link = Tuple[int, int, FrozenSet[int]]
@@ -198,21 +198,6 @@ class CliqueForest:
             tuple(sorted((self.words[a], self.words[b]))) for a, b in self.edges
         )
         return (self.words, tuple(edge_words))
-
-    def subtree_is_connected(self, v: int) -> bool:
-        ids = self.phi[v]
-        if len(ids) <= 1:
-            return True
-        idset = set(ids)
-        seen = {ids[0]}
-        queue = deque([ids[0]])
-        while queue:
-            i = queue.popleft()
-            for j in self.fadj[i]:
-                if j in idset and j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-        return len(seen) == len(ids)
 
 
 def _member_ids(cliques) -> Dict[int, Tuple[int, ...]]:
@@ -513,11 +498,6 @@ def strips_from_traces(clique_seq, keep, oriented: bool = False) -> List[Interva
 def path_diameter(g: Graph, path: ForestPath) -> int:
     """Largest pairwise distance among nodes of the path's cliques."""
     return path_strip(path).diameter()
-
-
-def path_alpha(g: Graph, path: ForestPath) -> int:
-    """Independence number of the subgraph induced by the path's cliques."""
-    return len(alpha_oracle(g.subgraph(path.node_set())))
 
 
 def remove_paths(forest: CliqueForest, g: Graph, paths) -> Tuple[CliqueForest, Set[int]]:

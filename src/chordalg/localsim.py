@@ -31,13 +31,28 @@ later item with the same key replaces an earlier one, keeping its position.
 A ``StepResult`` names only what the step does: ``outbox`` and ``publish``
 default to ``None``, ``requests`` to ``()``, ``output`` to ``NO_OUTPUT`` and
 ``wake_at`` to ``None``.
+
+A program may also define ``step_group(states, rnd, key, result, members)``.
+It is optional and must equal ``step(states[v], rnd, {key: result})`` on each
+member. The engine holds the nodes whose only request in a round is one timer
+of the same (tag, radius) as a group until it is due, then hands the group
+over in one call: `states` is the engine's node -> state map, `key` is
+``("collect", tag)``, `result` the shared ``CollectResult`` and `members` the
+set of member nodes, which the call must not change. It returns
+``(timed, stepped)``: `timed` maps ``(tag, radius)`` to the members whose
+only action is a lone ``Collect(radius, tag, want_data=False)``, with their
+new states written to `states`; `stepped` holds a ``(node, StepResult)`` pair
+for every other member, handled like any step's result and in scan order.
+The engine delivers per node, as to a program without ``step_group``, to a
+member that also has a message, a Send, a wake or a second group due in that
+round, and in every round of a program that sets ``step_every_round``.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import RoundCapExceeded
 from .graphs import BfsBall, Graph, bfs_distances
@@ -119,6 +134,10 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
     agenda: Dict[int, Dict[int, Dict[Any, Any]]] = {}
     due_rounds: List[int] = []  # min-heap of the rounds in `agenda`
     step_every_round = getattr(program, "step_every_round", True)
+    step_group = None if step_every_round else getattr(program, "step_group", None)
+    # round -> the timer groups due then, as (inbox key, shared result,
+    # members); a member has no other delivery in that round
+    held: Dict[int, List[Tuple[Any, CollectResult, Set[int]]]] = {}
     message_counts: List[int] = []
     service_counts: List[int] = []
     log: Optional[List[List[Tuple[int, int, Any]]]] = [] if record_messages else None
@@ -135,12 +154,21 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
             heapq.heappush(due_rounds, at)
         return inboxes
 
-    def deliver(inboxes, v, key, payload):
+    def new_inbox(at, v) -> Dict[Any, Any]:
+        """v's first inbox item of round `at` other than a held group's: v
+        leaves the groups it was held in, whose results go first."""
+        inbox = {}
+        for key, result, members in held.get(at, ()):
+            if v in members:
+                members.remove(v)
+                inbox[key] = result
+        return inbox
+
+    def deliver(inboxes, at, v, key, payload):
         inbox = inboxes.get(v)
         if inbox is None:
-            inboxes[v] = {key: payload}
-        else:
-            inbox[key] = payload
+            inbox = inboxes[v] = new_inbox(at, v) if held else {}
+        inbox[key] = payload
 
     def check_latency(u, req):
         """Exact check that req.target lies within req.latency hops of u;
@@ -174,9 +202,6 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
     rnd = 0
     while True:
         inboxes = agenda.pop(rnd, {})
-        order = nodes if step_every_round or rnd == 0 else sorted(inboxes)
-        if scan == "reverse":
-            order = order[::-1]
         msg_count = 0
         svc_count = 0
         round_log: List[Tuple[int, int, Any]] = []
@@ -188,9 +213,35 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
         # Groups are delivered after the buffered collects, which is why only
         # a lone timer may join one: a step's own collects keep their order.
         timer_groups: Dict[Tuple[Any, int], List[int]] = {}
+        # the held groups due now step first, a group per call; the members
+        # that do more than ask for their next timer are handled below, in
+        # scan order with the nodes that step alone
+        grouped: Dict[int, StepResult] = {}
+        for key, result, members in held.pop(rnd, ()):
+            if not members:
+                continue
+            timed, stepped = step_group(states, rnd, key, result, members)
+            answered = len(stepped)
+            for req, group in timed.items():
+                if group:
+                    timer_groups.setdefault(req, []).extend(group)
+                    answered += len(group)
+                    svc_count += len(group)
+            grouped.update(stepped)
+            if answered != len(members):
+                raise RuntimeError("step_group answered %d of %d members"
+                                   % (answered, len(members)))
+        if step_every_round or rnd == 0:
+            order = nodes
+        else:
+            order = sorted(inboxes.keys() | grouped.keys() if grouped else inboxes)
+        if scan == "reverse":
+            order = order[::-1]
         for v in order:
-            inbox = inboxes.get(v)
-            res = step(states[v], rnd, {} if inbox is None else inbox)
+            res = grouped.pop(v, None)
+            if res is None:
+                inbox = inboxes.get(v)
+                res = step(states[v], rnd, {} if inbox is None else inbox)
             states[v] = res.state
             if res.output is not NO_OUTPUT:
                 if v in outputs and outputs[v] != res.output:
@@ -206,7 +257,7 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
                     if nbr not in nbrs:
                         raise RuntimeError("node %d sent to non-neighbor %d" % (v, nbr))
                     payload = outbox[nbr]
-                    deliver(next_inboxes, nbr, key, payload)
+                    deliver(next_inboxes, rnd + 1, nbr, key, payload)
                     if log is not None:
                         round_log.append((v, nbr, payload))
                 msg_count += len(outbox)
@@ -227,20 +278,21 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
                     elif kind is Send:
                         if __debug__:
                             check_latency(v, req)
-                        deliver(inboxes_at(rnd + req.latency), req.target,
-                                ("msg", v), req.payload)
+                        at = rnd + req.latency
+                        deliver(inboxes_at(at), at, req.target, ("msg", v), req.payload)
                         if log is not None:
                             round_log.append((v, req.target, req.payload))
                     else:
                         raise TypeError("unknown service request %r" % (req,))
             if res.publish:
                 publish_buffer.append((v, res.publish))
-            if res.wake_at is not None:
-                if res.wake_at <= rnd:
+            at = res.wake_at
+            if at is not None:
+                if at <= rnd:
                     raise RuntimeError("wake_at must be in the future")
-                wakes = inboxes_at(res.wake_at)
+                wakes = inboxes_at(at)
                 if v not in wakes:
-                    wakes[v] = {}
+                    wakes[v] = new_inbox(at, v) if held else {}
         # this round's inboxes go before the collects fill later rounds' ones
         inboxes.clear()
         # publishes land after every step of the round, then collects snapshot
@@ -262,13 +314,27 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
                 if result is None:
                     result = timers[req.tag, req.radius] = CollectResult(
                         req.tag, req.radius, rnd)
-            deliver(inboxes_at(rnd + req.radius), v, ("collect", req.tag), result)
+            at = rnd + req.radius
+            deliver(inboxes_at(at), at, v, ("collect", req.tag), result)
         for (tag, radius), group in timer_groups.items():
-            due = inboxes_at(rnd + radius)
+            at = rnd + radius
+            due = inboxes_at(at)
             key = ("collect", tag)
             result = timers[tag, radius]
-            for v in group:
-                deliver(due, v, key, result)
+            if step_group is None:
+                for v in group:
+                    deliver(due, at, v, key, result)
+                continue
+            # a group is held until due; a member that has another delivery
+            # then, or is held in another group, is delivered alone
+            members = set(group)
+            alone = members.intersection(due)
+            for _, _, others in held.get(at, ()):
+                alone |= members & others
+            members -= alone
+            for v in alone:
+                deliver(due, at, v, key, result)
+            held.setdefault(at, []).append((key, result, members))
         message_counts.append(msg_count)
         service_counts.append(svc_count)
         if log is not None:
@@ -361,6 +427,19 @@ class UniformStagedProgram:
         if state["stage"] < len(stages):
             return StepResult(state, requests=self.requests[stages[state["stage"]]])
         return StepResult(state, output=self.outputs[v])
+
+    def step_group(self, states, rnd, key, result, members):
+        """`step` on each member: a stage before the last asks for the next."""
+        timed: Dict[Tuple[str, int], List[int]] = {}
+        stepped = []
+        for v in members:
+            state, stages = states[v], self.stages[v]
+            if state["stage"] + 1 < len(stages):
+                state["stage"] += 1
+                timed.setdefault(("work", stages[state["stage"]]), []).append(v)
+            else:
+                stepped.append((v, self.step(state, rnd, {key: result})))
+        return timed, stepped
 
 
 class SequencedProgram:

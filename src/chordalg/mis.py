@@ -272,6 +272,7 @@ class MisProgram:
         self.run = run
         self.peel_request = (
             Collect(peel_radius(run.params.d), tag="peel", want_data=False),)
+        self.peel_key = ("peel", peel_radius(run.params.d))
         self.stages = {
             branch: [(Collect(r, tag="branch", want_data=False),) for r in radii]
             for branch, radii in (
@@ -307,6 +308,35 @@ class MisProgram:
         if state.stage < len(stages):
             return StepResult(state, requests=stages[state.stage])
         return StepResult(state, output=state.member)
+
+    def step_group(self, states, rnd, key, result, members):
+        """`step` on each member: a peel iteration off the member's layer
+        and a branch stage before the last, counting the last peel iteration
+        as the stage before the first, only ask for the next timer."""
+        k = self.run.params.k
+        peeling: List[int] = []
+        timed: Dict[Tuple[str, int], List[int]] = {self.peel_key: peeling}
+        stepped = []
+        for v in members:
+            state = states[v]
+            stage = state.stage
+            if stage is None:
+                i = state.iter
+                if state.layer == i:
+                    stepped.append((v, self.step(state, rnd, {key: result})))
+                    continue
+                if i < k:
+                    state.iter = i + 1
+                    peeling.append(v)
+                    continue
+                stage = -1  # the last peel iteration: the branch stages start
+            if stage + 1 < len(state.stages):
+                state.stage = stage + 1
+                req = state.stages[stage + 1][0]
+                timed.setdefault((req.tag, req.radius), []).append(v)
+            else:
+                stepped.append((v, self.step(state, rnd, {key: result})))
+        return timed, stepped
 
 
 def default_round_cap(g: Graph, eps: float) -> int:

@@ -393,8 +393,10 @@ class MvcProgram:
         self.k = run.k
         self.prune_request = (
             Collect(prune_radius(run.k), tag="prune", want_data=False),)
+        self.prune_key = ("prune", prune_radius(run.k))
         self.color_requests = [(Collect(r, tag="color", want_data=False),)
                                for r in strip_stages(run.k)]
+        self.color_keys = [("color", r) for r in strip_stages(run.k)]
         self.polls = {
             level: Collect(correction_poll_radius(run.k), tag=("poll", level),
                            want_data=False)
@@ -489,6 +491,30 @@ class MvcProgram:
             return self._next_level(state, rnd, sends)
 
         return StepResult(state)
+
+    def step_group(self, states, rnd, key, result, members):
+        """`step` on each member: a prune iteration off the member's layer
+        and a color stage before the last only ask for the next timer."""
+        layer = self.run.layering.layer
+        last = len(self.color_keys) - 1
+        pruning: List[int] = []
+        timed: Dict[Tuple[str, int], List[int]] = {self.prune_key: pruning}
+        stepped = []
+        for v in members:
+            state = states[v]
+            phase = state.phase
+            if phase == "prune":
+                i = state.iter
+                if layer[v] != i:
+                    state.iter = i + 1
+                    pruning.append(v)
+                    continue
+            elif phase == "color" and state.stage < last:
+                state.stage += 1
+                timed.setdefault(self.color_keys[state.stage], []).append(v)
+                continue
+            stepped.append((v, self.step(state, rnd, {key: result})))
+        return timed, stepped
 
 
 def default_round_cap(g: Graph, eps: float) -> int:

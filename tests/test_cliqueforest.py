@@ -1,3 +1,4 @@
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Tuple
@@ -10,7 +11,7 @@ from chordalg import (
     DiameterTooSmall, Graph, NotChordal, RadiusTooSmall, alpha_oracle,
     classify_paths, clique_forest, gen_caterpillar, gen_chordal,
     gen_interval, gen_path, gen_spider, is_chordal, local_view, maximal_cliques,
-    mcs_order, path_alpha, path_diameter, remove_paths,
+    mcs_order, path_diameter, remove_paths,
 )
 from chordalg.cliqueforest import (
     BINARY_COMPONENT, INTERNAL, PENDANT, CliqueForest, IntervalStrip,
@@ -154,6 +155,22 @@ class TestEdgeOrder:
         assert edge_less(e, f)
 
 
+def subtree_is_connected(forest, v) -> bool:
+    """Whether the forest cliques holding `v` form one connected subtree
+    (the clique-forest property)."""
+    ids = forest.phi[v]
+    idset = set(ids)
+    seen = {ids[0]}
+    queue = deque([ids[0]])
+    while queue:
+        i = queue.popleft()
+        for j in forest.fadj[i]:
+            if j in idset and j not in seen:
+                seen.add(j)
+                queue.append(j)
+    return len(seen) == len(ids)
+
+
 class TestCliqueForest:
     def test_path5_is_linear(self):
         f = clique_forest(gen_path(5))
@@ -169,7 +186,7 @@ class TestCliqueForest:
         g = gen_chordal(30, seed=5)
         f = clique_forest(g)
         for v in sorted(g.nodes):
-            assert f.subtree_is_connected(v)
+            assert subtree_is_connected(f, v)
         for u, w in g.edges():
             assert any(u in c and w in c for c in f.cliques)
 
@@ -346,6 +363,11 @@ class TestClassifyPaths:
         for p in paths:
             covered |= set(p.cliques)
         assert covered == {i for i in range(11) if f.degree(i) <= 2}
+
+
+def path_alpha(g, path) -> int:
+    """Independence number of the subgraph induced by the path's cliques."""
+    return len(alpha_oracle(g.subgraph(path.node_set())))
 
 
 class TestPathMetrics:

@@ -448,6 +448,68 @@ def test_a_later_item_with_the_same_key_replaces_an_earlier_one():
     assert t.message_log[0] == [(1, 2, "first"), (1, 2, "second"), (2, 1, "hello")]
 
 
+class BadAtDue:
+    """Every node asks for a timer in round 0. When it is due, node 1 returns
+    `bad(rnd)` and the others output 0; node 1 outputs "first" in round 0."""
+
+    step_every_round = False
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def init(self, node, neighbors):
+        return node
+
+    def step(self, v, rnd, inbox):
+        if rnd == 0:
+            return StepResult(v, output="first" if v == 1 else NO_OUTPUT,
+                              requests=(Collect(2, tag="t", want_data=False),))
+        return self.bad(rnd) if v == 1 else StepResult(v, output=0)
+
+
+class GroupBadAtDue(BadAtDue):
+    def __init__(self, bad):
+        super().__init__(bad)
+        self.group_calls = 0
+
+    def step_group(self, states, rnd, key, result, members):
+        self.group_calls += 1
+        return {}, [(v, self.step(states[v], rnd, {key: result})) for v in members]
+
+
+BAD_RESULTS = {
+    "changed output": (lambda rnd: StepResult(1, output="second"), RuntimeError),
+    "wake not in the future": (lambda rnd: StepResult(1, wake_at=rnd), RuntimeError),
+    "message to a non-neighbor": (lambda rnd: StepResult(1, outbox={3: "x"}),
+                                  RuntimeError),
+    "unknown request": (lambda rnd: StepResult(1, requests=("bogus",)), TypeError),
+}
+if __debug__:
+    BAD_RESULTS["Send beyond its latency"] = (
+        lambda rnd: StepResult(1, requests=(Send(4, "x", latency=2),)), RuntimeError)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_RESULTS))
+def test_group_steps_meet_every_engine_check(name):
+    bad, error = BAD_RESULTS[name]
+    with pytest.raises(error) as alone:
+        run(gen_path(4), BadAtDue(bad), 10)
+    program = GroupBadAtDue(bad)
+    with pytest.raises(error) as grouped:
+        run(gen_path(4), program, 10)
+    assert str(grouped.value) == str(alone.value)
+    assert program.group_calls == 1
+
+
+def test_a_group_step_must_answer_every_member():
+    class Forgetful(GroupBadAtDue):
+        def step_group(self, states, rnd, key, result, members):
+            return {}, []
+
+    with pytest.raises(RuntimeError, match="answered 0 of 4 members"):
+        run(gen_path(4), Forgetful(lambda rnd: StepResult(1, output=0)), 10)
+
+
 # ---------------------------------------------------------------------------
 # the engine against the former engine loop on scripted programs
 
@@ -530,13 +592,106 @@ class Scripted:
         return StepResult(v, outbox, output, requests, publish, wake)
 
 
-def run_scripted(engine, g, script, every, cap, scan):
-    program = Scripted(script, every)
+class GroupScripted(Scripted):
+    """`Scripted` with a `step_group` that runs each member through `step`
+    and returns the members whose only action is one timer as timer groups."""
+
+    def __init__(self, script, step_every_round):
+        super().__init__(script, step_every_round)
+        self.group_calls = 0
+        self.timed = 0  # members returned in timer groups
+
+    def step_group(self, states, rnd, key, result, members):
+        self.group_calls += 1
+        timed, stepped = {}, []
+        for v in members:
+            res = self.step(states[v], rnd, {key: result})
+            reqs = res.requests
+            if (len(reqs) == 1 and type(reqs[0]) is Collect and not reqs[0].want_data
+                    and not res.outbox and res.output is NO_OUTPUT
+                    and not res.publish and res.wake_at is None):
+                states[v] = res.state
+                timed.setdefault((reqs[0].tag, reqs[0].radius), []).append(v)
+                self.timed += 1
+            else:
+                stepped.append((v, res))
+        return timed, stepped
+
+
+def run_scripted(engine, g, script, every, cap, scan, program_class=Scripted):
+    program = program_class(script, every)
     try:
         t = engine(g, program, cap, record_messages=True, scan=scan)
     except RoundCapExceeded as exc:
         t = exc.transcript
     return t.serialize(), t.message_log, program.received
+
+
+def timer(radius, tag="t"):
+    return ("collect", Collect(radius, tag=tag, want_data=False))
+
+
+# scripts on the path 1 - 2 - 3 - 4 that put held timer groups against each
+# case the engine must deliver per node; a node without an output action
+# outputs in round 9
+GROUP_CASES = {
+    # node 1 is held in a group from round 0 and in one from round 1, both due
+    # in round 3; its wake action in round 1 keeps it asleep until round 9
+    "two groups due in one round": {
+        1: {0: [timer(3, "a")], 1: [timer(2, "b"), ("wake", 8)]},
+        2: {0: [timer(3, "a"), ("wake", 9)]},
+    },
+    # node 2 is held in a round-0 group due in round 3 and gets a message from
+    # node 1 in round 2 (sent after the group) and a Send from node 4 in
+    # round 0 (sent before it)
+    "a member with a message and a Send": {
+        1: {2: [("msg", {2: "late"})]},
+        2: {0: [timer(3), ("wake", 9)]},
+        3: {0: [timer(3), ("wake", 9)]},
+        4: {0: [("send", Send(2, "early", 3))]},
+    },
+    # node 2 is held in a group from round 0 due in round 3, and a data
+    # collect it asks for in round 1 lands in that round too
+    "a member with a data collect": {
+        2: {0: [timer(3)], 1: [("collect", Collect(2, tag="d")), ("wake", 8)]},
+        3: {0: [timer(3), ("wake", 9)]},
+    },
+    # node 1 is stepped in its group in round 2 and node 3 alone; both
+    # message node 2, which reads them in scan order
+    "a member that messages": {
+        1: {0: [timer(2), ("wake", 5)], 2: [("msg", {2: "from 1"})]},
+        3: {2: [("msg", {2: "from 3"})]},
+    },
+    # node 2 is held in a group from round 0 due in round 3; in round 1 it
+    # asks to wake in round 3, and in round 2 node 1 messages it
+    "a member woken after its group": {
+        1: {2: [("msg", {2: "late"})]},
+        2: {0: [timer(3)], 1: [("wake", 2)]},
+        3: {0: [timer(3), ("wake", 9)]},
+    },
+    # node 2 is held in a group due in round 2 and asked to wake in round 2
+    "a member with a wake": {
+        2: {0: [timer(2), ("wake", 2)]},
+        3: {0: [timer(2), ("wake", 9)]},
+    },
+    # in round 2, nodes 2 and 3 have no later script, so they ask for their
+    # next timer only and join new groups; node 4 asks for a data collect of
+    # the same tag and publishes, so it is stepped alone
+    "members that ask for the next timer": {
+        2: {0: [timer(2), ("output", None), ("wake", 7)], 2: [timer(2)]},
+        3: {0: [timer(2), ("output", None), ("wake", 7)], 2: [timer(1)]},
+        4: {0: [timer(2), ("wake", 9)],
+            2: [("collect", Collect(2, tag="t")), ("publish", {"x": 1})]},
+    },
+}
+
+
+def group_case(name):
+    script = {v: dict(GROUP_CASES[name].get(v, {})) for v in range(1, 5)}
+    for per_round in script.values():
+        if ("output", None) not in sum(per_round.values(), []):
+            per_round[9] = [("output", None)]
+    return gen_path(4), script
 
 
 class TestEngineMatchesReference:
@@ -546,6 +701,46 @@ class TestEngineMatchesReference:
         g, script, every, cap = case
         assert (run_scripted(run, g, script, every, cap, scan)
                 == run_scripted(reference_run, g, script, every, cap, scan))
+
+    @given(scripted_runs(), st.sampled_from(["forward", "reverse"]))
+    @settings(max_examples=200, deadline=None)
+    def test_scripted_programs_stepped_by_group(self, case, scan):
+        g, script, every, cap = case
+        assert (run_scripted(run, g, script, every, cap, scan, GroupScripted)
+                == run_scripted(reference_run, g, script, every, cap, scan))
+
+    @pytest.mark.parametrize("scan", ["forward", "reverse"])
+    @pytest.mark.parametrize("name", sorted(GROUP_CASES))
+    def test_group_cases(self, name, scan):
+        g, script = group_case(name)
+        expected = run_scripted(reference_run, g, script, False, 20, scan)
+        assert "complete True" in expected[0]
+        assert run_scripted(run, g, script, False, 20, scan, GroupScripted) == expected
+
+    def test_group_cases_take_the_group_path(self):
+        steps = {}
+        for name in sorted(GROUP_CASES):
+            g, script = group_case(name)
+            program = GroupScripted(script, False)
+            run(g, program, 20)
+            steps[name] = program.group_calls, program.timed
+        assert steps == {
+            "two groups due in one round": (1, 0),  # node 2's group of one
+            "a member with a data collect": (1, 0),  # node 3 alone
+            "a member with a message and a Send": (1, 0),  # node 3 alone
+            "a member that messages": (1, 0),
+            "a member with a wake": (1, 0),  # node 3 alone
+            "a member woken after its group": (1, 0),  # node 3 alone
+            "members that ask for the next timer": (3, 2),
+        }
+
+    @pytest.mark.parametrize("name", sorted(GROUP_CASES))
+    def test_group_path_stays_off_when_every_node_steps_every_round(self, name):
+        g, script = group_case(name)
+        program = GroupScripted(script, True)
+        assert (run_scripted(run, g, script, True, 20, "forward", lambda *a: program)
+                == run_scripted(reference_run, g, script, True, 20, "forward"))
+        assert program.group_calls == 0
 
     @pytest.mark.parametrize("scan", ["forward", "reverse"])
     def test_gather_and_sequenced_programs(self, scan):

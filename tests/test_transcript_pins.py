@@ -5,9 +5,11 @@ stage schedules were reworked, and before the engine skipped quiet rounds;
 any change to rounds, traffic or outputs of these runs shows up here. Every
 run must reproduce them when the engine steps each round's nodes in reverse
 order, too. The node-steps of each run are pinned as well: the transcript
-fixes them, so a faster engine must make steps cheaper, not fewer.
+fixes them, so a faster engine must make steps cheaper, not fewer. Both hold
+when the programs step whole timer groups, each member counted as a step.
 """
 
+import copy
 import hashlib
 
 import pytest
@@ -17,6 +19,7 @@ from chordalg import (
     mis_interval_distributed, mvc_distributed,
 )
 from chordalg import localsim
+from chordalg.localsim import Collect, StepResult
 
 from conftest import dumbbell
 
@@ -72,20 +75,51 @@ class CountedSteps:
         return self.program.step(state, rnd, inbox)
 
 
-def watched_solve(monkeypatch, name, scan="forward"):
-    """Run a pinned solve with its engine run in `scan` order; returns the
-    transcript and the node-steps taken."""
+class CountedGroupSteps(CountedSteps):
+    """Also forwards `step_group`, counting each member as one node-step, so
+    that the engine steps timer groups a group per call."""
+
+    def __init__(self, program):
+        super().__init__(program)
+        self.group_calls = 0
+
+    def step_group(self, states, rnd, key, result, members):
+        self.steps += len(members)
+        self.group_calls += 1
+        return self.program.step_group(states, rnd, key, result, members)
+
+
+class CheckedGroupSteps(CountedGroupSteps):
+    """Checks every group step against `step` on a copy of each member."""
+
+    def step_group(self, states, rnd, key, result, members):
+        alone = {v: self.program.step(copy.deepcopy(states[v]), rnd, {key: result})
+                 for v in members}
+        timed, stepped = super().step_group(states, rnd, key, result, members)
+        for (tag, radius), group in timed.items():
+            for v in group:
+                assert alone.pop(v) == StepResult(
+                    states[v], requests=(Collect(radius, tag, want_data=False),))
+        for v, res in stepped:
+            assert alone.pop(v) == res
+        assert not alone
+        return timed, stepped
+
+
+def watched_solve(monkeypatch, name, scan="forward", counter=CountedSteps):
+    """Run a pinned solve with its engine run in `scan` order, its program
+    wrapped in `counter`; returns the transcript and the wrapper."""
     engine = localsim.run
     counted = []
 
     def run(g, program, round_cap, **options):
-        counted.append(CountedSteps(program))
+        counted.append(counter(program))
         return engine(g, counted[-1], round_cap, **dict(options, scan=scan))
 
     monkeypatch.setattr(localsim, "run", run)
     _, transcript = PINNED[name][0]()
     assert len(counted) == 1
-    return transcript, counted[0].steps
+    return transcript, counted[0]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -93,7 +127,7 @@ def test_transcript_digest_is_pinned(monkeypatch, name):
     _, expected, steps = PINNED[name]
     transcript, counted = watched_solve(monkeypatch, name)
     assert digest(transcript) == expected
-    assert counted == steps
+    assert counted.steps == steps
 
 
 REVERSE_SCAN = sorted(PINNED)
@@ -104,7 +138,25 @@ def test_reverse_scan_matches_the_pinned_digest(monkeypatch, name):
     _, expected, steps = PINNED[name]
     transcript, counted = watched_solve(monkeypatch, name, scan="reverse")
     assert digest(transcript) == expected
-    assert counted == steps
+    assert counted.steps == steps
+
+
+@pytest.mark.parametrize("scan", ["forward", "reverse"])
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_group_steps_match_the_pinned_digest(monkeypatch, name, scan):
+    # the programs step whole timer groups; a member still counts as a step
+    _, expected, steps = PINNED[name]
+    transcript, counted = watched_solve(monkeypatch, name, scan, CountedGroupSteps)
+    assert digest(transcript) == expected
+    assert counted.steps == steps
+    assert 0 < counted.group_calls < steps
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_group_steps_equal_steps_of_each_member(monkeypatch, name):
+    _, expected, _ = PINNED[name]
+    transcript, _ = watched_solve(monkeypatch, name, counter=CheckedGroupSteps)
+    assert digest(transcript) == expected
 
 
 def test_dumbbell_reaches_internal_peel_and_approx_branch():
