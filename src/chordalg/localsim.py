@@ -32,32 +32,36 @@ A ``StepResult`` names only what the step does: ``outbox`` and ``publish``
 default to ``None``, ``requests`` to ``()``, ``output`` to ``NO_OUTPUT`` and
 ``wake_at`` to ``None``.
 
-A program may also define ``step_group(states, rnd, key, result, members)``.
-It is optional and must equal ``step(states[v], rnd, {key: result})`` on each
-member. The engine holds the nodes whose only request in a round is one timer
-of the same (tag, radius) as a group until it is due, then hands the group
-over in one call: `states` is the engine's node -> state map, `key` is
-``("collect", tag)``, `result` the shared ``CollectResult`` and `members` the
-set of member nodes, which the call must not change. It returns
-``(timed, stepped)``: `timed` maps ``(tag, radius)`` to the members whose
-only action is a lone ``Collect(radius, tag, want_data=False)``, with their
-new states written to `states`; `stepped` holds a ``(node, StepResult)`` pair
-for every other member, handled like any step's result and in scan order.
-The engine delivers per node, as to a program without ``step_group``, to a
-member that also has a message, a Send, a wake or a second group due in that
-round, and in every round of a program that sets ``step_every_round``.
+Unless a program sets ``step_every_round``, the engine holds the nodes whose
+only request in a round is one timer of the same (tag, radius) as a group
+until it is due, then steps the group in one call of
+``step_group(states, rnd, key, result, members)``: `states` is the engine's
+node -> state map, `key` is ``("collect", tag)``, `result` the shared
+``CollectResult`` and `members` the set of member nodes, which the call must
+not change. It returns ``(timed, stepped)``: `timed` maps ``(tag, radius)``
+to the members whose only action is a lone
+``Collect(radius, tag, want_data=False)``, with their new states written to
+`states`; `stepped` holds a ``(node, StepResult)`` pair for every other
+member, handled like any step's result and in scan order. Each member must be
+answered once. A program may define ``step_group``; it must equal
+``step(states[v], rnd, {key: result})`` on each member, and without it the
+engine steps each member through ``step``. A member that also has a message,
+a Send, a wake or a second group due in that round leaves its groups and is
+delivered per node.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import RoundCapExceeded
 from .graphs import BfsBall, Graph, bfs_distances
 
 NO_OUTPUT = object()
+_first = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -115,6 +119,14 @@ class Transcript:
         return "\n".join(lines) + "\n"
 
 
+def _step_each(step):
+    """The group step of a program without ``step_group``: ``step`` on each
+    member."""
+    def step_group(states, rnd, key, result, members):
+        return {}, [(v, step(states[v], rnd, {key: result})) for v in members]
+    return step_group
+
+
 def run(g: Graph, program, round_cap: int, record_messages: bool = False,
         scan: str = "forward") -> Transcript:
     """Execute `program` on every node of `g` in lockstep rounds.
@@ -134,7 +146,7 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
     agenda: Dict[int, Dict[int, Dict[Any, Any]]] = {}
     due_rounds: List[int] = []  # min-heap of the rounds in `agenda`
     step_every_round = getattr(program, "step_every_round", True)
-    step_group = None if step_every_round else getattr(program, "step_group", None)
+    step_group = getattr(program, "step_group", None) or _step_each(step)
     # round -> the timer groups due then, as (inbox key, shared result,
     # members); a member has no other delivery in that round
     held: Dict[int, List[Tuple[Any, CollectResult, Set[int]]]] = {}
@@ -221,16 +233,18 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
             if not members:
                 continue
             timed, stepped = step_group(states, rnd, key, result, members)
-            answered = len(stepped)
+            count = len(stepped)
             for req, group in timed.items():
                 if group:
                     timer_groups.setdefault(req, []).extend(group)
-                    answered += len(group)
+                    count += len(group)
                     svc_count += len(group)
+            # every member answered, by as many answers as there are members
+            if (count != len(members)
+                    or members.difference(map(_first, stepped), *timed.values())):
+                raise RuntimeError("step_group did not answer each of its %d "
+                                   "members once" % len(members))
             grouped.update(stepped)
-            if answered != len(members):
-                raise RuntimeError("step_group answered %d of %d members"
-                                   % (answered, len(members)))
         if step_every_round or rnd == 0:
             order = nodes
         else:
@@ -321,7 +335,7 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
             due = inboxes_at(at)
             key = ("collect", tag)
             result = timers[tag, radius]
-            if step_group is None:
+            if step_every_round:
                 for v in group:
                     deliver(due, at, v, key, result)
                 continue
@@ -427,19 +441,6 @@ class UniformStagedProgram:
         if state["stage"] < len(stages):
             return StepResult(state, requests=self.requests[stages[state["stage"]]])
         return StepResult(state, output=self.outputs[v])
-
-    def step_group(self, states, rnd, key, result, members):
-        """`step` on each member: a stage before the last asks for the next."""
-        timed: Dict[Tuple[str, int], List[int]] = {}
-        stepped = []
-        for v in members:
-            state, stages = states[v], self.stages[v]
-            if state["stage"] + 1 < len(stages):
-                state["stage"] += 1
-                timed.setdefault(("work", stages[state["stage"]]), []).append(v)
-            else:
-                stepped.append((v, self.step(state, rnd, {key: result})))
-        return timed, stepped
 
 
 class SequencedProgram:

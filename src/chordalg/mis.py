@@ -270,9 +270,9 @@ class MisProgram:
 
     def __init__(self, run: MisRun):
         self.run = run
+        self.k = run.params.k
         self.peel_request = (
             Collect(peel_radius(run.params.d), tag="peel", want_data=False),)
-        self.peel_key = ("peel", peel_radius(run.params.d))
         self.stages = {
             branch: [(Collect(r, tag="branch", want_data=False),) for r in radii]
             for branch, radii in (
@@ -285,57 +285,58 @@ class MisProgram:
         return _MisNode(run.state.layer.get(node), node in run.chosen,
                         self.stages.get(run.state.branch.get(node), ()))
 
-    def step(self, state, rnd, inbox):
-        if rnd == 0:
-            state.iter = 1
-            return StepResult(state, requests=self.peel_request)
-        stages = state.stages
-        if state.stage is None:
+    def _advance(self, state):
+        """Move `state` one collect along its schedule: the peel iterations,
+        then the branch stages. Returns what the step publishes (None off
+        the node's peel layer) and its next request (None once the schedule
+        ends and the node outputs its membership)."""
+        publish = None
+        stage = state.stage
+        if stage is None:
             i = state.iter
-            publish = None
             if state.layer == i:
                 publish = {"peeled": i}
                 if state.member:
                     publish["in_set"] = True
-            if i < self.run.params.k:
+            if i < self.k:
                 state.iter = i + 1
-                return StepResult(state, publish=publish, requests=self.peel_request)
-            if not stages:
-                return StepResult(state, publish=publish, output=state.member)
-            state.stage = 0
-            return StepResult(state, publish=publish, requests=stages[0])
-        state.stage += 1
-        if state.stage < len(stages):
-            return StepResult(state, requests=stages[state.stage])
-        return StepResult(state, output=state.member)
+                return publish, self.peel_request
+            stage = -1
+        state.stage = stage = stage + 1
+        if stage < len(state.stages):
+            return publish, state.stages[stage]
+        return publish, None
+
+    def _result(self, state, publish, requests):
+        if requests is None:
+            return StepResult(state, publish=publish, output=state.member)
+        return StepResult(state, publish=publish, requests=requests)
+
+    def step(self, state, rnd, inbox):
+        if rnd == 0:
+            state.iter = 1
+            return StepResult(state, requests=self.peel_request)
+        return self._result(state, *self._advance(state))
 
     def step_group(self, states, rnd, key, result, members):
-        """`step` on each member: a peel iteration off the member's layer
-        and a branch stage before the last, counting the last peel iteration
-        as the stage before the first, only ask for the next timer."""
-        k = self.run.params.k
+        """`step` on each member; a member whose step only asks for its next
+        timer is timed."""
+        peel = self.peel_request
         peeling: List[int] = []
-        timed: Dict[Tuple[str, int], List[int]] = {self.peel_key: peeling}
+        timed: Dict[Tuple[str, int], List[int]] = {
+            (peel[0].tag, peel[0].radius): peeling}
         stepped = []
+        advance = self._advance
         for v in members:
             state = states[v]
-            stage = state.stage
-            if stage is None:
-                i = state.iter
-                if state.layer == i:
-                    stepped.append((v, self.step(state, rnd, {key: result})))
-                    continue
-                if i < k:
-                    state.iter = i + 1
-                    peeling.append(v)
-                    continue
-                stage = -1  # the last peel iteration: the branch stages start
-            if stage + 1 < len(state.stages):
-                state.stage = stage + 1
-                req = state.stages[stage + 1][0]
-                timed.setdefault((req.tag, req.radius), []).append(v)
+            publish, requests = advance(state)
+            if publish is not None or requests is None:
+                stepped.append((v, self._result(state, publish, requests)))
+            elif requests is peel:
+                peeling.append(v)
             else:
-                stepped.append((v, self.step(state, rnd, {key: result})))
+                req = requests[0]
+                timed.setdefault((req.tag, req.radius), []).append(v)
         return timed, stepped
 
 

@@ -391,12 +391,11 @@ class MvcProgram:
         self.run = run
         self.registry = _Registry()
         self.k = run.k
+        self.layer = run.layering.layer
         self.prune_request = (
             Collect(prune_radius(run.k), tag="prune", want_data=False),)
-        self.prune_key = ("prune", prune_radius(run.k))
         self.color_requests = [(Collect(r, tag="color", want_data=False),)
                                for r in strip_stages(run.k)]
-        self.color_keys = [("color", r) for r in strip_stages(run.k)]
         self.polls = {
             level: Collect(correction_poll_radius(run.k), tag=("poll", level),
                            want_data=False)
@@ -439,6 +438,23 @@ class MvcProgram:
     def init(self, node, neighbors):
         return _MvcNode(node)
 
+    def _next_timer(self, state):
+        """Move `state` past a step that only asks for its next prune or
+        color timer and return that request; None, with `state` unchanged,
+        when the step does more: the prune iteration of the node's layer,
+        the last color stage and every later phase."""
+        if state.phase == "prune":
+            i = state.iter
+            if self.layer[state.id] != i:
+                state.iter = i + 1
+                return self.prune_request
+        elif state.phase == "color":
+            stage = state.stage + 1
+            if stage < len(self.color_requests):
+                state.stage = stage
+                return self.color_requests[stage]
+        return None
+
     def step(self, state, rnd, inbox):
         v = state.id
         run = self.run
@@ -446,20 +462,18 @@ class MvcProgram:
             if rnd == 0:
                 return StepResult(state, requests=self.prune_request)
             assert ("collect", "prune") in inbox
-            i = state.iter
-            if run.layering.layer[v] == i:
-                state.phase = "color"
-                state.stage = 0
-                return StepResult(state, publish={"layer": i},
-                                  requests=self.color_requests[0])
-            state.iter = i + 1
-            return StepResult(state, requests=self.prune_request)
+        requests = self._next_timer(state)
+        if requests is not None:
+            return StepResult(state, requests=requests)
 
-        if state.phase == "color":
-            stages = self.color_requests
+        if state.phase == "prune":  # the iteration of the node's own layer
+            state.phase = "color"
+            state.stage = 0
+            return StepResult(state, publish={"layer": state.iter},
+                              requests=self.color_requests[0])
+
+        if state.phase == "color":  # the last stage
             state.stage += 1
-            if state.stage < len(stages):
-                return StepResult(state, requests=stages[state.stage])
             state.color = run.base_colors[v]
             if run.layering.parent[v] is None:
                 state.color = run.final_colors[v]
@@ -493,27 +507,24 @@ class MvcProgram:
         return StepResult(state)
 
     def step_group(self, states, rnd, key, result, members):
-        """`step` on each member: a prune iteration off the member's layer
-        and a color stage before the last only ask for the next timer."""
-        layer = self.run.layering.layer
-        last = len(self.color_keys) - 1
+        """`step` on each member; a member whose step only asks for its next
+        timer is timed."""
+        prune = self.prune_request
         pruning: List[int] = []
-        timed: Dict[Tuple[str, int], List[int]] = {self.prune_key: pruning}
+        timed: Dict[Tuple[str, int], List[int]] = {
+            (prune[0].tag, prune[0].radius): pruning}
         stepped = []
+        next_timer = self._next_timer
         for v in members:
             state = states[v]
-            phase = state.phase
-            if phase == "prune":
-                i = state.iter
-                if layer[v] != i:
-                    state.iter = i + 1
-                    pruning.append(v)
-                    continue
-            elif phase == "color" and state.stage < last:
-                state.stage += 1
-                timed.setdefault(self.color_keys[state.stage], []).append(v)
-                continue
-            stepped.append((v, self.step(state, rnd, {key: result})))
+            requests = next_timer(state)
+            if requests is None:
+                stepped.append((v, self.step(state, rnd, {key: result})))
+            elif requests is prune:
+                pruning.append(v)
+            else:
+                req = requests[0]
+                timed.setdefault((req.tag, req.radius), []).append(v)
         return timed, stepped
 
 

@@ -492,22 +492,59 @@ if __debug__:
 @pytest.mark.parametrize("name", sorted(BAD_RESULTS))
 def test_group_steps_meet_every_engine_check(name):
     bad, error = BAD_RESULTS[name]
-    with pytest.raises(error) as alone:
-        run(gen_path(4), BadAtDue(bad), 10)
-    program = GroupBadAtDue(bad)
-    with pytest.raises(error) as grouped:
-        run(gen_path(4), program, 10)
-    assert str(grouped.value) == str(alone.value)
+    with pytest.raises(error) as expected:
+        reference_run(gen_path(4), BadAtDue(bad), 10)
+    for program in (BadAtDue(bad), GroupBadAtDue(bad)):
+        with pytest.raises(error) as grouped:
+            run(gen_path(4), program, 10)
+        assert str(grouped.value) == str(expected.value)
     assert program.group_calls == 1
 
 
-def test_a_group_step_must_answer_every_member():
-    class Forgetful(GroupBadAtDue):
-        def step_group(self, states, rnd, key, result, members):
-            return {}, []
+def test_engine_checks_hold_for_a_member_delivered_alone():
+    # node 1 also asks to wake in round 2, so it leaves its group and steps
+    # alone; its bad result meets the same check
+    class WokenBadAtDue(GroupBadAtDue):
+        def step(self, v, rnd, inbox):
+            res = super().step(v, rnd, inbox)
+            if rnd == 0 and v == 1:
+                res.wake_at = 2
+            return res
 
-    with pytest.raises(RuntimeError, match="answered 0 of 4 members"):
-        run(gen_path(4), Forgetful(lambda rnd: StepResult(1, output=0)), 10)
+    for name, (bad, error) in sorted(BAD_RESULTS.items()):
+        with pytest.raises(error) as expected:
+            reference_run(gen_path(4), WokenBadAtDue(bad), 10)
+        program = WokenBadAtDue(bad)
+        with pytest.raises(error) as alone:
+            run(gen_path(4), program, 10)
+        assert str(alone.value) == str(expected.value), name
+        assert program.group_calls == 1
+
+
+# group steps of the path 1 - 2 - 3 - 4 that do not answer each member once
+UNANSWERED = {
+    "no member": lambda states, members: ({}, []),
+    "a member left out": lambda states, members: (
+        {}, [(v, StepResult(v, output=0)) for v in sorted(members)[1:]]),
+    "a member stepped twice": lambda states, members: (
+        {}, [(v, StepResult(v, output=0)) for v in [1, 1, 2, 3]]),
+    "a member timed twice": lambda states, members: (
+        {("t", 1): [1, 1, 2, 3]}, []),
+    "a member timed and stepped": lambda states, members: (
+        {("t", 1): [1, 2]}, [(v, StepResult(v, output=0)) for v in [1, 3]]),
+    "a node that is no member": lambda states, members: (
+        {("t", 1): [1, 2, 3]}, [(5, StepResult(5, output=0))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNANSWERED))
+def test_a_group_step_must_answer_each_member_once(name):
+    class Unanswering(GroupBadAtDue):
+        def step_group(self, states, rnd, key, result, members):
+            return UNANSWERED[name](states, members)
+
+    with pytest.raises(RuntimeError, match="answer each of its 4 members once"):
+        run(gen_path(4), Unanswering(lambda rnd: StepResult(1, output=0)), 10)
 
 
 # ---------------------------------------------------------------------------

@@ -76,8 +76,8 @@ class CountedSteps:
 
 
 class CountedGroupSteps(CountedSteps):
-    """Also forwards `step_group`, counting each member as one node-step, so
-    that the engine steps timer groups a group per call."""
+    """Also forwards `step_group`, counting each member as one node-step; a
+    program without one has each member stepped through `step`."""
 
     def __init__(self, program):
         super().__init__(program)
@@ -86,7 +86,11 @@ class CountedGroupSteps(CountedSteps):
     def step_group(self, states, rnd, key, result, members):
         self.steps += len(members)
         self.group_calls += 1
-        return self.program.step_group(states, rnd, key, result, members)
+        program = self.program
+        if hasattr(program, "step_group"):
+            return program.step_group(states, rnd, key, result, members)
+        return {}, [(v, program.step(states[v], rnd, {key: result}))
+                    for v in members]
 
 
 class CheckedGroupSteps(CountedGroupSteps):
