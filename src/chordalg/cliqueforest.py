@@ -432,6 +432,14 @@ class IntervalStrip:
             hops += 1
         return hops + 1
 
+    def hop(self, j: int, h: int) -> int:
+        """jump^h[j]: a node that ends at or after clique j lies within h
+        hops of a member of clique j iff its first clique is at most this."""
+        jump = self.jump
+        for _ in range(h):
+            j = jump[j]
+        return j
+
     def diameter(self) -> int:
         if len(self.lo) <= 1:
             return 0

@@ -1,11 +1,16 @@
-"""Interval-graph algorithms: clique paths, budgeted coloring extension,
-approximate coloring, dominated-node removal, distance-k independent sets,
-and the approximate maximum independent set routine.
+"""Interval-graph algorithms on clique strips: budgeted coloring extension,
+approximate coloring, dominated-node removal, the claw test, distance-k
+independent sets, and the approximate maximum independent set routine.
 
-Component clique paths are canonically oriented (smaller end word first), and
-every sweep below follows the canonical node order (first clique, last
-clique, id), which is what makes the centralized and simulated distributed
-variants produce identical answers.
+Every component reaches these routines as an `IntervalStrip`: its maximal
+cliques in path order, canonically oriented (smaller end word first). Each
+graph question is answered from the strip's clique ranges `lo`/`hi` and its
+`jump` table, never by a search over a graph: adjacency is range overlap, and
+a node that ends at or after clique j lies within h hops of clique j's
+members iff its first clique is at most `strip.hop(j, h)`. Every sweep
+follows the canonical node order (first clique, last clique, id), which is
+what makes the centralized and simulated distributed variants produce
+identical answers.
 """
 
 from __future__ import annotations
@@ -18,29 +23,12 @@ from .cliqueforest import (
     IntervalStrip, clique_forest, clique_word, strips_from_traces, walk_path,
 )
 from .errors import BadEpsilon, Infeasible, NotInterval, NotProperInterval
-from .graphs import Graph, bfs_distances
+from .graphs import Graph
 
 Coloring = Dict[int, int]
 
-
-class CliquePath:
-    """One interval component: its ordered maximal cliques plus a graph that
-    holds exactly those nodes as one of its components."""
-
-    def __init__(self, graph: Graph, cliques):
-        self.strip = cliques if isinstance(cliques, IntervalStrip) else IntervalStrip(cliques)
-        self.graph = graph
-
-    @classmethod
-    def from_strip(cls, g: Graph, strip: IntervalStrip) -> "CliquePath":
-        return cls(g.subgraph(strip.nodes), strip)
-
-    @property
-    def cliques(self):
-        return self.strip.cliques
-
-    def nodes(self):
-        return self.strip.nodes
+# step cap of the backtracking in `extend_coloring`
+EXTENSION_CAP = 2_000_000
 
 
 def _arrange_cliques(cliques, cap: int = 500_000) -> Optional[List[frozenset]]:
@@ -153,47 +141,13 @@ def _component_strips(h: Graph) -> List[IntervalStrip]:
     return strips
 
 
-def clique_path(h: Graph) -> List[CliquePath]:
-    """Per-component clique paths; NotInterval if some component has none."""
-    return [CliquePath.from_strip(h, s) for s in _component_strips(h)]
-
-
 def require_interval(h: Graph):
     _component_strips(h)
 
 
-def _has_claw(h: Graph, nodes=None) -> bool:
-    """Any node with three pairwise non-adjacent neighbors?"""
-    for v in sorted(nodes if nodes is not None else h.nodes):
-        nbrs = sorted(h.adj[v])
-        picked = []
-        for u in nbrs:
-            if all(not h.has_edge(u, w) for w in picked):
-                picked.append(u)
-                if len(picked) == 3:
-                    return True
-    return False
-
-
-def is_proper_interval(h: Graph) -> bool:
-    """True iff h is an interval graph with no induced three-leaf star."""
-    try:
-        require_interval(h)
-    except NotInterval:
-        return False
-    return not _has_claw(h)
-
-
-def strip_dominated(strip: IntervalStrip) -> Set[int]:
-    """Nodes of a strip whose closed neighborhood strictly contains another's.
-
-    The strip's cliques must be the maximal cliques of the graph it spans.
-    Then N[u] is inside N[v] iff u's clique range lies inside v's, so v is
-    dominated iff some other range lies strictly inside its own. With
-    `sufmin[j]` the smallest last clique among nodes whose first clique is
-    at least j, that is `sufmin[lo] < hi` or `sufmin[lo + 1] <= hi`: one
-    sweep.
-    """
+def _suffix_min_hi(strip: IntervalStrip) -> List[int]:
+    """`sufmin[j]`, for j = 0..t: the smallest last clique among nodes whose
+    first clique is at least j, or t when there is none."""
     lo, hi = strip.lo, strip.hi
     t = len(strip.cliques)
     sufmin = [t] * (t + 1)
@@ -203,7 +157,48 @@ def strip_dominated(strip: IntervalStrip) -> Set[int]:
     for j in range(t - 1, -1, -1):
         if sufmin[j + 1] < sufmin[j]:
             sufmin[j] = sufmin[j + 1]
-    return {v for v, j in lo.items() if sufmin[j] < hi[v] or sufmin[j + 1] <= hi[v]}
+    return sufmin
+
+
+def strip_is_proper(strip: IntervalStrip) -> bool:
+    """Is the graph a strip spans free of induced three-leaf stars (claws)?
+
+    The strip's cliques must be the maximal cliques of that graph. The
+    middle leaf b of a claw centred at v has its range strictly inside v's
+    on both sides: lo[v] < lo[b] and hi[b] < hi[v]. Conversely, given such
+    b, clique lo[b] - 1 is maximal, so it holds a node a that ends there,
+    and clique hi[b] + 1 a node c that starts there; a, b and c are
+    pairwise apart and all meet v's range. So a claw exists iff
+    `sufmin[lo[v] + 1] < hi[v]` for some v. Claw-free interval graphs are
+    exactly the proper interval graphs (Roberts 1969).
+    """
+    sufmin = _suffix_min_hi(strip)
+    hi = strip.hi
+    return all(sufmin[j + 1] >= hi[v] for v, j in strip.lo.items())
+
+
+def is_proper_interval(h: Graph) -> bool:
+    """True iff h is an interval graph with no induced three-leaf star."""
+    try:
+        strips = _component_strips(h)
+    except NotInterval:
+        return False
+    return all(map(strip_is_proper, strips))
+
+
+def strip_dominated(strip: IntervalStrip) -> Set[int]:
+    """Nodes of a strip whose closed neighborhood strictly contains another's.
+
+    The strip's cliques must be the maximal cliques of the graph it spans.
+    Then N[u] is inside N[v] iff u's clique range lies inside v's, so v is
+    dominated iff some other range lies strictly inside its own: with the
+    suffix minimum `sufmin` of `_suffix_min_hi`, iff `sufmin[lo] < hi` or
+    `sufmin[lo + 1] <= hi`. One sweep.
+    """
+    sufmin = _suffix_min_hi(strip)
+    hi = strip.hi
+    return {v for v, j in strip.lo.items()
+            if sufmin[j] < hi[v] or sufmin[j + 1] <= hi[v]}
 
 
 def remove_dominated(h: Graph) -> Graph:
@@ -218,14 +213,14 @@ def remove_dominated(h: Graph) -> Graph:
     return h.subgraph(h.nodes - doomed)
 
 
-def extend_coloring(strip: IntervalStrip, budget: int, fixed: Coloring,
-                    expansion_cap: int = 2_000_000) -> Coloring:
+def extend_coloring(strip: IntervalStrip, budget: int, fixed: Coloring) -> Coloring:
     """Extend a partial coloring of a clique path to all of it within `budget`.
 
     Colors are tried smallest-first, so the first descent is the plain greedy
     sweep; backtracking with dead-state memoization only kicks in when the
     fixed far boundary forces it. Raises Infeasible when no extension exists
-    within the budget (never when the separation preconditions hold).
+    within the budget (never when the separation preconditions hold), or
+    when the search takes more than `EXTENSION_CAP` steps.
     """
     order = strip.sorted_nodes()
     lo, hi = strip.lo, strip.hi
@@ -280,7 +275,7 @@ def extend_coloring(strip: IntervalStrip, budget: int, fixed: Coloring,
     i = 0
     last_color = [0] * len(free)
     while i < len(free):
-        if expansions > expansion_cap:
+        if expansions > EXTENSION_CAP:
             raise Infeasible("search cap exceeded (budget %d)" % budget)
         v = free[i]
         if last_color[i] == 0 and state_key(i) in dead:
@@ -337,28 +332,29 @@ def color_budget(k: int, omega: int) -> int:
     return (k + 1) * omega // k + 1
 
 
-def _select_boundaries(cp: CliquePath, spacing: int) -> List[int]:
+def _select_boundaries(strip: IntervalStrip, spacing: int) -> List[int]:
     """Clique indices pairwise at min-distance exactly `spacing`, greedily
-    from the canonical left end."""
-    strip = cp.strip
+    from the canonical left end.
+
+    Of the nodes that end at or after boundary b, those within
+    `spacing` - 1 hops of clique b's members start at or before
+    J = hop(b, spacing - 1). They reach clique jump[J] at most, and one of
+    them reaches it, so the next boundary is hop(b, spacing) + 1.
+    """
+    t = len(strip.cliques)
     bounds = [0]
-    j = 0
     while True:
-        dist = bfs_distances(cp.graph, strip.cliques[bounds[-1]], cutoff=spacing - 1)
-        found = None
-        for cand in range(bounds[-1] + 1, len(strip.cliques)):
-            if all(v not in dist for v in strip.cliques[cand]):
-                found = cand
-                break
-        if found is None:
+        nxt = strip.hop(bounds[-1], spacing) + 1
+        if nxt >= t:
             return bounds
-        bounds.append(found)
+        bounds.append(nxt)
 
 
-def _color_component(cp: CliquePath, k: int) -> Coloring:
-    strip = cp.strip
+def color_strip(strip: IntervalStrip, k: int) -> Coloring:
+    """Legal coloring of one component's strip with at most
+    floor((1 + 1/k) * omega) + 1 colors."""
     spacing = k + 3
-    bounds = _select_boundaries(cp, spacing)
+    bounds = _select_boundaries(strip, spacing)
     colors: Coloring = {}
     for b in bounds:
         c = 1
@@ -385,14 +381,9 @@ def color_interval(h: Graph, k: int) -> Coloring:
     if k < 2:
         raise ValueError("k must be at least 2")
     colors: Coloring = {}
-    for cp in clique_path(h):
-        colors.update(_color_component(cp, k))
+    for strip in _component_strips(h):
+        colors.update(color_strip(strip, k))
     return colors
-
-
-def color_strip(g: Graph, strip, k: int) -> Coloring:
-    """Coloring entry for callers that already hold a component's strip."""
-    return _color_component(CliquePath.from_strip(g, strip), k)
 
 
 def strip_stages(k: int) -> List[int]:
@@ -430,7 +421,7 @@ def distance_k_mis_distributed(h: Graph, k: int, round_cap=None):
     return {v for v, flag in transcript.outputs.items() if flag}, transcript
 
 
-def mis_strip(g: Graph, strip, eps: float) -> Set[int]:
+def mis_strip(strip: IntervalStrip, eps: float) -> Set[int]:
     """Approximate MIS entry for callers that already hold a component's strip.
 
     The strip's cliques must be the maximal cliques of the subgraph it spans.
@@ -439,18 +430,12 @@ def mis_strip(g: Graph, strip, eps: float) -> Set[int]:
     survivors = strip.nodes - strip_dominated(strip)
     chosen: Set[int] = set()
     for sub in strips_from_traces(strip.cliques, survivors):
-        chosen |= _mis_component(CliquePath.from_strip(g, sub), k)
+        chosen |= _mis_component(sub, k)
     return chosen
 
 
-def _require_proper_component(cp: CliquePath):
-    if _has_claw(cp.graph):
-        raise NotProperInterval("induced three-leaf star present")
-
-
-def _distance_mis_component(cp: CliquePath, k: int) -> List[int]:
+def _distance_mis_component(strip: IntervalStrip, k: int) -> List[int]:
     """Greedy distance-k independent set along the canonical order."""
-    strip = cp.strip
     order = strip.sorted_nodes()
     members = [order[0]]
     for v in order[1:]:
@@ -467,13 +452,14 @@ def distance_k_mis(h: Graph, k: int) -> Set[int]:
     if k < 1:
         raise ValueError("k must be positive")
     try:
-        cps = clique_path(h)
+        strips = _component_strips(h)
     except NotInterval:
         raise NotProperInterval("input is not an interval graph")
-    if len(cps) != 1:
+    if len(strips) != 1:
         raise NotProperInterval("input must be connected")
-    _require_proper_component(cps[0])
-    return set(_distance_mis_component(cps[0], k))
+    if not strip_is_proper(strips[0]):
+        raise NotProperInterval("induced three-leaf star present")
+    return set(_distance_mis_component(strips[0], k))
 
 
 def mis_eps_to_k(eps: float) -> int:
@@ -481,8 +467,8 @@ def mis_eps_to_k(eps: float) -> int:
 
 
 def _mis_interval_parts(h: Graph, eps: float):
-    """k, the clique paths of h without its dominated nodes, and the chosen
-    set; shared by the centralized and the distributed interval MIS.
+    """k, the strips of h without its dominated nodes, and the chosen set;
+    shared by the centralized and the distributed interval MIS.
 
     h's strips are built once. Each is swept for its dominated nodes and
     restricted to the rest with `strips_from_traces`. What is left is a
@@ -494,18 +480,13 @@ def _mis_interval_parts(h: Graph, eps: float):
         raise BadEpsilon("eps must lie in (0, 1)")
     k = mis_eps_to_k(eps)
     strips: List[IntervalStrip] = []
-    survivors: Set[int] = set()
     for strip in _component_strips(h):
-        keep = strip.nodes - strip_dominated(strip)
-        survivors |= keep
-        strips += strips_from_traces(strip.cliques, keep)
+        strips += strips_from_traces(strip.cliques, strip.nodes - strip_dominated(strip))
     strips.sort(key=lambda s: clique_word(s.cliques[0]))
-    reduced = h.subgraph(survivors)
-    cps = [CliquePath(reduced, s) for s in strips]
     chosen: Set[int] = set()
-    for cp in cps:
-        chosen |= _mis_component(cp, k)
-    return k, cps, chosen
+    for strip in strips:
+        chosen |= _mis_component(strip, k)
+    return k, strips, chosen
 
 
 def mis_interval(h: Graph, eps: float) -> Set[int]:
@@ -533,32 +514,35 @@ class SkeletonPairs:
     between: Dict[tuple, frozenset]
 
 
-def skeleton_pairs(cp: CliquePath, k: int) -> SkeletonPairs:
-    strip = cp.strip
-    g = cp.graph
-    members = _distance_mis_component(cp, k)
+def skeleton_pairs(strip: IntervalStrip, k: int) -> SkeletonPairs:
+    """The greedy distance-k skeleton of a proper interval strip.
+
+    Callers pass strips without dominated nodes, which are claw-free. The
+    `between` set of a pair u, v holds the nodes outside N[u] | N[v] within
+    distance d(u, v) of both. Distance from u grows with how far right a
+    node starts, and distance from v with how far left it ends, so every
+    node whose range lies strictly between u's and v's qualifies. A node
+    beyond u or v could only qualify through a node whose range reaches
+    past u's or v's on both sides, the centre of a claw. So the sets are
+    read off the cliques between the pair.
+    """
+    lo, hi = strip.lo, strip.hi
+    members = _distance_mis_component(strip, k)
     pairs = []
     between = {}
     for u, v in zip(members, members[1:]):
-        duv = strip.dist(u, v)
-        if duv > 2 * k - 1:
+        if strip.dist(u, v) > 2 * k - 1:
             raise AssertionError("consecutive skeleton members too far apart")
-        du = bfs_distances(g, u, cutoff=duv)
-        dv = bfs_distances(g, v, cutoff=duv)
-        banned = g.closed_neighborhood(u) | g.closed_neighborhood(v)
+        gap = set().union(*strip.cliques[hi[u] + 1:lo[v]])
         pairs.append((u, v))
-        between[(u, v)] = frozenset(
-            w for w, d in du.items()
-            if w not in banned and d <= duv and dv.get(w, duv + 1) <= duv
-        )
+        between[(u, v)] = frozenset(w for w in gap if hi[u] < lo[w] and hi[w] < lo[v])
     return SkeletonPairs(tuple(members), tuple(pairs), between)
 
 
-def _mis_component(cp: CliquePath, k: int) -> Set[int]:
-    strip = cp.strip
+def _mis_component(strip: IntervalStrip, k: int) -> Set[int]:
     if strip.diameter() <= 10 * k:
         return strip.greedy_mis()
-    skel = skeleton_pairs(cp, k)
+    skel = skeleton_pairs(strip, k)
     chosen = set(skel.members)
     for pair in skel.pairs:
         chosen |= strip.greedy_mis(allowed=skel.between[pair])

@@ -171,7 +171,7 @@ def mis_chordal_run(g: Graph, eps: float) -> MisRun:
             for strip in strips_from_traces(p.clique_sets(), active):
                 comp = set(strip.nodes)
                 if len(strip.greedy_mis()) >= d:
-                    part = mis_strip(g, strip, eps / 8.0)
+                    part = mis_strip(strip, eps / 8.0)
                     tag = "approx"
                 else:
                     if i < iters:
@@ -368,13 +368,13 @@ def mis_interval_distributed(h: Graph, eps: float, round_cap: Optional[int] = No
     rounds charged per component branch (exact window or skeleton build)."""
     from .intervals import _mis_interval_parts
 
-    ki, cps, chosen = _mis_interval_parts(h, eps)
+    ki, strips, chosen = _mis_interval_parts(h, eps)
     exact_stage = [10 * ki + 2]
     approx_stage = strip_stages(ki)
     stages = {v: [2] for v in h.nodes}  # dominated-node screening
-    for cp in cps:
-        branch = exact_stage if cp.strip.diameter() <= 10 * ki else approx_stage
-        for v in cp.nodes():
+    for strip in strips:
+        branch = exact_stage if strip.diameter() <= 10 * ki else approx_stage
+        for v in strip.nodes:
             stages[v] = [2] + branch
     outputs = {v: (v in chosen) for v in h.nodes}
     cap = 2 * (2 + sum(approx_stage) + 10) if round_cap is None else round_cap

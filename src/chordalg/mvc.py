@@ -147,7 +147,7 @@ def color_layers(g: Graph, layering: Layering, k: int) -> Coloring:
     for i in range(1, layering.num_layers + 1):
         for record in layering.peeled_paths[i]:
             for strip in strips_from_traces(record.cliques, set(record.members)):
-                colors.update(color_strip(g, strip, k))
+                colors.update(color_strip(strip, k))
     return colors
 
 
@@ -163,15 +163,27 @@ class CorrectionJob:
     wprime: Set[int]
 
 
-def _job_component(g: Graph, strip: IntervalStrip, w_set, sides, colors, k):
+def _frontier(view: IntervalStrip, side, k: int) -> Optional[int]:
+    """Index in `view` of the nearest clique whose members all sit at
+    distance >= k + 3 from `side`, a nonempty subset of view's first clique;
+    None when there is none.
+
+    The side reaches clique m = max hi in one hop, so the nodes within
+    k + 2 hops are those starting at or before hop(m, k + 1), and the first
+    clique clear of them is one past hop(m, k + 2).
+    """
+    f = view.hop(max(view.hi[u] for u in side), k + 2) + 1
+    return f if f < len(view.cliques) else None
+
+
+def _job_component(strip: IntervalStrip, w_set, sides, colors, k):
     """Recolor one connected component of a path's strip.
 
     `sides` holds the higher-layer conflict nodes per attach side (possibly
     empty sets). Only nodes within distance k + 3 of a conflict side may end
     up with a new color. Returns new colors for the component's W nodes.
     """
-    compset = set(strip.nodes)
-    comp = g.subgraph(compset)
+    compset = strip.nodes
     t = len(strip.cliques)
     new_colors = {v: colors[v] for v in compset}
 
@@ -180,33 +192,24 @@ def _job_component(g: Graph, strip: IntervalStrip, w_set, sides, colors, k):
     omega = max(len(c) for c in strip.cliques)
     budget = max(color_budget(k, omega), fixed_value_cap)
 
-    def reseat_end(end_idx, side, existing):
+    def reseat_end(end, side, existing):
         """End clique colors: the side keeps its finals, W members re-seated."""
         out = dict(existing)
         for u in side:
             out[u] = colors[u]
-        for v in sorted(strip.cliques[end_idx] - side):
+        for v in sorted(end - side):
             if v in out:
                 continue
-            taken = {out[u] for u in strip.cliques[end_idx] if u in out}
+            taken = {out[u] for u in end if u in out}
             c = 1
             while c in taken:
                 c += 1
             out[v] = c
         return out
 
-    def frontier(side, from_left):
-        """Nearest clique whose members all sit at distance >= k + 3."""
-        dist = bfs_distances(comp, side, cutoff=k + 2)
-        rng = range(t) if from_left else range(t - 1, -1, -1)
-        for j in rng:
-            if all(u not in dist for u in strip.cliques[j]):
-                return j
-        return None
-
     if t == 1:
         side_union = set().union(set(), *portions)
-        new_colors.update(reseat_end(0, side_union, {}))
+        new_colors.update(reseat_end(strip.cliques[0], side_union, {}))
         return {v: new_colors[v] for v in compset & w_set}
 
     left: Set[int] = set()
@@ -222,13 +225,9 @@ def _job_component(g: Graph, strip: IntervalStrip, w_set, sides, colors, k):
         strip = IntervalStrip(list(reversed(strip.cliques)))
         left, right = right, set()
 
-    def one_sided(side, at_left):
-        view = strip if at_left else IntervalStrip(list(reversed(strip.cliques)))
-        f = frontier(side, from_left=True) if at_left else None
-        if not at_left:
-            f_orig = frontier(side, from_left=False)
-            f = None if f_orig is None else (t - 1 - f_orig)
-        fixed = reseat_end(0 if at_left else t - 1, side, {})
+    def one_sided(view, side, f):
+        """Recolor from the side at view's first clique up to frontier f."""
+        fixed = reseat_end(view.cliques[0], side, {})
         if f is None:
             new_colors.update(greedy_fill(view, fixed))
             return
@@ -239,17 +238,18 @@ def _job_component(g: Graph, strip: IntervalStrip, w_set, sides, colors, k):
         new_colors.update(extend_coloring(seg, budget, fixed))
 
     if left and right:
-        f_left = frontier(left, from_left=True)
-        f_right = frontier(right, from_left=False)
-        if f_left is not None and f_right is not None and f_left <= f_right:
-            one_sided(left, at_left=True)
-            one_sided(right, at_left=False)
+        rev = IntervalStrip(list(reversed(strip.cliques)))
+        f_left = _frontier(strip, left, k)
+        f_right = _frontier(rev, right, k)
+        if f_left is not None and f_right is not None and f_left <= t - 1 - f_right:
+            one_sided(strip, left, f_left)
+            one_sided(rev, right, f_right)
         else:
-            fixed = reseat_end(0, left, {})
-            fixed = reseat_end(t - 1, right, fixed)
+            fixed = reseat_end(strip.cliques[0], left, {})
+            fixed = reseat_end(strip.cliques[-1], right, fixed)
             new_colors.update(extend_coloring(strip, budget, fixed))
     elif left:
-        one_sided(left, at_left=True)
+        one_sided(strip, left, _frontier(strip, left, k))
     return {v: new_colors[v] for v in compset & w_set}
 
 
@@ -286,7 +286,7 @@ def build_correction_job(g: Graph, layering: Layering, record: PeelPath,
     for strip in strips_from_traces(ext_seq, ctx_nodes):
         if not (strip.nodes & wprime):
             continue  # no conflicts can touch this piece
-        new_colors.update(_job_component(g, strip, w_set, side_conflict, colors, k))
+        new_colors.update(_job_component(strip, w_set, side_conflict, colors, k))
     changed = {v for v in w_set if new_colors[v] != colors[v]}
     if debug_invariants() and changed:
         reach = bfs_distances(g, wprime, cutoff=k + 4)

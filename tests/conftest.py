@@ -32,6 +32,25 @@ def interval_graphs(draw, max_nodes=24):
     spans = [(a, a + w) for a, w in draw(st.lists(
         st.tuples(st.integers(0, 30), st.integers(0, 8)),
         min_size=len(ids), max_size=len(ids)))]
+    return intersection_graph(ids, spans)
+
+
+@st.composite
+def proper_interval_graphs(draw, max_nodes=30):
+    """Intersection graphs of up to `max_nodes` integer intervals of one
+    common length, which are proper interval graphs (Roberts 1969). Starts
+    advance by small steps, so components are long, with twins and with
+    nodes that sit in one maximal clique."""
+    ids = draw(st.lists(st.integers(1, 90), min_size=1, max_size=max_nodes,
+                        unique=True))
+    width = draw(st.integers(0, 4))
+    steps = draw(st.lists(st.integers(0, width + 1), min_size=len(ids),
+                          max_size=len(ids)))
+    return intersection_graph(ids, [(a, a + width) for a in itertools.accumulate(steps)])
+
+
+def intersection_graph(ids, spans):
+    """The graph on `ids` joining two nodes whose closed spans meet."""
     g = Graph(nodes=ids)
     for i, (u, (a, b)) in enumerate(zip(ids, spans)):
         for w, (c, d) in zip(ids[i + 1:], spans[i + 1:]):

@@ -1,24 +1,34 @@
+import importlib.util
+import sys
+from itertools import combinations
+from pathlib import Path
 from typing import Dict, List
 
 import pytest
 from hypothesis import given, settings
 
+import chordalg
 from chordalg import (
     BadEpsilon, Graph, Infeasible, NotInterval, NotProperInterval,
-    alpha_oracle, clique_path, color_interval, distance_k_mis, extend_coloring,
-    gen_interval, gen_path, gen_spider, graphs, intervals, mis_interval,
-    mis_interval_distributed, omega_oracle,
-    remove_dominated, verify_coloring, verify_is,
+    alpha_oracle, color_interval, distance_k_mis, errors, extend_coloring,
+    gen_chordal, gen_interval, gen_path, gen_spider, graphs, intervals, mis,
+    mis_chordal_centralized, mis_chordal_distributed, mis_interval,
+    mis_interval_distributed, mvc, omega_oracle,
+    remove_dominated, skeleton_pairs, verify_coloring, verify_is,
 )
 from chordalg.cliqueforest import IntervalStrip, clique_word
 from chordalg.graphs import bfs_distances
 from chordalg.intervals import (
-    _arrange_cliques, _component_strips, _mis_interval_parts, color_budget,
-    greedy_fill, is_proper_interval, mis_eps_to_k, require_interval,
-    strip_dominated,
+    _arrange_cliques, _component_strips, _mis_interval_parts,
+    _select_boundaries, color_budget, greedy_fill, is_proper_interval,
+    mis_eps_to_k, require_interval, strip_dominated, strip_is_proper,
 )
+from chordalg.mvc import _frontier
 
-from conftest import complete_graph, interval_graphs, small_graphs
+from conftest import (
+    complete_graph, intersection_graph, interval_graphs, proper_interval_graphs,
+    small_graphs,
+)
 
 
 def overlapping_blocks(width, count, overlap):
@@ -36,47 +46,47 @@ def overlapping_blocks(width, count, overlap):
 
 class TestCliquePath:
     def test_path_graph(self):
-        cps = clique_path(gen_path(5))
-        assert len(cps) == 1
-        assert len(cps[0].cliques) == 4
+        strips = _component_strips(gen_path(5))
+        assert len(strips) == 1
+        assert len(strips[0].cliques) == 4
 
     def test_single_clique(self, k4):
-        cps = clique_path(k4)
-        assert len(cps) == 1 and len(cps[0].cliques) == 1
+        strips = _component_strips(k4)
+        assert len(strips) == 1 and len(strips[0].cliques) == 1
 
     def test_components_match_graph_components(self):
         g = gen_interval(40, seed=6)
-        cps = clique_path(g)
-        assert len(cps) == len(g.connected_components())
+        strips = _component_strips(g)
+        assert len(strips) == len(g.connected_components())
         nodes = set()
-        for cp in cps:
-            nodes |= cp.nodes()
+        for strip in strips:
+            nodes |= strip.nodes
         assert nodes == g.nodes
 
     def test_star_of_cliques_still_linearizes(self):
         # equal-weight ties branch the canonical forest; the arrangement
         # search must still find a clique path for this interval graph
         star = Graph([(1, v) for v in range(2, 7)])
-        cps = clique_path(star)
-        assert len(cps) == 1
-        assert len(cps[0].cliques) == 5
+        strips = _component_strips(star)
+        assert len(strips) == 1
+        assert len(strips[0].cliques) == 5
 
     def test_subdivided_claw_is_not_interval(self):
         with pytest.raises(NotInterval):
-            clique_path(gen_spider(3, 2))
+            _component_strips(gen_spider(3, 2))
         with pytest.raises(NotInterval):
             require_interval(gen_spider(3, 3))
 
     def test_every_node_range_is_contiguous(self):
         for seed in (1, 8):
-            for cp in clique_path(gen_interval(50, seed=seed)):
+            for strip in _component_strips(gen_interval(50, seed=seed)):
                 # IntervalStrip raises if some node's cliques are scattered
-                IntervalStrip(list(cp.cliques))
+                IntervalStrip(list(strip.cliques))
 
 
 class TestExtendColoring:
     def strip_of(self, g):
-        return clique_path(g)[0].strip
+        return _component_strips(g)[0]
 
     def test_path12_with_pinned_matching_endpoints(self):
         strip = self.strip_of(gen_path(12))
@@ -110,6 +120,12 @@ class TestExtendColoring:
         strip = self.strip_of(gen_path(3))
         with pytest.raises(Infeasible):
             extend_coloring(strip, 3, {1: 1, 2: 1})
+
+    def test_search_cap_raises_infeasible(self, monkeypatch):
+        strip = self.strip_of(gen_path(6))
+        monkeypatch.setattr(intervals, "EXTENSION_CAP", 0)
+        with pytest.raises(Infeasible):
+            extend_coloring(strip, 3, {})
 
     def test_greedy_fill_respects_fixed(self):
         strip = self.strip_of(gen_path(6))
@@ -324,7 +340,7 @@ def strip_words(strips):
 
 
 def reduced_strips(g):
-    return [cp.strip for cp in _mis_interval_parts(g, 0.4)[1]]
+    return _mis_interval_parts(g, 0.4)[1]
 
 
 def reduced_strips_rebuilt(g):
@@ -412,6 +428,15 @@ class TestDistanceKMis:
         with pytest.raises(NotProperInterval):
             distance_k_mis(gen_spider(3, 2), 2)
 
+    def test_rejects_a_claw_beside_a_triangle(self):
+        # 3, 4 and 5 are pairwise apart around 1; a greedy scan of 1's
+        # neighbours by id picks 2 first and finds no third leaf
+        g = Graph([(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4)])
+        require_interval(g)
+        assert not is_proper_interval(g)
+        with pytest.raises(NotProperInterval):
+            distance_k_mis(g, 1)
+
 
 class TestMisInterval:
     def test_eps_validation(self):
@@ -478,12 +503,12 @@ class TestDistributedVariants:
 
 class TestSkeletonPairs:
     def test_invariants_on_a_long_component(self):
-        from chordalg.intervals import clique_path, skeleton_pairs
-        g = remove_dominated(gen_path(400))
-        cp = clique_path(g)[0]
+        g = remove_dominated(gen_path(400))  # nodes 2 and 399 are dominated
+        strip = max(_component_strips(g), key=lambda s: len(s.nodes))
         k = 7
-        skel = skeleton_pairs(cp, k)
-        dists = {u: bfs_distances(cp.graph, u) for u in skel.members}
+        skel = skeleton_pairs(strip, k)
+        assert len(skel.pairs) > 30
+        dists = {u: bfs_distances(g, u) for u in skel.members}
         for i, u in enumerate(skel.members):
             for v in skel.members[i + 1:]:
                 assert dists[u].get(v, 10 ** 9) > k
@@ -492,6 +517,167 @@ class TestSkeletonPairs:
             duv = dists[u][v]
             assert duv <= 2 * k - 1
             for w in nodes:
-                assert w not in cp.graph.closed_neighborhood(u)
-                assert w not in cp.graph.closed_neighborhood(v)
+                assert w not in g.closed_neighborhood(u)
+                assert w not in g.closed_neighborhood(v)
                 assert dists[u][w] <= duv and dists[v][w] <= duv
+
+    def test_between_holds_a_node_of_one_clique(self):
+        # spans of nodes 1..5; node 3 sits only in the clique {2, 3, 4}, the
+        # first and the last clique between the skeleton pair (1, 5)
+        g = intersection_graph([1, 2, 3, 4, 5],
+                               [(0, 2), (2, 4), (3, 5), (4, 6), (6, 8)])
+        (strip,) = _component_strips(g)
+        skel = skeleton_pairs(strip, 2)
+        assert skel.pairs == ((1, 5),)
+        assert skel.between[(1, 5)] == {3} == bfs_between(g, 1, 5)
+
+
+def has_claw(g) -> bool:
+    """Some node with three pairwise non-adjacent neighbours."""
+    return any(
+        not (g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c))
+        for v in g.nodes for a, b, c in combinations(sorted(g.adj[v]), 3))
+
+
+def bfs_boundaries(sub, strip, spacing):
+    """`_select_boundaries` by the graph definition: from each boundary,
+    the first later clique with no member within spacing - 1 hops of it."""
+    bounds = [0]
+    while True:
+        near = bfs_distances(sub, strip.cliques[bounds[-1]], cutoff=spacing - 1)
+        nxt = next((j for j in range(bounds[-1] + 1, len(strip.cliques))
+                    if not strip.cliques[j] & near.keys()), None)
+        if nxt is None:
+            return bounds
+        bounds.append(nxt)
+
+
+def bfs_frontier(sub, cliques, side, k):
+    """The first of `cliques`, in their order, with no member within k + 2
+    hops of `side`; None when every clique has one."""
+    near = bfs_distances(sub, side, cutoff=k + 2)
+    return next((j for j, c in enumerate(cliques) if not c & near.keys()), None)
+
+
+def bfs_between(sub, u, v):
+    """Nodes outside N[u] | N[v] within distance d(u, v) of both."""
+    duv = bfs_distances(sub, u)[v]
+    du = bfs_distances(sub, u, cutoff=duv)
+    dv = bfs_distances(sub, v, cutoff=duv)
+    banned = sub.closed_neighborhood(u) | sub.closed_neighborhood(v)
+    return {w for w in du if w in dv and w not in banned}
+
+
+def check_boundaries_and_frontiers(g, strip, ks) -> int:
+    """Compare the boundaries and both frontiers of `strip` with BFS on the
+    subgraph it spans; returns how many frontiers were found."""
+    sub = g.subgraph(strip.nodes)
+    rev = IntervalStrip(list(reversed(strip.cliques)))
+    found = 0
+    for k in ks:
+        assert _select_boundaries(strip, k + 3) == bfs_boundaries(sub, strip, k + 3)
+        for view in (strip, rev):
+            first = view.cliques[0]
+            for side in [{u} for u in sorted(first)] + [set(first)]:
+                f = _frontier(view, side, k)
+                assert f == bfs_frontier(sub, view.cliques, side, k)
+                found += f is not None
+    return found
+
+
+def check_between_sets(g, strip, ks) -> int:
+    """Compare the skeleton's `between` sets on a claw-free strip with BFS
+    on the subgraph it spans; returns how many pairs were compared."""
+    sub = g.subgraph(strip.nodes)
+    pairs = 0
+    for k in ks:
+        skel = skeleton_pairs(strip, k)
+        for u, v in skel.pairs:
+            assert skel.between[(u, v)] == bfs_between(sub, u, v)
+            pairs += 1
+    return pairs
+
+
+class TestStripQueriesMatchBfs:
+    @given(interval_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_claw_test_matches_neighbour_triples(self, g):
+        proper = not has_claw(g)
+        assert all(map(strip_is_proper, _component_strips(g))) == proper
+        assert is_proper_interval(g) == proper
+
+    @given(interval_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_boundaries_and_frontiers(self, g):
+        for strip in _component_strips(g):
+            check_boundaries_and_frontiers(g, strip, ks=range(0, 4))
+
+    @given(proper_interval_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_between_sets(self, g):
+        for strip in _component_strips(g):
+            assert strip_is_proper(strip)
+            check_between_sets(g, strip, ks=(2, 3))
+
+    def test_generated_instances(self):
+        found = pairs = 0
+        for seed in range(3):
+            g = gen_interval(300, seed=seed)
+            for strip in _component_strips(g):
+                found += check_boundaries_and_frontiers(g, strip, ks=(2, 3))
+            for strip in _mis_interval_parts(g, 0.5)[1]:
+                pairs += check_between_sets(g, strip, ks=(2, 3, 5))
+        assert found and pairs
+
+
+def long_paths_generator():
+    """`gen_long_paths` of the benchmark's long_paths workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "longpaths.py"
+    spec = importlib.util.spec_from_file_location("longpaths", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.gen_long_paths
+
+
+WORKLOAD_FAMILIES = {
+    "random_trees": lambda seed: gen_chordal(500, seed, max_clique=12),
+    "long_paths": lambda seed: long_paths_generator()(1000, seed, max_clique=8),
+    "dense_intervals": lambda seed: gen_interval(500, seed),
+}
+
+
+@pytest.mark.parametrize("family", sorted(WORKLOAD_FAMILIES))
+def test_benchmark_calls_search_no_graph(monkeypatch, family):
+    """The benchmark's four calls make no BFS and build subgraphs only in
+    `mis._gavril_greedy`, with debug invariants off."""
+    bfs_calls, subgraph_callers = [], []
+    real_bfs, real_subgraph = graphs.bfs_distances, Graph.subgraph
+
+    def counting_bfs(*args, **kwargs):
+        bfs_calls.append(args[1:])
+        return real_bfs(*args, **kwargs)
+
+    def watched_subgraph(self, nodes):
+        caller = sys._getframe(1).f_code
+        if caller is not mis._gavril_greedy.__code__:
+            subgraph_callers.append(caller.co_name)
+        return real_subgraph(self, nodes)
+
+    monkeypatch.setattr(errors, "_DEBUG_INVARIANTS", False)
+    for module in vars(chordalg).values():
+        if getattr(module, "bfs_distances", None) is real_bfs:
+            monkeypatch.setattr(module, "bfs_distances", counting_bfs)
+    monkeypatch.setattr(Graph, "subgraph", watched_subgraph)
+    interval = family == "dense_intervals"
+    for seed in (1, 2):
+        g = WORKLOAD_FAMILIES[family](seed)
+        mvc.mvc_pipeline(g, 0.5)
+        mvc.mvc_distributed(g, 0.5)
+        if interval:
+            mis_interval(g, 0.4)
+            mis_interval_distributed(g, 0.4)
+        else:
+            mis_chordal_centralized(g, 0.4)
+            mis_chordal_distributed(g, 0.4)
+    assert not bfs_calls
+    assert not subgraph_callers

@@ -11,9 +11,10 @@ from chordalg import (
 )
 import chordalg
 import chordalg.mis as mis_module
+from chordalg import intervals
 from chordalg.cliqueforest import IntervalStrip, clique_forest
 from chordalg.graphs import bfs_distances
-from chordalg.intervals import clique_path
+from chordalg.intervals import _component_strips
 from chordalg.mis import MisParams, mis_chordal_run, _gavril_greedy
 
 from conftest import complete_graph, dumbbell
@@ -194,8 +195,8 @@ def test_last_iteration_exact_branch():
 def rebuilt_anchored_mis(g, component, anchor):
     """The anchored sweep on a clique path rebuilt from the induced subgraph
     of component plus anchor, flipped so the anchor clique comes last."""
-    (cp,) = clique_path(g.subgraph(set(component) | anchor))
-    cliques = list(cp.cliques)
+    (strip,) = _component_strips(g.subgraph(set(component) | anchor))
+    cliques = list(strip.cliques)
     if cliques[0] == anchor:
         cliques.reverse()
     assert cliques[-1] == anchor
@@ -236,7 +237,6 @@ def test_mis_run_builds_one_forest_and_no_clique_path(monkeypatch):
             continue
         if getattr(module, "clique_forest", None) is clique_forest:
             monkeypatch.setattr(module, "clique_forest", counting_forest)
-        if getattr(module, "clique_path", None) is clique_path:
-            monkeypatch.setattr(module, "clique_path", no_clique_path)
+    monkeypatch.setattr(intervals, "_component_strips", no_clique_path)
     mis_chordal_run(dumbbell(3, 5, 400), 0.4)
     assert len(built) == 1
