@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -118,6 +120,15 @@ def dumbbell(legs, leg_len, bridge):
         prev, nxt = nxt, nxt + 1
     g.add_edge(prev, 1 + offset)
     return g
+
+
+def long_paths_generator():
+    """`gen_long_paths` of the benchmark's long_paths workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "longpaths.py"
+    spec = importlib.util.spec_from_file_location("longpaths", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.gen_long_paths
 
 
 def brute_maximal_cliques(g):

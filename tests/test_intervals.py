@@ -1,7 +1,5 @@
-import importlib.util
 import sys
 from itertools import combinations
-from pathlib import Path
 from typing import Dict, List
 
 import pytest
@@ -26,8 +24,8 @@ from chordalg.intervals import (
 from chordalg.mvc import _frontier
 
 from conftest import (
-    complete_graph, intersection_graph, interval_graphs, proper_interval_graphs,
-    small_graphs,
+    complete_graph, intersection_graph, interval_graphs, long_paths_generator,
+    proper_interval_graphs, small_graphs,
 )
 
 
@@ -628,15 +626,6 @@ class TestStripQueriesMatchBfs:
             for strip in _mis_interval_parts(g, 0.5)[1]:
                 pairs += check_between_sets(g, strip, ks=(2, 3, 5))
         assert found and pairs
-
-
-def long_paths_generator():
-    """`gen_long_paths` of the benchmark's long_paths workload."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "longpaths.py"
-    spec = importlib.util.spec_from_file_location("longpaths", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.gen_long_paths
 
 
 WORKLOAD_FAMILIES = {

@@ -21,7 +21,7 @@ from chordalg import (
 from chordalg import localsim
 from chordalg.localsim import Collect, StepResult
 
-from conftest import dumbbell
+from conftest import dumbbell, long_paths_generator
 
 
 def digest(transcript):
@@ -33,6 +33,9 @@ TREE = gen_chordal(300, seed=11, max_clique=6)
 # approximate branch
 DUMBBELL = dumbbell(3, 5, 400)
 INTERVAL = gen_interval(200, seed=3)
+# long clique paths: an internal peel and a palette above omega for MVC, an
+# approximate-branch component for MIS
+LONG_PATHS = long_paths_generator()(800, 8, max_clique=4)
 
 
 # name -> (solve, transcript digest, node-steps of the run); the step counts
@@ -50,6 +53,12 @@ PINNED = {
     "dumbbell-mis": (lambda: mis_chordal_distributed(DUMBBELL, 0.4),
                      "c28f74879d4b8a298e0ed14622a3a1f5c9691a75158a1a62d782c22acbb07fc8",
                      9569),
+    "longpaths-mvc": (lambda: mvc_distributed(LONG_PATHS, 0.5),
+                      "58ffdd228521961820f80c3430a799520e7d74d3abb32133470f12d01d264658",
+                      10506),
+    "longpaths-mis": (lambda: mis_chordal_distributed(LONG_PATHS, 0.4),
+                      "3b4f5f7779e5c654dabc5c202e9265d9d8d6521fdc4d56523355db3482f70fd1",
+                      15208),
     "interval-mis": (lambda: mis_interval_distributed(INTERVAL, 0.4),
                      "be7157c03257622f460baad99722f625c7e7e35add21357e41e18a8b281dfde1",
                      487),
@@ -171,3 +180,15 @@ def test_dumbbell_reaches_internal_peel_and_approx_branch():
     records = prune_layers(DUMBBELL, 2).peeled_paths.values()
     assert any(r.kind == INTERNAL for rs in records for r in rs)
     assert "approx" in mis_chordal_run(DUMBBELL, 0.4).state.branch.values()
+
+
+def test_long_paths_reach_internal_peel_approx_branch_and_wide_palette():
+    from chordalg.cliqueforest import INTERNAL
+    from chordalg.mis import mis_chordal_run
+    from chordalg.mvc import mvc_pipeline
+
+    run = mvc_pipeline(LONG_PATHS, 0.5)
+    records = run.layering.peeled_paths.values()
+    assert any(r.kind == INTERNAL for rs in records for r in rs)
+    assert max(run.final_colors.values()) > run.omega
+    assert "approx" in mis_chordal_run(LONG_PATHS, 0.4).state.branch.values()
