@@ -26,7 +26,7 @@ for i in range(1, layering.num_layers + 1):
     print("  layer %d: %d nodes" % (i, len(layering.layer_nodes(i))))
 
 # Phase 2: color layers independently; conflicts only bridge layers.
-base = color_layers(g, layering, k)
+base = color_layers(layering, k)
 conflicts = [(u, v) for u, v in g.edges() if base[u] == base[v]]
 print("seam conflicts after independent coloring:", len(conflicts),
       "all between layers:",

@@ -20,8 +20,8 @@ from .cliqueforest import (
     remove_paths, strips_from_traces,
 )
 from .localsim import (
-    Collect, GatherProgram, Send, SequencedProgram, StepResult, Transcript,
-    UniformStagedProgram, gather, run,
+    Collect, GatherProgram, Send, SequencedProgram, StagedProgram, StepResult,
+    Transcript, gather, run,
 )
 from .intervals import (
     SkeletonPairs, color_interval, color_interval_distributed, distance_k_mis,

@@ -400,10 +400,9 @@ def color_interval_distributed(h: Graph, k: int, round_cap=None):
 
     colors = color_interval(h, k)
     schedule = strip_stages(k)
-    stages = {v: schedule for v in h.nodes}
+    table = {None: (None, ("work", 0), {}), **localsim.stage_chain("work", schedule)}
     cap = 2 * (sum(schedule) + 10) if round_cap is None else round_cap
-    transcript = localsim.run(
-        h, localsim.UniformStagedProgram(stages, colors), cap)
+    transcript = localsim.run(h, localsim.StagedProgram(table, colors), cap)
     return dict(transcript.outputs), transcript
 
 
@@ -413,11 +412,11 @@ def distance_k_mis_distributed(h: Graph, k: int, round_cap=None):
     from . import localsim
 
     members = distance_k_mis(h, k)
-    stages = {v: [2] + [k + 1] * 9 for v in h.nodes}
+    table = {None: (None, ("work", 0), {}),
+             **localsim.stage_chain("work", [2] + [k + 1] * 9)}
     outputs = {v: (v in members) for v in h.nodes}
     cap = 2 * (9 * (k + 1) + 12) if round_cap is None else round_cap
-    transcript = localsim.run(
-        h, localsim.UniformStagedProgram(stages, outputs), cap)
+    transcript = localsim.run(h, localsim.StagedProgram(table, outputs), cap)
     return {v for v, flag in transcript.outputs.items() if flag}, transcript
 
 

@@ -38,16 +38,23 @@ until it is due, then steps the group in one call of
 ``step_group(states, rnd, key, result, members)``: `states` is the engine's
 node -> state map, `key` is ``("collect", tag)``, `result` the shared
 ``CollectResult`` and `members` the set of member nodes, which the call must
-not change. It returns ``(timed, stepped)``: `timed` maps ``(tag, radius)``
-to the members whose only action is a lone
+not change. Round 0 is one such call for every node, with `key` and `result`
+None, as no node has an inbox yet. It returns ``(timed, stepped)``: `timed`
+maps ``(tag, radius)`` to the members whose only action is a lone
 ``Collect(radius, tag, want_data=False)``, with their new states written to
 `states`; `stepped` holds a ``(node, StepResult)`` pair for every other
 member, handled like any step's result and in scan order. Each member must be
 answered once. A program may define ``step_group``; it must equal
-``step(states[v], rnd, {key: result})`` on each member, and without it the
-engine steps each member through ``step``. A member that also has a message,
-a Send, a wake or a second group due in that round leaves its groups and is
-delivered per node.
+``step(states[v], rnd, inbox)`` on each member, where `inbox` is
+``{key: result}``, or empty in round 0. Without it the engine steps each node
+through ``step``. A member that also has a message, a Send, a wake or a
+second group due in that round leaves its groups and is delivered per node.
+
+A group step sees its members' key, not their past, so the tag carries the
+stage: a program whose nodes walk a schedule fixed before the run puts the
+schedule position in the tag. Every member of a group then stands at the
+same stage, and the step splits `members` by set intersection
+(``StagedProgram``).
 """
 
 from __future__ import annotations
@@ -146,10 +153,15 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
     agenda: Dict[int, Dict[int, Dict[Any, Any]]] = {}
     due_rounds: List[int] = []  # min-heap of the rounds in `agenda`
     step_every_round = getattr(program, "step_every_round", True)
-    step_group = getattr(program, "step_group", None) or _step_each(step)
+    step_group = getattr(program, "step_group", None)
     # round -> the timer groups due then, as (inbox key, shared result,
-    # members); a member has no other delivery in that round
-    held: Dict[int, List[Tuple[Any, CollectResult, Set[int]]]] = {}
+    # members); a member has no other delivery in that round. A program with
+    # a group step steps round 0 as one group of every node.
+    held: Dict[int, List[Tuple[Any, Optional[CollectResult], Set[int]]]] = {}
+    group_start = step_group is not None and not step_every_round
+    if group_start:
+        held[0] = [(None, None, set(nodes))]
+    step_group = step_group or _step_each(step)
     message_counts: List[int] = []
     service_counts: List[int] = []
     log: Optional[List[List[Tuple[int, int, Any]]]] = [] if record_messages else None
@@ -245,7 +257,7 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
                 raise RuntimeError("step_group did not answer each of its %d "
                                    "members once" % len(members))
             grouped.update(stepped)
-        if step_every_round or rnd == 0:
+        if step_every_round or (rnd == 0 and not group_start):
             order = nodes
         else:
             order = sorted(inboxes.keys() | grouped.keys() if grouped else inboxes)
@@ -416,31 +428,83 @@ def gather(radius: int, local_vars: Optional[Dict[int, Any]] = None) -> GatherPr
     return GatherProgram(radius, local_vars)
 
 
-class UniformStagedProgram:
-    """Walk a per-node list of collect stages, then emit the given output.
+class StagedProgram:
+    """Walk a schedule of timer collects fixed before the run, then leave it.
 
-    The workhorse for distributed variants whose decisions are shared
-    deterministic functions: the engine still pays every stage its radius.
+    `table` maps each stage, which is the tag of its collect, to
+    ``(radius, default, exceptions)``: when the collect is due, a node moves
+    on to `default` unless it lies in one of the disjoint node sets of the
+    ``{next stage: nodes}`` map `exceptions`. The stage None is round 0,
+    where no collect has come yet; its radius is unused. A next stage of
+    None leaves the schedule, and ``leave`` says what the node does then: by
+    default it outputs ``outputs[v]``.
+
+    A node's state is its id while it walks the schedule, and its stage is
+    the tag in its inbox, so a group step splits its members by set
+    intersection and touches no state. A group at a stage outside the table
+    steps each member through ``step``: that is a subclass's own tail.
     """
 
     step_every_round = False
 
-    def __init__(self, stages: Dict[int, List[int]], outputs: Dict[int, Any]):
-        self.stages = stages
+    def __init__(self, table: Dict[Any, Tuple[Optional[int], Any, Dict[Any, Any]]],
+                 outputs: Optional[Dict[int, Any]] = None):
+        self.table = table
         self.outputs = outputs
-        self.requests = {r: (Collect(r, tag="work", want_data=False),)
-                         for radii in stages.values() for r in radii}
+        self.timers = {stage: (stage, row[0]) for stage, row in table.items()
+                       if stage is not None}
+        self.requests = {stage: (Collect(radius, stage, want_data=False),)
+                         for stage, radius in self.timers.values()}
 
     def init(self, node, neighbors):
-        return {"id": node, "stage": -1}
+        return node
 
-    def step(self, state, rnd, inbox):
-        v = state["id"]
-        stages = self.stages[v]
-        state["stage"] += 1
-        if state["stage"] < len(stages):
-            return StepResult(state, requests=self.requests[stages[state["stage"]]])
-        return StepResult(state, output=self.outputs[v])
+    def leave(self, v, rnd) -> StepResult:
+        return StepResult(v, output=self.outputs[v])
+
+    def step(self, v, rnd, inbox):
+        key = next(iter(inbox), None)
+        _, nxt, exceptions = self.table[key[1] if key else None]
+        for stage, nodes in exceptions.items():
+            if v in nodes:
+                nxt = stage
+                break
+        if nxt is None:
+            return self.leave(v, rnd)
+        return StepResult(v, requests=self.requests[nxt])
+
+    def step_group(self, states, rnd, key, result, members):
+        row = self.table.get(key[1] if key else None)
+        if row is None:
+            return {}, [(v, self.step(states[v], rnd, {key: result}))
+                        for v in members]
+        _, default, exceptions = row
+        moves = []
+        rest = members
+        for stage, nodes in exceptions.items():
+            part = rest & nodes
+            if part:
+                rest = rest - part
+                moves.append((stage, part))
+        if rest:
+            moves.append((default, rest))
+        timed: Dict[Tuple[Any, int], Set[int]] = {}
+        stepped: List[Tuple[int, StepResult]] = []
+        for stage, part in moves:
+            if stage is None:
+                stepped.extend((v, self.leave(v, rnd)) for v in part)
+            else:
+                timed[self.timers[stage]] = part
+        return timed, stepped
+
+
+def stage_chain(name, radii, then=None):
+    """Table rows of the stages ``(name, 0)``, ``(name, 1)``, ... with the
+    given radii, each moving every node on to the next and the last to
+    `then`."""
+    last = len(radii) - 1
+    return {(name, s): (radius, (name, s + 1) if s < last else then, {})
+            for s, radius in enumerate(radii)}
 
 
 class SequencedProgram:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from .cliqueforest import (
     INTERNAL, path_diameter, path_strip, peel, strips_from_traces,
@@ -20,7 +20,7 @@ from .errors import AlphaTooLarge, BadEpsilon, debug_invariants
 from .graphs import Graph, mcs_order
 from .intervals import mis_eps_to_k, mis_strip, strip_stages
 from . import localsim
-from .localsim import Collect, StepResult
+from .localsim import StagedProgram, stage_chain
 
 
 @dataclass(frozen=True)
@@ -250,94 +250,25 @@ def exact_branch_stages(d: int) -> List[int]:
     return [2 * d + 6]
 
 
-@dataclass(slots=True)
-class _MisNode:
-    """One node's own schedule (its peel layer, membership and branch
-    stages) and its progress through it."""
-
-    layer: Optional[int]
-    member: bool
-    stages: Sequence[Tuple[Collect, ...]]
-    iter: int = 0  # peel iteration
-    stage: Optional[int] = None  # branch stage, once peeling ended
-
-
-class MisProgram:
+class MisProgram(StagedProgram):
     """Uniform-schedule node program: one collection per peeling iteration,
     then the branch-specific work, then the membership output."""
 
-    step_every_round = False
-
     def __init__(self, run: MisRun):
-        self.run = run
-        self.k = run.params.k
-        self.peel_request = (
-            Collect(peel_radius(run.params.d), tag="peel", want_data=False),)
-        self.stages = {
-            branch: [(Collect(r, tag="branch", want_data=False),) for r in radii]
-            for branch, radii in (
-                ("approx", strip_stages(mis_eps_to_k(run.params.eps / 8.0))),
-                ("exact", exact_branch_stages(run.params.d)))
-        }
-
-    def init(self, node, neighbors):
-        run = self.run
-        return _MisNode(run.state.layer.get(node), node in run.chosen,
-                        self.stages.get(run.state.branch.get(node), ()))
-
-    def _advance(self, state):
-        """Move `state` one collect along its schedule: the peel iterations,
-        then the branch stages. Returns what the step publishes (None off
-        the node's peel layer) and its next request (None once the schedule
-        ends and the node outputs its membership)."""
-        publish = None
-        stage = state.stage
-        if stage is None:
-            i = state.iter
-            if state.layer == i:
-                publish = {"peeled": i}
-                if state.member:
-                    publish["in_set"] = True
-            if i < self.k:
-                state.iter = i + 1
-                return publish, self.peel_request
-            stage = -1
-        state.stage = stage = stage + 1
-        if stage < len(state.stages):
-            return publish, state.stages[stage]
-        return publish, None
-
-    def _result(self, state, publish, requests):
-        if requests is None:
-            return StepResult(state, publish=publish, output=state.member)
-        return StepResult(state, publish=publish, requests=requests)
-
-    def step(self, state, rnd, inbox):
-        if rnd == 0:
-            state.iter = 1
-            return StepResult(state, requests=self.peel_request)
-        return self._result(state, *self._advance(state))
-
-    def step_group(self, states, rnd, key, result, members):
-        """`step` on each member; a member whose step only asks for its next
-        timer is timed."""
-        peel = self.peel_request
-        peeling: List[int] = []
-        timed: Dict[Tuple[str, int], List[int]] = {
-            (peel[0].tag, peel[0].radius): peeling}
-        stepped = []
-        advance = self._advance
-        for v in members:
-            state = states[v]
-            publish, requests = advance(state)
-            if publish is not None or requests is None:
-                stepped.append((v, self._result(state, publish, requests)))
-            elif requests is peel:
-                peeling.append(v)
-            else:
-                req = requests[0]
-                timed.setdefault((req.tag, req.radius), []).append(v)
-        return timed, stepped
+        params = run.params
+        k, radius = params.k, peel_radius(params.d)
+        branch = run.state.branch
+        table = {None: (None, ("peel", 1), {})}
+        for i in range(1, k):
+            table["peel", i] = (radius, ("peel", i + 1), {})
+        # after the last peel a node walks its branch's stages, if it has one
+        table["peel", k] = (radius, None, {
+            (name, 0): frozenset(v for v, b in branch.items() if b == name)
+            for name in ("approx", "exact")})
+        table.update(stage_chain(
+            "approx", strip_stages(mis_eps_to_k(params.eps / 8.0))))
+        table.update(stage_chain("exact", exact_branch_stages(params.d)))
+        super().__init__(table, {v: v in run.chosen for v in run.g.nodes})
 
 
 def default_round_cap(g: Graph, eps: float) -> int:
@@ -371,13 +302,16 @@ def mis_interval_distributed(h: Graph, eps: float, round_cap: Optional[int] = No
     ki, strips, chosen = _mis_interval_parts(h, eps)
     exact_stage = [10 * ki + 2]
     approx_stage = strip_stages(ki)
-    stages = {v: [2] for v in h.nodes}  # dominated-node screening
+    branches = {"exact": set(), "approx": set()}
     for strip in strips:
-        branch = exact_stage if strip.diameter() <= 10 * ki else approx_stage
-        for v in strip.nodes:
-            stages[v] = [2] + branch
+        branches["exact" if strip.diameter() <= 10 * ki else "approx"] |= strip.nodes
+    # dominated-node screening, then the component's branch
+    table = {None: (None, ("work", 0), {}),
+             ("work", 0): (2, None, {(name, 0): frozenset(nodes)
+                                     for name, nodes in branches.items()}),
+             **stage_chain("exact", exact_stage), **stage_chain("approx", approx_stage)}
     outputs = {v: (v in chosen) for v in h.nodes}
     cap = 2 * (2 + sum(approx_stage) + 10) if round_cap is None else round_cap
-    transcript = localsim.run(h, localsim.UniformStagedProgram(stages, outputs), cap)
+    transcript = localsim.run(h, StagedProgram(table, outputs), cap)
     members = {v for v, flag in transcript.outputs.items() if flag}
     return members, transcript

@@ -23,7 +23,7 @@ from .intervals import (
     color_budget, color_strip, extend_coloring, greedy_fill, strip_stages,
 )
 from . import localsim
-from .localsim import Collect, Send, StepResult
+from .localsim import Collect, Send, StagedProgram, StepResult, stage_chain
 
 Coloring = Dict[int, int]
 
@@ -137,7 +137,7 @@ def prune_layers(g: Graph, k: int) -> Layering:
     return layering
 
 
-def color_layers(g: Graph, layering: Layering, k: int) -> Coloring:
+def color_layers(layering: Layering, k: int) -> Coloring:
     """Color every layer independently; conflicts may remain between layers.
 
     Every component of a layer is a piece of one peeled path, so its clique
@@ -342,7 +342,7 @@ def mvc_pipeline(g: Graph, eps: float) -> MvcRun:
     layering = prune_layers(g, k)
     omega = max(map(len, layering.forest_history[0].cliques), default=0)
     _require_eps(eps, omega)
-    base = color_layers(g, layering, k)
+    base = color_layers(layering, k)
     final = correct_colors(g, layering, base, k)
     return MvcRun(g, eps, k, omega, layering, base, final)
 
@@ -365,41 +365,46 @@ class _Registry:
 
 @dataclass(slots=True)
 class _MvcNode:
-    """One node's progress through the MVC program."""
+    """One node's progress once it left the prune/color schedule."""
 
     id: int
-    phase: str = "prune"
-    iter: int = 1  # prune iteration
-    stage: int = 0  # color stage
+    phase: str  # "wait_color", "correct" or "done"
     color: Optional[int] = None
     levels: Optional[List[int]] = None  # correction levels to serve
     poll: Optional[Tuple[int, int]] = None  # (level, round) polled
     wait: Tuple[int, ...] = ()  # nodes that level waits for
 
 
-class MvcProgram:
+class MvcProgram(StagedProgram):
     """Node program: prune loop, per-layer coloring, correction with waits.
 
     Decisions are read from the shared deterministic pipeline; every phase
     still pays its communication (collect radii, polls, multi-hop color
-    messages), which is what the transcript measures.
+    messages), which is what the transcript measures. The prune and color
+    stages are a fixed schedule: a node collects once per prune iteration up
+    to its own layer's, then walks the coloring stages. Correction, which
+    waits on other nodes, is the dynamic tail.
     """
-
-    step_every_round = False
 
     def __init__(self, run: MvcRun):
         self.run = run
         self.registry = _Registry()
         self.k = run.k
-        self.layer = run.layering.layer
-        self.prune_request = (
-            Collect(prune_radius(run.k), tag="prune", want_data=False),)
-        self.color_requests = [(Collect(r, tag="color", want_data=False),)
-                               for r in strip_stages(run.k)]
+        layering = run.layering
+        by_layer: Dict[int, Set[int]] = {}
+        for v, i in layering.layer.items():
+            by_layer.setdefault(i, set()).add(v)
+        radius = prune_radius(run.k)
+        table = {None: (None, ("prune", 1), {})}
+        for i in range(1, layering.num_layers + 1):
+            table["prune", i] = (radius, ("prune", i + 1),
+                                 {("color", 0): frozenset(by_layer.get(i, ()))})
+        table.update(stage_chain("color", strip_stages(run.k)))
+        super().__init__(table)
         self.polls = {
             level: Collect(correction_poll_radius(run.k), tag=("poll", level),
                            want_data=False)
-            for per in run.layering.children.values() for level in per
+            for per in layering.children.values() for level in per
         }
 
     # -- helpers ----------------------------------------------------------
@@ -435,52 +440,18 @@ class MvcProgram:
                           output=state.color, publish={"final": state.color})
 
     # -- engine interface --------------------------------------------------
-    def init(self, node, neighbors):
-        return _MvcNode(node)
-
-    def _next_timer(self, state):
-        """Move `state` past a step that only asks for its next prune or
-        color timer and return that request; None, with `state` unchanged,
-        when the step does more: the prune iteration of the node's layer,
-        the last color stage and every later phase."""
-        if state.phase == "prune":
-            i = state.iter
-            if self.layer[state.id] != i:
-                state.iter = i + 1
-                return self.prune_request
-        elif state.phase == "color":
-            stage = state.stage + 1
-            if stage < len(self.color_requests):
-                state.stage = stage
-                return self.color_requests[stage]
-        return None
+    def leave(self, v, rnd):
+        """After the last color stage: a root of the correction forest takes
+        its final color, any other node waits for its parent's."""
+        run = self.run
+        if run.layering.parent[v] is None:
+            return self._finalize(_MvcNode(v, "correct", run.final_colors[v]), rnd)
+        return StepResult(_MvcNode(v, "wait_color"))
 
     def step(self, state, rnd, inbox):
-        v = state.id
+        if not isinstance(state, _MvcNode):
+            return super().step(state, rnd, inbox)
         run = self.run
-        if state.phase == "prune":
-            if rnd == 0:
-                return StepResult(state, requests=self.prune_request)
-            assert ("collect", "prune") in inbox
-        requests = self._next_timer(state)
-        if requests is not None:
-            return StepResult(state, requests=requests)
-
-        if state.phase == "prune":  # the iteration of the node's own layer
-            state.phase = "color"
-            state.stage = 0
-            return StepResult(state, publish={"layer": state.iter},
-                              requests=self.color_requests[0])
-
-        if state.phase == "color":  # the last stage
-            state.stage += 1
-            state.color = run.base_colors[v]
-            if run.layering.parent[v] is None:
-                state.color = run.final_colors[v]
-                return self._finalize(state, rnd)
-            state.phase = "wait_color"
-            return StepResult(state, publish={"color": state.color})
-
         if state.phase == "wait_color":
             for key, payload in sorted(inbox.items(), key=repr):
                 if key[0] == "msg" and payload[0] == "set_color":
@@ -495,7 +466,7 @@ class MvcProgram:
                        for u in state.wait):
                 state.poll = (level, rnd)
                 return StepResult(state, requests=(self.polls[level],))
-            kids = run.layering.children[v][level]
+            kids = run.layering.children[state.id][level]
             sends = [
                 Send(child, ("set_color", run.final_colors[child]),
                      set_color_latency(self.k))
@@ -505,27 +476,6 @@ class MvcProgram:
             return self._next_level(state, rnd, sends)
 
         return StepResult(state)
-
-    def step_group(self, states, rnd, key, result, members):
-        """`step` on each member; a member whose step only asks for its next
-        timer is timed."""
-        prune = self.prune_request
-        pruning: List[int] = []
-        timed: Dict[Tuple[str, int], List[int]] = {
-            (prune[0].tag, prune[0].radius): pruning}
-        stepped = []
-        next_timer = self._next_timer
-        for v in members:
-            state = states[v]
-            requests = next_timer(state)
-            if requests is None:
-                stepped.append((v, self.step(state, rnd, {key: result})))
-            elif requests is prune:
-                pruning.append(v)
-            else:
-                req = requests[0]
-                timed.setdefault((req.tag, req.radius), []).append(v)
-        return timed, stepped
 
 
 def default_round_cap(g: Graph, eps: float) -> int:

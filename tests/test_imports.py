@@ -43,3 +43,13 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     source = "import os\nfrom .graphs import Graph, mcs_order as m\nm(Graph)\n"
     assert unused_imports(source) == [(1, "os")]
+
+
+def test_package_exports_every_node_program():
+    import chordalg
+    from chordalg import localsim
+
+    programs = {name for name, value in vars(localsim).items()
+                if isinstance(value, type) and name.endswith("Program")}
+    assert programs == {"GatherProgram", "SequencedProgram", "StagedProgram"}
+    assert programs <= set(chordalg.__all__)

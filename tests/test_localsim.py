@@ -10,7 +10,7 @@ from chordalg import (
 from chordalg.graphs import bfs_distances
 from chordalg.localsim import (
     NO_OUTPUT, Collect, CollectResult, GatherProgram, Send, SequencedProgram,
-    StepResult, gather, run,
+    StagedProgram, StepResult, gather, run, stage_chain,
 )
 
 from conftest import small_graphs
@@ -233,13 +233,39 @@ def test_message_log_records_traffic():
     assert senders == {1, 2, 3}
 
 
-def test_uniform_staged_program_rounds():
-    from chordalg.localsim import UniformStagedProgram, run as sim_run
+def test_staged_program_rounds():
     g = gen_path(4)
-    stages = {v: [2, 3] for v in g.nodes}
-    t = sim_run(g, UniformStagedProgram(stages, {v: v for v in g.nodes}), 20)
+    table = {None: (None, ("a", 0), {}), **stage_chain("a", [2, 3])}
+    t = run(g, StagedProgram(table, {v: v for v in g.nodes}), 20)
     assert t.rounds_elapsed == 5
     assert t.outputs == {v: v for v in g.nodes}
+
+
+@pytest.mark.parametrize("scan", ["forward", "reverse"])
+def test_staged_program_moves_the_exceptions_elsewhere(scan):
+    # nodes 1 and 2 leave after stage ("a", 0), node 4 takes the b stages and
+    # node 3 the rest of the a stages
+    table = {None: (None, ("a", 0), {}),
+             **stage_chain("a", [2, 3]), **stage_chain("b", [1, 1, 4])}
+    table["a", 0] = (2, ("a", 1), {None: frozenset({1, 2}), ("b", 0): frozenset({4})})
+    program = StagedProgram(table, {v: -v for v in range(1, 5)})
+    steps = []
+    step = program.step
+    program.step = lambda *args: steps.append(args) or step(*args)
+    t = run(gen_path(4), program, 20, scan=scan)
+    assert t.outputs == {v: -v for v in range(1, 5)}
+    assert t.rounds_elapsed == 8
+    assert t.service_counts[:3] == [4, 0, 2] and sum(t.service_counts) == 8
+    assert steps == []  # every step was a group step
+    expected = reference_run(gen_path(4), StagedProgram(table, program.outputs), 20,
+                             scan=scan)
+    assert t.serialize() == expected.serialize()
+    # a step reads its stage off its inbox's key
+    due = {("collect", ("a", 0)): None}
+    assert step(1, 2, due) == StepResult(1, output=-1)
+    assert step(3, 2, due) == StepResult(3, requests=(Collect(3, ("a", 1), False),))
+    assert step(4, 2, due) == StepResult(4, requests=(Collect(1, ("b", 0), False),))
+    assert step(4, 0, {}) == StepResult(4, requests=(Collect(2, ("a", 0), False),))
 
 
 class PlannedSends:
@@ -474,7 +500,8 @@ class GroupBadAtDue(BadAtDue):
 
     def step_group(self, states, rnd, key, result, members):
         self.group_calls += 1
-        return {}, [(v, self.step(states[v], rnd, {key: result})) for v in members]
+        inbox = {} if key is None else {key: result}
+        return {}, [(v, self.step(states[v], rnd, inbox)) for v in members]
 
 
 BAD_RESULTS = {
@@ -498,7 +525,7 @@ def test_group_steps_meet_every_engine_check(name):
         with pytest.raises(error) as grouped:
             run(gen_path(4), program, 10)
         assert str(grouped.value) == str(expected.value)
-    assert program.group_calls == 1
+    assert program.group_calls == 2  # round 0 and the timer group
 
 
 def test_engine_checks_hold_for_a_member_delivered_alone():
@@ -518,7 +545,7 @@ def test_engine_checks_hold_for_a_member_delivered_alone():
         with pytest.raises(error) as alone:
             run(gen_path(4), program, 10)
         assert str(alone.value) == str(expected.value), name
-        assert program.group_calls == 1
+        assert program.group_calls == 2
 
 
 # group steps of the path 1 - 2 - 3 - 4 that do not answer each member once
@@ -642,7 +669,7 @@ class GroupScripted(Scripted):
         self.group_calls += 1
         timed, stepped = {}, []
         for v in members:
-            res = self.step(states[v], rnd, {key: result})
+            res = self.step(states[v], rnd, {} if key is None else {key: result})
             reqs = res.requests
             if (len(reqs) == 1 and type(reqs[0]) is Collect and not reqs[0].want_data
                     and not res.outbox and res.output is NO_OUTPUT
@@ -761,15 +788,31 @@ class TestEngineMatchesReference:
             program = GroupScripted(script, False)
             run(g, program, 20)
             steps[name] = program.group_calls, program.timed
+        # round 0 is one group call of every node, then the timer groups
         assert steps == {
-            "two groups due in one round": (1, 0),  # node 2's group of one
-            "a member with a data collect": (1, 0),  # node 3 alone
-            "a member with a message and a Send": (1, 0),  # node 3 alone
-            "a member that messages": (1, 0),
-            "a member with a wake": (1, 0),  # node 3 alone
-            "a member woken after its group": (1, 0),  # node 3 alone
-            "members that ask for the next timer": (3, 2),
+            "two groups due in one round": (2, 0),  # node 2's group of one
+            "a member with a data collect": (2, 0),  # node 3 alone
+            "a member with a message and a Send": (2, 0),  # node 3 alone
+            "a member that messages": (2, 0),
+            "a member with a wake": (2, 0),  # node 3 alone
+            "a member woken after its group": (2, 0),  # node 3 alone
+            "members that ask for the next timer": (4, 2),
         }
+
+    def test_round_zero_is_one_group_call_of_every_node(self):
+        g, script = group_case("members that ask for the next timer")
+        program = GroupScripted(script, False)
+        calls = []
+        step_group = program.step_group
+
+        def watched(states, rnd, key, result, members):
+            calls.append((rnd, key, result, set(members)))
+            return step_group(states, rnd, key, result, members)
+
+        program.step_group = watched
+        run(g, program, 20)
+        assert calls[0] == (0, None, None, {1, 2, 3, 4})
+        assert all(rnd > 0 and key is not None for rnd, key, _, _ in calls[1:])
 
     @pytest.mark.parametrize("name", sorted(GROUP_CASES))
     def test_group_path_stays_off_when_every_node_steps_every_round(self, name):

@@ -123,7 +123,7 @@ class TestColorLayers:
         g = gen_chordal(300, seed=21, max_clique=6)
         k = 4
         layering = prune_layers(g, k)
-        base = color_layers(g, layering, k)
+        base = color_layers(layering, k)
         for u, v in g.edges():
             if base[u] == base[v]:
                 assert layering.layer[u] != layering.layer[v]
@@ -132,7 +132,7 @@ class TestColorLayers:
         g = gen_chordal(300, seed=21, max_clique=6)
         k = 4
         layering = prune_layers(g, k)
-        base = color_layers(g, layering, k)
+        base = color_layers(layering, k)
         for i in range(1, layering.num_layers + 1):
             sub = g.subgraph(layering.layer_nodes(i))
             palette = {base[v] for v in sub.nodes}
@@ -144,14 +144,14 @@ class TestCorrectColors:
         g = gen_interval(80, seed=5)
         k = 4
         layering = prune_layers(g, k)
-        base = color_layers(g, layering, k)
+        base = color_layers(layering, k)
         assert correct_colors(g, layering, base, k) == base
 
     def test_conflicts_resolved_locally(self):
         g = gen_chordal(400, seed=21, max_clique=6)
         k = 4
         layering = prune_layers(g, k)
-        base = color_layers(g, layering, k)
+        base = color_layers(layering, k)
         final = correct_colors(g, layering, base, k)
         assert verify_coloring(g, final).legal
         changed = {v for v in base if base[v] != final[v]}

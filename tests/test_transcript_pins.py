@@ -7,16 +7,20 @@ run must reproduce them when the engine steps each round's nodes in reverse
 order, too. The node-steps of each run are pinned as well: the transcript
 fixes them, so a faster engine must make steps cheaper, not fewer. Both hold
 when the programs step whole timer groups, each member counted as a step.
+The calls of a program's per-node `step` are pinned apart from node-steps:
+a group that falls back to stepping each member shows up there.
 """
 
 import copy
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chordalg import (
-    color_interval_distributed, gen_chordal, gen_interval, mis_chordal_distributed,
-    mis_interval_distributed, mvc_distributed,
+    color_interval_distributed, distance_k_mis_distributed, gen_chordal,
+    gen_interval, gen_path, mis_chordal_distributed, mis_interval_distributed,
+    mvc_distributed,
 )
 from chordalg import localsim
 from chordalg.localsim import Collect, StepResult
@@ -67,6 +71,14 @@ PINNED = {
                           2400),
 }
 
+# name -> calls of the program's `step` when the engine steps timer groups,
+# round 0 included; only MVC's correction tail steps node by node
+STEP_CALLS = {
+    "tree-mvc": 327, "tree-mis": 0, "dumbbell-mvc": 42, "dumbbell-mis": 0,
+    "longpaths-mvc": 93, "longpaths-mis": 0, "interval-mis": 0,
+    "interval-coloring": 0,
+}
+
 
 class CountedSteps:
     """A node program that counts the steps of the program it wraps."""
@@ -84,13 +96,29 @@ class CountedSteps:
         return self.program.step(state, rnd, inbox)
 
 
+def inbox_of(key, result):
+    """The inbox a group's members read: empty in round 0, where the key is
+    None."""
+    return {} if key is None else {key: result}
+
+
 class CountedGroupSteps(CountedSteps):
     """Also forwards `step_group`, counting each member as one node-step; a
-    program without one has each member stepped through `step`."""
+    program without one has each member stepped through `step`. Every call
+    of the program's `step`, by the engine or by its own group step, counts
+    in `step_calls`."""
 
     def __init__(self, program):
         super().__init__(program)
         self.group_calls = 0
+        self.step_calls = 0
+        step = program.step
+
+        def counted_step(*args):
+            self.step_calls += 1
+            return step(*args)
+
+        program.step = counted_step
 
     def step_group(self, states, rnd, key, result, members):
         self.steps += len(members)
@@ -98,7 +126,7 @@ class CountedGroupSteps(CountedSteps):
         program = self.program
         if hasattr(program, "step_group"):
             return program.step_group(states, rnd, key, result, members)
-        return {}, [(v, program.step(states[v], rnd, {key: result}))
+        return {}, [(v, program.step(states[v], rnd, inbox_of(key, result)))
                     for v in members]
 
 
@@ -106,7 +134,8 @@ class CheckedGroupSteps(CountedGroupSteps):
     """Checks every group step against `step` on a copy of each member."""
 
     def step_group(self, states, rnd, key, result, members):
-        alone = {v: self.program.step(copy.deepcopy(states[v]), rnd, {key: result})
+        alone = {v: self.program.step(copy.deepcopy(states[v]), rnd,
+                                      inbox_of(key, result))
                  for v in members}
         timed, stepped = super().step_group(states, rnd, key, result, members)
         for (tag, radius), group in timed.items():
@@ -119,9 +148,9 @@ class CheckedGroupSteps(CountedGroupSteps):
         return timed, stepped
 
 
-def watched_solve(monkeypatch, name, scan="forward", counter=CountedSteps):
-    """Run a pinned solve with its engine run in `scan` order, its program
-    wrapped in `counter`; returns the transcript and the wrapper."""
+def watched_solve(monkeypatch, solve, scan="forward", counter=CountedSteps):
+    """Run `solve` with its engine run in `scan` order, its program wrapped
+    in `counter`; returns the transcript and the wrapper."""
     engine = localsim.run
     counted = []
 
@@ -130,15 +159,15 @@ def watched_solve(monkeypatch, name, scan="forward", counter=CountedSteps):
         return engine(g, counted[-1], round_cap, **dict(options, scan=scan))
 
     monkeypatch.setattr(localsim, "run", run)
-    _, transcript = PINNED[name][0]()
+    _, transcript = solve()
     assert len(counted) == 1
     return transcript, counted[0]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_transcript_digest_is_pinned(monkeypatch, name):
-    _, expected, steps = PINNED[name]
-    transcript, counted = watched_solve(monkeypatch, name)
+    solve, expected, steps = PINNED[name]
+    transcript, counted = watched_solve(monkeypatch, solve)
     assert digest(transcript) == expected
     assert counted.steps == steps
 
@@ -148,8 +177,8 @@ REVERSE_SCAN = sorted(PINNED)
 
 @pytest.mark.parametrize("name", REVERSE_SCAN)
 def test_reverse_scan_matches_the_pinned_digest(monkeypatch, name):
-    _, expected, steps = PINNED[name]
-    transcript, counted = watched_solve(monkeypatch, name, scan="reverse")
+    solve, expected, steps = PINNED[name]
+    transcript, counted = watched_solve(monkeypatch, solve, scan="reverse")
     assert digest(transcript) == expected
     assert counted.steps == steps
 
@@ -158,18 +187,69 @@ def test_reverse_scan_matches_the_pinned_digest(monkeypatch, name):
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_group_steps_match_the_pinned_digest(monkeypatch, name, scan):
     # the programs step whole timer groups; a member still counts as a step
-    _, expected, steps = PINNED[name]
-    transcript, counted = watched_solve(monkeypatch, name, scan, CountedGroupSteps)
+    solve, expected, steps = PINNED[name]
+    transcript, counted = watched_solve(monkeypatch, solve, scan, CountedGroupSteps)
     assert digest(transcript) == expected
     assert counted.steps == steps
     assert 0 < counted.group_calls < steps
+    assert counted.step_calls == STEP_CALLS[name]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_group_steps_equal_steps_of_each_member(monkeypatch, name):
-    _, expected, _ = PINNED[name]
-    transcript, _ = watched_solve(monkeypatch, name, counter=CheckedGroupSteps)
+    solve, expected, _ = PINNED[name]
+    transcript, _ = watched_solve(monkeypatch, solve, counter=CheckedGroupSteps)
     assert digest(transcript) == expected
+
+
+# the replays on small generated instances, for the group-step property
+SMALL_SOLVES = {
+    "mvc": lambda seed: mvc_distributed(gen_chordal(40, seed, max_clique=5), 1.0),
+    "mis": lambda seed: mis_chordal_distributed(gen_chordal(40, seed, max_clique=5), 0.4),
+    "interval-mis": lambda seed: mis_interval_distributed(gen_interval(40, seed), 0.4),
+    "interval-coloring": lambda seed: color_interval_distributed(gen_interval(40, seed), 2),
+    # its input is a connected proper interval graph
+    "distance-mis": lambda seed: distance_k_mis_distributed(gen_path(5 + seed % 40), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_SOLVES))
+@given(seed=st.integers(0, 10_000), scan=st.sampled_from(["forward", "reverse"]))
+@settings(max_examples=15, deadline=None)
+def test_group_steps_equal_steps_on_small_instances(name, seed, scan):
+    solve = SMALL_SOLVES[name]
+    with pytest.MonkeyPatch.context() as patch:
+        transcript, counted = watched_solve(
+            patch, lambda: solve(seed), scan, CheckedGroupSteps)
+    assert transcript.complete
+    assert counted.group_calls > 0
+
+
+class PublishedKeys(CountedGroupSteps):
+    """Records the name of every variable a step publishes."""
+
+    def __init__(self, program):
+        super().__init__(program)
+        self.keys = set()
+
+    def step(self, state, rnd, inbox):
+        res = super().step(state, rnd, inbox)
+        self.keys.update(res.publish or ())
+        return res
+
+    def step_group(self, states, rnd, key, result, members):
+        timed, stepped = super().step_group(states, rnd, key, result, members)
+        for _, res in stepped:
+            self.keys.update(res.publish or ())
+        return timed, stepped
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_replays_publish_only_what_correction_reads(monkeypatch, name):
+    # every collect of the replays is a timer; MVC publishes its final
+    # colors, which a correction wait is to read
+    _, published = watched_solve(monkeypatch, PINNED[name][0], counter=PublishedKeys)
+    assert published.keys == ({"final"} if name.endswith("-mvc") else set())
 
 
 def test_dumbbell_reaches_internal_peel_and_approx_branch():
