@@ -368,7 +368,7 @@ class _MvcNode:
     """One node's progress once it left the prune/color schedule."""
 
     id: int
-    phase: str  # "wait_color", "correct" or "done"
+    phase: str = "wait_color"  # then "correct", then "done"
     color: Optional[int] = None
     levels: Optional[List[int]] = None  # correction levels to serve
     poll: Optional[Tuple[int, int]] = None  # (level, round) polled
@@ -445,8 +445,8 @@ class MvcProgram(StagedProgram):
         its final color, any other node waits for its parent's."""
         run = self.run
         if run.layering.parent[v] is None:
-            return self._finalize(_MvcNode(v, "correct", run.final_colors[v]), rnd)
-        return StepResult(_MvcNode(v, "wait_color"))
+            return self._finalize(_MvcNode(v, color=run.final_colors[v]), rnd)
+        return StepResult(_MvcNode(v))
 
     def step(self, state, rnd, inbox):
         if not isinstance(state, _MvcNode):
