@@ -451,10 +451,8 @@ class StagedProgram:
                  outputs: Optional[Dict[int, Any]] = None):
         self.table = table
         self.outputs = outputs
-        self.timers = {stage: (stage, row[0]) for stage, row in table.items()
-                       if stage is not None}
-        self.requests = {stage: (Collect(radius, stage, want_data=False),)
-                         for stage, radius in self.timers.values()}
+        self.requests = {stage: (Collect(row[0], stage, want_data=False),)
+                         for stage, row in table.items() if stage is not None}
 
     def init(self, node, neighbors):
         return node
@@ -494,16 +492,16 @@ class StagedProgram:
             if stage is None:
                 stepped.extend((v, self.leave(v, rnd)) for v in part)
             else:
-                timed[self.timers[stage]] = part
+                timed[stage, self.table[stage][0]] = part
         return timed, stepped
 
 
-def stage_chain(name, radii, then=None):
+def stage_chain(name, radii):
     """Table rows of the stages ``(name, 0)``, ``(name, 1)``, ... with the
-    given radii, each moving every node on to the next and the last to
-    `then`."""
+    given radii, each moving every node on to the next and the last out of
+    the schedule."""
     last = len(radii) - 1
-    return {(name, s): (radius, (name, s + 1) if s < last else then, {})
+    return {(name, s): (radius, (name, s + 1) if s < last else None, {})
             for s, radius in enumerate(radii)}
 
 
