@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chordalg import (
-    color_interval_distributed, distance_k_mis_distributed, gen_chordal,
-    gen_interval, gen_path, mis_chordal_distributed, mis_interval_distributed,
-    mvc_distributed,
+    Graph, color_interval_distributed, distance_k_mis_distributed, gen_chordal,
+    gen_interval, gen_path, gen_spider, mis_chordal_distributed,
+    mis_interval_distributed, mvc_distributed,
 )
 from chordalg import localsim
 from chordalg.localsim import Collect, StepResult
@@ -250,6 +250,63 @@ def test_replays_publish_only_what_correction_reads(monkeypatch, name):
     # colors, which a correction wait is to read
     _, published = watched_solve(monkeypatch, PINNED[name][0], counter=PublishedKeys)
     assert published.keys == ({"final"} if name.endswith("-mvc") else set())
+
+
+# the flooding program on its own: sha256 of the serialized transcript and
+# the message log, whose rounds list their messages in scan order
+GATHER_GRAPHS = {
+    "spider": lambda: gen_spider(3, 4),
+    "path": lambda: gen_path(7),
+    "chordal": lambda: gen_chordal(60, 3, 5),
+    "isolated": lambda: Graph(nodes=[1, 2, 3]),
+}
+
+# (graph, radius) -> (forward digest, reverse digest); recorded when the
+# engine still stepped every node of a gather in every round
+GATHER_PINNED = {
+    ("spider", 1): ("c755d5e9372d030436694a7be5bf147be2237b44ddbd614ee26afe13b229e082",
+                    "579a8d11016d2f867677688dc7f48e7f7434c0c5700c46984a607b7c5cea40ce"),
+    ("spider", 2): ("a8b7a891565981fb8c29bc15505ca2bfba54c020e3d533fb3f16407a90f04cb0",
+                    "ecf75e920d8f5d5f51a1799eacd0e833bece7bc7c3a7856c6be32a492ac1a5cb"),
+    ("spider", 3): ("aa35e142d6f2ff8251a16b71f83784c2ecdb8ee30b43fffddf9287a80dd528ad",
+                    "d98793533e31da419839be1fa0acfa8fcb6051ad0d6169bc42c40a1a51a8cba3"),
+    ("spider", 5): ("198a6e15f27794f8c3256c140425b0a9393225460c53253ad570b4eddf36fc71",
+                    "0c8d0783a200aa50b0c4c04b102f5b62343f3e553b770148e45bbf1ea5745342"),
+    ("path", 1): ("6f0630dd4397d8efb95cd1fe6e1ce998f2fad67cbd0f64156d31ce31b28a0fdc",
+                  "a7867bd06bc1b8d80e5ee0e2d5ae4559c96b0e0a9fc078b8549dd8a36b3bbebb"),
+    ("path", 2): ("57b5fb635a5282aa00cd3fa891bf6960a24614d8b76367c64685f25cbc4ae5bc",
+                  "9e3a354dad15db3d4597766186112b4b9449de7135787330404d32aeae3d94e1"),
+    ("path", 3): ("79c4c46105dbbb3dd1d0e42c58d25ae6b7a6c8f3ca9cc597f14f70e51d50b9e6",
+                  "115bf0508c8a576d428a29b5e2ed91c310d20d6488c4f4ee611b040ac199d6fc"),
+    ("path", 5): ("7565b05864949ef3421a8c8e85fbb9a81c7d71d340d5ee2fc743715dd075b204",
+                  "6336b923a902450b8189659576f1e086a3d52e8f326f9706c61b5ca89c3fbffd"),
+    ("chordal", 1): ("4bc37e7758eed9e3719a385ef681303ccf7f519a2b704ce26baeca85ec59a68f",
+                     "c8063424bac957f6188219ac56068155aaf66496b6019c0c67d8b232d140396e"),
+    ("chordal", 2): ("cf232c6612f15acf81a9bd304717339d847064273a95f0c1034072160365475a",
+                     "85508aaad2910966f7242f8ce6cd6ea3b6778b7f391e7e174fd70381d89966f2"),
+    ("chordal", 3): ("b9e28cd6cab4b55de9b741e78e48f83fdfe1385e0bfc5df2f2f25d9b31d0ec2c",
+                     "951fa2389f667e36ce4996fbe9349ea16fb544a0b2d574547b86d0be87c3a0ec"),
+    ("chordal", 5): ("44a4a6a36c22887421ef7f01685412231785e0744da97ad5c300805a0c994c10",
+                     "bfa5e4bdda6b04e9c956ddc3951321f3823d09aea9ba83aa7b7f9e910006b5c9"),
+    ("isolated", 1): ("4182f810ac463a583bfe867bc7dac6562ab1eaa1f84c757e7aed295ba2a39751",
+                      "4182f810ac463a583bfe867bc7dac6562ab1eaa1f84c757e7aed295ba2a39751"),
+    ("isolated", 2): ("4fbf0d999525df6851cdfbbb304dfd0cee73788e368152cd7100b16d597539b6",
+                      "4fbf0d999525df6851cdfbbb304dfd0cee73788e368152cd7100b16d597539b6"),
+    ("isolated", 3): ("1b55419f3edaac541868d98d7db84384cd9cf032f1c644c2d4abfa490335945b",
+                      "1b55419f3edaac541868d98d7db84384cd9cf032f1c644c2d4abfa490335945b"),
+    ("isolated", 5): ("bcd322150193739c6ba09de0b5f9b0c6784498fe2e2da667b91f03736dd0b1f8",
+                      "bcd322150193739c6ba09de0b5f9b0c6784498fe2e2da667b91f03736dd0b1f8"),
+}
+
+
+@pytest.mark.parametrize("scan", ["forward", "reverse"])
+@pytest.mark.parametrize("name,radius", sorted(GATHER_PINNED))
+def test_gather_transcript_and_message_log_are_pinned(name, radius, scan):
+    t = localsim.run(GATHER_GRAPHS[name](), localsim.gather(radius), 20,
+                     record_messages=True, scan=scan)
+    text = t.serialize() + repr(t.message_log)
+    expected = GATHER_PINNED[name, radius][scan == "reverse"]
+    assert hashlib.sha256(text.encode()).hexdigest() == expected
 
 
 def test_dumbbell_reaches_internal_peel_and_approx_branch():
