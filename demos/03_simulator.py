@@ -23,8 +23,6 @@ print("radius-2 views agree despite the far-away edge:", a == b)
 
 
 class CollectOnce:
-    step_every_round = False
-
     def init(self, node, neighbors):
         return node
 

@@ -18,11 +18,10 @@ engine offers two services with honest round costs:
 Nodes that finished still relay traffic: the engine performs delivery for
 every collect or send regardless of the state of intermediate nodes.
 
-A node steps in round 0 and afterwards only in rounds where it has a
-delivery or asked to wake (``wake_at``). The engine keeps a heap of those due
-rounds and jumps from one to the next, recording the rounds in between as
-quiet; a program that sets ``step_every_round`` steps every node in every
-round instead.
+A node acts only on what it received or on its own clock: it steps in round
+0 and afterwards only in rounds where it has a delivery or asked to wake
+(``wake_at``). The engine keeps a heap of those due rounds and jumps from one
+to the next, recording the rounds in between as quiet.
 
 A step reads its inbox as a ``key -> payload`` dict that the engine hands
 over (it is not copied, and the step may keep it): ``("msg", sender)`` for a
@@ -30,17 +29,17 @@ message or a Send, ``("collect", tag)`` for a Collect, in delivery order. A
 later item with the same key replaces an earlier one, keeping its position.
 A ``StepResult`` names only what the step does: ``outbox`` and ``publish``
 default to ``None``, ``requests`` to ``()``, ``output`` to ``NO_OUTPUT`` and
-``wake_at`` to ``None``.
+``wake_at`` to ``None``. ``init(node, neighbors)`` receives the engine's own
+neighbor set of the node, which it must not change.
 
-Unless a program sets ``step_every_round``, the engine holds the nodes whose
-only request in a round is one timer of the same (tag, radius) as a group
-until it is due, then steps the group in one call of
-``step_group(states, rnd, key, result, members)``: `states` is the engine's
-node -> state map, `key` is ``("collect", tag)``, `result` the shared
-``CollectResult`` and `members` the set of member nodes, which the call must
-not change. Round 0 is one such call for every node, with `key` and `result`
-None, as no node has an inbox yet. It returns ``(timed, stepped)``: `timed`
-maps ``(tag, radius)`` to the members whose only action is a lone
+The engine holds the nodes whose only request in a round is one timer of the
+same (tag, radius) as a group until it is due, then steps the group in one
+call of ``step_group(states, rnd, key, result, members)``: `states` is the
+engine's node -> state map, `key` is ``("collect", tag)``, `result` the
+shared ``CollectResult`` and `members` the set of member nodes, which the
+call must not change. Round 0 is one such call for every node, with `key` and
+`result` None, as no node has an inbox yet. It returns ``(timed, stepped)``:
+`timed` maps ``(tag, radius)`` to the members whose only action is a lone
 ``Collect(radius, tag, want_data=False)``, with their new states written to
 `states`; `stepped` holds a ``(node, StepResult)`` pair for every other
 member, handled like any step's result and in scan order. Each member must be
@@ -128,9 +127,10 @@ class Transcript:
 
 def _step_each(step):
     """The group step of a program without ``step_group``: ``step`` on each
-    member."""
+    member, with an empty inbox in round 0."""
     def step_group(states, rnd, key, result, members):
-        return {}, [(v, step(states[v], rnd, {key: result})) for v in members]
+        return {}, [(v, step(states[v], rnd, {} if key is None else {key: result}))
+                    for v in members]
     return step_group
 
 
@@ -144,24 +144,19 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
     if round_cap < 1:
         raise ValueError("round_cap must be >= 1")
     adj = g.adj
-    nodes = g.sorted_nodes()
-    states = {v: program.init(v, tuple(sorted(adj[v]))) for v in nodes}
+    states = {v: program.init(v, nbrs) for v, nbrs in adj.items()}
     step = program.step
     outputs: Dict[int, Any] = {}
-    published: Dict[int, Dict[str, Any]] = {v: {} for v in nodes}
+    published: Dict[int, Dict[str, Any]] = {v: {} for v in adj}
     # round -> node -> the inbox its step reads; a wake is an empty inbox
     agenda: Dict[int, Dict[int, Dict[Any, Any]]] = {}
     due_rounds: List[int] = []  # min-heap of the rounds in `agenda`
-    step_every_round = getattr(program, "step_every_round", True)
-    step_group = getattr(program, "step_group", None)
+    step_group = getattr(program, "step_group", None) or _step_each(step)
     # round -> the timer groups due then, as (inbox key, shared result,
-    # members); a member has no other delivery in that round. A program with
-    # a group step steps round 0 as one group of every node.
-    held: Dict[int, List[Tuple[Any, Optional[CollectResult], Set[int]]]] = {}
-    group_start = step_group is not None and not step_every_round
-    if group_start:
-        held[0] = [(None, None, set(nodes))]
-    step_group = step_group or _step_each(step)
+    # members); a member has no other delivery in that round. Round 0 is one
+    # group of every node.
+    held: Dict[int, List[Tuple[Any, Optional[CollectResult], Set[int]]]] = {
+        0: [(None, None, set(adj))]}
     message_counts: List[int] = []
     service_counts: List[int] = []
     log: Optional[List[List[Tuple[int, int, Any]]]] = [] if record_messages else None
@@ -221,8 +216,8 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
     # round 0 is the setup phase: every node steps once with an empty inbox
     # and may already send; a message sent in round r is readable in round
     # r + 1, so after round t every node has exactly its radius-t knowledge.
-    # Rounds in which no node has a delivery or a wake are skipped unless the
-    # program steps every round; they are recorded as quiet.
+    # Rounds in which no node has a delivery or a wake are skipped and
+    # recorded as quiet.
     rnd = 0
     while True:
         inboxes = agenda.pop(rnd, {})
@@ -257,10 +252,7 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
                 raise RuntimeError("step_group did not answer each of its %d "
                                    "members once" % len(members))
             grouped.update(stepped)
-        if step_every_round or (rnd == 0 and not group_start):
-            order = nodes
-        else:
-            order = sorted(inboxes.keys() | grouped.keys() if grouped else inboxes)
+        order = sorted(inboxes.keys() | grouped.keys() if grouped else inboxes)
         if scan == "reverse":
             order = order[::-1]
         for v in order:
@@ -347,10 +339,6 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
             due = inboxes_at(at)
             key = ("collect", tag)
             result = timers[tag, radius]
-            if step_every_round:
-                for v in group:
-                    deliver(due, at, v, key, result)
-                continue
             # a group is held until due; a member that has another delivery
             # then, or is held in another group, is delivered alone
             members = set(group)
@@ -365,14 +353,9 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
         service_counts.append(svc_count)
         if log is not None:
             log.append(round_log)
-        if len(outputs) == len(nodes):
+        if len(outputs) == len(adj):
             return transcript(max(rnd, 1), True)
-        if step_every_round:
-            nxt = rnd + 1
-            if due_rounds and due_rounds[0] == nxt:
-                heapq.heappop(due_rounds)
-        else:
-            nxt = heapq.heappop(due_rounds) if due_rounds else round_cap + 1
+        nxt = heapq.heappop(due_rounds) if due_rounds else round_cap + 1
         if nxt > round_cap:
             pad_to(round_cap + 1)
             raise RoundCapExceeded("round cap %d reached" % round_cap,
@@ -384,12 +367,12 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
 class GatherProgram:
     """Flood for `radius` rounds, then output the learned ball.
 
-    Each node starts knowing its id, neighbor list, and an optional local
-    variable; after exactly `radius` rounds it outputs a map from every node
-    within distance `radius` to that node's (neighbors, variable) pair.
+    Each node starts knowing its id, sorted neighbor tuple, and an optional
+    local variable; after exactly `radius` rounds it outputs a map from every
+    node within distance `radius` to that node's (neighbors, variable) pair.
+    A node steps when it hears from a neighbor, and in round `radius`, which
+    it asks to wake for in round 0.
     """
-
-    step_every_round = True
 
     def __init__(self, radius: int, local_vars: Optional[Dict[int, Any]] = None):
         if radius < 1:
@@ -398,33 +381,32 @@ class GatherProgram:
         self.local_vars = local_vars or {}
 
     def init(self, node, neighbors):
-        entry = {node: (neighbors, self.local_vars.get(node))}
-        return {"id": node, "nbrs": neighbors, "know": dict(entry), "new": dict(entry)}
+        neighbors = tuple(sorted(neighbors))
+        return {"nbrs": neighbors, "know": {node: (neighbors, self.local_vars.get(node))}}
 
     def step(self, state, rnd, inbox):
-        learned = {}
-        for key, payload in inbox.items():
-            if key[0] != "msg":
-                continue
-            for u, entry in payload.items():
-                if u not in state["know"]:
-                    learned[u] = entry
-        state["know"].update(learned)
-        fresh = state.pop("new", None)
-        to_send = dict(fresh) if fresh else {}
-        to_send.update(learned)
-        state["new"] = {}
-        outbox = {}
-        if rnd < self.radius and to_send:
-            outbox = {nbr: to_send for nbr in state["nbrs"]}
-        output = NO_OUTPUT
+        know = state["know"]
+        if rnd == 0:
+            learned = dict(know)
+        else:
+            learned = {}
+            for key, payload in inbox.items():
+                if key[0] != "msg":
+                    continue
+                for u, entry in payload.items():
+                    if u not in know:
+                        learned[u] = entry
+            know.update(learned)
+        outbox = None
+        if rnd < self.radius and learned:
+            outbox = {nbr: learned for nbr in state["nbrs"]}
         if rnd == self.radius:
-            output = {u: state["know"][u] for u in sorted(state["know"])}
-        return StepResult(state, outbox, output)
+            return StepResult(state, outbox, {u: know[u] for u in sorted(know)})
+        return StepResult(state, outbox, wake_at=self.radius if rnd == 0 else None)
 
 
 def gather(radius: int, local_vars: Optional[Dict[int, Any]] = None) -> GatherProgram:
-    """Program combinator: gather the radius-ball (usable alone or sequenced)."""
+    """Program combinator: gather the radius-ball."""
     return GatherProgram(radius, local_vars)
 
 
@@ -444,8 +426,6 @@ class StagedProgram:
     intersection and touches no state. A group at a stage outside the table
     steps each member through ``step``: that is a subclass's own tail.
     """
-
-    step_every_round = False
 
     def __init__(self, table: Dict[Any, Tuple[Optional[int], Any, Dict[Any, Any]]],
                  outputs: Optional[Dict[int, Any]] = None):
@@ -503,35 +483,3 @@ def stage_chain(name, radii):
     last = len(radii) - 1
     return {(name, s): (radius, (name, s + 1) if s < last else None, {})
             for s, radius in enumerate(radii)}
-
-
-class SequencedProgram:
-    """Run sub-programs back to back; each stage sees the previous output."""
-
-    step_every_round = True
-
-    def __init__(self, stages):
-        self.stages = list(stages)
-
-    def init(self, node, neighbors):
-        return {"node": node, "nbrs": neighbors, "idx": 0, "offset": 0,
-                "sub": self.stages[0].init(node, neighbors), "prev": None}
-
-    def step(self, state, rnd, inbox):
-        stage = self.stages[state["idx"]]
-        res = stage.step(state["sub"], rnd - state["offset"], inbox)
-        state["sub"] = res.state
-        output = NO_OUTPUT
-        if res.output is not NO_OUTPUT:
-            state["prev"] = res.output
-            if state["idx"] + 1 < len(self.stages):
-                state["idx"] += 1
-                state["offset"] = rnd + 1  # next stage sees local round 0 next
-                nxt = self.stages[state["idx"]]
-                sub = nxt.init(state["node"], state["nbrs"])
-                if hasattr(nxt, "accept_input"):
-                    sub = nxt.accept_input(sub, res.output)
-                state["sub"] = sub
-            else:
-                output = res.output
-        return StepResult(state, res.outbox, output, res.requests, res.publish)

@@ -1,9 +1,9 @@
 """The simulator loop kept as a reference for the differential tests.
 
 It is the engine's `run` before inboxes were kept as dicts, timers were
-delivered by group and requests were dispatched on their exact type. The one
-change is that it reads an outbox of ``None``, which `StepResult` now
-defaults to.
+delivered by group and requests were dispatched on their exact type. It
+reads an outbox of ``None``, which `StepResult` now defaults to, and like the
+engine it steps a node after round 0 only for a delivery or a wake.
 """
 
 import heapq
@@ -18,7 +18,8 @@ from chordalg.localsim import (
 
 def reference_run(g: Graph, program, round_cap: int, record_messages: bool = False,
                   scan: str = "forward") -> Transcript:
-    """The former `localsim.run`, unchanged but for the outbox default."""
+    """The former `localsim.run`, event-driven only, with the outbox
+    default."""
     if round_cap < 1:
         raise ValueError("round_cap must be >= 1")
     nodes = g.sorted_nodes()
@@ -28,7 +29,6 @@ def reference_run(g: Graph, program, round_cap: int, record_messages: bool = Fal
     # round -> node -> inbox items; a wake is an entry with no items
     agenda: Dict[int, Dict[int, list]] = {}
     due_rounds: List[int] = []  # min-heap of the rounds in `agenda`
-    step_every_round = getattr(program, "step_every_round", True)
     message_counts: List[int] = []
     service_counts: List[int] = []
     log: Optional[List[List[Tuple[int, int, Any]]]] = [] if record_messages else None
@@ -75,12 +75,12 @@ def reference_run(g: Graph, program, round_cap: int, record_messages: bool = Fal
     # round 0 is the setup phase: every node steps once with an empty inbox
     # and may already send; a message sent in round r is readable in round
     # r + 1, so after round t every node has exactly its radius-t knowledge.
-    # Rounds in which no node has a delivery or a wake are skipped unless the
-    # program steps every round; they are recorded as quiet.
+    # Rounds in which no node has a delivery or a wake are skipped and
+    # recorded as quiet.
     rnd = 0
     while True:
         inboxes = agenda.pop(rnd, {})
-        order = nodes if step_every_round or rnd == 0 else sorted(inboxes)
+        order = nodes if rnd == 0 else sorted(inboxes)
         if scan == "reverse":
             order = order[::-1]
         msg_count = 0
@@ -148,12 +148,7 @@ def reference_run(g: Graph, program, round_cap: int, record_messages: bool = Fal
             log.append(round_log)
         if len(outputs) == len(nodes):
             return transcript(max(rnd, 1), True)
-        if step_every_round:
-            nxt = rnd + 1
-            if due_rounds and due_rounds[0] == nxt:
-                heapq.heappop(due_rounds)
-        else:
-            nxt = heapq.heappop(due_rounds) if due_rounds else round_cap + 1
+        nxt = heapq.heappop(due_rounds) if due_rounds else round_cap + 1
         if nxt > round_cap:
             pad_to(round_cap + 1)
             raise RoundCapExceeded("round cap %d reached" % round_cap,

@@ -51,5 +51,5 @@ def test_package_exports_every_node_program():
 
     programs = {name for name, value in vars(localsim).items()
                 if isinstance(value, type) and name.endswith("Program")}
-    assert programs == {"GatherProgram", "SequencedProgram", "StagedProgram"}
+    assert programs == {"GatherProgram", "StagedProgram"}
     assert programs <= set(chordalg.__all__)

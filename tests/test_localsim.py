@@ -9,8 +9,8 @@ from chordalg import (
 )
 from chordalg.graphs import bfs_distances
 from chordalg.localsim import (
-    NO_OUTPUT, Collect, CollectResult, GatherProgram, Send, SequencedProgram,
-    StagedProgram, StepResult, gather, run, stage_chain,
+    NO_OUTPUT, Collect, CollectResult, Send, StagedProgram, StepResult, gather,
+    run, stage_chain,
 )
 
 from conftest import small_graphs
@@ -18,21 +18,17 @@ from reference_engine import reference_run
 
 
 class Echo:
-    step_every_round = True
-
     def init(self, node, neighbors):
         return node
 
     def step(self, state, rnd, inbox):
         if rnd == 1:
             return StepResult(state, output=state)
-        return StepResult(state)
+        return StepResult(state, wake_at=1)
 
 
 class Sleeper:
     """Outputs only after `patience` rounds; used for cap tests."""
-
-    step_every_round = True
 
     def __init__(self, patience):
         self.patience = patience
@@ -43,7 +39,7 @@ class Sleeper:
     def step(self, state, rnd, inbox):
         if rnd >= self.patience:
             return StepResult(state, output=state)
-        return StepResult(state)
+        return StepResult(state, wake_at=self.patience)
 
 
 def test_echo_one_round():
@@ -109,8 +105,6 @@ def test_no_oracle_leakage():
 
 def test_collect_service_matches_gather():
     class CollectOnce:
-        step_every_round = False
-
         def __init__(self, radius):
             self.radius = radius
 
@@ -135,8 +129,6 @@ def test_background_forwarding_across_finished_nodes():
     # every node but 1 finishes immediately; node 1 still completes a
     # radius-4 collection through them afterwards
     class LateGather:
-        step_every_round = False
-
         def init(self, node, neighbors):
             return node
 
@@ -159,8 +151,6 @@ def test_background_forwarding_across_finished_nodes():
 
 def test_send_multi_hop_latency_is_enforced():
     class BadSend:
-        step_every_round = False
-
         def init(self, node, neighbors):
             return node
 
@@ -176,8 +166,6 @@ def test_send_multi_hop_latency_is_enforced():
 class Relay:
     """Node 1 sends "hi" to node 4 with latency 3; node 4 outputs what it
     received and when."""
-
-    step_every_round = False
 
     def init(self, node, neighbors):
         return node
@@ -199,26 +187,18 @@ def test_send_multi_hop_delivery():
     assert t.outputs[4] == (1, "hi", 3)
 
 
-def test_sequenced_gathers():
-    g = gen_path(7)
-    t = run(g, SequencedProgram([gather(1), gather(2)]), 20)
-    assert t.rounds_elapsed == 4  # 1 + handoff + 2
-    assert len(t.outputs[4]) == 5  # the second stage gathered radius 2
-
-
 def test_write_once_output_enforced():
     class Flipper:
-        step_every_round = True
-
         def init(self, node, neighbors):
             return node
 
         def step(self, state, rnd, inbox):
             if state == 1 and rnd >= 1:
-                return StepResult(state, output=rnd)  # changes every round
+                # changes every round
+                return StepResult(state, output=rnd, wake_at=rnd + 1)
             if state == 2 and rnd >= 3:
                 return StepResult(state, output=0)
-            return StepResult(state)
+            return StepResult(state, wake_at=rnd + 1)
 
     with pytest.raises(RuntimeError):
         run(gen_path(2), Flipper(), 5)
@@ -271,8 +251,6 @@ def test_staged_program_moves_the_exceptions_elsewhere(scan):
 class PlannedSends:
     """Node 1 issues the planned Sends per round and outputs after the last
     planned round; every other node outputs at once."""
-
-    step_every_round = False
 
     def __init__(self, plan):
         self.plan = plan  # round -> list of Send
@@ -332,8 +310,6 @@ class IdleWaiter:
     """Node 1 wakes once in round 3 and never outputs; the rest output at
     once."""
 
-    step_every_round = False
-
     def init(self, node, neighbors):
         return node
 
@@ -344,7 +320,13 @@ class IdleWaiter:
 
 
 class SteppedIdleWaiter(IdleWaiter):
-    step_every_round = True
+    """`IdleWaiter` whose node 1 wakes in every round."""
+
+    def step(self, state, rnd, inbox):
+        res = super().step(state, rnd, inbox)
+        if state == 1:
+            res.wake_at = rnd + 1
+        return res
 
 
 def test_idle_program_pads_to_the_cap():
@@ -373,8 +355,6 @@ def test_delivery_and_wake_in_one_round_step_once():
     class WakeAndMessage:
         """Node 1 messages node 2, which also asks to wake in round 1."""
 
-        step_every_round = False
-
         def __init__(self):
             self.steps = []
 
@@ -399,8 +379,6 @@ def test_delivery_and_wake_in_one_round_step_once():
 
 def test_timer_collects_share_one_result():
     class Timer:
-        step_every_round = False
-
         def __init__(self):
             self.received = []
 
@@ -450,8 +428,6 @@ def test_a_later_item_with_the_same_key_replaces_an_earlier_one():
         """Node 1 messages node 2 and sends it a latency-1 Send in the same
         step; both land in round 1 under the key ("msg", 1)."""
 
-        step_every_round = False
-
         def __init__(self):
             self.inboxes = []
 
@@ -477,8 +453,6 @@ def test_a_later_item_with_the_same_key_replaces_an_earlier_one():
 class BadAtDue:
     """Every node asks for a timer in round 0. When it is due, node 1 returns
     `bad(rnd)` and the others output 0; node 1 outputs "first" in round 0."""
-
-    step_every_round = False
 
     def __init__(self, bad):
         self.bad = bad
@@ -582,8 +556,8 @@ ACTIONS = ("msg", "send", "collect", "wake", "publish", "output")
 
 @st.composite
 def scripted_runs(draw):
-    """A small graph, a per-node script of actions at chosen rounds, whether
-    every node steps every round, and a round cap. A msg action sends one
+    """A small graph, a per-node script of actions at chosen rounds and a
+    round cap. A msg action sends one
     payload to some neighbors, so it and a Send from the same node can land
     in one inbox under one key."""
     g = draw(small_graphs(max_nodes=6))
@@ -620,7 +594,7 @@ def scripted_runs(draw):
         if finish < 9:
             per_round.setdefault(finish, []).append(("output", None))
         script[v] = per_round
-    return g, script, draw(st.booleans()), draw(st.integers(1, 14))
+    return g, script, draw(st.integers(1, 14))
 
 
 class Scripted:
@@ -628,9 +602,8 @@ class Scripted:
     asks to wake for its next scripted round unless a wake action says
     otherwise."""
 
-    def __init__(self, script, step_every_round):
+    def __init__(self, script):
         self.script = script
-        self.step_every_round = step_every_round
         self.received = {v: [] for v in script}
 
     def init(self, node, neighbors):
@@ -660,8 +633,8 @@ class GroupScripted(Scripted):
     """`Scripted` with a `step_group` that runs each member through `step`
     and returns the members whose only action is one timer as timer groups."""
 
-    def __init__(self, script, step_every_round):
-        super().__init__(script, step_every_round)
+    def __init__(self, script):
+        super().__init__(script)
         self.group_calls = 0
         self.timed = 0  # members returned in timer groups
 
@@ -682,8 +655,8 @@ class GroupScripted(Scripted):
         return timed, stepped
 
 
-def run_scripted(engine, g, script, every, cap, scan, program_class=Scripted):
-    program = program_class(script, every)
+def run_scripted(engine, g, script, cap, scan, program_class=Scripted):
+    program = program_class(script)
     try:
         t = engine(g, program, cap, record_messages=True, scan=scan)
     except RoundCapExceeded as exc:
@@ -762,30 +735,30 @@ class TestEngineMatchesReference:
     @given(scripted_runs(), st.sampled_from(["forward", "reverse"]))
     @settings(max_examples=200, deadline=None)
     def test_scripted_programs(self, case, scan):
-        g, script, every, cap = case
-        assert (run_scripted(run, g, script, every, cap, scan)
-                == run_scripted(reference_run, g, script, every, cap, scan))
+        g, script, cap = case
+        assert (run_scripted(run, g, script, cap, scan)
+                == run_scripted(reference_run, g, script, cap, scan))
 
     @given(scripted_runs(), st.sampled_from(["forward", "reverse"]))
     @settings(max_examples=200, deadline=None)
     def test_scripted_programs_stepped_by_group(self, case, scan):
-        g, script, every, cap = case
-        assert (run_scripted(run, g, script, every, cap, scan, GroupScripted)
-                == run_scripted(reference_run, g, script, every, cap, scan))
+        g, script, cap = case
+        assert (run_scripted(run, g, script, cap, scan, GroupScripted)
+                == run_scripted(reference_run, g, script, cap, scan))
 
     @pytest.mark.parametrize("scan", ["forward", "reverse"])
     @pytest.mark.parametrize("name", sorted(GROUP_CASES))
     def test_group_cases(self, name, scan):
         g, script = group_case(name)
-        expected = run_scripted(reference_run, g, script, False, 20, scan)
+        expected = run_scripted(reference_run, g, script, 20, scan)
         assert "complete True" in expected[0]
-        assert run_scripted(run, g, script, False, 20, scan, GroupScripted) == expected
+        assert run_scripted(run, g, script, 20, scan, GroupScripted) == expected
 
     def test_group_cases_take_the_group_path(self):
         steps = {}
         for name in sorted(GROUP_CASES):
             g, script = group_case(name)
-            program = GroupScripted(script, False)
+            program = GroupScripted(script)
             run(g, program, 20)
             steps[name] = program.group_calls, program.timed
         # round 0 is one group call of every node, then the timer groups
@@ -801,7 +774,7 @@ class TestEngineMatchesReference:
 
     def test_round_zero_is_one_group_call_of_every_node(self):
         g, script = group_case("members that ask for the next timer")
-        program = GroupScripted(script, False)
+        program = GroupScripted(script)
         calls = []
         step_group = program.step_group
 
@@ -813,21 +786,23 @@ class TestEngineMatchesReference:
         run(g, program, 20)
         assert calls[0] == (0, None, None, {1, 2, 3, 4})
         assert all(rnd > 0 and key is not None for rnd, key, _, _ in calls[1:])
-
-    @pytest.mark.parametrize("name", sorted(GROUP_CASES))
-    def test_group_path_stays_off_when_every_node_steps_every_round(self, name):
-        g, script = group_case(name)
-        program = GroupScripted(script, True)
-        assert (run_scripted(run, g, script, True, 20, "forward", lambda *a: program)
-                == run_scripted(reference_run, g, script, True, 20, "forward"))
-        assert program.group_calls == 0
+        # a program without a group step has each node stepped through `step`
+        # in that group, and the step reads an empty inbox
+        plain = Scripted(script)
+        inboxes = []
+        step = plain.step
+        plain.step = lambda v, rnd, inbox: inboxes.append((rnd, v, inbox)) or step(
+            v, rnd, inbox)
+        t = run(g, plain, 20)
+        assert sorted((v, inbox) for rnd, v, inbox in inboxes if rnd == 0) == [
+            (v, {}) for v in range(1, 5)]
+        assert t.serialize() == reference_run(g, Scripted(script), 20).serialize()
 
     @pytest.mark.parametrize("scan", ["forward", "reverse"])
-    def test_gather_and_sequenced_programs(self, scan):
+    def test_gather_program(self, scan):
         g = gen_spider(3, 4)
-        for program in (lambda: gather(3), lambda: SequencedProgram([gather(1), gather(2)])):
-            new = run(g, program(), 20, record_messages=True, scan=scan)
-            old = reference_run(g, program(), 20, record_messages=True, scan=scan)
-            assert new.serialize() == old.serialize()
-            assert new.message_log == old.message_log
-            assert new.outputs == old.outputs
+        new = run(g, gather(3), 20, record_messages=True, scan=scan)
+        old = reference_run(g, gather(3), 20, record_messages=True, scan=scan)
+        assert new.serialize() == old.serialize()
+        assert new.message_log == old.message_log
+        assert new.outputs == old.outputs

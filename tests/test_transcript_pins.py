@@ -85,7 +85,6 @@ class CountedSteps:
 
     def __init__(self, program):
         self.program = program
-        self.step_every_round = getattr(program, "step_every_round", True)
         self.steps = 0
 
     def init(self, node, neighbors):
