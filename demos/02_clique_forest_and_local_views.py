@@ -20,7 +20,7 @@ print(forest_dump(forest))
 paths = classify_paths(forest)
 for p in paths:
     print(p.kind, "len", len(p.cliques),
-          "diameter", path_diameter(g, p), "alpha", len(path_strip(p).greedy_mis()))
+          "diameter", path_diameter(p), "alpha", len(path_strip(p).greedy_mis()))
 
 # Peeling the pendant paths leaves exactly the clique forest of the residual
 # graph; this invariant carries the whole layering machinery.

@@ -259,7 +259,6 @@ def build_parser():
     p_run.add_argument("--round-cap", type=int, default=None)
     p_run.add_argument("--out", help="CSV report to append to")
     p_run.add_argument("--solution", help="solution file to write")
-    p_run.add_argument("--format", choices=["csv"], default="csv")
     p_run.add_argument("--transcript", help="write the simulation transcript here")
     p_run.add_argument("--debug-invariants", action="store_true")
     p_run.set_defaults(func=cmd_run)

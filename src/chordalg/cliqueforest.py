@@ -503,7 +503,7 @@ def strips_from_traces(clique_seq, keep, oriented: bool = False) -> List[Interva
     return strips
 
 
-def path_diameter(g: Graph, path: ForestPath) -> int:
+def path_diameter(path: ForestPath) -> int:
     """Largest pairwise distance among nodes of the path's cliques."""
     return path_strip(path).diameter()
 
@@ -513,11 +513,13 @@ def remove_paths(forest: CliqueForest, g: Graph, paths) -> Tuple[CliqueForest, S
 
     Internal paths must have diameter at least 4; the removed nodes are those
     whose whole subtree lies on a removed path, and the surviving forest is
-    the clique forest of the residual graph.
+    the clique forest of the residual graph. `g` is not read: it keeps the
+    paths the third argument for callers that wrap this function and read
+    its arguments by position (the benchmark's tracer).
     """
     removed_ids: Set[int] = set()
     for p in paths:
-        if p.kind == INTERNAL and path_diameter(g, p) < 4:
+        if p.kind == INTERNAL and path_diameter(p) < 4:
             raise DiameterTooSmall("internal path of diameter < 4 cannot be peeled")
         removed_ids |= set(p.cliques)
     keep = [i for i in range(len(forest)) if i not in removed_ids]

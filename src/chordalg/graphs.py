@@ -92,11 +92,6 @@ class Graph:
             sub.adj[v] = self.adj[v] & keep
         return sub
 
-    def copy(self) -> "Graph":
-        g = Graph()
-        g.adj = {v: set(nbrs) for v, nbrs in self.adj.items()}
-        return g
-
     def connected_components(self):
         """Components as sorted node lists, ordered by smallest member."""
         seen = set()

@@ -142,7 +142,7 @@ def mis_chordal_run(g: Graph, eps: float) -> MisRun:
     def select(i, forest, paths):
         if i < iters:
             return [p for p in paths
-                    if p.kind != INTERNAL or path_diameter(g, p) >= 2 * d + 3]
+                    if p.kind != INTERNAL or path_diameter(p) >= 2 * d + 3]
         return [p for p in paths
                 if p.kind != INTERNAL or len(path_strip(p).greedy_mis()) >= d]
 

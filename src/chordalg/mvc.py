@@ -82,7 +82,7 @@ def prune_layers(g: Graph, k: int) -> Layering:
 
     def select(i, forest, paths):
         return [p for p in paths
-                if p.kind != INTERNAL or path_diameter(g, p) >= 3 * k]
+                if p.kind != INTERNAL or path_diameter(p) >= 3 * k]
 
     layering = Layering({}, {}, {}, {}, 0, 0)
     children_raw: Dict[int, Dict[int, List[int]]] = {}

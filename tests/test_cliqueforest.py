@@ -373,13 +373,13 @@ def path_alpha(g, path) -> int:
 class TestPathMetrics:
     def test_single_clique_in_k4(self, k4):
         p = classify_paths(clique_forest(k4))[0]
-        assert path_diameter(k4, p) == 1
+        assert path_diameter(p) == 1
         assert path_alpha(k4, p) == 1
 
     def test_full_clique_path_of_path7(self):
         g = gen_path(7)
         p = classify_paths(clique_forest(g))[0]
-        assert path_diameter(g, p) == 6
+        assert path_diameter(p) == 6
         assert path_alpha(g, p) == 4
 
     def test_diameter_matches_bfs_oracle(self):
@@ -392,7 +392,7 @@ class TestPathMetrics:
                 for u in nodes:
                     dist = bfs_distances(g.subgraph(nodes), u)
                     best = max(best, max(dist.values()))
-                assert path_diameter(g, p) == best
+                assert path_diameter(p) == best
 
 
 class TestRemovePaths:
@@ -423,7 +423,7 @@ class TestRemovePaths:
         g.add_edge(7, 37)
         f = clique_forest(g)
         internal = [p for p in classify_paths(f) if p.kind == INTERNAL]
-        assert internal and path_diameter(g, internal[0]) >= 4
+        assert internal and path_diameter(internal[0]) >= 4
         residual, removed = remove_paths(f, g, internal)
         recomputed = clique_forest(g.subgraph(g.nodes - removed))
         assert residual.signature() == recomputed.signature()
@@ -446,7 +446,7 @@ class TestRemovePaths:
             live = set(g.nodes)
             while len(f):
                 paths = [p for p in classify_paths(f)
-                         if p.kind != INTERNAL or path_diameter(g, p) >= 6]
+                         if p.kind != INTERNAL or path_diameter(p) >= 6]
                 f, removed = remove_paths(f, g, paths)
                 live -= removed
                 assert f.signature() == clique_forest(g.subgraph(live)).signature()
@@ -455,7 +455,7 @@ class TestRemovePaths:
                              ids=["dumbbell", "chordal-11"])
     def test_restricted_phi_matches_member_ids(self, g):
         def select(i, forest, paths):
-            return [p for p in paths if p.kind != INTERNAL or path_diameter(g, p) >= 6]
+            return [p for p in paths if p.kind != INTERNAL or path_diameter(p) >= 6]
 
         steps = 0
         for step in peel(g, select):
