@@ -513,9 +513,9 @@ def remove_paths(forest: CliqueForest, g: Graph, paths) -> Tuple[CliqueForest, S
 
     Internal paths must have diameter at least 4; the removed nodes are those
     whose whole subtree lies on a removed path, and the surviving forest is
-    the clique forest of the residual graph. `g` is not read: it keeps the
-    paths the third argument for callers that wrap this function and read
-    its arguments by position (the benchmark's tracer).
+    the clique forest of the residual graph. `g` is not read; it keeps the
+    paths the third positional argument, where wrappers of this function
+    (the benchmark's tracer) read them.
     """
     removed_ids: Set[int] = set()
     for p in paths:

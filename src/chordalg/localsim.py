@@ -397,11 +397,9 @@ class GatherProgram:
                     if u not in know:
                         learned[u] = entry
             know.update(learned)
-        outbox = None
-        if rnd < self.radius and learned:
-            outbox = {nbr: learned for nbr in state["nbrs"]}
         if rnd == self.radius:
-            return StepResult(state, outbox, {u: know[u] for u in sorted(know)})
+            return StepResult(state, output={u: know[u] for u in sorted(know)})
+        outbox = {nbr: learned for nbr in state["nbrs"]} if learned else None
         return StepResult(state, outbox, wake_at=self.radius if rnd == 0 else None)
 
 
