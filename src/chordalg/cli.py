@@ -23,7 +23,7 @@ from .generators import gen_caterpillar, gen_chordal, gen_interval, gen_path, ge
 from .graphs import (
     alpha_oracle, first_conflict, omega_oracle, verify_coloring, verify_is,
 )
-from .intervals import mis_interval, require_interval
+from .intervals import mis_interval
 from .mis import mis_chordal_centralized, mis_chordal_distributed, mis_interval_distributed
 
 EXIT_CODES = {
@@ -127,7 +127,6 @@ def cmd_run(args, report=None) -> int:
                 rounds = transcript.rounds_elapsed
             kind = "is"
         elif args.algorithm == "mis-interval":
-            require_interval(g)
             if args.mode == "central":
                 solution = mis_interval(g, args.eps)
             else:

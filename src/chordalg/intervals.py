@@ -10,14 +10,18 @@ a node that ends at or after clique j lies within h hops of clique j's
 members iff its first clique is at most `strip.hop(j, h)`. Every sweep
 follows the canonical node order (first clique, last clique, id), which is
 what makes the centralized and simulated distributed variants produce
-identical answers.
+identical answers. The coloring sweep shared by `extend_coloring` and
+`greedy_fill` reads a node's blocked colors from its frontier (the earlier
+free nodes whose range overlaps its own) and the fixed colors on its
+cliques; greedy in this order is optimal on interval graphs (Olariu 1991),
+so the budgeted search rarely backtracks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from .cliqueforest import (
     IntervalStrip, clique_forest, clique_word, strips_from_traces, walk_path,
@@ -213,118 +217,124 @@ def remove_dominated(h: Graph) -> Graph:
     return h.subgraph(h.nodes - doomed)
 
 
-def extend_coloring(strip: IntervalStrip, budget: int, fixed: Coloring) -> Coloring:
-    """Extend a partial coloring of a clique path to all of it within `budget`.
+def _sweep(strip: IntervalStrip, fixed: Coloring, budget: Optional[int]) -> Coloring:
+    """Color the free nodes of a strip in canonical order, smallest color
+    first, around the `fixed` ones; the body of `extend_coloring` and, with
+    budget None, of `greedy_fill`.
 
-    Colors are tried smallest-first, so the first descent is the plain greedy
-    sweep; backtracking with dead-state memoization only kicks in when the
-    fixed far boundary forces it. Raises Infeasible when no extension exists
-    within the budget (never when the separation preconditions hold), or
-    when the search takes more than `EXTENSION_CAP` steps.
+    A free node's blocked colors are read off what the sweep already holds:
+    the colors of its frontier, the earlier free nodes whose range overlaps
+    its own, and the fixed colors on its cliques. Later free nodes are not
+    colored yet, so nothing else can block it. The greedy descent colors
+    each node as the sweep reaches it. Only when a node finds no color
+    within the budget does the backtracking search take over from there,
+    with the frontiers listed by the sweep; its dead-state keys are built
+    only once a state has died.
     """
-    order = strip.sorted_nodes()
     lo, hi = strip.lo, strip.hi
-    used = [dict() for _ in strip.cliques]  # per clique: color -> count
-
-    def place(v, c):
-        for j in range(lo[v], hi[v] + 1):
-            used[j][c] = used[j].get(c, 0) + 1
-
-    def unplace(v, c):
-        for j in range(lo[v], hi[v] + 1):
-            if used[j][c] == 1:
-                del used[j][c]
-            else:
-                used[j][c] -= 1
-
-    def blocked(v):
-        out = set()
-        for j in range(lo[v], hi[v] + 1):
-            out.update(used[j])
-        return out
-
-    for v in sorted(fixed):
+    fixed_at: List[Set[int]] = [set() for _ in strip.cliques]
+    # a budget brings checks of `fixed`, made in id order
+    for v in sorted(fixed) if budget is not None else fixed:
         c = fixed[v]
-        if not 1 <= c <= budget:
-            raise Infeasible("fixed color %d outside budget %d" % (c, budget))
-        if c in blocked(v):
-            raise Infeasible("fixed coloring is not legal")
-        place(v, c)
+        cover = fixed_at[lo[v]:hi[v] + 1]
+        if budget is not None:
+            if not 1 <= c <= budget:
+                raise Infeasible("fixed color %d outside budget %d" % (c, budget))
+            if any(c in s for s in cover):
+                raise Infeasible("fixed coloring is not legal")
+        for s in cover:
+            s.add(c)
 
-    free = [v for v in order if v not in fixed]
-    # frontier per position: already-assigned free nodes still adjacent to the future
-    frontier_at = []
+    free: List[int] = []
+    frontier_at: List[Tuple[int, ...]] = []  # positions in `free`
+    # color[i] is free[i]'s color while i is below the search position, and
+    # the last color tried at i otherwise (0: none yet)
+    color: List[int] = []
     active: List[int] = []
-    for v in free:
-        active = [u for u in active if hi[u] >= lo[v]]
-        frontier_at.append(tuple(active))
-        active.append(v)
-    named = set(fixed.values())
-    assign: Coloring = {}
-
-    def state_key(i):
-        fresh: Dict[int, int] = {}
-        parts = []
-        for u in frontier_at[i]:
-            c = assign[u]
-            parts.append((u, -c) if c in named else (u, fresh.setdefault(c, len(fresh))))
-        return (i, tuple(parts))
-
-    dead = set()
-    expansions = 0
-    i = 0
-    last_color = [0] * len(free)
-    while i < len(free):
-        if expansions > EXTENSION_CAP:
-            raise Infeasible("search cap exceeded (budget %d)" % budget)
-        v = free[i]
-        if last_color[i] == 0 and state_key(i) in dead:
-            nxt = None
-        else:
-            taken = blocked(v)
-            nxt = None
-            for c in range(last_color[i] + 1, budget + 1):
-                if c not in taken:
-                    nxt = c
-                    break
-        if nxt is None:
-            if last_color[i] == 0:
-                dead.add(state_key(i))
-            last_color[i] = 0
-            if i == 0:
-                raise Infeasible("no extension within budget %d" % budget)
-            i -= 1
-            unplace(free[i], assign.pop(free[i]))
+    start = 0
+    stuck = None  # where the greedy descent runs out of colors
+    for v in strip.sorted_nodes():
+        if v in fixed:
             continue
-        expansions += 1
-        last_color[i] = nxt
-        assign[v] = nxt
-        place(v, nxt)
-        i += 1
+        if lo[v] != start:  # ranges leave the frontier only as the start moves on
+            start = lo[v]
+            active = [p for p in active if hi[free[p]] >= start]
+        c = 0
+        if stuck is None:
+            if budget is not None and len(free) > EXTENSION_CAP:
+                raise Infeasible("search cap exceeded (budget %d)" % budget)
+            taken = set(map(color.__getitem__, active))
+            taken.update(*fixed_at[start:hi[v] + 1])
+            c = 1
+            while c in taken:
+                c += 1
+            if budget is not None and c > budget:
+                stuck, c = len(free), 0
+        color.append(c)
+        frontier_at.append(tuple(active))
+        active.append(len(free))
+        free.append(v)
+
+    if stuck is not None:
+        def state_key(i):
+            named = set(fixed.values())
+            fresh: Dict[int, int] = {}
+            return (i, tuple(-c if c in named else fresh.setdefault(c, len(fresh))
+                             for c in map(color.__getitem__, frontier_at[i])))
+
+        dead = set()
+        # the descent made one expansion per position below `stuck`
+        expansions = i = stuck
+        while i < len(free):
+            if expansions > EXTENSION_CAP:
+                raise Infeasible("search cap exceeded (budget %d)" % budget)
+            if color[i] == 0 and dead and state_key(i) in dead:
+                c = None
+            else:
+                v = free[i]
+                taken = set(map(color.__getitem__, frontier_at[i]))
+                taken.update(*fixed_at[lo[v]:hi[v] + 1])
+                c = color[i] + 1
+                while c in taken:
+                    c += 1
+                if c > budget:
+                    c = None
+            if c is None:
+                if color[i] == 0:
+                    dead.add(state_key(i))
+                color[i] = 0
+                if i == 0:
+                    raise Infeasible("no extension within budget %d" % budget)
+                i -= 1
+                continue
+            expansions += 1
+            color[i] = c
+            i += 1
     out = dict(fixed)
-    out.update(assign)
+    out.update(zip(free, color))
     return out
 
 
-def greedy_fill(strip: IntervalStrip, fixed: Coloring, nodes=None) -> Coloring:
-    """One-sided greedy extension along the canonical order; needs no budget."""
-    colors = dict(fixed)
-    used = [dict() for _ in strip.cliques]
-    for v, c in colors.items():
-        for j in range(strip.lo[v], strip.hi[v] + 1):
-            used[j][c] = True
-    todo = nodes if nodes is not None else [v for v in strip.sorted_nodes() if v not in colors]
-    for v in todo:
-        taken = set()
-        for j in range(strip.lo[v], strip.hi[v] + 1):
-            taken.update(used[j])
-        c = 1
-        while c in taken:
-            c += 1
-        colors[v] = c
-        for j in range(strip.lo[v], strip.hi[v] + 1):
-            used[j][c] = True
-    return colors
+def extend_coloring(strip: IntervalStrip, budget: int, fixed: Coloring) -> Coloring:
+    """Extend a partial coloring of a clique path to all of it within `budget`.
+
+    Colors are tried smallest-first along the canonical order, so the first
+    descent is the plain greedy sweep, which reads each free node's blocked
+    colors from its frontier and the fixed colors on its cliques (see
+    `_sweep`); backtracking with dead-state memoization only kicks in when
+    the fixed far boundary forces it. Raises Infeasible when a fixed color
+    lies outside 1..budget or clashes with another, when no extension exists
+    within the budget (never when the separation preconditions hold), or
+    when the search takes more than `EXTENSION_CAP` steps.
+    """
+    return _sweep(strip, fixed, budget)
+
+
+def greedy_fill(strip: IntervalStrip, fixed: Coloring) -> Coloring:
+    """One-sided greedy extension along the canonical order: the sweep of
+    `extend_coloring` without a budget, so it never backtracks, and without
+    checking `fixed`."""
+    return _sweep(strip, fixed, None)
 
 
 def color_budget(k: int, omega: int) -> int:

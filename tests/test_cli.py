@@ -102,6 +102,9 @@ def test_exit_codes(workdir):
     from chordalg import gen_spider
     (workdir / "spider.el").write_text(graph_to_text(gen_spider(3, 2)))
     assert main(["run", "mis-interval", "central", "spider.el", "--eps", "0.4"]) == 5
+    # both faults: the epsilon is checked first, as in the library
+    for mode in ("central", "local"):
+        assert main(["run", "mis-interval", mode, "spider.el", "--eps", "1.5"]) == 6
     # epsilon below 2/omega
     (workdir / "k4.el").write_text("n 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
     assert main(["run", "mvc", "central", "k4.el", "--eps", "0.3"]) == 6

@@ -1,9 +1,12 @@
+import random
 import sys
+from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chordalg
 from chordalg import (
@@ -14,7 +17,9 @@ from chordalg import (
     mis_interval_distributed, mvc, omega_oracle,
     remove_dominated, skeleton_pairs, verify_coloring, verify_is,
 )
-from chordalg.cliqueforest import IntervalStrip, clique_word
+from chordalg.cliqueforest import (
+    IntervalStrip, classify_paths, clique_forest, clique_word, path_strip,
+)
 from chordalg.graphs import bfs_distances
 from chordalg.intervals import (
     _arrange_cliques, _component_strips, _mis_interval_parts,
@@ -124,12 +129,237 @@ class TestExtendColoring:
         monkeypatch.setattr(intervals, "EXTENSION_CAP", 0)
         with pytest.raises(Infeasible):
             extend_coloring(strip, 3, {})
+        # the cap is checked before each step: six straight expansions
+        # pass a cap of 5 and stop at a cap of 4
+        monkeypatch.setattr(intervals, "EXTENSION_CAP", 5)
+        assert len(extend_coloring(strip, 3, {})) == 6
+        monkeypatch.setattr(intervals, "EXTENSION_CAP", 4)
+        with pytest.raises(Infeasible, match="search cap exceeded"):
+            extend_coloring(strip, 3, {})
 
     def test_greedy_fill_respects_fixed(self):
         strip = self.strip_of(gen_path(6))
         colors = greedy_fill(strip, {1: 2})
         assert verify_coloring(gen_path(6), colors).legal
         assert colors[1] == 2
+
+
+def reference_extend_coloring(strip, budget, fixed, log=None):
+    """The counter-based `extend_coloring` the frontier sweep replaced, kept
+    to compare against. The search, finished or not, appends (free nodes,
+    expansions, states pruned as dead) to `log`."""
+    order = strip.sorted_nodes()
+    lo, hi = strip.lo, strip.hi
+    used = [dict() for _ in strip.cliques]  # per clique: color -> count
+
+    def place(v, c):
+        for j in range(lo[v], hi[v] + 1):
+            used[j][c] = used[j].get(c, 0) + 1
+
+    def unplace(v, c):
+        for j in range(lo[v], hi[v] + 1):
+            if used[j][c] == 1:
+                del used[j][c]
+            else:
+                used[j][c] -= 1
+
+    def blocked(v):
+        out = set()
+        for j in range(lo[v], hi[v] + 1):
+            out.update(used[j])
+        return out
+
+    for v in sorted(fixed):
+        c = fixed[v]
+        if not 1 <= c <= budget:
+            raise Infeasible("fixed color %d outside budget %d" % (c, budget))
+        if c in blocked(v):
+            raise Infeasible("fixed coloring is not legal")
+        place(v, c)
+
+    free = [v for v in order if v not in fixed]
+    frontier_at = []
+    active: List[int] = []
+    for v in free:
+        active = [u for u in active if hi[u] >= lo[v]]
+        frontier_at.append(tuple(active))
+        active.append(v)
+    named = set(fixed.values())
+    assign = {}
+
+    def state_key(i):
+        fresh: Dict[int, int] = {}
+        parts = []
+        for u in frontier_at[i]:
+            c = assign[u]
+            parts.append((u, -c) if c in named else (u, fresh.setdefault(c, len(fresh))))
+        return (i, tuple(parts))
+
+    dead = set()
+    expansions = pruned = 0
+    i = 0
+    last_color = [0] * len(free)
+    try:
+        while i < len(free):
+            if expansions > intervals.EXTENSION_CAP:
+                raise Infeasible("search cap exceeded (budget %d)" % budget)
+            v = free[i]
+            if last_color[i] == 0 and state_key(i) in dead:
+                nxt = None
+                pruned += 1
+            else:
+                taken = blocked(v)
+                nxt = None
+                for c in range(last_color[i] + 1, budget + 1):
+                    if c not in taken:
+                        nxt = c
+                        break
+            if nxt is None:
+                if last_color[i] == 0:
+                    dead.add(state_key(i))
+                last_color[i] = 0
+                if i == 0:
+                    raise Infeasible("no extension within budget %d" % budget)
+                i -= 1
+                unplace(free[i], assign.pop(free[i]))
+                continue
+            expansions += 1
+            last_color[i] = nxt
+            assign[v] = nxt
+            place(v, nxt)
+            i += 1
+    finally:
+        if log is not None:
+            log.append((len(free), expansions, pruned))
+    out = dict(fixed)
+    out.update(assign)
+    return out
+
+
+def reference_greedy_fill(strip, fixed):
+    """The counter-based `greedy_fill` the frontier sweep replaced."""
+    colors = dict(fixed)
+    used = [dict() for _ in strip.cliques]
+    for v, c in colors.items():
+        for j in range(strip.lo[v], strip.hi[v] + 1):
+            used[j][c] = True
+    for v in [v for v in strip.sorted_nodes() if v not in colors]:
+        taken = set()
+        for j in range(strip.lo[v], strip.hi[v] + 1):
+            taken.update(used[j])
+        c = 1
+        while c in taken:
+            c += 1
+        colors[v] = c
+        for j in range(strip.lo[v], strip.hi[v] + 1):
+            used[j][c] = True
+    return colors
+
+
+@lru_cache(maxsize=None)
+def source_strips(family, seed):
+    """Component strips of a small `gen_interval` graph, sparse or dense
+    (where extensions backtrack more often), or the forest path strips of a
+    small long-path graph."""
+    if family == "interval":
+        return tuple(_component_strips(gen_interval(60, seed)))
+    if family == "dense_interval":
+        return tuple(_component_strips(gen_interval(60, seed, span=60, max_len=12)))
+    g = long_paths_generator()(150, seed, max_clique=4 + seed % 4)
+    return tuple(path_strip(p) for p in classify_paths(clique_forest(g)))
+
+
+def extension_case(rng):
+    """A strip cut from a source strip, a budget from omega to omega + 3,
+    colors for its end cliques and a search cap, drawn with `rng`. Each end
+    gets a random order of 1..budget (a node in both ends keeps its first
+    color), then, one time in four, one node is recolored anywhere in
+    0..budget + 1, so out-of-budget and illegal colorings are both drawn.
+    Half the caps are small enough to stop searches early, so cap errors
+    are compared too."""
+    family = rng.choice(["interval", "dense_interval", "long_path"])
+    strips = source_strips(family, rng.randrange(12))
+    whole = rng.choice(strips).cliques
+    a = rng.randrange(len(whole))
+    b = min(len(whole) - 1, a + rng.choice([0, 1, 2, 3, 4, 6, 9, 14]))
+    strip = IntervalStrip(whole[a:b + 1])
+    budget = max(len(c) for c in strip.cliques) + rng.choice([0, 0, 0, 1, 2, 3])
+    fixed = {}
+    for end in (strip.cliques[0], strip.cliques[-1]):
+        for v, c in zip(sorted(end), rng.sample(range(1, budget + 1), budget)):
+            fixed.setdefault(v, c)
+    if rng.randrange(4) == 0:
+        fixed[rng.choice(sorted(fixed))] = rng.randrange(budget + 2)
+    cap = rng.choice([3000, rng.randrange(41)])
+    return strip, budget, fixed, cap
+
+
+def outcome(fn, *args):
+    """A coloring as its item list (order included), or the exception's
+    type and message."""
+    try:
+        return list(fn(*args).items())
+    except Infeasible as exc:
+        return type(exc), str(exc)
+
+
+class TestFrontierSweepMatchesCounters:
+    # hypothesis' own draws favour small values, which rarely make the
+    # search backtrack; a seeded Random spreads the cases evenly
+    @given(st.randoms(use_true_random=True))
+    @settings(max_examples=1000, deadline=None)
+    def test_same_coloring_or_same_error(self, rng):
+        strip, budget, fixed, cap = extension_case(rng)
+        with pytest.MonkeyPatch.context() as mp:
+            # both read the cap; a small one also keeps infeasible searches short
+            mp.setattr(intervals, "EXTENSION_CAP", cap)
+            assert (outcome(extend_coloring, strip, budget, fixed)
+                    == outcome(reference_extend_coloring, strip, budget, fixed))
+        left = {v: c for v, c in fixed.items() if v in strip.cliques[0]}
+        for given_colors in (fixed, left):
+            assert (list(greedy_fill(strip, given_colors).items())
+                    == list(reference_greedy_fill(strip, given_colors).items()))
+
+    def test_backtracking_extension_matches_reference(self, monkeypatch):
+        g = gen_interval(229, seed=129)
+        colors = color_interval(g, 6)
+        log, calls = [], []
+
+        def reference(strip, budget, fixed):
+            calls.append((strip, budget, dict(fixed)))
+            return reference_extend_coloring(strip, budget, fixed, log)
+
+        monkeypatch.setattr(intervals, "extend_coloring", reference)
+        monkeypatch.setattr(intervals, "greedy_fill", reference_greedy_fill)
+        assert list(color_interval(g, 6).items()) == list(colors.items())
+        # the reference backtracks here: 28 expansions for 26 free nodes,
+        # so the sweep's dead-state path runs on this case too
+        assert (26, 28, 0) in log
+        assert all(expansions == free for free, expansions, _ in log if free != 26)
+        # the cap is checked before each step of the search as well: 28
+        # expansions pass a cap of 27 and stop at a cap of 26
+        args = calls[log.index((26, 28, 0))]
+        expected = reference_extend_coloring(*args)
+        monkeypatch.undo()
+        monkeypatch.setattr(intervals, "EXTENSION_CAP", 27)
+        assert list(extend_coloring(*args).items()) == list(expected.items())
+        monkeypatch.setattr(intervals, "EXTENSION_CAP", 26)
+        with pytest.raises(Infeasible, match="search cap exceeded"):
+            extend_coloring(*args)
+
+    # seeds of `extension_case` whose search prunes dead states; in a scan
+    # of 20,000 seeds, 56 did, and these include the three on which a
+    # dead-state key without its position, or one recorded for every
+    # exhausted position, changes the outcome
+    @pytest.mark.parametrize("seed", [4933, 4944, 10668, 12914, 12927, 14755])
+    def test_searches_that_prune_dead_states(self, seed):
+        strip, budget, fixed, cap = extension_case(random.Random(seed))
+        log = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intervals, "EXTENSION_CAP", cap)
+            expected = outcome(reference_extend_coloring, strip, budget, fixed, log)
+            assert outcome(extend_coloring, strip, budget, fixed) == expected
+        assert log[0][2] > 0
 
 
 class TestColorInterval:
