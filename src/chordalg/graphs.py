@@ -2,12 +2,12 @@
 and the exact oracles used to check approximation ratios.
 
 All operations are pure: nothing here mutates a graph after it is built,
-and every tie is broken on node ids so repeated runs give identical output.
+and every tie is broken by a rule on the node ids and edges alone, never on
+the build order, so repeated runs give identical output.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -180,14 +180,17 @@ class EliminationOrder:
 
 
 def mcs_order(g: Graph) -> EliminationOrder:
-    """Maximum cardinality search; ties broken by smallest node id.
+    """Maximum cardinality search, ties broken by a rule on the graph alone.
 
-    Unvisited nodes wait in buckets by weight (the number of visited
-    neighbors), each bucket a min-heap of node ids, and `top` steps down past
-    buckets that have run empty. A node is pushed again whenever its weight
-    rises; an entry whose weight is no longer the node's own (or whose node
-    is visited) is skipped when popped. So each visit takes the largest
-    weight, then the smallest id, in O(n + m) pushes and pops.
+    Each visit takes an unvisited node of the largest weight (its number of
+    visited neighbors). Nodes wait in buckets by weight, each an
+    insertion-ordered dict: a visit pops the newest member of the top bucket
+    and moves its unvisited neighbors, in id order, one bucket up. The first
+    bucket is filled in id order, so ties depend on the node and edge sets
+    alone, never on the build order, and no output past this order depends
+    on them (the cliques and the forest are canonical). A move is O(1), so
+    with the sort the search costs O(n + m log Δ). Only bucket top + 1 can
+    gain a node, so `top` steps up at most once per visit.
 
     Returns the visit order reversed, so that if the graph is chordal the
     returned order is a perfect elimination ordering (later neighbors of each
@@ -198,11 +201,12 @@ def mcs_order(g: Graph) -> EliminationOrder:
     every v, and `is_perfect` reports whether that holds.
     """
     adj = g.adj
-    heappop, heappush = heapq.heappop, heapq.heappush
-    weight = dict.fromkeys(adj, 0)  # -1 once visited
-    parent: Dict[int, Optional[int]] = dict.fromkeys(adj)
-    buckets = [sorted(adj)]
-    buckets += [[] for _ in range(max(map(len, adj.values()), default=0))]
+    weight = dict.fromkeys(adj, 0)
+    parent: Dict[int, Optional[int]] = {}
+    # a node's value in its bucket is the last visit that raised it, p(v)
+    buckets = [dict.fromkeys(sorted(adj))]
+    # one bucket per weight up to the largest degree, plus an empty one above
+    buckets += [{} for _ in range(max(map(len, adj.values()), default=0) + 1)]
     top = 0
     visit = []
     visited: Set[int] = set()
@@ -213,23 +217,21 @@ def mcs_order(g: Graph) -> EliminationOrder:
         if not bucket:
             top -= 1
             continue
-        v = heappop(bucket)
-        if weight[v] != top:
-            continue
-        weight[v] = -1
+        v, p = bucket.popitem()
+        parent[v] = p
         nbrs = adj[v]
         lv = later[v] = nbrs & visited
-        if perfect and top > 1 and len(lv & adj[parent[v]]) != top - 1:
+        if perfect and top > 1 and len(lv & adj[p]) != top - 1:
             perfect = False
         visit.append(v)
         visited.add(v)
-        for u in nbrs - visited:
-            w = weight[u] + 1
-            weight[u] = w
-            parent[u] = v  # the last visit to touch u sets p(u)
-            heappush(buckets[w], u)
-            if w > top:
-                top = w
+        for u in sorted(nbrs - visited):
+            w = weight[u]
+            del buckets[w][u]
+            weight[u] = w + 1
+            buckets[w + 1][u] = v
+        if buckets[top + 1]:
+            top += 1
     return EliminationOrder(tuple(reversed(visit)), perfect, later, parent)
 
 
@@ -256,7 +258,8 @@ def alpha_oracle(g: Graph) -> Set[int]:
     """Exact maximum independent set of a chordal graph.
 
     Scans a perfect elimination ordering, repeatedly taking the earliest
-    remaining node and deleting its closed neighborhood.
+    remaining node and deleting its closed neighborhood. Which maximum set it
+    returns follows `mcs_order`'s tie rule.
     """
     eo = _require_chordal(g)
     taken = set()
@@ -270,7 +273,8 @@ def alpha_oracle(g: Graph) -> Set[int]:
 
 
 def greedy_color_reverse_peo(g: Graph) -> Coloring:
-    """Greedy coloring along the reverse elimination order; optimal on chordal graphs."""
+    """Greedy coloring along the reverse elimination order; optimal on chordal
+    graphs. Which optimal coloring it returns follows `mcs_order`'s tie rule."""
     eo = _require_chordal(g)
     colors: Coloring = {}
     for v in reversed(eo.order):

@@ -379,9 +379,11 @@ def color_strip(strip: IntervalStrip, k: int) -> Coloring:
         fixed = {v: colors[v] for v in strip.cliques[left] | strip.cliques[right]}
         seg_colors = extend_coloring(seg, color_budget(k, omega), fixed)
         colors.update(seg_colors)
-    tail = IntervalStrip(strip.cliques[bounds[-1]:])
-    fixed = {v: colors[v] for v in tail.nodes if v in colors}
-    colors.update(greedy_fill(tail, fixed))
+    if bounds[-1] < len(strip.cliques) - 1:
+        # a tail of one clique is the last boundary, colored above
+        tail = IntervalStrip(strip.cliques[bounds[-1]:])
+        fixed = {v: colors[v] for v in tail.nodes if v in colors}
+        colors.update(greedy_fill(tail, fixed))
     return colors
 
 

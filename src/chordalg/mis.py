@@ -3,8 +3,9 @@
 A bounded number of peeling iterations (depending only on the accuracy
 target) removes pendant and long internal paths from the clique forest; the
 removed interval strips already hold an almost-maximum independent set.
-Small components are solved exactly with an absorbing maximum independent
-set, large ones with the approximate interval routine.
+Small components are solved exactly on their clique strip, by its
+earliest-right-end sweep or, next to a residual anchor, by the absorbing
+sweep; large ones with the approximate interval routine.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .cliqueforest import (
     INTERNAL, path_diameter, path_strip, peel, strips_from_traces,
 )
 from .errors import AlphaTooLarge, BadEpsilon, debug_invariants
-from .graphs import Graph, mcs_order
+from .graphs import Graph
 from .intervals import mis_eps_to_k, mis_strip, strip_stages
 from . import localsim
 from .localsim import StagedProgram, stage_chain
@@ -69,20 +70,6 @@ class PeelState:
             for v in chosen:
                 out |= (g.closed_neighborhood(v) & ui1) | ({v} & ui1)
         return out
-
-
-def _gavril_greedy(g: Graph, nodes):
-    """Exact maximum independent set of a chordal induced subgraph."""
-    sub = g.subgraph(nodes)
-    order = mcs_order(sub).order
-    taken = set()
-    blocked = set()
-    for v in order:
-        if v not in blocked:
-            taken.add(v)
-            blocked.add(v)
-            blocked |= sub.adj[v]
-    return taken
 
 
 def absorbing_mis(cliques, component, anchor,
@@ -170,25 +157,22 @@ def mis_chordal_run(g: Graph, eps: float) -> MisRun:
             sides = p.attach_cliques()
             for strip in strips_from_traces(p.clique_sets(), active):
                 comp = set(strip.nodes)
-                if len(strip.greedy_mis()) >= d:
+                # the strip is the component's clique path, so its sweep is exact
+                part = strip.greedy_mis()
+                tag = "exact"
+                if len(part) >= d:
                     part = mis_strip(strip, eps / 8.0)
                     tag = "approx"
-                else:
-                    if i < iters:
-                        anchor = _outside_anchor(g, sides, comp, w_set, residual)
-                        if anchor is None:
-                            part = _gavril_greedy(g, comp)
-                        else:
-                            cliques = p.clique_sets()
-                            if anchor == sides[0]:
-                                cliques.reverse()
-                            part = absorbing_mis(cliques, comp, anchor, alpha_cap=d)
-                        state.absorption.append(AbsorptionRecord(
-                            i, frozenset(comp), frozenset(part),
-                            frozen_forbidden, anchor))
-                    else:
-                        part = _gavril_greedy(g, comp)
-                    tag = "exact"
+                elif i < iters:
+                    anchor = _outside_anchor(g, sides, comp, w_set, residual)
+                    if anchor is not None:
+                        cliques = p.clique_sets()
+                        if anchor == sides[0]:
+                            cliques.reverse()
+                        part = absorbing_mis(cliques, comp, anchor, alpha_cap=d)
+                    state.absorption.append(AbsorptionRecord(
+                        i, frozenset(comp), frozenset(part),
+                        frozen_forbidden, anchor))
                 for v in comp:
                     state.branch[v] = tag
                 gained |= part

@@ -281,12 +281,15 @@ class TestStarRule:
         assert f.signature() == word_keyed_signature(g)
 
     def test_two_triangles_on_a_shared_edge(self):
-        # MCS visits 1, 2, 3, 4; both 3 and 4 have p = 2 and |L| = 2, but
-        # only 3 extends the clique of 2
+        # the last two visits both have the second visit as p and |L| = 2,
+        # but only the first of them extends the clique grown so far; that
+        # clique is T0's root and the other hangs below it
         g = Graph([(1, 2), (1, 3), (2, 3), (1, 4), (2, 4)])
         cliques, _words, links = _clique_tree(g)
         assert cliques == [frozenset({1, 2, 3}), frozenset({1, 2, 4})]
-        assert links == [(1, 0, frozenset({1, 2}))]
+        visit = mcs_order(g).order[::-1]
+        root = cliques.index(frozenset(visit[:3]))
+        assert links == [(1 - root, root, frozenset({1, 2}))]
         assert clique_forest(g).signature() == word_keyed_signature(g)
 
     def test_disjoint_union(self):

@@ -1,4 +1,5 @@
 import heapq
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -6,13 +7,19 @@ from hypothesis import strategies as st
 
 from chordalg import (
     Graph, NotChordal, TooLarge, UnknownNode, alpha_oracle, brute_alpha,
-    brute_chromatic, gen_caterpillar, gen_chordal, gen_interval,
-    greedy_color_reverse_peo,
-    is_chordal, mcs_order, omega_oracle, verify_coloring, verify_is,
+    brute_chromatic, clique_forest, color_interval, gen_caterpillar,
+    gen_chordal, gen_interval, greedy_color_reverse_peo,
+    is_chordal, mcs_order, mis_interval, omega_oracle,
+    verify_coloring, verify_is,
 )
-from chordalg.graphs import induced_cycle_chordality
+from chordalg import graphs
+from chordalg.graphs import EliminationOrder, induced_cycle_chordality
+from chordalg.mis import mis_chordal_run
+from chordalg.mvc import mvc_pipeline
 
-from conftest import complete_graph, cycle_graph, small_graphs
+from conftest import (
+    complete_graph, cycle_graph, dumbbell, long_paths_generator, small_graphs,
+)
 
 
 def path(n):
@@ -53,7 +60,8 @@ class TestMcsOrder:
 
 
 def lazy_heap_mcs(g):
-    """Reference MCS: one heap of (-weight, id) entries, stale ones skipped."""
+    """Reference MCS that breaks ties by the smallest id: one heap of
+    (-weight, id) entries, stale ones skipped."""
     visited = set()
     weight = {v: 0 for v in g.adj}
     heap = [(0, v) for v in sorted(g.adj)]
@@ -113,10 +121,41 @@ def is_peo_by_positions(g, order):
     return True
 
 
+def is_mcs_order(g, order):
+    """Whether `order` reversed visits every node once, each visit taking a
+    node of the largest weight (visited neighbors) among the unvisited."""
+    if sorted(order) != sorted(g.adj):
+        return False
+    weight = dict.fromkeys(g.adj, 0)  # unvisited nodes only
+    count = Counter(weight.values())  # unvisited nodes per weight
+
+    def drop(w):
+        count[w] -= 1
+        if not count[w]:
+            del count[w]
+
+    for v in reversed(order):
+        w = weight.pop(v)
+        if w != max(count):
+            return False
+        drop(w)
+        for u in g.adj[v]:
+            if u in weight:
+                drop(weight[u])
+                weight[u] += 1
+                count[weight[u]] += 1
+    return True
+
+
 class TestMcsMatchesLazyHeap:
+    """`mcs_order` may break ties differently from the smallest-id reference,
+    but it must be a maximum cardinality search with the reference's verdict,
+    whatever order the graph was built in."""
+
     def check(self, g):
         eo = mcs_order(g)
-        assert eo.order == lazy_heap_mcs(g)
+        assert is_mcs_order(g, eo.order)
+        assert eo.is_perfect == is_peo_by_positions(g, lazy_heap_mcs(g))
         assert mcs_order(reversed_build(g)) == eo
         assert (eo.later, eo.parent) == later_and_parent(g, eo.order)
         assert eo.is_perfect == is_peo_by_positions(g, eo.order)
@@ -146,6 +185,74 @@ class TestMcsMatchesLazyHeap:
         for u, v in gen_caterpillar(4, 2).edges():
             g.add_edge(u + 10, v + 10)
         assert not self.check(g).is_perfect
+
+    def test_large_star(self):
+        # every leaf ties with every other at each visit
+        g = Graph([(1, leaf) for leaf in range(2, 20_002)])
+        assert self.check(g).is_perfect
+
+    def test_reference_is_an_mcs_order(self):
+        for g in (gen_chordal(300, seed=0, max_clique=8), cycle_graph(6)):
+            assert is_mcs_order(g, lazy_heap_mcs(g))
+        assert not is_mcs_order(path(3), (2, 1, 3))
+
+
+def smallest_id_mcs(g):
+    """`mcs_order`'s result for the smallest-id reference visit order."""
+    order = lazy_heap_mcs(g)
+    later, parent = later_and_parent(g, order)
+    return EliminationOrder(order, is_peo_by_positions(g, order), later, parent)
+
+
+def tie_rule_outputs(g, mvc_eps=0.5):
+    """Every output read off the clique forest that must not depend on how
+    the search breaks ties."""
+    mvc = mvc_pipeline(g, mvc_eps)
+    mis = mis_chordal_run(g, 0.4)
+    return (clique_forest(g).signature(), mvc.layering.layer, mvc.final_colors,
+            mis.state.layer, mis.state.branch, mis.chosen)
+
+
+class TestOutputsIndependentOfTieRule:
+    def outputs_with_both_rules(self, monkeypatch, outputs, *args):
+        calls = []
+
+        def reference(h):
+            calls.append(h)
+            return smallest_id_mcs(h)
+
+        ours = outputs(*args)
+        with monkeypatch.context() as patch:
+            patch.setattr(graphs, "mcs_order", reference)
+            theirs = outputs(*args)
+        assert calls
+        return ours, theirs
+
+    def test_chordal_families(self, monkeypatch):
+        instances = [gen_chordal(200, seed=s, max_clique=6) for s in range(3)]
+        instances += [gen_interval(150, seed=s) for s in range(2)]
+        instances += [long_paths_generator()(400, s, max_clique=4) for s in range(2)]
+        # the two rules visit in different orders, so the check has teeth
+        assert all(mcs_order(g).order != lazy_heap_mcs(g) for g in instances)
+        for g in instances:
+            ours, theirs = self.outputs_with_both_rules(monkeypatch, tie_rule_outputs, g)
+            assert ours == theirs
+
+    def test_dumbbell(self, monkeypatch):
+        # an internal peel and an approximate-branch component; omega is 2
+        g = dumbbell(3, 5, 400)
+        ours, theirs = self.outputs_with_both_rules(
+            monkeypatch, tie_rule_outputs, g, 1.0)
+        assert ours == theirs
+
+    def test_interval_routines(self, monkeypatch):
+        def outputs(h):
+            return mis_interval(h, 0.4), color_interval(h, 3)
+
+        for seed in range(3):
+            ours, theirs = self.outputs_with_both_rules(
+                monkeypatch, outputs, gen_interval(150, seed=seed))
+            assert ours == theirs
 
 
 class TestChordality:

@@ -12,7 +12,7 @@ import chordalg
 from chordalg import (
     BadEpsilon, Graph, Infeasible, NotInterval, NotProperInterval,
     alpha_oracle, color_interval, distance_k_mis, errors, extend_coloring,
-    gen_chordal, gen_interval, gen_path, gen_spider, graphs, intervals, mis,
+    gen_chordal, gen_interval, gen_path, gen_spider, graphs, intervals,
     mis_chordal_centralized, mis_chordal_distributed, mis_interval,
     mis_interval_distributed, mvc, omega_oracle,
     remove_dominated, skeleton_pairs, verify_coloring, verify_is,
@@ -867,8 +867,8 @@ WORKLOAD_FAMILIES = {
 
 @pytest.mark.parametrize("family", sorted(WORKLOAD_FAMILIES))
 def test_benchmark_calls_search_no_graph(monkeypatch, family):
-    """The benchmark's four calls make no BFS and build subgraphs only in
-    `mis._gavril_greedy`, with debug invariants off."""
+    """The benchmark's four calls make no BFS and build no subgraph, with
+    debug invariants off."""
     bfs_calls, subgraph_callers = [], []
     real_bfs, real_subgraph = graphs.bfs_distances, Graph.subgraph
 
@@ -877,9 +877,7 @@ def test_benchmark_calls_search_no_graph(monkeypatch, family):
         return real_bfs(*args, **kwargs)
 
     def watched_subgraph(self, nodes):
-        caller = sys._getframe(1).f_code
-        if caller is not mis._gavril_greedy.__code__:
-            subgraph_callers.append(caller.co_name)
+        subgraph_callers.append(sys._getframe(1).f_code.co_name)
         return real_subgraph(self, nodes)
 
     monkeypatch.setattr(errors, "_DEBUG_INVARIANTS", False)

@@ -15,7 +15,7 @@ from chordalg import intervals
 from chordalg.cliqueforest import IntervalStrip, clique_forest
 from chordalg.graphs import bfs_distances
 from chordalg.intervals import _component_strips
-from chordalg.mis import MisParams, mis_chordal_run, _gavril_greedy
+from chordalg.mis import MisParams, mis_chordal_run
 
 from conftest import complete_graph, dumbbell
 
@@ -58,9 +58,14 @@ class TestAbsorbingMis:
         assert chosen == {1}
 
     def test_without_anchor_returns_elimination_greedy(self):
-        # unanchored components are solved by the MCS-order greedy directly
+        # an unanchored component takes its strip's earliest-right-end sweep,
+        # the greedy along the strip's elimination order
         g = gen_path(7)
-        assert _gavril_greedy(g, set(g.nodes)) == alpha_oracle(g)
+        run = mis_chordal_run(g, 0.4)
+        [record] = run.state.absorption
+        assert record.anchor is None
+        assert record.chosen == run.chosen == {1, 3, 5, 7}
+        assert len(run.chosen) == len(alpha_oracle(g))
 
     def test_alpha_cap(self):
         with pytest.raises(AlphaTooLarge):
