@@ -18,24 +18,30 @@ a = run(Graph(base), gather(2), 10).outputs[5]
 b = run(Graph(with_extra), gather(2), 10).outputs[5]
 print("radius-2 views agree despite the far-away edge:", a == b)
 
-# The engine-mediated Collect service is flooding with the same cost model;
-# programs that only need timing can skip the payload entirely.
+# A Collect is delivered after exactly `radius` rounds, what flooding that
+# far costs. It may name nodes within `radius` whose outputs it reads, as
+# they stood at the end of the round it was asked in; naming none makes it a
+# pure timer. Here even nodes output their id at once, and odd nodes read
+# their neighbours and output the sum.
 
 
-class CollectOnce:
+class SumEvenNeighbours:
     def init(self, node, neighbors):
-        return node
+        return node, tuple(sorted(neighbors))
 
     def step(self, state, rnd, inbox):
+        v, nbrs = state
+        if v % 2 == 0:
+            return StepResult(state, output=v)
         if rnd == 0:
-            return StepResult(state, requests=[Collect(3, tag="look")])
-        got = inbox[("collect", "look")]
-        return StepResult(state, output=len(got.nodes))
+            return StepResult(state, requests=[Collect(1, "look", read=nbrs)])
+        got = inbox[("collect", "look")].outputs
+        return StepResult(state, output=sum(got.values()))
 
 
-t2 = run(gen_path(9), CollectOnce(), 10)
-print("collect(3) delivered at round", t2.rounds_elapsed,
-      "; ball sizes:", [t2.outputs[v] for v in sorted(t2.outputs)])
+t2 = run(gen_path(9), SumEvenNeighbours(), 10)
+print("read delivered at round", t2.rounds_elapsed,
+      "; outputs:", [t2.outputs[v] for v in sorted(t2.outputs)])
 
 # Transcripts are deterministic byte for byte, whatever the scan order.
 s1 = run(gen_path(6), gather(3), 10).serialize()

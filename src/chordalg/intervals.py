@@ -145,10 +145,6 @@ def _component_strips(h: Graph) -> List[IntervalStrip]:
     return strips
 
 
-def require_interval(h: Graph):
-    _component_strips(h)
-
-
 def _suffix_min_hi(strip: IntervalStrip) -> List[int]:
     """`sufmin[j]`, for j = 0..t: the smallest last clique among nodes whose
     first clique is at least j, or t when there is none."""

@@ -4,13 +4,13 @@ per-node write-once outputs, and exact round accounting.
 Programs are explicit state machines. Besides raw per-neighbor messages the
 engine offers two services with honest round costs:
 
-* ``Collect(radius)``: delivered exactly `radius` rounds later, carrying the
-  radius-ball induced subgraph and a snapshot of published node variables
-  taken at request time. Semantically identical to flooding for `radius`
-  rounds (the ``gather`` combinator is that flooding, and tests hold the two
-  sides equal) while letting large simulations skip per-node payload copies.
-  With ``want_data=False`` it is a pure timer, and every node requesting the
-  same tag and radius in a round receives one shared result.
+* ``Collect(radius, tag, read)``: delivered exactly `radius` rounds later.
+  With an empty `read` it is a pure timer, and every node requesting the
+  same tag and radius in a round receives one shared result. Otherwise its
+  result's ``outputs`` maps each node of `read` that had an output at the
+  end of the request round to that output: what flooding for `radius`
+  rounds would bring, so every node of `read` must lie within `radius` hops
+  of the requester (checked exactly under ``__debug__``, as for a Send).
 * ``Send(target, payload, latency)``: multi-hop unicast delivered after
   `latency` rounds; `latency` must be at least the graph distance (checked
   exactly under ``__debug__`` by a search at most `latency` hops deep).
@@ -27,8 +27,8 @@ A step reads its inbox as a ``key -> payload`` dict that the engine hands
 over (it is not copied, and the step may keep it): ``("msg", sender)`` for a
 message or a Send, ``("collect", tag)`` for a Collect, in delivery order. A
 later item with the same key replaces an earlier one, keeping its position.
-A ``StepResult`` names only what the step does: ``outbox`` and ``publish``
-default to ``None``, ``requests`` to ``()``, ``output`` to ``NO_OUTPUT`` and
+A ``StepResult`` names only what the step does: ``outbox`` defaults to
+``None``, ``requests`` to ``()``, ``output`` to ``NO_OUTPUT`` and
 ``wake_at`` to ``None``. ``init(node, neighbors)`` receives the engine's own
 neighbor set of the node, which it must not change.
 
@@ -40,9 +40,9 @@ shared ``CollectResult`` and `members` the set of member nodes, which the
 call must not change. Round 0 is one such call for every node, with `key` and
 `result` None, as no node has an inbox yet. It returns ``(timed, stepped)``:
 `timed` maps ``(tag, radius)`` to the members whose only action is a lone
-``Collect(radius, tag, want_data=False)``, with their new states written to
-`states`; `stepped` holds a ``(node, StepResult)`` pair for every other
-member, handled like any step's result and in scan order. Each member must be
+``Collect(radius, tag)`` timer, with their new states written to `states`;
+`stepped` holds a ``(node, StepResult)`` pair for every other member,
+handled like any step's result and in scan order. Each member must be
 answered once. A program may define ``step_group``; it must equal
 ``step(states[v], rnd, inbox)`` on each member, where `inbox` is
 ``{key: result}``, or empty in round 0. Without it the engine steps each node
@@ -64,7 +64,7 @@ from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import RoundCapExceeded
-from .graphs import BfsBall, Graph, bfs_distances
+from .graphs import BfsBall, Graph
 
 NO_OUTPUT = object()
 _first = itemgetter(0)
@@ -74,7 +74,7 @@ _first = itemgetter(0)
 class Collect:
     radius: int
     tag: Any = None
-    want_data: bool = True
+    read: Sequence[int] = ()
 
 
 @dataclass(frozen=True)
@@ -88,22 +88,18 @@ class Send:
 class CollectResult:
     tag: Any
     radius: int
-    requested_at: int
-    nodes: Optional[Tuple[int, ...]] = None
-    adjacency: Optional[Dict[int, Tuple[int, ...]]] = None
-    vars: Optional[Dict[int, Dict[str, Any]]] = None
+    outputs: Optional[Dict[int, Any]] = None  # None for a timer
 
 
 @dataclass(slots=True)
 class StepResult:
     """What one step does: its new state, messages to neighbors, a final
-    output, service requests, published variables and a wake-up round."""
+    output, service requests and a wake-up round."""
 
     state: Any
     outbox: Optional[Dict[int, Any]] = None
     output: Any = NO_OUTPUT
     requests: Sequence[Any] = ()
-    publish: Optional[Dict[str, Any]] = None
     wake_at: Optional[int] = None
 
 
@@ -147,7 +143,6 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
     states = {v: program.init(v, nbrs) for v, nbrs in adj.items()}
     step = program.step
     outputs: Dict[int, Any] = {}
-    published: Dict[int, Dict[str, Any]] = {v: {} for v in adj}
     # round -> node -> the inbox its step reads; a wake is an empty inbox
     agenda: Dict[int, Dict[int, Dict[Any, Any]]] = {}
     due_rounds: List[int] = []  # min-heap of the rounds in `agenda`
@@ -160,7 +155,7 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
     message_counts: List[int] = []
     service_counts: List[int] = []
     log: Optional[List[List[Tuple[int, int, Any]]]] = [] if record_messages else None
-    send_balls: Dict[int, BfsBall] = {}
+    balls: Dict[int, BfsBall] = {}  # per sender or reader, for the checks
 
     def inboxes_at(at) -> Dict[int, Dict[Any, Any]]:
         """The inboxes of round `at`, which becomes due."""
@@ -189,17 +184,19 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
             inbox = inboxes[v] = new_inbox(at, v) if held else {}
         inbox[key] = payload
 
-    def check_latency(u, req):
-        """Exact check that req.target lies within req.latency hops of u;
-        u's ball grows only as far as this and earlier sends need."""
-        ball = send_balls.get(u)
+    def check_within(u, targets, hops, what):
+        """Exact check that every node of `targets` lies within `hops` hops
+        of u; u's ball grows only as far as this and earlier checks need."""
+        ball = balls.get(u)
         if ball is None:
-            ball = send_balls[u] = BfsBall(g, u)
-        ball.reach((req.target,), req.latency)
-        d = ball.dist.get(req.target)
-        if d is None or d > req.latency:
-            raise RuntimeError("node %r is not within latency %d of sender %d"
-                               % (req.target, req.latency, u))
+            ball = balls[u] = BfsBall(g, u)
+        ball.reach(targets, hops)
+        dist = ball.dist
+        for t in targets:
+            d = dist.get(t)
+            if d is None or d > hops:
+                raise RuntimeError("node %r is not within %s %d of %s %d"
+                                   % (t, what[0], hops, what[1], u))
 
     def pad_to(rounds):
         """Record the quiet rounds up to (not including) round `rounds`."""
@@ -225,7 +222,6 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
         svc_count = 0
         round_log: List[Tuple[int, int, Any]] = []
         next_inboxes = None  # round rnd + 1, made due by the first message
-        publish_buffer: List[Tuple[int, Dict[str, Any]]] = []
         collect_buffer: List[Tuple[int, Collect]] = []
         # a step's only request, when a timer, joins the requesters of its
         # (tag, radius): nearly every collect of the MIS and MVC programs.
@@ -286,24 +282,27 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
                 for req in requests:
                     kind = type(req)
                     if kind is Collect:
-                        if lone and not req.want_data:
+                        if req.read:
+                            if __debug__:
+                                check_within(v, req.read, req.radius,
+                                             ("radius", "reader"))
+                        elif lone:
                             group = timer_groups.get((req.tag, req.radius))
                             if group is None:
                                 group = timer_groups[req.tag, req.radius] = []
                             group.append(v)
-                        else:
-                            collect_buffer.append((v, req))
+                            continue
+                        collect_buffer.append((v, req))
                     elif kind is Send:
                         if __debug__:
-                            check_latency(v, req)
+                            check_within(v, (req.target,), req.latency,
+                                         ("latency", "sender"))
                         at = rnd + req.latency
                         deliver(inboxes_at(at), at, req.target, ("msg", v), req.payload)
                         if log is not None:
                             round_log.append((v, req.target, req.payload))
                     else:
                         raise TypeError("unknown service request %r" % (req,))
-            if res.publish:
-                publish_buffer.append((v, res.publish))
             at = res.wake_at
             if at is not None:
                 if at <= rnd:
@@ -313,25 +312,19 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
                     wakes[v] = new_inbox(at, v) if held else {}
         # this round's inboxes go before the collects fill later rounds' ones
         inboxes.clear()
-        # publishes land after every step of the round, then collects snapshot
-        for v, items in publish_buffer:
-            published[v].update(items)
-        # a pure timer: every requester of a (tag, radius) in this round
+        # a read sees the outputs as every step of the round left them; a
+        # pure timer: every requester of a (tag, radius) in this round
         # receives the same frozen result
-        timers = {key: CollectResult(key[0], key[1], rnd) for key in timer_groups}
+        timers = {key: CollectResult(*key) for key in timer_groups}
         for v, req in collect_buffer:
-            if req.want_data:
-                ball = bfs_distances(g, v, cutoff=req.radius)
-                members = tuple(sorted(ball))
-                adjacency = {u: tuple(sorted(adj[u] & ball.keys())) for u in members}
-                snapshot = {u: dict(published[u]) for u in members}
-                result = CollectResult(
-                    req.tag, req.radius, rnd, members, adjacency, snapshot)
+            if req.read:
+                result = CollectResult(req.tag, req.radius, {
+                    u: outputs[u] for u in req.read if u in outputs})
             else:
                 result = timers.get((req.tag, req.radius))
                 if result is None:
                     result = timers[req.tag, req.radius] = CollectResult(
-                        req.tag, req.radius, rnd)
+                        req.tag, req.radius)
             at = rnd + req.radius
             deliver(inboxes_at(at), at, v, ("collect", req.tag), result)
         for (tag, radius), group in timer_groups.items():
@@ -421,15 +414,15 @@ class StagedProgram:
 
     A node's state is its id while it walks the schedule, and its stage is
     the tag in its inbox, so a group step splits its members by set
-    intersection and touches no state. A group at a stage outside the table
-    steps each member through ``step``: that is a subclass's own tail.
+    intersection and touches no state. Only a stage of the table is ever a
+    group's: a subclass's own tail makes no lone timer of another tag.
     """
 
     def __init__(self, table: Dict[Any, Tuple[Optional[int], Any, Dict[Any, Any]]],
                  outputs: Optional[Dict[int, Any]] = None):
         self.table = table
         self.outputs = outputs
-        self.requests = {stage: (Collect(row[0], stage, want_data=False),)
+        self.requests = {stage: (Collect(row[0], stage),)
                          for stage, row in table.items() if stage is not None}
 
     def init(self, node, neighbors):
@@ -450,11 +443,7 @@ class StagedProgram:
         return StepResult(v, requests=self.requests[nxt])
 
     def step_group(self, states, rnd, key, result, members):
-        row = self.table.get(key[1] if key else None)
-        if row is None:
-            return {}, [(v, self.step(states[v], rnd, {key: result}))
-                        for v in members]
-        _, default, exceptions = row
+        _, default, exceptions = self.table[key[1] if key else None]
         moves = []
         rest = members
         for stage, nodes in exceptions.items():

@@ -355,14 +355,6 @@ def mvc_centralized(g: Graph, eps: float) -> Coloring:
 # distributed variant
 
 
-class _Registry:
-    """Rounds at which nodes received their final color (read-only for polls
-    that were requested at strictly earlier rounds, so scan order is moot)."""
-
-    def __init__(self):
-        self.final_round: Dict[int, int] = {}
-
-
 @dataclass(slots=True)
 class _MvcNode:
     """One node's progress once it left the prune/color schedule."""
@@ -371,8 +363,7 @@ class _MvcNode:
     phase: str = "wait_color"  # then "correct", then "done"
     color: Optional[int] = None
     levels: Optional[List[int]] = None  # correction levels to serve
-    poll: Optional[Tuple[int, int]] = None  # (level, round) polled
-    wait: Tuple[int, ...] = ()  # nodes that level waits for
+    poll: Optional[Collect] = None  # reads the wait set of levels[0]
 
 
 class MvcProgram(StagedProgram):
@@ -383,13 +374,19 @@ class MvcProgram(StagedProgram):
     messages), which is what the transcript measures. The prune and color
     stages are a fixed schedule: a node collects once per prune iteration up
     to its own layer's, then walks the coloring stages. Correction, which
-    waits on other nodes, is the dynamic tail.
+    waits on other nodes, is the dynamic tail: a node with its final color
+    serves its correction levels from the top down. For each level it polls,
+    reading the outputs of the level's wait set (the higher-layer neighbours
+    of that level's children), until every one has output; then it sends the
+    children their colors. A node outputs its color in the step that gives
+    it, so an output is a final color, and the engine checks that the read
+    stays within the poll radius.
     """
 
     def __init__(self, run: MvcRun):
         self.run = run
-        self.registry = _Registry()
         self.k = run.k
+        self.poll_radius = correction_poll_radius(run.k)
         layering = run.layering
         by_layer: Dict[int, Set[int]] = {}
         for v, i in layering.layer.items():
@@ -401,11 +398,6 @@ class MvcProgram(StagedProgram):
                                  {("color", 0): frozenset(by_layer.get(i, ()))})
         table.update(stage_chain("color", strip_stages(run.k)))
         super().__init__(table)
-        self.polls = {
-            level: Collect(correction_poll_radius(run.k), tag=("poll", level),
-                           want_data=False)
-            for per in layering.children.values() for level in per
-        }
 
     # -- helpers ----------------------------------------------------------
     def _levels(self, v) -> List[int]:
@@ -421,23 +413,19 @@ class MvcProgram(StagedProgram):
                     need.add(u)
         return tuple(sorted(need))
 
-    def _finalize(self, state, rnd):
-        v = state.id
-        self.registry.final_round.setdefault(v, rnd)
+    def _finalize(self, state):
         state.phase = "correct"
-        state.levels = self._levels(v)
-        return self._next_level(state, rnd)
+        state.levels = self._levels(state.id)
+        return self._next_level(state)
 
-    def _next_level(self, state, rnd, sends=()):
+    def _next_level(self, state, sends=()):
         if not state.levels:
             state.phase = "done"
-            return StepResult(state, output=state.color, requests=sends,
-                              publish={"final": state.color})
+            return StepResult(state, output=state.color, requests=sends)
         level = state.levels[0]
-        state.poll = (level, rnd)
-        state.wait = self._wait_set(state.id, level)
-        return StepResult(state, requests=[*sends, self.polls[level]],
-                          output=state.color, publish={"final": state.color})
+        state.poll = Collect(self.poll_radius, ("poll", level),
+                             self._wait_set(state.id, level))
+        return StepResult(state, requests=[*sends, state.poll], output=state.color)
 
     # -- engine interface --------------------------------------------------
     def leave(self, v, rnd):
@@ -445,7 +433,7 @@ class MvcProgram(StagedProgram):
         its final color, any other node waits for its parent's."""
         run = self.run
         if run.layering.parent[v] is None:
-            return self._finalize(_MvcNode(v, color=run.final_colors[v]), rnd)
+            return self._finalize(_MvcNode(v, color=run.final_colors[v]))
         return StepResult(_MvcNode(v))
 
     def step(self, state, rnd, inbox):
@@ -456,24 +444,21 @@ class MvcProgram(StagedProgram):
             for key, payload in sorted(inbox.items(), key=repr):
                 if key[0] == "msg" and payload[0] == "set_color":
                     state.color = payload[1]
-                    return self._finalize(state, rnd)
+                    return self._finalize(state)
             return StepResult(state)
 
         if state.phase == "correct":
-            level, requested_at = state.poll
-            final_round = self.registry.final_round
-            if not all(final_round.get(u, rnd + 1) <= requested_at
-                       for u in state.wait):
-                state.poll = (level, rnd)
-                return StepResult(state, requests=(self.polls[level],))
-            kids = run.layering.children[state.id][level]
+            poll = state.poll
+            if len(inbox["collect", poll.tag].outputs) < len(poll.read):
+                return StepResult(state, requests=(poll,))
+            kids = run.layering.children[state.id][state.levels[0]]
             sends = [
                 Send(child, ("set_color", run.final_colors[child]),
                      set_color_latency(self.k))
                 for child in kids
             ]
             state.levels = state.levels[1:]
-            return self._next_level(state, rnd, sends)
+            return self._next_level(state, sends)
 
         return StepResult(state)
 

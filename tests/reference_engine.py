@@ -3,14 +3,16 @@
 It is the engine's `run` before inboxes were kept as dicts, timers were
 delivered by group and requests were dispatched on their exact type. It
 reads an outbox of ``None``, which `StepResult` now defaults to, and like the
-engine it steps a node after round 0 only for a delivery or a wake.
+engine it steps a node after round 0 only for a delivery or a wake. A collect
+that reads named nodes returns their outputs as they stood at the end of the
+request round, and the nodes must lie within its radius.
 """
 
 import heapq
 from typing import Any, Dict, List, Optional, Tuple
 
 from chordalg.errors import RoundCapExceeded
-from chordalg.graphs import BfsBall, Graph, bfs_distances
+from chordalg.graphs import BfsBall, Graph
 from chordalg.localsim import (
     NO_OUTPUT, Collect, CollectResult, Send, Transcript,
 )
@@ -25,14 +27,13 @@ def reference_run(g: Graph, program, round_cap: int, record_messages: bool = Fal
     nodes = g.sorted_nodes()
     states = {v: program.init(v, tuple(sorted(g.adj[v]))) for v in nodes}
     outputs: Dict[int, Any] = {}
-    published: Dict[int, Dict[str, Any]] = {v: {} for v in nodes}
     # round -> node -> inbox items; a wake is an entry with no items
     agenda: Dict[int, Dict[int, list]] = {}
     due_rounds: List[int] = []  # min-heap of the rounds in `agenda`
     message_counts: List[int] = []
     service_counts: List[int] = []
     log: Optional[List[List[Tuple[int, int, Any]]]] = [] if record_messages else None
-    send_balls: Dict[int, BfsBall] = {}
+    balls: Dict[int, BfsBall] = {}
 
     def inbox_at(at, v) -> list:
         """v's inbox items for round `at`, which becomes due."""
@@ -48,17 +49,18 @@ def reference_run(g: Graph, program, round_cap: int, record_messages: bool = Fal
             items = inboxes[v] = []
         return items
 
-    def check_latency(u, req):
-        """Exact check that req.target lies within req.latency hops of u;
-        u's ball grows only as far as this and earlier sends need."""
-        ball = send_balls.get(u)
+    def check_within(u, targets, hops, what):
+        """Exact check that every node of `targets` lies within `hops` hops
+        of u; u's ball grows only as far as this and earlier checks need."""
+        ball = balls.get(u)
         if ball is None:
-            ball = send_balls[u] = BfsBall(g, u)
-        ball.reach((req.target,), req.latency)
-        d = ball.dist.get(req.target)
-        if d is None or d > req.latency:
-            raise RuntimeError("node %r is not within latency %d of sender %d"
-                               % (req.target, req.latency, u))
+            ball = balls[u] = BfsBall(g, u)
+        ball.reach(targets, hops)
+        for t in targets:
+            d = ball.dist.get(t)
+            if d is None or d > hops:
+                raise RuntimeError("node %r is not within %s %d of %s %d"
+                                   % (t, what[0], hops, what[1], u))
 
     def pad_to(rounds):
         """Record the quiet rounds up to (not including) round `rounds`."""
@@ -86,7 +88,6 @@ def reference_run(g: Graph, program, round_cap: int, record_messages: bool = Fal
         msg_count = 0
         svc_count = 0
         round_log: List[Tuple[int, int, Any]] = []
-        publish_buffer: List[Tuple[int, Dict[str, Any]]] = []
         collect_buffer: List[Tuple[int, Collect]] = []
         for v in order:
             res = program.step(states[v], rnd, dict(inboxes.get(v, ())))
@@ -106,41 +107,35 @@ def reference_run(g: Graph, program, round_cap: int, record_messages: bool = Fal
             for req in res.requests:
                 svc_count += 1
                 if isinstance(req, Collect):
+                    if req.read and __debug__:
+                        check_within(v, req.read, req.radius, ("radius", "reader"))
                     collect_buffer.append((v, req))
                 elif isinstance(req, Send):
                     if __debug__:
-                        check_latency(v, req)
+                        check_within(v, (req.target,), req.latency, ("latency", "sender"))
                     inbox_at(rnd + req.latency, req.target).append(
                         (("msg", v), req.payload))
                     if log is not None:
                         round_log.append((v, req.target, req.payload))
                 else:
                     raise TypeError("unknown service request %r" % (req,))
-            if res.publish:
-                publish_buffer.append((v, res.publish))
             if res.wake_at is not None:
                 if res.wake_at <= rnd:
                     raise RuntimeError("wake_at must be in the future")
                 inbox_at(res.wake_at, v)
-        # publishes land after every step of the round, then collects snapshot
-        for v, items in publish_buffer:
-            published[v].update(items)
+        # a read snapshots the outputs after every step of the round
         timers: Dict[Tuple[Any, int], Tuple[Tuple[str, Any], CollectResult]] = {}
         for v, req in collect_buffer:
-            if req.want_data:
-                ball = bfs_distances(g, v, cutoff=req.radius)
-                members = tuple(sorted(ball))
-                adjacency = {u: tuple(sorted(g.adj[u] & ball.keys())) for u in members}
-                snapshot = {u: dict(published[u]) for u in members}
-                item = (("collect", req.tag), CollectResult(
-                    req.tag, req.radius, rnd, members, adjacency, snapshot))
+            if req.read:
+                item = (("collect", req.tag), CollectResult(req.tag, req.radius, {
+                    u: outputs[u] for u in req.read if u in outputs}))
             else:
                 # a pure timer: every requester of this (tag, radius) in this
                 # round receives the same frozen result
                 item = timers.get((req.tag, req.radius))
                 if item is None:
                     item = timers[req.tag, req.radius] = (
-                        ("collect", req.tag), CollectResult(req.tag, req.radius, rnd))
+                        ("collect", req.tag), CollectResult(req.tag, req.radius))
             inbox_at(rnd + req.radius, v).append(item)
         message_counts.append(msg_count)
         service_counts.append(svc_count)

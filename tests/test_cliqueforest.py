@@ -538,9 +538,9 @@ class TestIntervalStrip:
 
 
 def test_forest_path_strips_are_interval_graphs():
-    from chordalg.intervals import require_interval
+    from chordalg.intervals import _component_strips
     for seed in (5, 13):
         g = gen_chordal(150, seed=seed, max_clique=6)
         f = clique_forest(g)
         for p in classify_paths(f):
-            require_interval(g.subgraph(p.node_set()))
+            _component_strips(g.subgraph(p.node_set()))

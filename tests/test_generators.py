@@ -5,7 +5,7 @@ from chordalg import (
     is_chordal, omega_oracle,
 )
 from chordalg.fileio import graph_to_text
-from chordalg.intervals import require_interval
+from chordalg.intervals import _component_strips
 
 
 def test_path_edges():
@@ -47,7 +47,7 @@ def test_interval_generator_deterministic():
 
 def test_interval_generator_is_interval():
     for seed in (2, 6, 13):
-        require_interval(gen_interval(30, seed=seed))
+        _component_strips(gen_interval(30, seed=seed))
 
 
 def test_single_node():

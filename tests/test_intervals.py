@@ -24,7 +24,7 @@ from chordalg.graphs import bfs_distances
 from chordalg.intervals import (
     _arrange_cliques, _component_strips, _mis_interval_parts,
     _select_boundaries, color_budget, greedy_fill, is_proper_interval,
-    mis_eps_to_k, require_interval, strip_dominated, strip_is_proper,
+    mis_eps_to_k, strip_dominated, strip_is_proper,
 )
 from chordalg.mvc import _frontier
 
@@ -78,7 +78,7 @@ class TestCliquePath:
         with pytest.raises(NotInterval):
             _component_strips(gen_spider(3, 2))
         with pytest.raises(NotInterval):
-            require_interval(gen_spider(3, 3))
+            _component_strips(gen_spider(3, 3))
 
     def test_every_node_range_is_contiguous(self):
         for seed in (1, 8):
@@ -660,7 +660,7 @@ class TestDistanceKMis:
         # 3, 4 and 5 are pairwise apart around 1; a greedy scan of 1's
         # neighbours by id picks 2 first and finds no third leaf
         g = Graph([(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4)])
-        require_interval(g)
+        _component_strips(g)
         assert not is_proper_interval(g)
         with pytest.raises(NotProperInterval):
             distance_k_mis(g, 1)

@@ -103,50 +103,63 @@ def test_no_oracle_leakage():
     assert o1 == o2
 
 
-def test_collect_service_matches_gather():
-    class CollectOnce:
-        def __init__(self, radius):
-            self.radius = radius
+class Reader:
+    """Node 1 reads the outputs of `read` with a collect of `radius` asked
+    for in round 2, and outputs what it got. Node v outputs 10 v in round
+    ``finish.get(v, 0)``."""
 
-        def init(self, node, neighbors):
-            return node
+    def __init__(self, read, radius, finish):
+        self.read, self.radius, self.finish = read, radius, finish
 
-        def step(self, state, rnd, inbox):
+    def init(self, node, neighbors):
+        return node
+
+    def step(self, v, rnd, inbox):
+        if v == 1:
             if rnd == 0:
-                return StepResult(state, requests=[Collect(self.radius, tag="x")])
-            result = inbox[("collect", "x")]
-            return StepResult(state, output=sorted(result.nodes))
+                return StepResult(v, wake_at=2)
+            if rnd == 2:
+                return StepResult(v, requests=[Collect(self.radius, "r", self.read)])
+            return StepResult(v, output=inbox[("collect", "r")].outputs)
+        at = self.finish.get(v, 0)
+        if rnd < at:
+            return StepResult(v, wake_at=at)
+        return StepResult(v, output=10 * v)
 
-    g = gen_spider(3, 5)
-    via_collect = run(g, CollectOnce(3), 10)
-    via_gather = run(g, gather(3), 10)
-    assert via_collect.rounds_elapsed == via_gather.rounds_elapsed == 3
-    for v in g.nodes:
-        assert via_collect.outputs[v] == sorted(via_gather.outputs[v])
+
+@pytest.mark.parametrize("scan", ["forward", "reverse"])
+def test_a_read_sees_the_outputs_at_the_end_of_the_request_round(scan):
+    # nodes 2 and 3 output in round 2, when node 1 asks, whichever steps
+    # first; node 4 outputs a round later, and node 5 never
+    program = Reader((5, 4, 3, 2), 4, {2: 2, 3: 2, 4: 3, 5: 99})
+    with pytest.raises(RoundCapExceeded) as exc:
+        run(gen_path(5), program, 20, scan=scan)
+    t = exc.value.transcript
+    assert t.outputs[1] == {3: 30, 2: 20}
+    assert list(t.outputs[1]) == [3, 2]  # in the order read
+    with pytest.raises(RoundCapExceeded) as ref:
+        reference_run(gen_path(5), program, 20, scan=scan)
+    assert t.serialize() == ref.value.transcript.serialize()
+
+
+@pytest.mark.parametrize("read,radius", [((4,), 2), ((2, 5), 3), ((9,), 10), ((99,), 10)],
+                         ids=["beyond", "one of two beyond", "other component",
+                              "no node"])
+def test_a_read_beyond_its_radius_raises(read, radius):
+    g = Graph([(1, 2), (2, 3), (3, 4), (4, 5), (8, 9)])
+    with pytest.raises(RuntimeError, match="node %d is not within radius %d of "
+                       "reader 1" % (read[-1], radius)):
+        run(g, Reader(read, radius, {}), 20)
+    t = run(g, Reader(read[:-1] + (3,), radius, {}), 20)  # 3 is two hops away
+    assert t.outputs[1] == {v: 10 * v for v in read[:-1] + (3,)}
 
 
 def test_background_forwarding_across_finished_nodes():
-    # every node but 1 finishes immediately; node 1 still completes a
-    # radius-4 collection through them afterwards
-    class LateGather:
-        def init(self, node, neighbors):
-            return node
-
-        def step(self, state, rnd, inbox):
-            if state != 1:
-                return StepResult(state, output=0, wake_at=None) if rnd == 0 \
-                    else StepResult(state)
-            if rnd == 0:
-                return StepResult(state, wake_at=5)
-            if rnd == 5:
-                return StepResult(state, requests=[Collect(4, tag="late")])
-            if ("collect", "late") in inbox:
-                return StepResult(state, output=len(inbox[("collect", "late")].nodes))
-            return StepResult(state)
-
-    g = gen_path(5)
-    t = run(g, LateGather(), 30)
-    assert t.outputs[1] == 5
+    # every node but 1 finishes in round 0; node 1 still reads node 5, four
+    # hops away, through them afterwards
+    t = run(gen_path(5), Reader((5,), 4, {}), 30)
+    assert t.outputs == {1: {5: 50}, 2: 20, 3: 30, 4: 40, 5: 50}
+    assert t.rounds_elapsed == 6
 
 
 def test_send_multi_hop_latency_is_enforced():
@@ -243,9 +256,9 @@ def test_staged_program_moves_the_exceptions_elsewhere(scan):
     # a step reads its stage off its inbox's key
     due = {("collect", ("a", 0)): None}
     assert step(1, 2, due) == StepResult(1, output=-1)
-    assert step(3, 2, due) == StepResult(3, requests=(Collect(3, ("a", 1), False),))
-    assert step(4, 2, due) == StepResult(4, requests=(Collect(1, ("b", 0), False),))
-    assert step(4, 0, {}) == StepResult(4, requests=(Collect(2, ("a", 0), False),))
+    assert step(3, 2, due) == StepResult(3, requests=(Collect(3, ("a", 1)),))
+    assert step(4, 2, due) == StepResult(4, requests=(Collect(1, ("b", 0)),))
+    assert step(4, 0, {}) == StepResult(4, requests=(Collect(2, ("a", 0)),))
 
 
 class PlannedSends:
@@ -387,8 +400,7 @@ def test_timer_collects_share_one_result():
 
         def step(self, state, rnd, inbox):
             if rnd == 0:
-                return StepResult(state, requests=[
-                    Collect(2, tag="t", want_data=False)])
+                return StepResult(state, requests=[Collect(2, tag="t")])
             self.received.append(inbox[("collect", "t")])
             return StepResult(state, output=rnd)
 
@@ -396,11 +408,11 @@ def test_timer_collects_share_one_result():
     t = run(gen_path(5), program, 10)
     assert t.outputs == {v: 2 for v in range(1, 6)}
     first = program.received[0]
-    assert first == CollectResult("t", 2, 0)
+    assert first == CollectResult("t", 2)
     assert all(result is first for result in program.received)
 
 
-@pytest.mark.parametrize("request_", [Collect(0, tag="t", want_data=False),
+@pytest.mark.parametrize("request_", [Collect(0, tag="t"),
                                       Send(1, "self", latency=0)])
 def test_delivery_in_the_requesting_round_raises(request_):
     with pytest.raises(RuntimeError):
@@ -463,7 +475,7 @@ class BadAtDue:
     def step(self, v, rnd, inbox):
         if rnd == 0:
             return StepResult(v, output="first" if v == 1 else NO_OUTPUT,
-                              requests=(Collect(2, tag="t", want_data=False),))
+                              requests=(Collect(2, tag="t"),))
         return self.bad(rnd) if v == 1 else StepResult(v, output=0)
 
 
@@ -488,6 +500,8 @@ BAD_RESULTS = {
 if __debug__:
     BAD_RESULTS["Send beyond its latency"] = (
         lambda rnd: StepResult(1, requests=(Send(4, "x", latency=2),)), RuntimeError)
+    BAD_RESULTS["read beyond its radius"] = (
+        lambda rnd: StepResult(1, requests=(Collect(2, "r", (2, 4)),)), RuntimeError)
 
 
 @pytest.mark.parametrize("name", sorted(BAD_RESULTS))
@@ -551,7 +565,7 @@ def test_a_group_step_must_answer_each_member_once(name):
 # ---------------------------------------------------------------------------
 # the engine against the former engine loop on scripted programs
 
-ACTIONS = ("msg", "send", "collect", "wake", "publish", "output")
+ACTIONS = ("msg", "send", "collect", "wake", "output")
 
 
 @st.composite
@@ -559,7 +573,8 @@ def scripted_runs(draw):
     """A small graph, a per-node script of actions at chosen rounds and a
     round cap. A msg action sends one
     payload to some neighbors, so it and a Send from the same node can land
-    in one inbox under one key."""
+    in one inbox under one key. A collect reads some of the nodes within its
+    radius, often none, which makes it a timer."""
     g = draw(small_graphs(max_nodes=6))
     script = {}
     for v in g.sorted_nodes():
@@ -580,13 +595,13 @@ def scripted_runs(draw):
                 latency = max(1, dist[target]) + draw(st.integers(0, 2))
                 action = ("send", Send(target, payload, latency))
             elif kind == "collect":
-                action = ("collect", Collect(draw(st.integers(1, 3)),
-                                             tag=draw(st.sampled_from("ab")),
-                                             want_data=draw(st.booleans())))
+                radius = draw(st.integers(1, 3))
+                near = sorted(u for u, d in dist.items() if d <= radius)
+                read = draw(st.lists(st.sampled_from(near), unique=True, max_size=3))
+                action = ("collect", Collect(radius, tag=draw(st.sampled_from("ab")),
+                                             read=tuple(read)))
             elif kind == "wake":
                 action = ("wake", draw(st.integers(1, 3)))
-            elif kind == "publish":
-                action = ("publish", {draw(st.sampled_from("xy")): payload})
             else:
                 action = ("output", None)
             per_round.setdefault(at, []).append(action)
@@ -611,7 +626,7 @@ class Scripted:
 
     def step(self, v, rnd, inbox):
         self.received[v].append((rnd, list(inbox.items())))
-        outbox, requests, publish = {}, [], {}
+        outbox, requests = {}, []
         output = NO_OUTPUT
         later = [at for at in self.script[v] if at > rnd]
         wake = min(later) if later else None
@@ -622,11 +637,9 @@ class Scripted:
                 requests.append(arg)
             elif kind == "wake":
                 wake = rnd + arg
-            elif kind == "publish":
-                publish.update(arg)
             else:
                 output = ("done", v)
-        return StepResult(v, outbox, output, requests, publish, wake)
+        return StepResult(v, outbox, output, requests, wake)
 
 
 class GroupScripted(Scripted):
@@ -644,9 +657,9 @@ class GroupScripted(Scripted):
         for v in members:
             res = self.step(states[v], rnd, {} if key is None else {key: result})
             reqs = res.requests
-            if (len(reqs) == 1 and type(reqs[0]) is Collect and not reqs[0].want_data
+            if (len(reqs) == 1 and type(reqs[0]) is Collect and not reqs[0].read
                     and not res.outbox and res.output is NO_OUTPUT
-                    and not res.publish and res.wake_at is None):
+                    and res.wake_at is None):
                 states[v] = res.state
                 timed.setdefault((reqs[0].tag, reqs[0].radius), []).append(v)
                 self.timed += 1
@@ -665,7 +678,7 @@ def run_scripted(engine, g, script, cap, scan, program_class=Scripted):
 
 
 def timer(radius, tag="t"):
-    return ("collect", Collect(radius, tag=tag, want_data=False))
+    return ("collect", Collect(radius, tag=tag))
 
 
 # scripts on the path 1 - 2 - 3 - 4 that put held timer groups against each
@@ -687,10 +700,12 @@ GROUP_CASES = {
         3: {0: [timer(3), ("wake", 9)]},
         4: {0: [("send", Send(2, "early", 3))]},
     },
-    # node 2 is held in a group from round 0 due in round 3, and a data
-    # collect it asks for in round 1 lands in that round too
+    # node 2 is held in a group from round 0 due in round 3, and a read of
+    # nodes 1 and 4 it asks for in round 1 lands in that round too; node 1
+    # has output by then, node 4 has not
     "a member with a data collect": {
-        2: {0: [timer(3)], 1: [("collect", Collect(2, tag="d")), ("wake", 8)]},
+        1: {0: [("output", None)]},
+        2: {0: [timer(3)], 1: [("collect", Collect(2, "d", (1, 4))), ("wake", 8)]},
         3: {0: [timer(3), ("wake", 9)]},
     },
     # node 1 is stepped in its group in round 2 and node 3 alone; both
@@ -712,13 +727,12 @@ GROUP_CASES = {
         3: {0: [timer(2), ("wake", 9)]},
     },
     # in round 2, nodes 2 and 3 have no later script, so they ask for their
-    # next timer only and join new groups; node 4 asks for a data collect of
-    # the same tag and publishes, so it is stepped alone
+    # next timer only and join new groups; node 4 asks for a read of node 2
+    # with the same tag and radius, so it is stepped alone
     "members that ask for the next timer": {
         2: {0: [timer(2), ("output", None), ("wake", 7)], 2: [timer(2)]},
         3: {0: [timer(2), ("output", None), ("wake", 7)], 2: [timer(1)]},
-        4: {0: [timer(2), ("wake", 9)],
-            2: [("collect", Collect(2, tag="t")), ("publish", {"x": 1})]},
+        4: {0: [timer(2), ("wake", 9)], 2: [("collect", Collect(2, "t", (2,)))]},
     },
 }
 

@@ -11,7 +11,7 @@ from chordalg.cliqueforest import INTERNAL, clique_word, strips_from_traces
 from chordalg.fileio import coloring_to_text
 from chordalg import graphs
 from chordalg.graphs import bfs_distances
-from chordalg.intervals import color_budget, require_interval
+from chordalg.intervals import _component_strips, color_budget
 from chordalg.mvc import (
     color_layers, correct_colors, eps_to_k, local_peel_decision, mvc_pipeline,
     mvc_distributed_run,
@@ -56,7 +56,7 @@ class TestPruneLayers:
         g = gen_chordal(500, seed=21, max_clique=6)
         layering = prune_layers(g, 4)
         for i in range(1, layering.num_layers + 1):
-            require_interval(g.subgraph(layering.layer_nodes(i)))
+            _component_strips(g.subgraph(layering.layer_nodes(i)))
 
     def test_peeled_forests_match_recomputation(self):
         g = gen_chordal(300, seed=21, max_clique=6)

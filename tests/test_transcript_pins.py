@@ -144,7 +144,7 @@ class CheckedGroupSteps(CountedGroupSteps):
         for (tag, radius), group in timed.items():
             for v in group:
                 assert alone.pop(v) == StepResult(
-                    states[v], requests=(Collect(radius, tag, want_data=False),))
+                    states[v], requests=(Collect(radius, tag),))
         for v, res in stepped:
             assert alone.pop(v) == res
         assert not alone
@@ -228,31 +228,46 @@ def test_group_steps_equal_steps_on_small_instances(name, seed, scan):
     assert counted.group_calls > 0
 
 
-class PublishedKeys(CountedGroupSteps):
-    """Records the name of every variable a step publishes."""
+class Collects(CountedGroupSteps):
+    """Records every collect a step asks for, as (node, Collect) pairs."""
 
     def __init__(self, program):
         super().__init__(program)
-        self.keys = set()
+        self.collects = []
+
+    def record(self, v, res):
+        self.collects.extend((v, req) for req in res.requests if type(req) is Collect)
 
     def step(self, state, rnd, inbox):
         res = super().step(state, rnd, inbox)
-        self.keys.update(res.publish or ())
+        # a node's state is its id on a schedule, an `_MvcNode` after it
+        self.record(getattr(res.state, "id", res.state), res)
         return res
 
     def step_group(self, states, rnd, key, result, members):
         timed, stepped = super().step_group(states, rnd, key, result, members)
-        for _, res in stepped:
-            self.keys.update(res.publish or ())
+        for (tag, radius), group in timed.items():
+            self.collects.extend((v, Collect(radius, tag)) for v in group)
+        for v, res in stepped:
+            self.record(v, res)
         return timed, stepped
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_replays_publish_only_what_correction_reads(monkeypatch, name):
-    # every collect of the replays is a timer; MVC publishes its final
-    # colors, which a correction wait is to read
-    _, published = watched_solve(monkeypatch, PINNED[name][0], counter=PublishedKeys)
-    assert published.keys == ({"final"} if name.endswith("-mvc") else set())
+def test_replays_read_only_what_correction_waits_for(monkeypatch, name):
+    # the MIS and interval replays make timer collects only; every MVC poll
+    # reads its level's wait set, the higher-layer neighbours of the level's
+    # children, which is never empty and lies in the poller's closed
+    # neighbourhood
+    _, watched = watched_solve(monkeypatch, PINNED[name][0], counter=Collects)
+    polls = [(v, req) for v, req in watched.collects if req.tag[0] == "poll"]
+    assert all(not req.read for v, req in watched.collects if req.tag[0] != "poll")
+    assert bool(polls) == name.endswith("-mvc")
+    program = watched.program
+    for v, req in polls:
+        assert req.radius == program.poll_radius
+        assert req.read == program._wait_set(v, req.tag[1])
+        assert req.read and set(req.read) <= program.run.g.adj[v] | {v}
 
 
 # the flooding program on its own: sha256 of the serialized transcript and
