@@ -31,8 +31,9 @@ print("peel removed %d nodes; residual forest equals recomputation: %s"
 
 # A node can rebuild its fragment of the forest from a bounded view: for
 # every node u within radius d-1, the cliques containing u are exact
-# (possible extenders are u-neighbors), and the unique spanning forest of
-# each such family is u's subtree. The union never invents anything.
+# (possible extenders are u-neighbors), and the ball's own forest joins
+# them by u's subtree, which those cliques alone fix. Keeping the ball's
+# forest to those cliques never invents anything.
 big = gen_chordal(60, seed=11, max_clique=5)
 full = clique_forest(big)
 full_words = set(full.words)

@@ -6,18 +6,19 @@ intersection graph (weight = number of shared nodes). Ties are broken by a
 total order on the edges: weight first, then the sorted member words of the
 two endpoint cliques. Cliques are numbered in word order, so that is the
 order (weight, lower id, higher id), and Kruskal run in decreasing order of
-it picks the canonical forest. `clique_forest` does not run Kruskal: it reads
-the same forest off the clique tree that maximum cardinality search builds
-in passing (see `clique_forest`). Everything downstream (peeling, coloring,
-correction) relies on that canonical choice, so the tie-breaking here is
-load-bearing.
+it picks the canonical forest. That is the definition; no code here runs
+Kruskal. `clique_forest` reads the same forest off the clique tree that
+maximum cardinality search builds in passing, and `local_view` keeps the
+part of a ball's forest that the ball determines. Everything downstream
+(peeling, coloring, correction) relies on that canonical choice, so the
+tie-breaking here is load-bearing.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from .errors import DiameterTooSmall, RadiusTooSmall
@@ -84,45 +85,6 @@ def maximal_cliques(g: Graph) -> List[FrozenSet[int]]:
     return _clique_tree(g)[0]
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
-def _greedy_forest(n: int, weight: Dict[Tuple[int, int], int]) -> Set[Tuple[int, int]]:
-    """Unique maximum-weight spanning forest of a weighted clique graph.
-
-    The `n` cliques must be numbered in word order and every key must be a
-    pair (a, b) with a < b. Then decreasing (weight, a, b) is decreasing
-    (weight, lower word, higher word), and that total order makes greedy
-    selection canonical.
-    """
-    ranked = sorted(((w, a, b) for (a, b), w in weight.items()), reverse=True)
-    uf = _UnionFind(n)
-    edges = set()
-    for _w, a, b in ranked:
-        if uf.union(a, b):
-            edges.add((a, b))
-            if len(edges) == n - 1:
-                break  # spanning tree: no later edge can join two trees
-    return edges
-
-
 def _star_forest(n: int, links: List[Link]) -> Set[Tuple[int, int]]:
     """The canonical forest from the clique tree T0: one star per separator.
 
@@ -185,10 +147,6 @@ class CliqueForest:
     def __len__(self):
         return len(self.cliques)
 
-    @property
-    def nodes(self) -> Set[int]:
-        return set(self.phi)
-
     def degree(self, i: int) -> int:
         return len(self.fadj[i])
 
@@ -235,41 +193,33 @@ def clique_forest(g: Graph) -> CliqueForest:
 
 
 def local_view(ball: Graph, center: int, d: int) -> CliqueForest:
-    """Fragment of the clique forest reconstructed from a radius-d ball.
+    """The fragment of the clique forest that a radius-d ball determines.
 
     `ball` must be the subgraph induced on the radius-d neighborhood of
-    `center` (in whatever host graph the caller cares about). For every node
-    within distance d-1 the maximal cliques containing it are exact, and the
-    unique spanning forest of each such clique family is the node's subtree,
-    so the union of those edges is a sub-forest of the global clique forest.
-    Cliques are numbered in word order, as in `clique_forest`, so both rank
-    edges by the same (weight, lower id, higher id) order.
+    `center` (in whatever host graph the caller cares about). The view is
+    the ball's own canonical forest, kept to the cliques that hold a core
+    node (one within d-1 of `center`) and to the edges whose intersection
+    holds one. It is the same in the ball as in the host graph:
+    - A core node's neighbors all lie in the ball, so every clique that
+      holds it is maximal in the ball iff it is maximal in the host graph.
+    - The cliques holding a node u span a subtree of the canonical forest.
+      Swapping it for a better spanning tree of the same cliques would give
+      a better forest, so it is their maximum spanning tree under the
+      (weight, lower word, higher word) order, fixed by those cliques alone.
+    The view is the union of these subtrees over the core nodes. Cliques are
+    numbered in word order, as in `clique_forest`.
     """
     if d < 2:
         raise RadiusTooSmall("local views need radius at least 2")
-    dist = bfs_distances(ball, center)
-    core = sorted(u for u, du in dist.items() if du <= d - 1)
-    by_word: Dict[Word, FrozenSet[int]] = {}
-    cliques_of: Dict[int, List[Word]] = {}
-    for u in core:
-        sub = ball.subgraph(ball.closed_neighborhood(u))
-        found = maximal_cliques(sub)
-        cliques_of[u] = [clique_word(c) for c in found]
-        for c in found:
-            by_word[clique_word(c)] = c
-    words = sorted(by_word)
-    index = {w: i for i, w in enumerate(words)}
-    cliques = [by_word[w] for w in words]
-    edges: Set[Tuple[int, int]] = set()
-    for u in core:
-        ids = sorted(index[w] for w in cliques_of[u])
-        weight = {}
-        for a, b in combinations(ids, 2):
-            inter = len(cliques[a] & cliques[b])
-            if inter:
-                weight[(a, b)] = inter
-        edges |= _greedy_forest(len(words), weight)
-    return CliqueForest(cliques, edges)
+    core = bfs_distances(ball, center, cutoff=d - 1)
+    forest = clique_forest(ball)
+    cliques = forest.cliques
+    keep = [i for i, c in enumerate(cliques) if not c.isdisjoint(core)]
+    rank = {i: r for r, i in enumerate(keep)}
+    edges = {(rank[a], rank[b]) for a, b in forest.edges
+             if not (cliques[a] & cliques[b]).isdisjoint(core)}
+    return CliqueForest([cliques[i] for i in keep], edges,
+                        words=[forest.words[i] for i in keep])
 
 
 PENDANT = "pendant"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import NotChordal, TooLarge, UnknownNode
@@ -73,9 +72,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj.get(u, ())
 
     def edges(self):
         for u in sorted(self.adj):
@@ -340,21 +336,6 @@ def brute_chromatic(g: Graph) -> int:
     while not feasible(c):
         c += 1
     return c
-
-
-def induced_cycle_chordality(g: Graph) -> bool:
-    """Brute-force chordality: no induced cycle of length >= 4 (tiny graphs only)."""
-    if len(g) > 12:
-        raise TooLarge("induced-cycle check accepts at most 12 nodes")
-    nodes = g.sorted_nodes()
-    for size in range(4, len(nodes) + 1):
-        for subset in combinations(nodes, size):
-            sub = g.subgraph(subset)
-            if all(sub.degree(v) == 2 for v in subset):
-                comps = sub.connected_components()
-                if len(comps) == 1:
-                    return False
-    return True
 
 
 class VerifyResult(NamedTuple):

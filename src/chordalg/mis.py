@@ -62,15 +62,6 @@ class PeelState:
     branch: Dict[int, Optional[str]] = field(default_factory=dict)
     layer: Dict[int, int] = field(default_factory=dict)
 
-    def blocked_set(self, g: Graph, i: int) -> Set[int]:
-        """Union over r <= i of the closed neighborhoods of I_r inside U_{i+1}."""
-        out: Set[int] = set()
-        ui1 = self.residuals[i] if i < len(self.residuals) else set()
-        for chosen in self.per_iteration[:i]:
-            for v in chosen:
-                out |= (g.closed_neighborhood(v) & ui1) | ({v} & ui1)
-        return out
-
 
 def absorbing_mis(cliques, component, anchor,
                   alpha_cap: Optional[int] = None) -> Set[int]:

@@ -136,7 +136,7 @@ def brute_maximal_cliques(g):
     cliques = []
     for size in range(len(nodes), 0, -1):
         for subset in itertools.combinations(nodes, size):
-            if all(g.has_edge(a, b) for a, b in itertools.combinations(subset, 2)):
+            if all(b in g.adj[a] for a, b in itertools.combinations(subset, 2)):
                 s = set(subset)
                 if not any(s < c for c in cliques):
                     cliques.append(s)

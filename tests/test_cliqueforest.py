@@ -1,3 +1,4 @@
+import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -23,7 +24,7 @@ from chordalg.intervals import _component_strips
 
 from conftest import (
     brute_maximal_cliques, chordal_graphs, complete_graph, dumbbell,
-    interval_graphs, small_graphs,
+    interval_graphs, long_paths_generator, small_graphs,
 )
 
 Word = Tuple[int, ...]
@@ -201,10 +202,10 @@ class TestCliqueForest:
         assert forest_dump(f) == "C0: 1,2\nC1: 2,3\nC2: 3,4\nE: 0-1\nE: 1-2\n"
 
 
-def word_keyed_signature(g):
-    """Reference forest: Kruskal over every intersecting clique pair, ranked
-    by decreasing (weight, lower word, higher word), with no clique ids."""
-    words = [clique_word(c) for c in maximal_cliques(g)]
+def word_keyed_kruskal(words):
+    """Kruskal over every intersecting pair of the clique `words`, ranked by
+    decreasing (weight, lower word, higher word): the picked edges as sorted
+    word pairs, with no clique ids."""
     ranked = []
     for x, y in combinations(words, 2):
         w = len(set(x) & set(y))
@@ -224,7 +225,13 @@ def word_keyed_signature(g):
         if rx != ry:
             root[ry] = rx
             edges.append((x, y))
-    return tuple(sorted(words)), tuple(sorted(edges))
+    return sorted(edges)
+
+
+def word_keyed_signature(g):
+    """Reference forest: the word-keyed Kruskal over all maximal cliques."""
+    words = [clique_word(c) for c in maximal_cliques(g)]
+    return tuple(sorted(words)), tuple(word_keyed_kruskal(words))
 
 
 class TestForestMatchesWordKeyedKruskal:
@@ -330,6 +337,59 @@ class TestLocalView:
             frag = local_view(ball(g, v, 4), v, 4)
             assert words_of(frag) <= fw
             assert edge_words(frag) <= fe
+
+
+def per_node_kruskal_view(ball, center, d):
+    """A local view built node by node: for each node u within d - 1 of
+    `center`, the maximal cliques of u's closed neighborhood and the
+    word-keyed Kruskal over them. Returns the union of the clique words and
+    of the edge word pairs."""
+    words, edges = set(), set()
+    for u in bfs_distances(ball, center, cutoff=d - 1):
+        own = [clique_word(c) for c in
+               maximal_cliques(ball.subgraph(ball.closed_neighborhood(u)))]
+        words.update(own)
+        edges.update(word_keyed_kruskal(own))
+    return sorted(words), edges
+
+
+class TestLocalViewMatchesPerNodeKruskal:
+    """`local_view` keeps the ball's own forest; it must equal the union of
+    the per-node spanning trees, in clique words and in edge words."""
+
+    @staticmethod
+    def check(b, center, d):
+        frag = local_view(b, center, d)
+        words, edges = per_node_kruskal_view(b, center, d)
+        assert list(frag.words) == words
+        assert edge_words(frag) == edges
+
+    @pytest.mark.parametrize("g", [
+        gen_chordal(60, seed=0, max_clique=6),
+        gen_chordal(60, seed=1, max_clique=8),
+        gen_interval(200, seed=0),
+        gen_interval(200, seed=1),
+    ], ids=["chordal-0", "chordal-1", "interval-0", "interval-1"])
+    def test_whole_balls(self, g):
+        for v in sorted(g.nodes)[::2]:
+            for d in (2, 4, 8):
+                self.check(ball(g, v, d), v, d)
+
+    @pytest.mark.parametrize("make", [
+        lambda seed: long_paths_generator()(300, seed),
+        lambda seed: gen_chordal(150, seed=seed),
+    ], ids=["long-paths", "chordal"])
+    def test_residual_balls(self, make):
+        for seed in range(2):
+            g = make(seed)
+            rng = random.Random(seed)
+            kept = {v for v in sorted(g.nodes) if rng.random() < 0.8}
+            for v in sorted(kept)[::6]:
+                for d in (2, 4, 8):
+                    # the ball in g cut to the kept nodes, as a peel
+                    # decision sees it: often disconnected
+                    b = g.subgraph(bfs_distances(g, v, cutoff=d).keys() & kept)
+                    self.check(b, v, d)
 
 
 class TestClassifyPaths:

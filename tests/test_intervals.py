@@ -763,7 +763,7 @@ class TestSkeletonPairs:
 def has_claw(g) -> bool:
     """Some node with three pairwise non-adjacent neighbours."""
     return any(
-        not (g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c))
+        not (b in g.adj[a] or c in g.adj[a] or c in g.adj[b])
         for v in g.nodes for a, b, c in combinations(sorted(g.adj[v]), 3))
 
 

@@ -20,6 +20,16 @@ from chordalg.mis import MisParams, mis_chordal_run
 from conftest import complete_graph, dumbbell
 
 
+def blocked_set(state, g, i):
+    """Union over r <= i of the closed neighborhoods of I_r inside U_{i+1}."""
+    out = set()
+    ui1 = state.residuals[i] if i < len(state.residuals) else set()
+    for chosen in state.per_iteration[:i]:
+        for v in chosen:
+            out |= (g.closed_neighborhood(v) & ui1) | ({v} & ui1)
+    return out
+
+
 class TestMisParams:
     def test_formulas(self):
         p = MisParams.from_eps(0.4)
@@ -148,7 +158,7 @@ class TestPeelStateChecks:
     def test_blocked_set_accessor(self):
         g = gen_chordal(200, seed=2, max_clique=5)
         run = mis_chordal_run(g, 0.4)
-        blocked = run.state.blocked_set(g, run.params.k)
+        blocked = blocked_set(run.state, g, run.params.k)
         chosen_members = set().union(set(), *run.state.per_iteration[:-1])
         assert all(v in blocked or v not in run.state.residuals[run.params.k]
                    for v in chosen_members)
