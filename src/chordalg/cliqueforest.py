@@ -519,7 +519,7 @@ def peel(g: Graph, select) -> Iterator[PeelStep]:
         for p in paths:
             ids = set(p.cliques)
             members.append(tuple(sorted(
-                v for v in p.node_set() if all(j in ids for j in forest.phi[v]))))
+                v for v in p.node_set() if ids.issuperset(forest.phi[v]))))
         yield PeelStep(i, forest, paths, tuple(members))
         forest, removed = remove_paths(forest, g, paths)
         if set().union(*members) != removed:

@@ -318,16 +318,15 @@ def brute_chromatic(g: Graph) -> int:
                 return True
             v = order[i]
             used = {assigned[u] for u in g.adj[v] if u in assigned}
-            for col in range(1, c + 1):
+            # colors no node holds yet are interchangeable, so trying the
+            # first of them is enough
+            fresh = max(assigned.values(), default=0) + 1
+            for col in range(1, min(c, fresh) + 1):
                 if col not in used:
                     assigned[v] = col
                     if assign(i + 1):
                         return True
                     del assigned[v]
-                if col not in used:
-                    # an unused color is interchangeable with any other unused
-                    # one, so trying more than one fresh color is redundant
-                    break
             return False
 
         return assign(0)

@@ -18,7 +18,7 @@ from .cliqueforest import (
     strips_from_traces, walk_path,
 )
 from .errors import EpsilonTooSmall, NonTermination, debug_invariants
-from .graphs import BfsBall, Graph, bfs_distances, omega_oracle
+from .graphs import Graph, bfs_distances, omega_oracle
 from .intervals import (
     color_budget, color_strip, extend_coloring, greedy_fill, strip_stages,
 )
@@ -71,11 +71,43 @@ class Layering:
         return sorted(v for v, l in self.layer.items() if l == i)
 
 
+def _side_hops(cliques, limit: int) -> Dict[int, int]:
+    """Hop distance from the nodes of cliques[0], along the clique path
+    `cliques`, of every node within `limit` hops of them.
+
+    Let reach[0] = 0 and reach[h + 1] be the last clique that meets clique
+    reach[h]. A node lies within h hops iff its first clique is at most
+    reach[h], so the walk stops after clique reach[limit].
+    """
+    dist = dict.fromkeys(cliques[0], 0)
+    anchor, j, t = cliques[0], 1, len(cliques)
+    for h in range(1, limit + 1):
+        while j < t and not anchor.isdisjoint(cliques[j]):
+            for v in cliques[j] - cliques[j - 1]:
+                dist[v] = h
+            j += 1
+        anchor = cliques[j - 1]
+    return dist
+
+
 def prune_layers(g: Graph, k: int) -> Layering:
     """Iteratively peel pendant paths and long internal paths off the forest.
 
     Returns the layer index per node, parent/children assignments for the
     correction phase, and the peeled path records per layer.
+
+    A member's parent is max(side) for the nearest attach side within k + 3
+    hops in `g`, ties going to the smaller clique word. The distance is read
+    off the peel record's own clique path [side, *path cliques oriented away
+    from side], which equals the distance in `g`:
+    - The side and the path cliques form a subpath of `g`'s clique tree, and
+      every other clique hangs off that subpath through a separator, which is
+      a clique. A shortest path that leaves side | path comes back through
+      the separator it left by, so one hop inside it replaces the detour.
+    - Earlier peels open no shortcut: the residual forest is `g`'s forest
+      less whole cliques and their edges, so the side and the path form a
+      subpath of `g`'s forest too, and a removed internal path splits it
+      for good.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -94,39 +126,26 @@ def prune_layers(g: Graph, k: int) -> Layering:
         if not step.paths:
             raise NonTermination("no peelable path found on a nonempty forest")
         records = []
-        wanted: Dict[frozenset, Set[int]] = {}
         for p, members in zip(step.paths, step.members):
             record = PeelPath(tuple(p.clique_sets()), p.kind, *p.attach_cliques(),
                               members)
             records.append(record)
-            for side in (record.attach_s, record.attach_e):
-                if side is not None:
-                    wanted.setdefault(side, set()).update(members)
-        # parent assignment: nearest attach clique within k + 3, ties by word;
-        # each side's ball grows only until it has labelled its members
-        side_dist = {}
-        for side, targets in wanted.items():
-            ball = BfsBall(g, side)
-            ball.reach(targets, k + 3)
-            side_dist[side] = (ball.dist, clique_word(side))
-        for record in records:
-            for v in record.members:
+            # parent: nearest attach side within k + 3, ties by clique word;
+            # each side's distances run along the record's clique path
+            sides = [(_side_hops((side, *seq), k + 3), clique_word(side), side)
+                     for side, seq in ((record.attach_s, record.cliques),
+                                       (record.attach_e, record.cliques[::-1]))
+                     if side is not None]
+            for v in members:
                 layering.layer[v] = i
-                best = None
-                for side in (record.attach_s, record.attach_e):
-                    if side is None:
-                        continue
-                    dmap, word = side_dist[side]
-                    if v in dmap:
-                        key = (dmap[v], word)
-                        if best is None or key < best[0]:
-                            best = (key, side)
-                if best is None:
-                    layering.parent[v] = None
-                else:
-                    par = max(best[1])
+                keys = [(dist[v], word, side) for dist, word, side in sides
+                        if v in dist]
+                if keys:
+                    par = max(min(keys)[2])
                     layering.parent[v] = par
                     children_raw.setdefault(par, {}).setdefault(i, []).append(v)
+                else:
+                    layering.parent[v] = None
         layering.peeled_paths[i] = records
     layering.num_layers = i - 1
     layering.clique_count = len(layering.forest_history[0])

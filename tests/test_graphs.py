@@ -335,6 +335,14 @@ class TestOracles:
         assert omega_oracle(g) == brute_chromatic(g)
         assert len(alpha_oracle(g)) == brute_alpha(g)
 
+    def test_brute_chromatic_backtracks_past_neighbor_colors(self):
+        # the path 6-1-4-3-2-5 in degree order 1, 4, 2, 3: a greedy pass
+        # gives 3 a third color, so 2 colors need a backtrack past 2
+        g = Graph()
+        for u, v in [(1, 4), (1, 6), (2, 3), (2, 5), (3, 4)]:
+            g.add_edge(u, v)
+        assert brute_chromatic(g) == 2
+
     @given(small_graphs(max_nodes=6))
     @settings(max_examples=40, deadline=None)
     def test_oracles_equal_brute_on_chordal(self, g):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import chordalg
 from chordalg import (
     EpsilonTooSmall, Graph, NotChordal, clique_forest, gen_chordal, gen_interval, gen_path,
     gen_spider, mvc_centralized, mvc_distributed, omega_oracle, prune_layers,
@@ -9,15 +10,15 @@ from chordalg import (
 )
 from chordalg.cliqueforest import INTERNAL, clique_word, strips_from_traces
 from chordalg.fileio import coloring_to_text
-from chordalg import graphs
+from chordalg import errors, graphs
 from chordalg.graphs import bfs_distances
 from chordalg.intervals import _component_strips, color_budget
 from chordalg.mvc import (
-    color_layers, correct_colors, eps_to_k, local_peel_decision, mvc_pipeline,
-    mvc_distributed_run,
+    _side_hops, color_layers, correct_colors, eps_to_k, local_peel_decision,
+    mvc_pipeline, mvc_distributed_run,
 )
 
-from conftest import complete_graph, cycle_graph, dumbbell
+from conftest import complete_graph, cycle_graph, dumbbell, long_paths_generator
 
 
 def bound(k, omega):
@@ -116,6 +117,84 @@ def test_prune_parents_match_full_balls_on_dumbbell():
     assert (layering.parent, layering.children) == (parent, children)
     # the internal path's far middle is beyond k + 3 of both junctions
     assert None in parent.values() and any(p is not None for p in parent.values())
+
+
+def internal_members(layering):
+    return [v for records in layering.peeled_paths.values() for r in records
+            if r.kind == INTERNAL for v in r.members]
+
+
+# (seed, max_clique) pairs whose long paths reach internal peels at every k
+LONG_PATH_CASES = [(0, 3), (0, 6), (2, 4), (5, 3), (6, 6), (9, 4)]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+@pytest.mark.parametrize("seed,m", LONG_PATH_CASES)
+def test_prune_parents_match_full_balls_on_long_paths(seed, m, k):
+    """Internal peels after earlier peels are where a shortcut through the
+    peeled part of g would show; their members sit both within and beyond
+    k + 3 of the junctions."""
+    g = long_paths_generator()(600, seed, max_clique=m)
+    layering = prune_layers(g, k)
+    assert (layering.parent, layering.children) == reference_parents(g, layering, k)
+    inner = [layering.parent[v] for v in internal_members(layering)]
+    assert None in inner and any(p is not None for p in inner)
+
+
+@pytest.mark.parametrize("seed,m", LONG_PATH_CASES[:2])
+def test_side_hops_match_graph_distances(seed, m):
+    """Hops along [side, *path cliques] equal distances in g for every node
+    of those cliques, not only where a parent choice turns on them."""
+    g = long_paths_generator()(600, seed, max_clique=m)
+    for k in (2, 6):
+        for records in prune_layers(g, k).peeled_paths.values():
+            for r in records:
+                for side, seq in ((r.attach_s, r.cliques), (r.attach_e, r.cliques[::-1])):
+                    if side is None:
+                        continue
+                    nodes = side.union(*seq)
+                    full = bfs_distances(g, side, cutoff=k + 3)
+                    assert _side_hops((side, *seq), k + 3) == {
+                        v: d for v, d in full.items() if v in nodes}
+
+
+@pytest.mark.parametrize("bridge", [6, 7, 8, 9])
+def test_prune_parents_match_full_balls_on_dumbbell_threshold(bridge):
+    """At k = 2 the bridge's internal path has diameter bridge - 2, so it is
+    peeled from bridge 3k + 2 on; below that it joins the last layer."""
+    k = 2
+    g = dumbbell(3, 6, bridge)
+    layering = prune_layers(g, k)
+    assert (layering.parent, layering.children) == reference_parents(g, layering, k)
+    assert bool(internal_members(layering)) == (bridge >= 3 * k + 2)
+    parents = list(layering.parent.values())
+    assert None in parents and any(p is not None for p in parents)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_chordal(400, seed=5, max_clique=12),
+    lambda: long_paths_generator()(600, 2, max_clique=4),
+], ids=["random_trees", "long_paths"])
+def test_prune_layers_searches_no_graph(monkeypatch, make):
+    """Parents come from the peel record alone: with every binding of
+    `bfs_distances` and `BfsBall` made to raise, and debug invariants off,
+    the layering is unchanged."""
+    g = make()
+    expected = {k: prune_layers(g, k) for k in (2, 4)}
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("prune_layers searched the graph")
+
+    monkeypatch.setattr(errors, "_DEBUG_INVARIANTS", False)
+    searches = (graphs.bfs_distances, graphs.BfsBall)
+    for module in vars(chordalg).values():
+        for name in ("bfs_distances", "BfsBall"):
+            if getattr(module, name, None) in searches:
+                monkeypatch.setattr(module, name, no_search)
+    for k, want in expected.items():
+        got = prune_layers(g, k)
+        assert (got.layer, got.parent, got.children, got.num_layers) == (
+            want.layer, want.parent, want.children, want.num_layers)
 
 
 class TestColorLayers:
