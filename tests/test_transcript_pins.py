@@ -12,11 +12,17 @@ a group that falls back to stepping each member shows up there. The
 `tree-mis` and `longpaths-mis` digests were re-pinned once, when the exact
 small components began taking their strip's sweep instead of a greedy along
 a maximum cardinality search: the same rounds, traffic and set sizes (112
-and 282), with other members chosen.
+and 282), with other members chosen. The `path-distance-mis` digest was
+recorded later, with the engine of its time, before that replay's schedule
+table moved to the shared builder.
+
+The default round cap of each distributed entry point is pinned to the
+formula it was first written with, spelled out here.
 """
 
 import copy
 import hashlib
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,6 +79,9 @@ PINNED = {
     "interval-coloring": (lambda: color_interval_distributed(INTERVAL, 3),
                           "b3e05b87db27fe3a346b30d0ce2e48336a4939a0435790af8cf886d529c24f74",
                           2400),
+    "path-distance-mis": (lambda: distance_k_mis_distributed(gen_path(60), 2),
+                          "be0ea460c1e16eb0c4354ecb9c9c372e29cdc5ed767ff6ceb9a59425f5335c90",
+                          660),
 }
 
 # name -> calls of the program's `step` when the engine steps timer groups,
@@ -80,7 +89,7 @@ PINNED = {
 STEP_CALLS = {
     "tree-mvc": 327, "tree-mis": 0, "dumbbell-mvc": 42, "dumbbell-mis": 0,
     "longpaths-mvc": 93, "longpaths-mis": 0, "interval-mis": 0,
-    "interval-coloring": 0,
+    "interval-coloring": 0, "path-distance-mis": 0,
 }
 
 
@@ -268,6 +277,61 @@ def test_replays_read_only_what_correction_waits_for(monkeypatch, name):
         assert req.radius == program.poll_radius
         assert req.read == program._wait_set(v, req.tag[1])
         assert req.read and set(req.read) <= program.run.g.adj[v] | {v}
+
+
+def strip_rounds(k):
+    """The rounds of the strip routine's stages at parameter k: a gather of
+    2k + 12, nine stages of k + 6 and a fill of 3k + 15."""
+    return sum([2 * k + 12] + [k + 6] * 9 + [3 * k + 15])
+
+
+def mis_chordal_cap(eps):
+    d = math.ceil(64.0 / eps)
+    k = math.ceil(math.log2(d / eps) + 2)
+    approx_k = math.ceil(2.5 / (eps / 8.0) + 0.5)
+    return 2 * (k * (2 * d + 12) + strip_rounds(approx_k) + 10)
+
+
+def mvc_cap(n, eps):
+    k = math.ceil(2.0 / eps)
+    logn = max(1, math.ceil(math.log2(max(2, n))))
+    return 40 * k * (logn + 4) + 40 * k
+
+
+CAP_GRAPH = gen_chordal(60, 1, max_clique=6)
+CAP_INTERVAL = gen_interval(60, seed=2)
+
+# entry point -> (solve at a parameter, three or more parameters, the default
+# cap at a parameter as the entry point first computed it)
+DEFAULT_CAPS = {
+    "interval-coloring": (lambda k: color_interval_distributed(CAP_INTERVAL, k),
+                          (2, 3, 5), lambda k: 2 * (strip_rounds(k) + 10)),
+    "distance-mis": (lambda k: distance_k_mis_distributed(gen_path(40), k),
+                     (1, 2, 4), lambda k: 2 * (9 * (k + 1) + 12)),
+    "interval-mis": (lambda eps: mis_interval_distributed(CAP_INTERVAL, eps),
+                     (0.2, 0.4, 0.9),
+                     lambda eps: 2 * (2 + strip_rounds(math.ceil(2.5 / eps + 0.5)) + 10)),
+    "chordal-mis": (lambda eps: mis_chordal_distributed(CAP_GRAPH, eps),
+                    (0.25, 0.4, 0.49), mis_chordal_cap),
+    "mvc": (lambda eps: mvc_distributed(CAP_GRAPH, eps),
+            (0.4, 0.5, 1.0), lambda eps: mvc_cap(len(CAP_GRAPH), eps)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_CAPS))
+def test_default_round_caps_keep_their_formulas(monkeypatch, name):
+    solve, params, cap = DEFAULT_CAPS[name]
+    engine = localsim.run
+    caps = []
+
+    def run(g, program, round_cap, **options):
+        caps.append(round_cap)
+        return engine(g, program, round_cap, **options)
+
+    monkeypatch.setattr(localsim, "run", run)
+    for param in params:
+        solve(param)
+    assert caps == [cap(param) for param in params]
 
 
 # the flooding program on its own: sha256 of the serialized transcript and
