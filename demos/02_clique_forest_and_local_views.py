@@ -5,7 +5,7 @@ from chordalg import (
     classify_paths, clique_forest, gen_chordal, gen_spider, local_view,
     path_diameter, remove_paths,
 )
-from chordalg.cliqueforest import path_strip
+from chordalg.cliqueforest import IntervalStrip
 from chordalg.fileio import forest_dump
 from chordalg.graphs import ball
 
@@ -20,7 +20,7 @@ print(forest_dump(forest))
 paths = classify_paths(forest)
 for p in paths:
     print(p.kind, "len", len(p.cliques),
-          "diameter", path_diameter(p), "alpha", len(path_strip(p).greedy_mis()))
+          "diameter", path_diameter(p), "alpha", len(IntervalStrip(p.cliques).greedy_mis()))
 
 # Peeling the pendant paths leaves exactly the clique forest of the residual
 # graph; this invariant carries the whole layering machinery.

@@ -3,10 +3,10 @@ and maximum independent set on chordal graphs, exact oracles to check them,
 and a round-accounted simulator for their distributed variants."""
 
 from .errors import (
-    AlphaTooLarge, BadEpsilon, BadSpec, ChordalgError, DiameterTooSmall,
-    EpsilonTooSmall, Infeasible, NonTermination, NotChordal, NotInterval,
-    NotProperInterval, ParseError, RadiusTooSmall, RoundCapExceeded, TooLarge,
-    UnknownNode, VerificationFailed, debug_invariants, set_debug_invariants,
+    BadEpsilon, BadSpec, ChordalgError, DiameterTooSmall, EpsilonTooSmall,
+    Infeasible, NonTermination, NotChordal, NotInterval, NotProperInterval,
+    ParseError, RadiusTooSmall, RoundCapExceeded, TooLarge, UnknownNode,
+    VerificationFailed, debug_invariants, set_debug_invariants,
 )
 from .graphs import (
     EliminationOrder, Graph, alpha_oracle, brute_alpha, brute_chromatic,
@@ -15,7 +15,7 @@ from .graphs import (
 )
 from .generators import gen_caterpillar, gen_chordal, gen_interval, gen_path, gen_spider
 from .cliqueforest import (
-    CliqueForest, ForestPath, IntervalStrip, classify_paths, clique_forest,
+    CliqueForest, IntervalStrip, PeelPath, classify_paths, clique_forest,
     clique_word, local_view, maximal_cliques, path_diameter,
     remove_paths, strips_from_traces,
 )

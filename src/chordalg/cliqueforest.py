@@ -228,28 +228,22 @@ BINARY_COMPONENT = "binary-component"
 
 
 @dataclass(frozen=True)
-class ForestPath:
-    """A maximal run of degree-<=2 cliques, oriented by smaller end word."""
+class PeelPath:
+    """A maximal run of degree-<=2 cliques, oriented by smaller end word.
 
-    forest: CliqueForest
-    cliques: Tuple[int, ...]
+    `ids` are its clique ids in the forest it was classified on and
+    `cliques` their sets, in path order; `attach_s` and `attach_e` are the
+    junction cliques at its start and end sides, None where it has none.
+    `members` stays empty until `peel` selects the path: then it holds the
+    nodes whose whole subtree lies on the path, in increasing order.
+    """
+
+    ids: Tuple[int, ...]
+    cliques: Tuple[FrozenSet[int], ...]
     kind: str
-    attach_s: Optional[int]
-    attach_e: Optional[int]
-
-    def clique_sets(self):
-        return [self.forest.cliques[i] for i in self.cliques]
-
-    def node_set(self) -> Set[int]:
-        out: Set[int] = set()
-        for i in self.cliques:
-            out |= self.forest.cliques[i]
-        return out
-
-    def attach_cliques(self) -> Tuple[Optional[FrozenSet[int]], Optional[FrozenSet[int]]]:
-        """The junction cliques at the start and end sides (None if free)."""
-        return tuple(None if a is None else self.forest.cliques[a]
-                     for a in (self.attach_s, self.attach_e))
+    attach_s: Optional[FrozenSet[int]]
+    attach_e: Optional[FrozenSet[int]]
+    members: Tuple[int, ...] = ()
 
 
 def walk_path(fadj, comp) -> List[int]:
@@ -274,12 +268,13 @@ def _orient(forest, seq, attach_s, attach_e):
     return tuple(seq), attach_s, attach_e
 
 
-def classify_paths(forest: CliqueForest) -> List[ForestPath]:
+def classify_paths(forest: CliqueForest) -> List[PeelPath]:
     """All maximal pendant and internal paths plus whole path components.
 
     Isolated forest vertices count as pendant paths; every clique of forest
     degree at most two lands in exactly one returned path.
     """
+    cliques = forest.cliques
     paths = []
     lowset = {i for i in range(len(forest)) if forest.degree(i) <= 2}
     seen: Set[int] = set()
@@ -319,8 +314,11 @@ def classify_paths(forest: CliqueForest) -> List[ForestPath]:
         else:
             kind = INTERNAL
         seq, attach_s, attach_e = _orient(forest, list(seq), attach_s, attach_e)
-        paths.append(ForestPath(forest, seq, kind, attach_s, attach_e))
-    paths.sort(key=lambda p: forest.words[p.cliques[0]])
+        paths.append(PeelPath(
+            seq, tuple(map(cliques.__getitem__, seq)), kind,
+            None if attach_s is None else cliques[attach_s],
+            None if attach_e is None else cliques[attach_e]))
+    paths.sort(key=lambda p: forest.words[p.ids[0]])
     return paths
 
 
@@ -413,10 +411,6 @@ class IntervalStrip:
         return chosen
 
 
-def path_strip(path: ForestPath) -> IntervalStrip:
-    return IntervalStrip(path.clique_sets())
-
-
 def strips_from_traces(clique_seq, keep, oriented: bool = False) -> List[IntervalStrip]:
     """Clique paths of the subgraph induced by `keep` inside a clique path.
 
@@ -453,13 +447,14 @@ def strips_from_traces(clique_seq, keep, oriented: bool = False) -> List[Interva
     return strips
 
 
-def path_diameter(path: ForestPath) -> int:
+def path_diameter(path: PeelPath) -> int:
     """Largest pairwise distance among nodes of the path's cliques."""
-    return path_strip(path).diameter()
+    return IntervalStrip(path.cliques).diameter()
 
 
 def remove_paths(forest: CliqueForest, g: Graph, paths) -> Tuple[CliqueForest, Set[int]]:
-    """Peel the given paths off the forest.
+    """Peel the given `PeelPath`s, classified on `forest`, off it by their
+    clique ids.
 
     Internal paths must have diameter at least 4; the removed nodes are those
     whose whole subtree lies on a removed path, and the surviving forest is
@@ -471,7 +466,7 @@ def remove_paths(forest: CliqueForest, g: Graph, paths) -> Tuple[CliqueForest, S
     for p in paths:
         if p.kind == INTERNAL and path_diameter(p) < 4:
             raise DiameterTooSmall("internal path of diameter < 4 cannot be peeled")
-        removed_ids |= set(p.cliques)
+        removed_ids.update(p.ids)
     keep = [i for i in range(len(forest)) if i not in removed_ids]
     remap = {old: new for new, old in enumerate(keep)}
     cliques = [forest.cliques[i] for i in keep]
@@ -493,13 +488,12 @@ def remove_paths(forest: CliqueForest, g: Graph, paths) -> Tuple[CliqueForest, S
 
 @dataclass(frozen=True)
 class PeelStep:
-    """One peeling iteration: the forest before it, the paths it peels and,
-    per path, the nodes whose whole subtree lies on that path."""
+    """One peeling iteration: the forest before it and the paths it peels,
+    each with its members."""
 
     index: int
     forest: CliqueForest
-    paths: Tuple[ForestPath, ...]
-    members: Tuple[Tuple[int, ...], ...]
+    paths: Tuple[PeelPath, ...]
 
 
 def peel(g: Graph, select) -> Iterator[PeelStep]:
@@ -507,21 +501,25 @@ def peel(g: Graph, select) -> Iterator[PeelStep]:
 
     Builds the clique forest of `g` once and yields step 1, 2, ... without
     end; `select(i, forest, paths)` picks the paths of step i among all
-    classified paths. A step's paths are removed only when the caller asks
-    for the next step, so a caller that stops after a step removes nothing
-    more.
+    classified paths, and the step holds them with their `members` filled
+    in. A step's paths are removed only when the caller asks for the next
+    step, so a caller that stops after a step removes nothing more.
     """
     forest = clique_forest(g)
     i = 1
     while True:
-        paths = tuple(select(i, forest, classify_paths(forest)))
-        members = []
-        for p in paths:
-            ids = set(p.cliques)
-            members.append(tuple(sorted(
-                v for v in p.node_set() if ids.issuperset(forest.phi[v]))))
-        yield PeelStep(i, forest, paths, tuple(members))
+        phi = forest.phi
+        paths = []
+        peeled: Set[int] = set()
+        for p in select(i, forest, classify_paths(forest)):
+            ids = set(p.ids)
+            members = sorted([v for v in set().union(*p.cliques)
+                              if ids.issuperset(phi[v])])
+            peeled.update(members)
+            paths.append(PeelPath(p.ids, p.cliques, p.kind, p.attach_s,
+                                  p.attach_e, tuple(members)))
+        yield PeelStep(i, forest, tuple(paths))
         forest, removed = remove_paths(forest, g, paths)
-        if set().union(*members) != removed:
+        if peeled != removed:
             raise AssertionError("peel bookkeeping mismatch")
         i += 1

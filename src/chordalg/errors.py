@@ -45,10 +45,6 @@ class Infeasible(ChordalgError):
     pass
 
 
-class AlphaTooLarge(ChordalgError):
-    pass
-
-
 class NonTermination(ChordalgError):
     pass
 

@@ -28,6 +28,7 @@ from .cliqueforest import (
 )
 from .errors import BadEpsilon, Infeasible, NotInterval, NotProperInterval
 from .graphs import Graph
+from .localsim import replay
 
 Coloring = Dict[int, int]
 
@@ -395,36 +396,26 @@ def color_interval(h: Graph, k: int) -> Coloring:
 
 
 def strip_stages(k: int) -> List[int]:
-    """Collect radii charged for one distributed strip routine (the coloring,
-    or the skeleton branch of the independent set) at parameter k: structure
-    gather, id-based boundary symmetry breaking, segment fill."""
+    """Collect radii charged for one distributed strip routine at parameter
+    k: structure gather, id-based boundary symmetry breaking, segment fill.
+    They are the replay prefix of the interval coloring, the coloring branch
+    of the MVC replay and the skeleton branch of the MIS replays."""
     return [2 * k + 12] + [k + 6] * 9 + [3 * k + 15]
 
 
 def color_interval_distributed(h: Graph, k: int, round_cap=None):
     """Distributed form of color_interval: identical coloring, rounds charged
     per the uniform coloring schedule."""
-    from . import localsim
-
-    colors = color_interval(h, k)
-    schedule = strip_stages(k)
-    table = {None: (None, ("work", 0), {}), **localsim.stage_chain("work", schedule)}
-    cap = 2 * (sum(schedule) + 10) if round_cap is None else round_cap
-    transcript = localsim.run(h, localsim.StagedProgram(table, colors), cap)
+    transcript = replay(h, color_interval(h, k), strip_stages(k), round_cap=round_cap)
     return dict(transcript.outputs), transcript
 
 
 def distance_k_mis_distributed(h: Graph, k: int, round_cap=None):
     """Distributed form of distance_k_mis: skeleton selection charged as the
     successor-chain color reduction (constant iterations at desk scale)."""
-    from . import localsim
-
     members = distance_k_mis(h, k)
-    table = {None: (None, ("work", 0), {}),
-             **localsim.stage_chain("work", [2] + [k + 1] * 9)}
     outputs = {v: (v in members) for v in h.nodes}
-    cap = 2 * (9 * (k + 1) + 12) if round_cap is None else round_cap
-    transcript = localsim.run(h, localsim.StagedProgram(table, outputs), cap)
+    transcript = replay(h, outputs, [2] + [k + 1] * 9, round_cap=round_cap)
     return {v for v, flag in transcript.outputs.items() if flag}, transcript
 
 
@@ -546,8 +537,14 @@ def skeleton_pairs(strip: IntervalStrip, k: int) -> SkeletonPairs:
     return SkeletonPairs(tuple(members), tuple(pairs), between)
 
 
+def in_exact_window(strip: IntervalStrip, k: int) -> bool:
+    """Whether the interval MIS solves a component exactly: its diameter is
+    at most 10k."""
+    return strip.diameter() <= 10 * k
+
+
 def _mis_component(strip: IntervalStrip, k: int) -> Set[int]:
-    if strip.diameter() <= 10 * k:
+    if in_exact_window(strip, k):
         return strip.greedy_mis()
     skel = skeleton_pairs(strip, k)
     chosen = set(skel.members)

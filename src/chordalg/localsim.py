@@ -404,13 +404,13 @@ def gather(radius: int, local_vars: Optional[Dict[int, Any]] = None) -> GatherPr
 class StagedProgram:
     """Walk a schedule of timer collects fixed before the run, then leave it.
 
-    `table` maps each stage, which is the tag of its collect, to
-    ``(radius, default, exceptions)``: when the collect is due, a node moves
-    on to `default` unless it lies in one of the disjoint node sets of the
-    ``{next stage: nodes}`` map `exceptions`. The stage None is round 0,
-    where no collect has come yet; its radius is unused. A next stage of
-    None leaves the schedule, and ``leave`` says what the node does then: by
-    default it outputs ``outputs[v]``.
+    `table`, as `schedule` builds it, maps each stage, which is the tag of
+    its collect, to ``(radius, default, exceptions)``: when the collect is
+    due, a node moves on to `default` unless it lies in one of the disjoint
+    node sets of the ``{next stage: nodes}`` map `exceptions`. The stage
+    None is round 0, where no collect has come yet; its radius is unused. A
+    next stage of None leaves the schedule, and ``leave`` says what the node
+    does then: by default it outputs ``outputs[v]``.
 
     A node's state is its id while it walks the schedule, and its stage is
     the tag in its inbox, so a group step splits its members by set
@@ -470,3 +470,30 @@ def stage_chain(name, radii):
     last = len(radii) - 1
     return {(name, s): (radius, (name, s + 1) if s < last else None, {})
             for s, radius in enumerate(radii)}
+
+
+def schedule(prefix, branches=None, exits=None):
+    """The `StagedProgram` table of a replay: every node walks the stages
+    ``("prefix", i)`` with the radii `prefix`. After prefix stage i, the
+    nodes of ``exits[i][name]`` (disjoint sets) turn to branch `name`, the
+    stages ``(name, s)`` with the radii ``branches[name]``. A node leaves the
+    schedule at the end of the prefix or of its branch."""
+    table = {None: (None, ("prefix", 0), {}), **stage_chain("prefix", prefix)}
+    for i, turns in (exits or {}).items():
+        radius, nxt, _ = table["prefix", i]
+        table["prefix", i] = (radius, nxt, {(name, 0): nodes
+                                            for name, nodes in turns.items()})
+    for name, radii in (branches or {}).items():
+        table.update(stage_chain(name, radii))
+    return table
+
+
+def replay(g: Graph, outputs: Dict[int, Any], prefix, branches=None, exits=None,
+           round_cap: Optional[int] = None) -> Transcript:
+    """Run the `schedule` table on `g`; each node outputs ``outputs[v]`` as
+    it leaves. The default cap is twice the rounds of the prefix and the
+    longest branch, plus 10."""
+    if round_cap is None:
+        longest = max(map(sum, (branches or {}).values()), default=0)
+        round_cap = 2 * (sum(prefix) + longest + 10)
+    return run(g, StagedProgram(schedule(prefix, branches, exits), outputs), round_cap)

@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from .cliqueforest import (
-    INTERNAL, path_diameter, path_strip, peel, strips_from_traces,
+    INTERNAL, IntervalStrip, path_diameter, peel, strips_from_traces,
 )
-from .errors import AlphaTooLarge, BadEpsilon, debug_invariants
-from .graphs import Graph
-from .intervals import mis_eps_to_k, mis_strip, strip_stages
-from . import localsim
-from .localsim import StagedProgram, stage_chain
+from .errors import BadEpsilon, debug_invariants
+from .graphs import Graph, alpha_oracle
+from .intervals import (
+    _mis_interval_parts, in_exact_window, mis_eps_to_k, mis_strip, strip_stages,
+)
+from .localsim import replay
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,11 @@ class MisParams:
         d = math.ceil(64.0 / eps)
         k = math.ceil(math.log2(d / eps) + 2)
         return cls(eps, d, k)
+
+    @property
+    def strip_eps(self) -> float:
+        """The accuracy of the interval routine on a large component."""
+        return self.eps / 8.0
 
 
 @dataclass
@@ -63,8 +69,7 @@ class PeelState:
     layer: Dict[int, int] = field(default_factory=dict)
 
 
-def absorbing_mis(cliques, component, anchor,
-                  alpha_cap: Optional[int] = None) -> Set[int]:
+def absorbing_mis(cliques, component, anchor) -> Set[int]:
     """Maximum independent set of a small interval component.
 
     `cliques` is the clique path the component was peeled from, ordered so
@@ -84,10 +89,7 @@ def absorbing_mis(cliques, component, anchor,
         raise AssertionError("anchored strip is not one path ending at the anchor")
     # smallest right endpoint in the anchored strip = remotest simplicial
     # node first; anchor members only widen ranges, they are never picked
-    chosen = strips[0].greedy_mis(allowed=component)
-    if alpha_cap is not None and len(chosen) >= alpha_cap:
-        raise AlphaTooLarge("component independence number reaches %d" % alpha_cap)
-    return chosen
+    return strips[0].greedy_mis(allowed=component)
 
 
 def _outside_anchor(g: Graph, record_sides, component, w_set, residual):
@@ -122,7 +124,7 @@ def mis_chordal_run(g: Graph, eps: float) -> MisRun:
             return [p for p in paths
                     if p.kind != INTERNAL or path_diameter(p) >= 2 * d + 3]
         return [p for p in paths
-                if p.kind != INTERNAL or len(path_strip(p).greedy_mis()) >= d]
+                if p.kind != INTERNAL or len(IntervalStrip(p.cliques).greedy_mis()) >= d]
 
     residual = set(g.nodes)
     chosen: Set[int] = set()
@@ -136,8 +138,8 @@ def mis_chordal_run(g: Graph, eps: float) -> MisRun:
         frozen_forbidden = frozenset(forbidden)
         gained: Set[int] = set()
         removed_all: Set[int] = set()
-        for p, members in zip(step.paths, step.members):
-            w_set = set(members)
+        for p in step.paths:
+            w_set = set(p.members)
             removed_all |= w_set
             for v in w_set:
                 state.layer[v] = i
@@ -145,22 +147,20 @@ def mis_chordal_run(g: Graph, eps: float) -> MisRun:
             active = w_set - frozen_forbidden
             if not active:
                 continue
-            sides = p.attach_cliques()
-            for strip in strips_from_traces(p.clique_sets(), active):
+            sides = (p.attach_s, p.attach_e)
+            for strip in strips_from_traces(p.cliques, active):
                 comp = set(strip.nodes)
                 # the strip is the component's clique path, so its sweep is exact
                 part = strip.greedy_mis()
                 tag = "exact"
                 if len(part) >= d:
-                    part = mis_strip(strip, eps / 8.0)
+                    part = mis_strip(strip, params.strip_eps)
                     tag = "approx"
                 elif i < iters:
                     anchor = _outside_anchor(g, sides, comp, w_set, residual)
                     if anchor is not None:
-                        cliques = p.clique_sets()
-                        if anchor == sides[0]:
-                            cliques.reverse()
-                        part = absorbing_mis(cliques, comp, anchor, alpha_cap=d)
+                        cliques = p.cliques[::-1] if anchor == p.attach_s else p.cliques
+                        part = absorbing_mis(cliques, comp, anchor)
                     state.absorption.append(AbsorptionRecord(
                         i, frozenset(comp), frozenset(part),
                         frozen_forbidden, anchor))
@@ -188,8 +188,6 @@ def mis_chordal_centralized(g: Graph, eps: float) -> Set[int]:
 
 def residual_alpha_check(g: Graph, run: MisRun):
     """Ratio alpha(residual after the last iteration) / alpha(input graph)."""
-    from .graphs import alpha_oracle
-
     leftover = run.state.residuals[-1]
     a_rest = len(alpha_oracle(g.subgraph(leftover))) if leftover else 0
     a_full = len(alpha_oracle(g)) if len(g) else 0
@@ -200,8 +198,6 @@ def verify_absorption(g: Graph, run: MisRun) -> bool:
     """Check, for every recorded small-component pick, that the chosen set is
     as large as the independence number of its closed residual neighborhood
     minus the nodes that were already blocked."""
-    from .graphs import alpha_oracle
-
     for rec in run.state.absorption:
         ui = run.state.residuals[rec.iteration - 1]
         region: Set[int] = set()
@@ -225,44 +221,23 @@ def exact_branch_stages(d: int) -> List[int]:
     return [2 * d + 6]
 
 
-class MisProgram(StagedProgram):
-    """Uniform-schedule node program: one collection per peeling iteration,
-    then the branch-specific work, then the membership output."""
-
-    def __init__(self, run: MisRun):
-        params = run.params
-        k, radius = params.k, peel_radius(params.d)
-        branch = run.state.branch
-        table = {None: (None, ("peel", 1), {})}
-        for i in range(1, k):
-            table["peel", i] = (radius, ("peel", i + 1), {})
-        # after the last peel a node walks its branch's stages, if it has one
-        table["peel", k] = (radius, None, {
-            (name, 0): frozenset(v for v, b in branch.items() if b == name)
-            for name in ("approx", "exact")})
-        table.update(stage_chain(
-            "approx", strip_stages(mis_eps_to_k(params.eps / 8.0))))
-        table.update(stage_chain("exact", exact_branch_stages(params.d)))
-        super().__init__(table, {v: v in run.chosen for v in run.g.nodes})
-
-
-def default_round_cap(g: Graph, eps: float) -> int:
-    params = MisParams.from_eps(eps)
-    approx = strip_stages(mis_eps_to_k(eps / 8.0))
-    worst = params.k * peel_radius(params.d) + sum(approx) + 10
-    return 2 * worst
-
-
 def mis_chordal_distributed(g: Graph, eps: float, round_cap: Optional[int] = None):
     """Simulate the node program; returns (independent set, transcript).
 
     The set equals the centralized output; the transcript spends the same
     number of rounds for every input size at a fixed accuracy, except for the
-    branch-dependent tail.
+    branch-dependent tail: one collection per peeling iteration, then the
+    stages of a node's branch, if it has one.
     """
     run = mis_chordal_run(g, eps)
-    cap = default_round_cap(g, eps) if round_cap is None else round_cap
-    transcript = localsim.run(g, MisProgram(run), cap)
+    params = run.params
+    branches = {"approx": strip_stages(mis_eps_to_k(params.strip_eps)),
+                "exact": exact_branch_stages(params.d)}
+    exits = {params.k - 1: {name: {v for v, b in run.state.branch.items() if b == name}
+                            for name in branches}}
+    outputs = {v: v in run.chosen for v in g.nodes}
+    transcript = replay(g, outputs, [peel_radius(params.d)] * params.k,
+                        branches, exits, round_cap)
     members = {v for v, flag in transcript.outputs.items() if flag}
     if members != run.chosen:
         raise AssertionError("distributed set diverged from centralized")
@@ -272,21 +247,13 @@ def mis_chordal_distributed(g: Graph, eps: float, round_cap: Optional[int] = Non
 def mis_interval_distributed(h: Graph, eps: float, round_cap: Optional[int] = None):
     """Distributed form of the interval MIS routine: same output set, with
     rounds charged per component branch (exact window or skeleton build)."""
-    from .intervals import _mis_interval_parts
-
     ki, strips, chosen = _mis_interval_parts(h, eps)
-    exact_stage = [10 * ki + 2]
-    approx_stage = strip_stages(ki)
-    branches = {"exact": set(), "approx": set()}
+    turns = {"exact": set(), "approx": set()}
     for strip in strips:
-        branches["exact" if strip.diameter() <= 10 * ki else "approx"] |= strip.nodes
+        turns["exact" if in_exact_window(strip, ki) else "approx"] |= strip.nodes
     # dominated-node screening, then the component's branch
-    table = {None: (None, ("work", 0), {}),
-             ("work", 0): (2, None, {(name, 0): frozenset(nodes)
-                                     for name, nodes in branches.items()}),
-             **stage_chain("exact", exact_stage), **stage_chain("approx", approx_stage)}
-    outputs = {v: (v in chosen) for v in h.nodes}
-    cap = 2 * (2 + sum(approx_stage) + 10) if round_cap is None else round_cap
-    transcript = localsim.run(h, StagedProgram(table, outputs), cap)
+    transcript = replay(h, {v: (v in chosen) for v in h.nodes}, [2],
+                        {"exact": [10 * ki + 2], "approx": strip_stages(ki)},
+                        {0: turns}, round_cap)
     members = {v for v, flag in transcript.outputs.items() if flag}
     return members, transcript

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from .cliqueforest import (
-    INTERNAL, CliqueForest, IntervalStrip, clique_word, path_diameter, peel,
-    strips_from_traces, walk_path,
+    INTERNAL, CliqueForest, IntervalStrip, PeelPath, clique_word, local_view,
+    path_diameter, peel, strips_from_traces, walk_path,
 )
 from .errors import EpsilonTooSmall, NonTermination, debug_invariants
 from .graphs import Graph, bfs_distances, omega_oracle
@@ -23,7 +23,7 @@ from .intervals import (
     color_budget, color_strip, extend_coloring, greedy_fill, strip_stages,
 )
 from . import localsim
-from .localsim import Collect, Send, StagedProgram, StepResult, stage_chain
+from .localsim import Collect, Send, StagedProgram, StepResult
 
 Coloring = Dict[int, int]
 
@@ -46,23 +46,12 @@ def set_color_latency(k: int) -> int:
     return k + 4
 
 
-@dataclass(frozen=True)
-class PeelPath:
-    """A peeled path, materialized independently of any forest object."""
-
-    cliques: Tuple[frozenset, ...]
-    kind: str
-    attach_s: Optional[frozenset]
-    attach_e: Optional[frozenset]
-    members: Tuple[int, ...]  # nodes whose whole subtree lies on the path
-
-
 @dataclass
 class Layering:
     layer: Dict[int, int]
     parent: Dict[int, Optional[int]]
     children: Dict[int, Dict[int, Tuple[int, ...]]]
-    peeled_paths: Dict[int, List[PeelPath]]
+    peeled_paths: Dict[int, Tuple[PeelPath, ...]]
     num_layers: int
     clique_count: int
     forest_history: List[CliqueForest] = field(default_factory=list)
@@ -125,18 +114,14 @@ def prune_layers(g: Graph, k: int) -> Layering:
             break
         if not step.paths:
             raise NonTermination("no peelable path found on a nonempty forest")
-        records = []
-        for p, members in zip(step.paths, step.members):
-            record = PeelPath(tuple(p.clique_sets()), p.kind, *p.attach_cliques(),
-                              members)
-            records.append(record)
+        for p in step.paths:
             # parent: nearest attach side within k + 3, ties by clique word;
-            # each side's distances run along the record's clique path
+            # each side's distances run along the path's own cliques
             sides = [(_side_hops((side, *seq), k + 3), clique_word(side), side)
-                     for side, seq in ((record.attach_s, record.cliques),
-                                       (record.attach_e, record.cliques[::-1]))
+                     for side, seq in ((p.attach_s, p.cliques),
+                                       (p.attach_e, p.cliques[::-1]))
                      if side is not None]
-            for v in members:
+            for v in p.members:
                 layering.layer[v] = i
                 keys = [(dist[v], word, side) for dist, word, side in sides
                         if v in dist]
@@ -146,7 +131,7 @@ def prune_layers(g: Graph, k: int) -> Layering:
                     children_raw.setdefault(par, {}).setdefault(i, []).append(v)
                 else:
                     layering.parent[v] = None
-        layering.peeled_paths[i] = records
+        layering.peeled_paths[i] = step.paths
     layering.num_layers = i - 1
     layering.clique_count = len(layering.forest_history[0])
     layering.children = {
@@ -294,12 +279,8 @@ def build_correction_job(g: Graph, layering: Layering, record: PeelPath,
     side_conflict = [set(s) & wprime for s in sides]
     if wprime - set().union(set(), *side_conflict):
         raise AssertionError("conflict nodes outside the attach cliques")
-    ext_seq = []
-    if record.attach_s is not None:
-        ext_seq.append(record.attach_s)
-    ext_seq.extend(record.cliques)
-    if record.attach_e is not None:
-        ext_seq.append(record.attach_e)
+    ext_seq = [c for c in (record.attach_s, *record.cliques, record.attach_e)
+               if c is not None]
     ctx_nodes = w_set | wprime
     new_colors = {v: colors[v] for v in w_set}
     for strip in strips_from_traces(ext_seq, ctx_nodes):
@@ -410,13 +391,10 @@ class MvcProgram(StagedProgram):
         by_layer: Dict[int, Set[int]] = {}
         for v, i in layering.layer.items():
             by_layer.setdefault(i, set()).add(v)
-        radius = prune_radius(run.k)
-        table = {None: (None, ("prune", 1), {})}
-        for i in range(1, layering.num_layers + 1):
-            table["prune", i] = (radius, ("prune", i + 1),
-                                 {("color", 0): frozenset(by_layer.get(i, ()))})
-        table.update(stage_chain("color", strip_stages(run.k)))
-        super().__init__(table)
+        # a layer-i node colors after prune stage i - 1, its last
+        super().__init__(localsim.schedule(
+            [prune_radius(run.k)] * layering.num_layers, {"color": strip_stages(run.k)},
+            {i - 1: {"color": nodes} for i, nodes in by_layer.items()}))
 
     # -- helpers ----------------------------------------------------------
     def _levels(self, v) -> List[int]:
@@ -515,8 +493,6 @@ def local_peel_decision(gball: Graph, center: int, residual, k: int):
     Returns (peel, parent). Used to confirm that the shared pipeline decides
     exactly what a node could decide from its own collected view.
     """
-    from .cliqueforest import local_view
-
     radius = prune_radius(k)
     resid_ball = gball.subgraph(set(gball.nodes) & set(residual))
     view = local_view(resid_ball, center, radius)

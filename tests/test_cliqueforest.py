@@ -1,6 +1,6 @@
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Tuple
 
@@ -421,16 +421,71 @@ class TestClassifyPaths:
         internal = [p for p in paths if p.kind == INTERNAL]
         assert len(internal) == 1
         assert len(internal[0].cliques) == 4
-        assert {internal[0].attach_s, internal[0].attach_e} == {3, 8}
+        assert {internal[0].attach_s, internal[0].attach_e} == {f.cliques[3], f.cliques[8]}
         covered = set()
         for p in paths:
-            covered |= set(p.cliques)
+            covered |= set(p.ids)
         assert covered == {i for i in range(11) if f.degree(i) <= 2}
+
+
+def check_path_record(forest, p):
+    """A path record against the forest it was classified on: its clique
+    sets are its ids' cliques, and its attach cliques are the forest
+    neighbours of its end ids outside the run, None iff there are none."""
+    assert p.cliques == tuple(forest.cliques[i] for i in p.ids)
+    run = set(p.ids)
+    outside = [[forest.cliques[j] for j in forest.fadj[end] if j not in run]
+               for end in (p.ids[0], p.ids[-1])]
+    if len(p.ids) == 1:
+        # both sides are the one clique's: its junctions in word order
+        assert [s for s in (p.attach_s, p.attach_e) if s is not None] == sorted(
+            outside[0], key=clique_word)
+    else:
+        for side, nbrs in zip((p.attach_s, p.attach_e), outside):
+            assert len(nbrs) <= 1
+            assert side == (nbrs[0] if nbrs else None)
+
+
+RECORD_GRAPHS = {
+    "chordal": lambda: gen_chordal(300, seed=11, max_clique=6),
+    "long-paths": lambda: long_paths_generator()(800, 8, max_clique=4),
+    "dumbbell": lambda: dumbbell(3, 5, 400),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_GRAPHS))
+def test_path_records_match_their_forest(name):
+    g = RECORD_GRAPHS[name]()
+
+    def select(i, forest, paths):
+        for p in paths:
+            check_path_record(forest, p)
+            assert p.members == ()
+        return [p for p in paths if p.kind != INTERNAL or path_diameter(p) >= 6]
+
+    kinds = set()
+    for step in peel(g, select):
+        forest = step.forest
+        if not len(forest):
+            break
+        classified = classify_paths(forest)
+        for p in step.paths:
+            check_path_record(forest, p)
+            # members: exactly the path's nodes whose cliques all lie on it
+            ids = set(p.ids)
+            assert set(p.members) == {v for v in set().union(*p.cliques)
+                                      if set(forest.phi[v]) <= ids}
+            assert list(p.members) == sorted(p.members)
+            assert replace(p, members=()) in classified
+            kinds.add(p.kind)
+    assert PENDANT in kinds
+    if name != "chordal":
+        assert INTERNAL in kinds
 
 
 def path_alpha(g, path) -> int:
     """Independence number of the subgraph induced by the path's cliques."""
-    return len(alpha_oracle(g.subgraph(path.node_set())))
+    return len(alpha_oracle(g.subgraph(set().union(*path.cliques))))
 
 
 class TestPathMetrics:
@@ -450,7 +505,7 @@ class TestPathMetrics:
             g = gen_interval(40, seed=seed)
             f = clique_forest(g)
             for p in classify_paths(f):
-                nodes = sorted(p.node_set())
+                nodes = sorted(set().union(*p.cliques))
                 best = 0
                 for u in nodes:
                     dist = bfs_distances(g.subgraph(nodes), u)
@@ -498,7 +553,7 @@ class TestRemovePaths:
         # fake an internal path of one middle clique: diameter below 4
         paths = [p for p in classify_paths(f)]
         from dataclasses import replace
-        fake = replace(paths[0], kind=INTERNAL, cliques=(1,))
+        fake = replace(paths[0], kind=INTERNAL, ids=(1,), cliques=(f.cliques[1],))
         with pytest.raises(DiameterTooSmall):
             remove_paths(f, g, [fake])
 
@@ -582,7 +637,7 @@ class TestIntervalStrip:
         g = gen_path(8)
         f = clique_forest(g)
         p = classify_paths(f)[0]
-        strip = IntervalStrip([f.cliques[i] for i in p.cliques])
+        strip = IntervalStrip(p.cliques)
         dist = bfs_distances(g, 1)
         for v in range(2, 9):
             assert strip.dist(1, v) == dist[v]
@@ -592,8 +647,8 @@ class TestIntervalStrip:
             g = gen_interval(25, seed=seed)
             f = clique_forest(g)
             for p in classify_paths(f):
-                strip = IntervalStrip([f.cliques[i] for i in p.cliques])
-                sub = g.subgraph(p.node_set())
+                strip = IntervalStrip(p.cliques)
+                sub = g.subgraph(set().union(*p.cliques))
                 assert len(strip.greedy_mis()) == len(alpha_oracle(sub))
 
 
@@ -603,4 +658,4 @@ def test_forest_path_strips_are_interval_graphs():
         g = gen_chordal(150, seed=seed, max_clique=6)
         f = clique_forest(g)
         for p in classify_paths(f):
-            _component_strips(g.subgraph(p.node_set()))
+            _component_strips(g.subgraph(set().union(*p.cliques)))

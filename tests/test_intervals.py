@@ -18,7 +18,7 @@ from chordalg import (
     remove_dominated, skeleton_pairs, verify_coloring, verify_is,
 )
 from chordalg.cliqueforest import (
-    IntervalStrip, classify_paths, clique_forest, clique_word, path_strip,
+    IntervalStrip, classify_paths, clique_forest, clique_word,
 )
 from chordalg.graphs import bfs_distances
 from chordalg.intervals import (
@@ -266,7 +266,7 @@ def source_strips(family, seed):
     if family == "dense_interval":
         return tuple(_component_strips(gen_interval(60, seed, span=60, max_len=12)))
     g = long_paths_generator()(150, seed, max_clique=4 + seed % 4)
-    return tuple(path_strip(p) for p in classify_paths(clique_forest(g)))
+    return tuple(IntervalStrip(p.cliques) for p in classify_paths(clique_forest(g)))
 
 
 def extension_case(rng):

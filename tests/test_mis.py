@@ -4,7 +4,7 @@ import types
 import pytest
 
 from chordalg import (
-    AlphaTooLarge, BadEpsilon, Graph, absorbing_mis, alpha_oracle, brute_alpha,
+    BadEpsilon, Graph, absorbing_mis, alpha_oracle, brute_alpha,
     gen_chordal, gen_interval, gen_path, mis_chordal_centralized,
     mis_chordal_distributed, mis_interval_distributed, residual_alpha_check,
     verify_absorption, verify_is,
@@ -76,11 +76,6 @@ class TestAbsorbingMis:
         assert record.anchor is None
         assert record.chosen == run.chosen == {1, 3, 5, 7}
         assert len(run.chosen) == len(alpha_oracle(g))
-
-    def test_alpha_cap(self):
-        with pytest.raises(AlphaTooLarge):
-            absorbing_mis(path_cliques(8), set(range(1, 9)), frozenset({8, 9}),
-                          alpha_cap=3)
 
 
 class TestMisChordalCentralized:
@@ -221,8 +216,8 @@ def rebuilt_anchored_mis(g, component, anchor):
 def test_anchored_mis_matches_rebuilt_clique_path(monkeypatch):
     calls = []
 
-    def spy(cliques, component, anchor, alpha_cap=None):
-        chosen = absorbing_mis(cliques, component, anchor, alpha_cap)
+    def spy(cliques, component, anchor):
+        chosen = absorbing_mis(cliques, component, anchor)
         calls.append((set(component), anchor, chosen))
         return chosen
 
@@ -235,6 +230,7 @@ def test_anchored_mis_matches_rebuilt_clique_path(monkeypatch):
         assert calls
         for component, anchor, chosen in calls:
             assert chosen == rebuilt_anchored_mis(g, component, anchor)
+            assert len(chosen) == len(alpha_oracle(g.subgraph(component)))
 
 
 def test_mis_run_builds_one_forest_and_no_clique_path(monkeypatch):
