@@ -24,9 +24,9 @@ from .localsim import (
     gather, run,
 )
 from .intervals import (
-    SkeletonPairs, color_interval, color_interval_distributed, distance_k_mis,
+    color_interval, color_interval_distributed, distance_k_mis,
     distance_k_mis_distributed, extend_coloring, is_proper_interval,
-    mis_interval, remove_dominated, skeleton_pairs,
+    mis_interval, remove_dominated,
 )
 from .mvc import (
     Layering, color_layers, correct_colors, mvc_centralized, mvc_distributed,

@@ -25,6 +25,7 @@ from .graphs import (
 )
 from .intervals import mis_interval
 from .mis import mis_chordal_centralized, mis_chordal_distributed, mis_interval_distributed
+from .mvc import mvc_distributed_run, mvc_pipeline
 
 EXIT_CODES = {
     BadSpec: 2,
@@ -104,7 +105,6 @@ def cmd_run(args, report=None) -> int:
     layers = ""
     with fileio.Stopwatch() as clock:
         if args.algorithm == "mvc":
-            from .mvc import mvc_distributed_run, mvc_pipeline
             pipeline = mvc_pipeline(g, args.eps)
             if args.mode == "central":
                 solution = pipeline.final_colors
@@ -162,16 +162,17 @@ def cmd_run(args, report=None) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.eps is not None and args.eps < 0:
+        raise BadEpsilon("--eps must not be negative, not %g" % args.eps)
     kind = args.kind
     if kind == "auto":
         with open(args.solution) as fh:
             first = fh.readline().split()
         kind = "coloring" if len(first) == 2 else "is"
     checked = _verify_solution(args.graph, args.solution, kind)
-    limit = (1.0 + args.eps) if args.eps else None
-    if limit is not None and checked["ratio"] > limit + 1e-12:
+    if args.eps is not None and checked["ratio"] > 1.0 + args.eps + 1e-12:
         raise VerificationFailed(
-            "ratio %.4f exceeds 1 + eps = %.4f" % (checked["ratio"], limit))
+            "ratio %.4f exceeds 1 + eps = %.4f" % (checked["ratio"], 1.0 + args.eps))
     print("ok result=%s oracle=%s ratio=%.4f"
           % (checked["result"], checked["oracle"], checked["ratio"]))
     return 0
@@ -197,7 +198,6 @@ def cmd_bench(args) -> int:
         for seed in range(args.seeds):
             g = gen_chordal(n, seed, args.max_clique)
             if args.suite == "mvc":
-                from .mvc import mvc_distributed_run, mvc_pipeline
                 omega = omega_oracle(g)
                 if omega == 0 or args.eps < 2.0 / omega:
                     continue

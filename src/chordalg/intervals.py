@@ -1,6 +1,8 @@
 """Interval-graph algorithms on clique strips: budgeted coloring extension,
 approximate coloring, dominated-node removal, the claw test, distance-k
-independent sets, and the approximate maximum independent set routine.
+independent sets, and the approximate maximum independent set routine,
+which fills a distance-k skeleton with one sweep over the nodes that meet no
+skeleton member.
 
 Every component reaches these routines as an `IntervalStrip`: its maximal
 cliques in path order, canonically oriented (smaller end word first). Each
@@ -20,7 +22,7 @@ so the budgeted search rarely backtracks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Optional, Set, Tuple
 
 from .cliqueforest import (
@@ -200,6 +202,11 @@ def strip_dominated(strip: IntervalStrip) -> Set[int]:
     hi = strip.hi
     return {v for v, j in strip.lo.items()
             if sufmin[j] < hi[v] or sufmin[j + 1] <= hi[v]}
+
+
+def undominated_strips(strip: IntervalStrip) -> List[IntervalStrip]:
+    """The strips of the graph a strip spans, without its dominated nodes."""
+    return strips_from_traces(strip.cliques, strip.nodes - strip_dominated(strip))
 
 
 def remove_dominated(h: Graph) -> Graph:
@@ -425,11 +432,7 @@ def mis_strip(strip: IntervalStrip, eps: float) -> Set[int]:
     The strip's cliques must be the maximal cliques of the subgraph it spans.
     """
     k = mis_eps_to_k(eps)
-    survivors = strip.nodes - strip_dominated(strip)
-    chosen: Set[int] = set()
-    for sub in strips_from_traces(strip.cliques, survivors):
-        chosen |= _mis_component(sub, k)
-    return chosen
+    return set().union(*(_mis_component(sub, k) for sub in undominated_strips(strip)))
 
 
 def _distance_mis_component(strip: IntervalStrip, k: int) -> List[int]:
@@ -469,7 +472,7 @@ def _mis_interval_parts(h: Graph, eps: float):
     shared by the centralized and the distributed interval MIS.
 
     h's strips are built once. Each is swept for its dominated nodes and
-    restricted to the rest with `strips_from_traces`. What is left is a
+    restricted to the rest by `undominated_strips`. What is left is a
     proper interval graph, whose connected components each have one clique
     path up to reversal (Deng, Hell & Huang 1996), so these are the strips
     that a clique forest of h without its dominated nodes would give.
@@ -477,9 +480,7 @@ def _mis_interval_parts(h: Graph, eps: float):
     if not 0 < eps < 1:
         raise BadEpsilon("eps must lie in (0, 1)")
     k = mis_eps_to_k(eps)
-    strips: List[IntervalStrip] = []
-    for strip in _component_strips(h):
-        strips += strips_from_traces(strip.cliques, strip.nodes - strip_dominated(strip))
+    strips = [sub for strip in _component_strips(h) for sub in undominated_strips(strip)]
     strips.sort(key=lambda s: clique_word(s.cliques[0]))
     chosen: Set[int] = set()
     for strip in strips:
@@ -490,51 +491,12 @@ def _mis_interval_parts(h: Graph, eps: float):
 def mis_interval(h: Graph, eps: float) -> Set[int]:
     """Independent set of size at least alpha(h) / (1 + eps) on an interval graph.
 
-    Small-diameter components are solved exactly; elsewhere a distance-k
-    skeleton is picked and exact sets are filled in between consecutive
-    skeleton members and on both tails.
+    Dominated nodes are dropped first. Small-diameter components are then
+    solved exactly; elsewhere a distance-k skeleton is picked and one exact
+    sweep fills the nodes that meet no skeleton member, which are the gaps
+    between consecutive members and both tails.
     """
     return _mis_interval_parts(h, eps)[2]
-
-
-@dataclass(frozen=True)
-class SkeletonPairs:
-    """A distance-k skeleton with its consecutive gap pairs.
-
-    Members are pairwise more than k apart; consecutive members sit at
-    distance at most 2k - 1 (exactly k + 1 for the greedy skeleton), and the
-    `between` node sets lie strictly between a pair, outside both closed
-    neighborhoods.
-    """
-
-    members: tuple
-    pairs: tuple
-    between: Dict[tuple, frozenset]
-
-
-def skeleton_pairs(strip: IntervalStrip, k: int) -> SkeletonPairs:
-    """The greedy distance-k skeleton of a proper interval strip.
-
-    Callers pass strips without dominated nodes, which are claw-free. The
-    `between` set of a pair u, v holds the nodes outside N[u] | N[v] within
-    distance d(u, v) of both. Distance from u grows with how far right a
-    node starts, and distance from v with how far left it ends, so every
-    node whose range lies strictly between u's and v's qualifies. A node
-    beyond u or v could only qualify through a node whose range reaches
-    past u's or v's on both sides, the centre of a claw. So the sets are
-    read off the cliques between the pair.
-    """
-    lo, hi = strip.lo, strip.hi
-    members = _distance_mis_component(strip, k)
-    pairs = []
-    between = {}
-    for u, v in zip(members, members[1:]):
-        if strip.dist(u, v) > 2 * k - 1:
-            raise AssertionError("consecutive skeleton members too far apart")
-        gap = set().union(*strip.cliques[hi[u] + 1:lo[v]])
-        pairs.append((u, v))
-        between[(u, v)] = frozenset(w for w in gap if hi[u] < lo[w] and hi[w] < lo[v])
-    return SkeletonPairs(tuple(members), tuple(pairs), between)
 
 
 def in_exact_window(strip: IntervalStrip, k: int) -> bool:
@@ -544,15 +506,27 @@ def in_exact_window(strip: IntervalStrip, k: int) -> bool:
 
 
 def _mis_component(strip: IntervalStrip, k: int) -> Set[int]:
+    """Exact MIS inside the window; elsewhere the greedy distance-k skeleton
+    plus one earliest-right-end sweep over the nodes that meet no member.
+
+    Members are pairwise more than k >= 2 apart, so their clique ranges are
+    disjoint, and a node that meets no member's range lies strictly between
+    two consecutive members or in a tail. These groups share no edge and
+    follow one another in sweep order, so the one sweep over their union
+    equals the union of one sweep per group. On a claw-free strip each gap
+    is exactly the paper's set of nodes outside N[u] | N[v] within d(u, v)
+    of both consecutive members u, v: distance from u grows with how far
+    right a node starts and distance from v with how far left it ends, and
+    a node beyond u or v could only qualify through the centre of a claw.
+    """
     if in_exact_window(strip, k):
         return strip.greedy_mis()
-    skel = skeleton_pairs(strip, k)
-    chosen = set(skel.members)
-    for pair in skel.pairs:
-        chosen |= strip.greedy_mis(allowed=skel.between[pair])
-    first, last = skel.members[0], skel.members[-1]
-    left = {w for w in strip.nodes if strip.hi[w] < strip.lo[first]}
-    right = {w for w in strip.nodes if strip.lo[w] > strip.hi[last]}
-    chosen |= strip.greedy_mis(allowed=left)
-    chosen |= strip.greedy_mis(allowed=right)
-    return chosen
+    lo, hi = strip.lo, strip.hi
+    members = _distance_mis_component(strip, k)
+    covered = [0] * len(strip.cliques)
+    for m in members:
+        for j in range(lo[m], hi[m] + 1):
+            covered[j] = 1
+    before = [0, *accumulate(covered)]  # before[j]: covered cliques below j
+    free = {w for w in lo if before[hi[w] + 1] == before[lo[w]]}
+    return set(members) | strip.greedy_mis(allowed=free)

@@ -60,7 +60,6 @@ class AbsorptionRecord:
 
 @dataclass
 class PeelState:
-    params: MisParams
     residuals: List[Set[int]] = field(default_factory=list)  # U_1 .. U_{k+1}
     deg3_counts: List[int] = field(default_factory=list)     # a_1 .. a_k
     per_iteration: List[Set[int]] = field(default_factory=list)  # I_i
@@ -109,7 +108,6 @@ def _outside_anchor(g: Graph, record_sides, component, w_set, residual):
 
 @dataclass
 class MisRun:
-    g: Graph
     params: MisParams
     chosen: Set[int]
     state: PeelState
@@ -129,7 +127,7 @@ def mis_chordal_run(g: Graph, eps: float) -> MisRun:
     residual = set(g.nodes)
     chosen: Set[int] = set()
     forbidden: Set[int] = set()
-    state = PeelState(params)
+    state = PeelState()
     state.residuals.append(set(residual))
     for step in peel(g, select):
         i, forest = step.index, step.forest
@@ -176,7 +174,7 @@ def mis_chordal_run(g: Graph, eps: float) -> MisRun:
         state.residuals.append(set(residual))
         if i == iters:
             break
-    run = MisRun(g, params, chosen, state)
+    run = MisRun(params, chosen, state)
     if debug_invariants() and not verify_absorption(g, run):
         raise AssertionError("absorption equation violated")
     return run

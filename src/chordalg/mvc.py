@@ -159,12 +159,9 @@ def color_layers(layering: Layering, k: int) -> Coloring:
 class CorrectionJob:
     """One path's repair work: which nodes may be recolored and their colors."""
 
-    layer: int
-    path: PeelPath
     conflicted: bool
     new_colors: Coloring  # full coloring of the path's member nodes
     changed: Set[int]
-    wprime: Set[int]
 
 
 def _frontier(view: IntervalStrip, side, k: int) -> Optional[int]:
@@ -273,8 +270,7 @@ def build_correction_job(g: Graph, layering: Layering, record: PeelPath,
         for w in record.members for u in g.adj[w] if u in wprime
     )
     if not conflicted:
-        return CorrectionJob(layer, record, False,
-                             {v: colors[v] for v in w_set}, set(), wprime)
+        return CorrectionJob(False, {v: colors[v] for v in w_set}, set())
     sides = [s for s in (record.attach_s, record.attach_e) if s is not None]
     side_conflict = [set(s) & wprime for s in sides]
     if wprime - set().union(set(), *side_conflict):
@@ -292,7 +288,7 @@ def build_correction_job(g: Graph, layering: Layering, record: PeelPath,
         reach = bfs_distances(g, wprime, cutoff=k + 4)
         if any(v not in reach for v in changed):
             raise AssertionError("recolored node beyond distance k + 4 of conflicts")
-    return CorrectionJob(layer, record, True, new_colors, changed, wprime)
+    return CorrectionJob(True, new_colors, changed)
 
 
 def correct_colors(g: Graph, layering: Layering, colors: Coloring, k: int) -> Coloring:
@@ -317,14 +313,12 @@ class MvcRun:
     base_colors: Coloring
     final_colors: Coloring
 
-    @property
-    def budget(self) -> int:
-        return color_budget(self.k, self.omega)
-
 
 def _require_eps(eps: float, omega: int):
     if omega and eps < 2.0 / omega:
         raise EpsilonTooSmall("eps %.4f below 2/omega = %.4f" % (eps, 2.0 / omega))
+    if eps <= 0:  # an empty graph has no omega to compare with
+        raise EpsilonTooSmall("eps %.4f is not positive" % eps)
 
 
 def mvc_pipeline(g: Graph, eps: float) -> MvcRun:
@@ -334,7 +328,8 @@ def mvc_pipeline(g: Graph, eps: float) -> MvcRun:
     check eps >= 2/ω follows the peel. The errors keep their order: a graph
     that is not chordal raises NotChordal from the forest, and for eps < 2/ω
     the peel runs with k >= 2 and cannot raise first. Only eps <= 0, for
-    which no k exists, asks the ω oracle up front.
+    which no k exists, asks the ω oracle up front; it raises EpsilonTooSmall
+    on every chordal graph, the empty one included.
     """
     if eps <= 0:
         _require_eps(eps, omega_oracle(g))

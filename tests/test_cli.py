@@ -94,6 +94,24 @@ def test_verify_catches_conflict(workdir):
     assert main(["verify", "p.el", "bad.sol"]) == 8
 
 
+def test_verify_ratio_limit_at_eps_zero(workdir):
+    # a 3-coloring of the path 1-2-3 has ratio 3 / 2 to omega = 2
+    (workdir / "p3.el").write_text("n 3\n1 2\n2 3\n")
+    (workdir / "three.sol").write_text("1 1\n2 2\n3 3\n")
+    assert main(["verify", "p3.el", "three.sol"]) == 0
+    assert main(["verify", "p3.el", "three.sol", "--eps", "0.5"]) == 0
+    for eps in ("0", "0.1"):
+        assert main(["verify", "p3.el", "three.sol", "--eps", eps]) == 8
+    assert main(["verify", "p3.el", "three.sol", "--eps", "-0.1"]) == 6
+
+
+def test_empty_graph_with_nonpositive_eps(workdir):
+    (workdir / "empty.el").write_text("n 0\n")
+    for eps in ("0", "-0.5"):
+        for mode in ("central", "local"):
+            assert main(["run", "mvc", mode, "empty.el", "--eps", eps]) == 6
+
+
 def test_exit_codes(workdir):
     # not chordal
     (workdir / "c4.el").write_text("n 4\n1 2\n1 4\n2 3\n3 4\n")

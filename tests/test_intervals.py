@@ -3,6 +3,7 @@ import sys
 from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,16 +16,17 @@ from chordalg import (
     gen_chordal, gen_interval, gen_path, gen_spider, graphs, intervals,
     mis_chordal_centralized, mis_chordal_distributed, mis_interval,
     mis_interval_distributed, mvc, omega_oracle,
-    remove_dominated, skeleton_pairs, verify_coloring, verify_is,
+    remove_dominated, verify_coloring, verify_is,
 )
 from chordalg.cliqueforest import (
     IntervalStrip, classify_paths, clique_forest, clique_word,
 )
 from chordalg.graphs import bfs_distances
 from chordalg.intervals import (
-    _arrange_cliques, _component_strips, _mis_interval_parts,
-    _select_boundaries, color_budget, greedy_fill, is_proper_interval,
-    mis_eps_to_k, strip_dominated, strip_is_proper,
+    _arrange_cliques, _component_strips, _distance_mis_component,
+    _mis_component, _mis_interval_parts, _select_boundaries, color_budget,
+    greedy_fill, is_proper_interval, mis_eps_to_k,
+    strip_dominated, strip_is_proper,
 )
 from chordalg.mvc import _frontier
 
@@ -729,25 +731,82 @@ class TestDistributedVariants:
         assert bigger.rounds_elapsed == transcript.rounds_elapsed
 
 
-class TestSkeletonPairs:
-    def test_invariants_on_a_long_component(self):
+def pairwise_mis_component(strip, k):
+    """`_mis_component` as it filled the skeleton one gap at a time: an
+    earliest-right-end sweep per consecutive member pair over the nodes
+    strictly between them, and one per tail."""
+    if intervals.in_exact_window(strip, k):
+        return strip.greedy_mis()
+    lo, hi = strip.lo, strip.hi
+    members = _distance_mis_component(strip, k)
+    chosen = set(members)
+    for u, v in zip(members, members[1:]):
+        assert strip.dist(u, v) <= 2 * k - 1
+        gap = set().union(*strip.cliques[hi[u] + 1:lo[v]])
+        chosen |= strip.greedy_mis(
+            allowed={w for w in gap if hi[u] < lo[w] and hi[w] < lo[v]})
+    first, last = members[0], members[-1]
+    chosen |= strip.greedy_mis(allowed={w for w in strip.nodes if hi[w] < lo[first]})
+    chosen |= strip.greedy_mis(allowed={w for w in strip.nodes if lo[w] > hi[last]})
+    return chosen
+
+
+def check_pairwise_fill(strip, ks) -> int:
+    """`_mis_component` equals the pairwise fill at each k; returns how many
+    of the comparisons ran the skeleton branch."""
+    for k in ks:
+        assert _mis_component(strip, k) == pairwise_mis_component(strip, k)
+    return sum(not intervals.in_exact_window(strip, k) for k in ks)
+
+
+def member_free_gaps(g, strip, k):
+    """The greedy distance-k skeleton of `strip`, and for each consecutive
+    member pair the nodes strictly between them that lie outside every
+    member's closed neighbourhood in g."""
+    members = _distance_mis_component(strip, k)
+    free = strip.nodes - set().union(*(g.closed_neighborhood(m) for m in members))
+    lo = strip.lo
+    gaps = {(u, v): {w for w in free if lo[u] < lo[w] < lo[v]}
+            for u, v in zip(members, members[1:])}
+    return members, gaps
+
+
+class TestSkeletonFill:
+    def test_matches_pairwise_fill(self):
+        # near-unit intervals: sparser or longer ones leave undominated
+        # components of diameter at most 11, all in the exact window
+        strips = _component_strips(remove_dominated(gen_path(400)))
+        for seed in range(2):
+            for n, span, max_len in ((1000, 300, 1), (2000, 400, 2)):
+                g = gen_interval(n, seed=seed, span=span, max_len=max_len)
+                strips += _mis_interval_parts(g, 0.4)[1]
+        skeleton = sum(check_pairwise_fill(s, ks=(2, 3, 5)) for s in strips)
+        assert skeleton >= 20
+
+    @given(proper_interval_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_pairwise_fill_on_proper_intervals(self, g):
+        strips = _component_strips(g)
+        for strip in strips:
+            check_pairwise_fill(strip, ks=(2, 3, 5))
+        # and with every strip sent through the skeleton branch
+        with mock.patch.object(intervals, "in_exact_window", lambda strip, k: False):
+            for strip in strips:
+                assert check_pairwise_fill(strip, ks=(2, 3, 5)) == 3
+
+    def test_spacing_on_a_long_component(self):
         g = remove_dominated(gen_path(400))  # nodes 2 and 399 are dominated
         strip = max(_component_strips(g), key=lambda s: len(s.nodes))
         k = 7
-        skel = skeleton_pairs(strip, k)
-        assert len(skel.pairs) > 30
-        dists = {u: bfs_distances(g, u) for u in skel.members}
-        for i, u in enumerate(skel.members):
-            for v in skel.members[i + 1:]:
+        members, gaps = member_free_gaps(g, strip, k)
+        assert len(gaps) > 30
+        dists = {u: bfs_distances(g, u) for u in members}
+        for i, u in enumerate(members):
+            for v in members[i + 1:]:
                 assert dists[u].get(v, 10 ** 9) > k
-        assert skel.pairs == tuple(zip(skel.members, skel.members[1:]))
-        for (u, v), nodes in skel.between.items():
-            duv = dists[u][v]
-            assert duv <= 2 * k - 1
-            for w in nodes:
-                assert w not in g.closed_neighborhood(u)
-                assert w not in g.closed_neighborhood(v)
-                assert dists[u][w] <= duv and dists[v][w] <= duv
+        for (u, v), nodes in gaps.items():
+            assert dists[u][v] <= 2 * k - 1
+            assert nodes == bfs_between(g, u, v)
 
     def test_between_holds_a_node_of_one_clique(self):
         # spans of nodes 1..5; node 3 sits only in the clique {2, 3, 4}, the
@@ -755,9 +814,10 @@ class TestSkeletonPairs:
         g = intersection_graph([1, 2, 3, 4, 5],
                                [(0, 2), (2, 4), (3, 5), (4, 6), (6, 8)])
         (strip,) = _component_strips(g)
-        skel = skeleton_pairs(strip, 2)
-        assert skel.pairs == ((1, 5),)
-        assert skel.between[(1, 5)] == {3} == bfs_between(g, 1, 5)
+        members, gaps = member_free_gaps(g, strip, 2)
+        assert members == [1, 5]
+        assert gaps == {(1, 5): {3}}
+        assert bfs_between(g, 1, 5) == {3}
 
 
 def has_claw(g) -> bool:
@@ -813,15 +873,16 @@ def check_boundaries_and_frontiers(g, strip, ks) -> int:
     return found
 
 
-def check_between_sets(g, strip, ks) -> int:
-    """Compare the skeleton's `between` sets on a claw-free strip with BFS
-    on the subgraph it spans; returns how many pairs were compared."""
+def check_gap_lemma(g, strip, ks) -> int:
+    """The paper's gap lemma on a claw-free strip: between consecutive
+    skeleton members u, v, the nodes that meet no member are those outside
+    N[u] | N[v] within d(u, v) of both, by BFS on the subgraph the strip
+    spans; returns how many pairs were compared."""
     sub = g.subgraph(strip.nodes)
     pairs = 0
     for k in ks:
-        skel = skeleton_pairs(strip, k)
-        for u, v in skel.pairs:
-            assert skel.between[(u, v)] == bfs_between(sub, u, v)
+        for (u, v), nodes in member_free_gaps(sub, strip, k)[1].items():
+            assert nodes == bfs_between(sub, u, v)
             pairs += 1
     return pairs
 
@@ -845,7 +906,7 @@ class TestStripQueriesMatchBfs:
     def test_between_sets(self, g):
         for strip in _component_strips(g):
             assert strip_is_proper(strip)
-            check_between_sets(g, strip, ks=(2, 3))
+            check_gap_lemma(g, strip, ks=(2, 3))
 
     def test_generated_instances(self):
         found = pairs = 0
@@ -854,7 +915,7 @@ class TestStripQueriesMatchBfs:
             for strip in _component_strips(g):
                 found += check_boundaries_and_frontiers(g, strip, ks=(2, 3))
             for strip in _mis_interval_parts(g, 0.5)[1]:
-                pairs += check_between_sets(g, strip, ks=(2, 3, 5))
+                pairs += check_gap_lemma(g, strip, ks=(2, 3, 5))
         assert found and pairs
 
 

@@ -300,6 +300,13 @@ class TestOmegaFromForest:
             with pytest.raises(NotChordal):
                 mvc_pipeline(cycle_graph(5), eps)
 
+    def test_nonpositive_eps_on_empty_graph(self):
+        # no omega to compare with; the library's error, as on one node
+        for g in (Graph(), Graph(nodes=[1])):
+            for eps in (0.0, -0.5):
+                with pytest.raises(EpsilonTooSmall):
+                    mvc_pipeline(g, eps)
+
 
 class TestMvcDistributed:
     def test_spider_byte_equal(self):
