@@ -179,7 +179,10 @@ def cmd_verify(args) -> int:
 
 
 def _fit_slope(xs, ys):
+    """Least-squares slope of ys over xs; 0 without two distinct xs."""
     n = len(xs)
+    if not n:
+        return 0.0
     mx = sum(xs) / n
     my = sum(ys) / n
     den = sum((x - mx) ** 2 for x in xs)

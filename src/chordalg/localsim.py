@@ -38,16 +38,19 @@ call of ``step_group(states, rnd, key, result, members)``: `states` is the
 engine's node -> state map, `key` is ``("collect", tag)``, `result` the
 shared ``CollectResult`` and `members` the set of member nodes, which the
 call must not change. Round 0 is one such call for every node, with `key` and
-`result` None, as no node has an inbox yet. It returns ``(timed, stepped)``:
-`timed` maps ``(tag, radius)`` to the members whose only action is a lone
-``Collect(radius, tag)`` timer, with their new states written to `states`;
-`stepped` holds a ``(node, StepResult)`` pair for every other member,
-handled like any step's result and in scan order. Each member must be
-answered once. A program may define ``step_group``; it must equal
-``step(states[v], rnd, inbox)`` on each member, where `inbox` is
-``{key: result}``, or empty in round 0. Without it the engine steps each node
-through ``step``. A member that also has a message, a Send, a wake or a
-second group due in that round leaves its groups and is delivered per node.
+`result` None, as no node has an inbox yet. It returns
+``(timed, stepped, outputs)``: `timed` maps ``(tag, radius)`` to the members
+whose only action is a lone ``Collect(radius, tag)`` timer, with their new
+states written to `states`; `outputs` maps each member whose step only
+outputs (it keeps its state, sends, requests and wakes for nothing) to its
+output, which the engine records at once; `stepped` holds a
+``(node, StepResult)`` pair for every other member, handled like any step's
+result and in scan order. Each member must be answered once. A program may
+define ``step_group``; it must equal ``step(states[v], rnd, inbox)`` on each
+member, where `inbox` is ``{key: result}``, or empty in round 0. Without it
+the engine steps each node through ``step``. A member that also has a
+message, a Send, a wake or a second group due in that round leaves its groups
+and is delivered per node.
 
 A group step sees its members' key, not their past, so the tag carries the
 stage: a program whose nodes walk a schedule fixed before the run puts the
@@ -126,7 +129,7 @@ def _step_each(step):
     member, with an empty inbox in round 0."""
     def step_group(states, rnd, key, result, members):
         return {}, [(v, step(states[v], rnd, {} if key is None else {key: result}))
-                    for v in members]
+                    for v in members], {}
     return step_group
 
 
@@ -235,18 +238,23 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
         for key, result, members in held.pop(rnd, ()):
             if not members:
                 continue
-            timed, stepped = step_group(states, rnd, key, result, members)
-            count = len(stepped)
+            timed, stepped, done = step_group(states, rnd, key, result, members)
+            count = len(stepped) + len(done)
             for req, group in timed.items():
                 if group:
                     timer_groups.setdefault(req, []).extend(group)
                     count += len(group)
                     svc_count += len(group)
             # every member answered, by as many answers as there are members
-            if (count != len(members)
-                    or members.difference(map(_first, stepped), *timed.values())):
+            if (count != len(members) or members.difference(
+                    map(_first, stepped), done, *timed.values())):
                 raise RuntimeError("step_group did not answer each of its %d "
                                    "members once" % len(members))
+            if done:
+                for v in sorted(done.keys() & outputs.keys()):
+                    if outputs[v] != done[v]:
+                        raise RuntimeError("node %d changed its final output" % v)
+                outputs.update(done)
             grouped.update(stepped)
         order = sorted(inboxes.keys() | grouped.keys() if grouped else inboxes)
         if scan == "reverse":
@@ -410,7 +418,11 @@ class StagedProgram:
     node sets of the ``{next stage: nodes}`` map `exceptions`. The stage
     None is round 0, where no collect has come yet; its radius is unused. A
     next stage of None leaves the schedule, and ``leave`` says what the node
-    does then: by default it outputs ``outputs[v]``.
+    does then: by default it outputs ``outputs[v]``. ``leave_group`` is
+    ``leave`` on a set of nodes, as a group step's ``(outputs, stepped)``:
+    the nodes that only output, in one map, and the others' results. By
+    default every node only outputs, so a group leaves in one comprehension;
+    a subclass that changes ``leave`` changes ``leave_group`` with it.
 
     A node's state is its id while it walks the schedule, and its stage is
     the tag in its inbox, so a group step splits its members by set
@@ -430,6 +442,10 @@ class StagedProgram:
 
     def leave(self, v, rnd) -> StepResult:
         return StepResult(v, output=self.outputs[v])
+
+    def leave_group(self, part, rnd):
+        outputs = self.outputs
+        return {v: outputs[v] for v in part}, []
 
     def step(self, v, rnd, inbox):
         key = next(iter(inbox), None)
@@ -455,12 +471,15 @@ class StagedProgram:
             moves.append((default, rest))
         timed: Dict[Tuple[Any, int], Set[int]] = {}
         stepped: List[Tuple[int, StepResult]] = []
+        done: Dict[int, Any] = {}
         for stage, part in moves:
             if stage is None:
-                stepped.extend((v, self.leave(v, rnd)) for v in part)
+                outputs, results = self.leave_group(part, rnd)
+                done.update(outputs)
+                stepped += results
             else:
                 timed[stage, self.table[stage][0]] = part
-        return timed, stepped
+        return timed, stepped, done
 
 
 def stage_chain(name, radii):

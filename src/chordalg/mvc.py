@@ -375,7 +375,10 @@ class MvcProgram(StagedProgram):
     of that level's children), until every one has output; then it sends the
     children their colors. A node outputs its color in the step that gives
     it, so an output is a final color, and the engine checks that the read
-    stays within the poll radius.
+    stays within the poll radius. A quiet root, with no parent and no
+    correction levels, only outputs its color as it leaves the schedule, so
+    ``leave_group`` answers the quiet roots of a group in one map and steps
+    each other node through ``leave``.
     """
 
     def __init__(self, run: MvcRun):
@@ -383,6 +386,8 @@ class MvcProgram(StagedProgram):
         self.k = run.k
         self.poll_radius = correction_poll_radius(run.k)
         layering = run.layering
+        self.quiet = {v for v, par in layering.parent.items()
+                      if par is None}.difference(layering.children)
         by_layer: Dict[int, Set[int]] = {}
         for v, i in layering.layer.items():
             by_layer.setdefault(i, set()).add(v)
@@ -422,22 +427,29 @@ class MvcProgram(StagedProgram):
     # -- engine interface --------------------------------------------------
     def leave(self, v, rnd):
         """After the last color stage: a root of the correction forest takes
-        its final color, any other node waits for its parent's."""
+        its final color, any other node waits for its parent's. A quiet root
+        only outputs."""
         run = self.run
+        if v in self.quiet:
+            return StepResult(v, output=run.final_colors[v])
         if run.layering.parent[v] is None:
             return self._finalize(_MvcNode(v, color=run.final_colors[v]))
         return StepResult(_MvcNode(v))
+
+    def leave_group(self, part, rnd):
+        quiet = part & self.quiet
+        colors = self.run.final_colors
+        return ({v: colors[v] for v in quiet},
+                [(v, self.leave(v, rnd)) for v in (part - quiet if quiet else part)])
 
     def step(self, state, rnd, inbox):
         if not isinstance(state, _MvcNode):
             return super().step(state, rnd, inbox)
         run = self.run
         if state.phase == "wait_color":
-            for key, payload in sorted(inbox.items(), key=repr):
-                if key[0] == "msg" and payload[0] == "set_color":
-                    state.color = payload[1]
-                    return self._finalize(state)
-            return StepResult(state)
+            # a waiting node steps once, for the color its parent sends
+            state.color = inbox["msg", run.layering.parent[state.id]][1]
+            return self._finalize(state)
 
         if state.phase == "correct":
             poll = state.poll

@@ -146,6 +146,16 @@ def test_bench_emits_rows_and_slope(workdir, capsys):
     assert "# slope" in text
 
 
+@pytest.mark.parametrize("eps,seeds", [("0.1", "1"), ("0.5", "0")])
+def test_bench_without_a_qualifying_instance(workdir, capsys, eps, seeds):
+    # eps 0.1 is below 2 / omega on every instance, and no seed runs none
+    assert main(["bench", "mvc", "--sizes", "40", "--eps", eps,
+                 "--seeds", seeds]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("algorithm,")
+    assert out.endswith("# slope rounds-vs-log2n 0.0000 over 0 runs\n")
+
+
 def test_run_mis_interval_local(workdir):
     assert main(["gen", "interval", "80", "--seed", "6", "--out", "i.el"]) == 0
     assert main(["run", "mis-interval", "local", "i.el", "--eps", "0.4",

@@ -479,15 +479,38 @@ class BadAtDue:
         return self.bad(rnd) if v == 1 else StepResult(v, output=0)
 
 
+def only_outputs(res, state):
+    """Whether a step's result does nothing but output, so that a group step
+    may answer it in its outputs map."""
+    return (res.output is not NO_OUTPUT and res.state == state and not res.outbox
+            and not res.requests and res.wake_at is None)
+
+
+def step_members(step, states, rnd, key, result, members):
+    """A group step's ``(stepped, outputs)`` from `step` on each member: the
+    members that only output go to the map."""
+    inbox = {} if key is None else {key: result}
+    stepped, outputs = [], {}
+    for v in members:
+        res = step(states[v], rnd, inbox)
+        if only_outputs(res, states[v]):
+            outputs[v] = res.output
+        else:
+            stepped.append((v, res))
+    return stepped, outputs
+
+
 class GroupBadAtDue(BadAtDue):
     def __init__(self, bad):
         super().__init__(bad)
         self.group_calls = 0
+        self.bulk = set()  # members answered in an outputs map
 
     def step_group(self, states, rnd, key, result, members):
         self.group_calls += 1
-        inbox = {} if key is None else {key: result}
-        return {}, [(v, self.step(states[v], rnd, inbox)) for v in members]
+        stepped, outputs = step_members(self.step, states, rnd, key, result, members)
+        self.bulk.update(outputs)
+        return {}, stepped, outputs
 
 
 BAD_RESULTS = {
@@ -514,6 +537,9 @@ def test_group_steps_meet_every_engine_check(name):
             run(gen_path(4), program, 10)
         assert str(grouped.value) == str(expected.value)
     assert program.group_calls == 2  # round 0 and the timer group
+    # nodes 2 - 4 only output when the timer is due; so does node 1 when its
+    # bad result is a changed output, which the outputs map then carries
+    assert program.bulk == ({1, 2, 3, 4} if name == "changed output" else {2, 3, 4})
 
 
 def test_engine_checks_hold_for_a_member_delivered_alone():
@@ -534,21 +560,26 @@ def test_engine_checks_hold_for_a_member_delivered_alone():
             run(gen_path(4), program, 10)
         assert str(alone.value) == str(expected.value), name
         assert program.group_calls == 2
+        assert program.bulk == {2, 3, 4}
 
 
 # group steps of the path 1 - 2 - 3 - 4 that do not answer each member once
 UNANSWERED = {
-    "no member": lambda states, members: ({}, []),
+    "no member": lambda states, members: ({}, [], {}),
     "a member left out": lambda states, members: (
-        {}, [(v, StepResult(v, output=0)) for v in sorted(members)[1:]]),
+        {}, [(v, StepResult(v, output=0)) for v in sorted(members)[1:]], {}),
     "a member stepped twice": lambda states, members: (
-        {}, [(v, StepResult(v, output=0)) for v in [1, 1, 2, 3]]),
+        {}, [(v, StepResult(v, output=0)) for v in [1, 1, 2, 3]], {}),
     "a member timed twice": lambda states, members: (
-        {("t", 1): [1, 1, 2, 3]}, []),
+        {("t", 1): [1, 1, 2, 3]}, [], {}),
     "a member timed and stepped": lambda states, members: (
-        {("t", 1): [1, 2]}, [(v, StepResult(v, output=0)) for v in [1, 3]]),
+        {("t", 1): [1, 2]}, [(v, StepResult(v, output=0)) for v in [1, 3]], {}),
     "a node that is no member": lambda states, members: (
-        {("t", 1): [1, 2, 3]}, [(5, StepResult(5, output=0))]),
+        {("t", 1): [1, 2, 3]}, [(5, StepResult(5, output=0))], {}),
+    "a member output and stepped": lambda states, members: (
+        {}, [(v, StepResult(v, output=0)) for v in [1, 2, 3]], {1: 0}),
+    "an output for a node that is no member": lambda states, members: (
+        {("t", 1): [1, 2, 3]}, [], {5: 0}),
 }
 
 
@@ -643,19 +674,22 @@ class Scripted:
 
 
 class GroupScripted(Scripted):
-    """`Scripted` with a `step_group` that runs each member through `step`
-    and returns the members whose only action is one timer as timer groups."""
+    """`Scripted` with a `step_group` that runs each member through `step`,
+    returns the members whose only action is one timer as timer groups and
+    the members whose only action is an output in the outputs map."""
 
     def __init__(self, script):
         super().__init__(script)
         self.group_calls = 0
         self.timed = 0  # members returned in timer groups
+        self.bulk = 0  # members returned in outputs maps
 
     def step_group(self, states, rnd, key, result, members):
         self.group_calls += 1
         timed, stepped = {}, []
-        for v in members:
-            res = self.step(states[v], rnd, {} if key is None else {key: result})
+        stepped_all, outputs = step_members(self.step, states, rnd, key, result,
+                                            members)
+        for v, res in stepped_all:
             reqs = res.requests
             if (len(reqs) == 1 and type(reqs[0]) is Collect and not reqs[0].read
                     and not res.outbox and res.output is NO_OUTPUT
@@ -665,7 +699,8 @@ class GroupScripted(Scripted):
                 self.timed += 1
             else:
                 stepped.append((v, res))
-        return timed, stepped
+        self.bulk += len(outputs)
+        return timed, stepped, outputs
 
 
 def run_scripted(engine, g, script, cap, scan, program_class=Scripted):
@@ -734,6 +769,12 @@ GROUP_CASES = {
         3: {0: [timer(2), ("output", None), ("wake", 7)], 2: [timer(1)]},
         4: {0: [timer(2), ("wake", 9)], 2: [("collect", Collect(2, "t", (2,)))]},
     },
+    # nodes 2 and 3 are held in a group due in round 2, where each only
+    # outputs; the wakes they asked for in round 0 step them alone later
+    "members that only output": {
+        2: {0: [timer(2), ("wake", 7)], 2: [("output", None)]},
+        3: {0: [timer(2), ("wake", 5)], 2: [("output", None)]},
+    },
 }
 
 
@@ -774,16 +815,18 @@ class TestEngineMatchesReference:
             g, script = group_case(name)
             program = GroupScripted(script)
             run(g, program, 20)
-            steps[name] = program.group_calls, program.timed
-        # round 0 is one group call of every node, then the timer groups
+            steps[name] = program.group_calls, program.timed, program.bulk
+        # round 0 is one group call of every node, then the timer groups;
+        # node 1 of the data collect case only outputs in round 0
         assert steps == {
-            "two groups due in one round": (2, 0),  # node 2's group of one
-            "a member with a data collect": (2, 0),  # node 3 alone
-            "a member with a message and a Send": (2, 0),  # node 3 alone
-            "a member that messages": (2, 0),
-            "a member with a wake": (2, 0),  # node 3 alone
-            "a member woken after its group": (2, 0),  # node 3 alone
-            "members that ask for the next timer": (4, 2),
+            "two groups due in one round": (2, 0, 0),  # node 2's group of one
+            "a member with a data collect": (2, 0, 1),  # node 3 alone
+            "a member with a message and a Send": (2, 0, 0),  # node 3 alone
+            "a member that messages": (2, 0, 0),
+            "a member with a wake": (2, 0, 0),  # node 3 alone
+            "a member woken after its group": (2, 0, 0),  # node 3 alone
+            "members that ask for the next timer": (4, 2, 0),
+            "members that only output": (2, 0, 2),
         }
 
     def test_round_zero_is_one_group_call_of_every_node(self):

@@ -8,7 +8,9 @@ order, too. The node-steps of each run are pinned as well: the transcript
 fixes them, so a faster engine must make steps cheaper, not fewer. Both hold
 when the programs step whole timer groups, each member counted as a step.
 The calls of a program's per-node `step` are pinned apart from node-steps:
-a group that falls back to stepping each member shows up there. The
+a group that falls back to stepping each member shows up there. So are the
+calls of its per-node `leave`: a group whose members only output answers them
+in one map, and a fall-back to leaving node by node shows up there. The
 `tree-mis` and `longpaths-mis` digests were re-pinned once, when the exact
 small components began taking their strip's sweep instead of a greedy along
 a maximum cardinality search: the same rounds, traffic and set sizes (112
@@ -92,6 +94,15 @@ STEP_CALLS = {
     "interval-coloring": 0, "path-distance-mis": 0,
 }
 
+# name -> calls of the program's per-node `leave`: a schedule's default leave
+# is answered in one outputs map, and MVC leaves per node only the nodes with
+# a correction parent or correction levels
+LEAVE_CALLS = {
+    "tree-mvc": 295, "tree-mis": 0, "dumbbell-mvc": 42, "dumbbell-mis": 0,
+    "longpaths-mvc": 93, "longpaths-mis": 0, "interval-mis": 0,
+    "interval-coloring": 0, "path-distance-mis": 0,
+}
+
 
 class CountedSteps:
     """A node program that counts the steps of the program it wraps."""
@@ -118,19 +129,28 @@ class CountedGroupSteps(CountedSteps):
     """Also forwards `step_group`, counting each member as one node-step; a
     program without one has each member stepped through `step`. Every call
     of the program's `step`, by the engine or by its own group step, counts
-    in `step_calls`."""
+    in `step_calls`, and every call of its per-node `leave` in
+    `leave_calls`."""
 
     def __init__(self, program):
         super().__init__(program)
         self.group_calls = 0
         self.step_calls = 0
+        self.leave_calls = 0
         step = program.step
+        leave = getattr(program, "leave", None)
 
         def counted_step(*args):
             self.step_calls += 1
             return step(*args)
 
+        def counted_leave(*args):
+            self.leave_calls += 1
+            return leave(*args)
+
         program.step = counted_step
+        if leave is not None:
+            program.leave = counted_leave
 
     def step_group(self, states, rnd, key, result, members):
         self.steps += len(members)
@@ -139,7 +159,7 @@ class CountedGroupSteps(CountedSteps):
         if hasattr(program, "step_group"):
             return program.step_group(states, rnd, key, result, members)
         return {}, [(v, program.step(states[v], rnd, inbox_of(key, result)))
-                    for v in members]
+                    for v in members], {}
 
 
 class CheckedGroupSteps(CountedGroupSteps):
@@ -149,15 +169,17 @@ class CheckedGroupSteps(CountedGroupSteps):
         alone = {v: self.program.step(copy.deepcopy(states[v]), rnd,
                                       inbox_of(key, result))
                  for v in members}
-        timed, stepped = super().step_group(states, rnd, key, result, members)
+        timed, stepped, outputs = super().step_group(states, rnd, key, result, members)
         for (tag, radius), group in timed.items():
             for v in group:
                 assert alone.pop(v) == StepResult(
                     states[v], requests=(Collect(radius, tag),))
         for v, res in stepped:
             assert alone.pop(v) == res
+        for v, output in outputs.items():
+            assert alone.pop(v) == StepResult(states[v], output=output)
         assert not alone
-        return timed, stepped
+        return timed, stepped, outputs
 
 
 def watched_solve(monkeypatch, solve, scan="forward", counter=CountedSteps):
@@ -205,6 +227,7 @@ def test_group_steps_match_the_pinned_digest(monkeypatch, name, scan):
     assert counted.steps == steps
     assert 0 < counted.group_calls < steps
     assert counted.step_calls == STEP_CALLS[name]
+    assert counted.leave_calls == LEAVE_CALLS[name]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -254,12 +277,13 @@ class Collects(CountedGroupSteps):
         return res
 
     def step_group(self, states, rnd, key, result, members):
-        timed, stepped = super().step_group(states, rnd, key, result, members)
+        timed, stepped, outputs = super().step_group(states, rnd, key, result,
+                                                     members)
         for (tag, radius), group in timed.items():
             self.collects.extend((v, Collect(radius, tag)) for v in group)
         for v, res in stepped:
             self.record(v, res)
-        return timed, stepped
+        return timed, stepped, outputs
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
