@@ -26,7 +26,8 @@ from itertools import accumulate
 from typing import Dict, List, Optional, Set, Tuple
 
 from .cliqueforest import (
-    IntervalStrip, clique_forest, clique_word, strips_from_traces, walk_path,
+    CliqueForest, IntervalStrip, clique_forest, clique_word, strips_from_traces,
+    walk_path,
 )
 from .errors import BadEpsilon, Infeasible, NotInterval, NotProperInterval
 from .graphs import Graph
@@ -36,86 +37,89 @@ Coloring = Dict[int, int]
 
 # step cap of the backtracking in `extend_coloring`
 EXTENSION_CAP = 2_000_000
+# step cap of the clique arrangement search in `_arrange_cliques`
+ARRANGE_CAP = 500_000
 
 
-def _arrange_cliques(cliques, cap: int = 500_000) -> Optional[List[frozenset]]:
-    """Order one component's maximal cliques consecutively, or None.
+def _may_open(forest: CliqueForest, i: int) -> bool:
+    """The start test: clique i opens no consecutive order of its component
+    unless its largest forest separator holds all its others.
 
-    A valid next clique must contain every node that is already placed and
-    still occurs in an unplaced clique; deterministic backtracking resolves
-    tie blocks, with dead prefixes memoized on the placed set.
+    Proof: in an order i, c2, ..., the cliques holding a node are
+    consecutive, so every node that i shares lies in c2. The cliques holding
+    a node span a subtree of the forest, a clique tree (Blair & Peyton
+    1993), so such a node also lies in i's separator toward c2. That
+    separator holds all the others, so it is the largest.
     """
-    t = len(cliques)
-    if t <= 2:
-        return sorted(cliques, key=clique_word)
-    order = sorted(range(t), key=lambda i: clique_word(cliques[i]))
-    remaining: Dict[int, int] = {}
-    holders: Dict[int, List[int]] = {}
-    for i, c in enumerate(cliques):
-        for v in c:
-            remaining[v] = remaining.get(v, 0) + 1
-            holders.setdefault(v, []).append(i)
+    cliques = forest.cliques
+    seps = [cliques[i] & cliques[j] for j in forest.fadj[i]]
+    widest = max(seps, key=len, default=frozenset())
+    return all(s <= widest for s in seps)
 
-    def candidates(used, open_nodes):
-        if not open_nodes:
-            pool = [i for i in order if i not in used]
-        else:
-            v = min(open_nodes, key=lambda u: (remaining[u], u))
-            pool = [i for i in holders[v]
-                    if i not in used and open_nodes <= cliques[i]]
-            pool.sort(key=lambda i: clique_word(cliques[i]))
-        return pool
 
-    used: set = set()
-    open_nodes: set = set()
+def _arrange_cliques(forest: CliqueForest, comp: List[int], cap: int) -> List[int]:
+    """The word-first consecutive order of one component's cliques (the one
+    whose sequence of words is smallest), as forest ids; NotInterval when
+    there is none or when the search takes more than `cap` steps.
+
+    The next clique must hold every open node (placed, with unplaced
+    holders), so it is an unplaced holder, listed by `forest.phi`, of the
+    open node with the fewest. Depth-first search tries the starts that
+    pass `_may_open`, then those holders, in id order, which is word order,
+    skipping placed sets (bit masks over ids) already seen to die.
+    """
+    cliques, phi = forest.cliques, forest.phi
+    open_nodes: Set[int] = set()
+    left: Dict[int, int] = {}  # per placed node, its unplaced holders
     placed: List[int] = []
-    dead = set()
-    steps = 0
-
-    def do_place(i):
-        used.add(i)
-        placed.append(i)
-        for v in cliques[i]:
-            remaining[v] -= 1
-            if remaining[v] > 0:
-                open_nodes.add(v)
-            else:
-                open_nodes.discard(v)
-
-    def do_undo():
-        i = placed.pop()
-        used.discard(i)
-        for v in cliques[i]:
-            remaining[v] += 1
-            if remaining[v] < len(holders[v]):  # some holder is still placed
-                open_nodes.add(v)
-            else:
-                open_nodes.discard(v)
-
-    stack = [iter(candidates(used, open_nodes))]
-    while stack:
-        steps += 1
-        if steps > cap:
-            return None
+    used = 0  # the placed set as a bit mask
+    dead: Set[int] = set()
+    stack = [(i for i in sorted(comp) if _may_open(forest, i))]
+    for _ in range(cap):
         nxt = next(stack[-1], None)
         if nxt is None:
             stack.pop()
-            dead.add(frozenset(used))
-            if placed:
-                do_undo()
+            if not placed:
+                raise NotInterval("component has no consecutive clique arrangement")
+            dead.add(used)
+            nxt = placed.pop()
+            used ^= 1 << nxt
+            for v in cliques[nxt]:
+                left[v] += 1
+                if left[v] < len(phi[v]):
+                    open_nodes.add(v)
+                else:
+                    open_nodes.discard(v)
             continue
-        do_place(nxt)
-        if len(placed) == t:
-            return [cliques[i] for i in placed]
-        if frozenset(used) in dead:
-            do_undo()
-            continue
-        stack.append(iter(candidates(used, open_nodes)))
-    return None
+        placed.append(nxt)
+        used |= 1 << nxt
+        for v in cliques[nxt]:
+            left[v] = left.get(v, len(phi[v])) - 1
+            if left[v]:
+                open_nodes.add(v)
+            else:
+                open_nodes.discard(v)
+        if len(placed) == len(comp):
+            return placed
+        # filtered lazily: each time the search is back at this placed set
+        stack.append(i for i in phi[min(open_nodes, key=left.__getitem__)]
+                     if not used >> i & 1 and open_nodes <= cliques[i]
+                     and used | 1 << i not in dead)
+    raise NotInterval("clique arrangement search hit its cap of %d steps;"
+                      " the graph may still be interval" % cap)
 
 
 def _component_strips(h: Graph) -> List[IntervalStrip]:
-    """One canonical strip per connected component; NotInterval on failure."""
+    """One canonical strip per connected component; NotInterval when one has
+    no consecutive clique order (then it is not interval: Gilmore & Hoffman
+    1964) or when `_arrange_cliques` hits its cap.
+
+    A component is ordered by its canonical forest where that is a path,
+    walked from the smaller-id end. Weight ties can make the forest branch
+    on interval graphs; then `_arrange_cliques` takes the word-first order,
+    trying only starts that pass `_may_open`. Its reverse is consecutive
+    too, so either order starts at the smaller end word, as canonical.
+    """
     forest = clique_forest(h)
     strips: List[IntervalStrip] = []
     seen = set()
@@ -134,16 +138,10 @@ def _component_strips(h: Graph) -> List[IntervalStrip]:
                     stack.append(j)
         if all(forest.degree(i) <= 2 for i in comp):
             # the canonical forest is already a path through this component
-            seq = [forest.cliques[i] for i in walk_path(forest.fadj, comp)]
+            ids = walk_path(forest.fadj, comp)
         else:
-            # weight ties let the canonical forest branch even on interval
-            # graphs; fall back to an explicit consecutive arrangement
-            seq = _arrange_cliques([forest.cliques[i] for i in comp])
-            if seq is None:
-                raise NotInterval("component has no consecutive clique arrangement")
-        if clique_word(seq[0]) > clique_word(seq[-1]):
-            seq = list(reversed(seq))
-        strips.append(IntervalStrip(seq))
+            ids = _arrange_cliques(forest, comp, ARRANGE_CAP)
+        strips.append(IntervalStrip([forest.cliques[i] for i in ids]))
     strips.sort(key=lambda s: clique_word(s.cliques[0]))
     return strips
 

@@ -26,15 +26,22 @@ def small_graphs(draw, max_nodes=7):
 
 
 @st.composite
-def interval_graphs(draw, max_nodes=24):
-    """Intersection graphs of up to `max_nodes` integer intervals, on ids
-    with gaps: often disconnected, often with nested and equal intervals."""
+def interval_models(draw, max_nodes=24):
+    """Up to `max_nodes` ids with gaps and one closed integer span each:
+    often apart, often nested or equal."""
     ids = draw(st.lists(st.integers(1, 90), min_size=1, max_size=max_nodes,
                         unique=True))
     spans = [(a, a + w) for a, w in draw(st.lists(
         st.tuples(st.integers(0, 30), st.integers(0, 8)),
         min_size=len(ids), max_size=len(ids)))]
-    return intersection_graph(ids, spans)
+    return ids, spans
+
+
+@st.composite
+def interval_graphs(draw, max_nodes=24):
+    """Intersection graphs of `interval_models`: often disconnected, often
+    with nested and equal intervals."""
+    return intersection_graph(*draw(interval_models(max_nodes)))
 
 
 @st.composite

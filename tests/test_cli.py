@@ -136,6 +136,19 @@ def test_exit_codes(workdir):
     assert main(["run", "mvc"]) == 2
 
 
+def test_arrangement_cap_is_not_reported_as_a_proof(workdir, capsys, monkeypatch):
+    # the star K1,5 is interval, but its canonical forest branches, so its
+    # clique order is searched for; a tiny cap stops that search
+    from chordalg import intervals
+    (workdir / "star.el").write_text(graph_to_text(Graph([(1, v) for v in range(2, 7)])))
+    assert main(["run", "mis-interval", "central", "star.el", "--eps", "0.4"]) == 0
+    monkeypatch.setattr(intervals, "ARRANGE_CAP", 2)
+    capsys.readouterr()
+    assert main(["run", "mis-interval", "central", "star.el", "--eps", "0.4"]) == 5
+    err = capsys.readouterr().err
+    assert "cap of 2 steps" in err and "may still be interval" in err
+
+
 def test_bench_emits_rows_and_slope(workdir, capsys):
     assert main(["bench", "mvc", "--sizes", "40,80", "--eps", "0.5",
                  "--seeds", "2", "--max-clique", "6", "--out", "bench.csv"]) == 0

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from functools import lru_cache
@@ -23,7 +24,7 @@ from chordalg.cliqueforest import (
 )
 from chordalg.graphs import bfs_distances
 from chordalg.intervals import (
-    _arrange_cliques, _component_strips, _distance_mis_component,
+    _arrange_cliques, _component_strips, _distance_mis_component, _may_open,
     _mis_component, _mis_interval_parts, _select_boundaries, color_budget,
     greedy_fill, is_proper_interval, mis_eps_to_k,
     strip_dominated, strip_is_proper,
@@ -31,8 +32,8 @@ from chordalg.intervals import (
 from chordalg.mvc import _frontier
 
 from conftest import (
-    complete_graph, intersection_graph, interval_graphs, long_paths_generator,
-    proper_interval_graphs, small_graphs,
+    complete_graph, intersection_graph, interval_graphs, interval_models,
+    long_paths_generator, proper_interval_graphs, small_graphs,
 )
 
 
@@ -548,13 +549,13 @@ def holder_scan_arrange(cliques, cap=500_000):
 
 
 def arranged_components(g, monkeypatch):
-    """The clique lists `_component_strips(g)` hands to `_arrange_cliques`:
-    the components whose canonical forest branches."""
+    """The (forest, component) pairs `_component_strips(g)` hands to
+    `_arrange_cliques`: the components whose canonical forest branches."""
     seen = []
 
-    def spy(cliques, cap=500_000):
-        seen.append(list(cliques))
-        return _arrange_cliques(cliques, cap)
+    def spy(forest, comp, cap):
+        seen.append((forest, list(comp)))
+        return _arrange_cliques(forest, comp, cap)
 
     with monkeypatch.context() as m:
         m.setattr(intervals, "_arrange_cliques", spy)
@@ -563,6 +564,54 @@ def arranged_components(g, monkeypatch):
         except NotInterval:
             pass
     return seen
+
+
+def search_steps(forest, comp, most):
+    """The steps `_arrange_cliques` takes on a component, found by bisection
+    as the smallest cap it completes within; it must complete within `most`."""
+    _arrange_cliques(forest, comp, most)
+    lo, hi = 1, most
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            _arrange_cliques(forest, comp, mid)
+            hi = mid
+        except NotInterval:
+            lo = mid + 1
+    return lo
+
+
+def model_clique_orders(ids, spans):
+    """Per component of the intersection graph of an interval model, its
+    maximal cliques in the model's order along the line: the nodes over
+    each left end, kept where no other such set strictly contains them."""
+    over = [frozenset(v for v, (a, b) in zip(ids, spans) if a <= p <= b)
+            for p in sorted({a for a, _ in spans})]
+    seq = [c for c in over if not any(c < d for d in over)]
+    orders = [[seq[0]]]
+    for c in seq[1:]:
+        if c != orders[-1][-1]:
+            if not c & orders[-1][-1]:
+                orders.append([])
+            orders[-1].append(c)
+    return orders
+
+
+@lru_cache(maxsize=None)
+def dense_components(seed):
+    """`arranged_components` of the benchmark's dense `gen_interval`
+    instance at `seed`."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return tuple(arranged_components(gen_interval(2048, seed), monkeypatch))
+
+
+def assert_matches_reference(forest, comp):
+    """Assert that the search returns the reference's arrangement, compared
+    by clique words, within the reference's steps; return those steps."""
+    ref, ref_steps = holder_scan_arrange([forest.cliques[i] for i in comp])
+    ids = _arrange_cliques(forest, comp, ref_steps)
+    assert [forest.words[i] for i in ids] == list(map(clique_word, ref))
+    return ref_steps
 
 
 def strip_words(strips):
@@ -578,18 +627,66 @@ def reduced_strips_rebuilt(g):
 
 
 class TestArrangeCliques:
-    def test_matches_holder_scan_with_same_steps(self, monkeypatch):
+    def test_matches_holder_scan_in_no_more_steps(self, monkeypatch):
         instances = [gen_interval(150, seed=seed) for seed in range(6)]
-        instances += [Graph([(1, v) for v in range(2, 7)]), gen_spider(3, 2)]
+        spider = gen_spider(3, 2)
+        instances += [Graph([(1, v) for v in range(2, 7)]), spider]
         arranged = 0
         for g in instances:
-            for cliques in arranged_components(g, monkeypatch):
-                ref, steps = holder_scan_arrange(cliques)
-                assert _arrange_cliques(cliques) == ref
-                assert _arrange_cliques(cliques, cap=steps) == ref
-                assert _arrange_cliques(cliques, cap=steps - 1) is None
+            for forest, comp in arranged_components(g, monkeypatch):
+                if g is spider:
+                    # no order exists: the search must say so within the
+                    # reference's steps
+                    ref, ref_steps = holder_scan_arrange([forest.cliques[i] for i in comp])
+                    assert ref is None
+                    with pytest.raises(NotInterval, match="no consecutive"):
+                        _arrange_cliques(forest, comp, ref_steps)
+                    continue
+                steps = search_steps(forest, comp, assert_matches_reference(forest, comp))
+                with pytest.raises(NotInterval, match="cap of %d steps" % (steps - 1)):
+                    _arrange_cliques(forest, comp, steps - 1)
                 arranged += 1
         assert arranged >= 10
+
+    @given(interval_graphs(max_nodes=40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_holder_scan_on_interval_graphs(self, g):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            arranged = arranged_components(g, monkeypatch)
+        for forest, comp in arranged:
+            assert_matches_reference(forest, comp)
+
+    @pytest.mark.parametrize("seed", range(1000, 1005))
+    def test_matches_holder_scan_on_dense_instances(self, seed):
+        assert dense_components(seed)
+        for forest, comp in dense_components(seed):
+            assert_matches_reference(forest, comp)
+
+    @pytest.mark.parametrize("seed", range(1000, 1005))
+    def test_dense_instances_take_few_steps_beyond_one_per_clique(self, seed):
+        # one step places each clique, and a start that fails the start
+        # test costs no step
+        for forest, comp in dense_components(seed):
+            _arrange_cliques(forest, comp, math.ceil(1.25 * len(comp)))
+
+    @given(interval_models())
+    @settings(max_examples=200, deadline=None)
+    def test_model_ends_pass_the_start_test(self, model):
+        forest = clique_forest(intersection_graph(*model))
+        orders = model_clique_orders(*model)
+        assert sorted(clique_word(c) for order in orders for c in order) == list(forest.words)
+        ids = {c: i for i, c in enumerate(forest.cliques)}
+        for order in orders:
+            assert _may_open(forest, ids[order[0]])
+            assert _may_open(forest, ids[order[-1]])
+
+    def test_start_test_rejects_a_middle_clique(self):
+        # the middle clique of a path meets its two neighbours in different
+        # nodes, so neither separator holds the other
+        forest = clique_forest(gen_path(4))
+        assert not _may_open(forest, forest.words.index((2, 3)))
+        assert _may_open(forest, forest.words.index((1, 2)))
+        assert _may_open(forest, forest.words.index((3, 4)))
 
 
 class TestReducedStrips:
