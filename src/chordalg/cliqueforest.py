@@ -34,53 +34,21 @@ def clique_word(clique) -> Word:
 
 
 def _clique_tree(g: Graph) -> Tuple[List[FrozenSet[int]], List[Word], List[Link]]:
-    """The maximal cliques of a chordal graph in word order, and the clique
-    tree T0 that maximum cardinality search builds (Blair & Peyton 1993,
-    "An introduction to chordal graphs and clique trees").
-
-    Walk the visit order with L and p as in `EliminationOrder`. A visit v
-    joins the clique being grown iff |L(v)| is one more than the |L| of the
-    previous visit u: then p(v) = u and L(v) = {u} | L(u), which is that
-    clique so far. Otherwise v opens the clique {v} | L(v). The comparison is
-    with the previous visit, not with p(v): two visits may both have p = u
-    and |L| = |L(u)| + 1 (two triangles on a shared edge), and only the
-    first of them extends K(u). A clique opened by v hangs in T0 below the
-    clique that owns p(v), and the two meet in exactly L(v); a visit with
-    p(v) = None starts a new tree. Returns the cliques, their words and T0's
-    edges as (child id, parent id, separator).
+    """The maximal cliques of a chordal graph in word order, their words, and
+    the clique tree T0 that `mcs_order` records as it visits, its edges
+    (child id, parent id, separator) renumbered to word order.
     """
     eo = _require_chordal(g)
-    later, parent = eo.later, eo.parent
-    grown: List[Set[int]] = []
-    owner: Dict[int, int] = {}
-    hangs: List[Link] = []
-    cur = -1  # the clique that visits extend
-    need = -1  # the |L| that extends it; none before the first visit
-    for v in reversed(eo.order):
-        lv = later[v]
-        size = len(lv)
-        if size != need:
-            if size:
-                hangs.append((cur + 1, owner[parent[v]], frozenset(lv)))
-            grown.append({v, *lv})
-            cur += 1
-        else:
-            grown[cur].add(v)
-        owner[v] = cur
-        need = size + 1
-    words = [clique_word(c) for c in grown]
-    order = sorted(range(len(grown)), key=words.__getitem__)
+    words = [clique_word(c) for c in eo.runs]
+    order = sorted(range(len(words)), key=words.__getitem__)
     rank = {k: i for i, k in enumerate(order)}
-    return ([frozenset(grown[k]) for k in order], [words[k] for k in order],
-            [(rank[a], rank[b], sep) for a, b, sep in hangs])
+    return ([frozenset(eo.runs[k]) for k in order], [words[k] for k in order],
+            [(rank[a], rank[b], sep) for a, b, sep in eo.links])
 
 
 def maximal_cliques(g: Graph) -> List[FrozenSet[int]]:
-    """All maximal cliques of a chordal graph, sorted by member word.
-
-    They are the cliques of the clique tree T0 built by `_clique_tree`: along
-    the MCS visit order, v joins the clique being grown iff |L(v)| is one
-    more than the previous visit's |L|, and otherwise opens {v} | L(v).
+    """All maximal cliques of a chordal graph, sorted by member word: the
+    clique runs that `mcs_order` grows as it visits (see `EliminationOrder`).
     """
     return _clique_tree(g)[0]
 
@@ -168,8 +136,9 @@ def _member_ids(cliques) -> Dict[int, Tuple[int, ...]]:
 
 
 def clique_forest(g: Graph) -> CliqueForest:
-    """The canonical clique forest of a chordal graph, read off the MCS
-    clique tree T0 of `_clique_tree` by the star rule of `_star_forest`.
+    """The canonical clique forest of a chordal graph, read off the clique
+    tree T0 that `mcs_order` records (renumbered by `_clique_tree`) by the
+    star rule of `_star_forest`.
 
     This is the forest Kruskal picks in decreasing (weight, lower id,
     higher id) order over every intersecting clique pair:

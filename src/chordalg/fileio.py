@@ -3,7 +3,8 @@
 Graph files: first a line `n <count>`, then one `node <id>` line per isolated
 node and one `u v` line per edge (u < v, sorted). Coloring files hold `id
 color` lines, independent-set files one `id` per line, both sorted by id.
-These layouts are golden-tested; do not change them.
+These layouts are golden-tested; do not change them. The readers reject a
+line with extra tokens and an item listed twice.
 """
 
 from __future__ import annotations
@@ -36,19 +37,25 @@ def graph_from_text(text: str) -> Graph:
     if not lines or not lines[0].startswith("n "):
         raise ParseError("graph file must start with a 'n <count>' line")
     try:
-        count = int(lines[0].split()[1])
-    except (IndexError, ValueError):
+        count = int(lines[0].split(maxsplit=1)[1])
+    except ValueError:
         raise ParseError("malformed header: %r" % lines[0])
     g = Graph()
+    listed = set()  # node ids of `node` lines, sorted pairs of edge lines
     for ln in lines[1:]:
-        parts = ln.split()
         try:
-            if parts[0] == "node":
-                g.add_node(int(parts[1]))
+            a, b = ln.split()
+            if a == "node":
+                item = int(b)
+                g.add_node(item)
             else:
-                g.add_edge(int(parts[0]), int(parts[1]))
-        except (IndexError, ValueError) as exc:
+                item = tuple(sorted((int(a), int(b))))
+                g.add_edge(*item)
+        except ValueError as exc:
             raise ParseError("bad line %r: %s" % (ln, exc))
+        if item in listed:
+            raise ParseError("line %r lists %r twice" % (ln, item))
+        listed.add(item)
     if len(g) != count:
         raise ParseError("header says %d nodes, file defines %d" % (count, len(g)))
     return g
@@ -80,14 +87,14 @@ def coloring_to_text(colors) -> str:
 
 def coloring_from_text(text: str):
     colors = {}
-    for ln in text.splitlines():
-        if not ln.strip():
-            continue
-        parts = ln.split()
+    for ln in filter(str.strip, text.splitlines()):
         try:
-            colors[int(parts[0])] = int(parts[1])
-        except (IndexError, ValueError):
+            v, c = map(int, ln.split())
+        except ValueError:
             raise ParseError("bad coloring line %r" % ln)
+        if v in colors:
+            raise ParseError("node %d is colored twice" % v)
+        colors[v] = c
     return colors
 
 
@@ -97,13 +104,14 @@ def independent_set_to_text(members) -> str:
 
 def independent_set_from_text(text: str):
     members = set()
-    for ln in text.splitlines():
-        if not ln.strip():
-            continue
+    for ln in filter(str.strip, text.splitlines()):
         try:
-            members.add(int(ln.strip()))
+            v = int(ln)
         except ValueError:
             raise ParseError("bad independent-set line %r" % ln)
+        if v in members:
+            raise ParseError("node %d is listed twice" % v)
+        members.add(v)
     return members
 
 

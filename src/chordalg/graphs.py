@@ -1,5 +1,7 @@
 """Undirected graphs over positive integer node ids, chordality machinery,
-and the exact oracles used to check approximation ratios.
+and the exact oracles used to check approximation ratios. One maximum
+cardinality search (`mcs_order`) yields the elimination order, the
+chordality verdict and the clique tree every clique forest starts from.
 
 All operations are pure: nothing here mutates a graph after it is built,
 and every tie is broken by a rule on the node ids and edges alone, never on
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import NotChordal, TooLarge, UnknownNode
 
@@ -161,18 +163,22 @@ def ball(g: Graph, center: int, radius: int) -> "Graph":
 
 @dataclass(frozen=True)
 class EliminationOrder:
-    """A candidate perfect elimination ordering plus the verdict on it.
+    """A candidate perfect elimination ordering, the verdict on it, and the
+    clique tree T0 the search grew on the way (Blair & Peyton 1993, "An
+    introduction to chordal graphs and clique trees").
 
-    `later[v]` is L(v), the neighbors of v after it in `order`, and
-    `parent[v]` is p(v), the earliest member of L(v) (None when L(v) is
-    empty). Both are read off the search that built the order, so they take
-    no part in comparisons.
+    L(v) is the set of v's neighbors visited before it, p(v) the latest of
+    them. A visit v opens the run {v} | L(v) in `runs`, or joins the run
+    grown so far when L(v) is that run; on a chordal graph the runs are the
+    maximal cliques. `links` has one T0 edge (run opened by v, run holding
+    p(v), L(v)) per run opened with L(v) nonempty. Both lists are read off
+    the search, so they take no part in comparisons.
     """
 
     order: Tuple[int, ...]
     is_perfect: bool
-    later: Dict[int, Set[int]] = field(compare=False, repr=False)
-    parent: Dict[int, Optional[int]] = field(compare=False, repr=False)
+    runs: List[Set[int]] = field(compare=False, repr=False)
+    links: List[Tuple[int, int, FrozenSet[int]]] = field(compare=False, repr=False)
 
 
 def mcs_order(g: Graph) -> EliminationOrder:
@@ -184,51 +190,71 @@ def mcs_order(g: Graph) -> EliminationOrder:
     and moves its unvisited neighbors, in id order, one bucket up. The first
     bucket is filled in id order, so ties depend on the node and edge sets
     alone, never on the build order, and no output past this order depends
-    on them (the cliques and the forest are canonical). A move is O(1), so
-    with the sort the search costs O(n + m log Δ). Only bucket top + 1 can
-    gain a node, so `top` steps up at most once per visit.
+    on them (the cliques and the forest are canonical). Only bucket top + 1
+    can gain a node, so `top` steps up at most once per visit.
 
-    Returns the visit order reversed, so that if the graph is chordal the
-    returned order is a perfect elimination ordering (later neighbors of each
-    node form a clique). The same pass checks that (Tarjan & Yannakakis
-    1984): when v is visited, its visited neighbors are exactly L(v), and the
-    most recently visited of them is p(v); v's weight is |L(v)|. The order
-    is perfect iff L(v) - {p(v)} lies inside the neighborhood of p(v) for
-    every v, and `is_perfect` reports whether that holds.
+    Returns the visit order reversed, with the runs and links of
+    `EliminationOrder`. It is a perfect elimination ordering iff the graph is
+    chordal, iff L(v) - {p(v)} lies inside L(p(v)) for every v (Tarjan &
+    Yannakakis 1984). A bucket holds the run of the visit that last raised a
+    node: for v the run R of p(v), which up to p(v) is {p(v)} | L(p(v)), so
+    the check reads L(v) <= R.
+
+    The run K being grown is {u} | L(u) for the previous visit u. A visit v
+    of weight |K| with K inside N(v) has L(v) = K, so p(v) = u and the check
+    holds: v joins K with N(v) - K unvisited, and no intersection is taken.
+    While every check holds, the visited prefix induces a chordal graph and
+    is an MCS order of it (weights count visited neighbors only); if adding
+    v keeps it chordal, weight |L(u)| + 1 forces L(v) = K (Blair & Peyton).
+    So a visit of weight |K| with K not inside N(v) fails its check. Every
+    other visit computes L(v) = N(v) & visited, checks it and opens a run.
+    A move is O(1), so with the sort the search costs O(n + m log Δ); a
+    visit that joins K spends O(|N(v)|) on one subset test and a difference.
     """
     adj = g.adj
     weight = dict.fromkeys(adj, 0)
-    parent: Dict[int, Optional[int]] = {}
-    # a node's value in its bucket is the last visit that raised it, p(v)
     buckets = [dict.fromkeys(sorted(adj))]
     # one bucket per weight up to the largest degree, plus an empty one above
     buckets += [{} for _ in range(max(map(len, adj.values()), default=0) + 1)]
     top = 0
     visit = []
     visited: Set[int] = set()
-    later: Dict[int, Set[int]] = {}
+    runs: List[Set[int]] = []
+    links = []
+    grown: Set[int] = set()  # the run being grown, runs[cur]
+    cur = -1
+    need = -1  # the weight that extends it; none before the first visit
     perfect = True
     while top >= 0:
         bucket = buckets[top]
         if not bucket:
             top -= 1
             continue
-        v, p = bucket.popitem()
-        parent[v] = p
+        v, r = bucket.popitem()
         nbrs = adj[v]
-        lv = later[v] = nbrs & visited
-        if perfect and top > 1 and len(lv & adj[p]) != top - 1:
-            perfect = False
+        if top == need and grown <= nbrs:
+            rest = nbrs - grown
+            grown.add(v)
+        else:  # v opens the run {v} | L(v)
+            grown = nbrs & visited
+            cur += 1
+            if grown:
+                perfect = perfect and grown <= runs[r]
+                links.append((cur, r, frozenset(grown)))
+            rest = nbrs - visited
+            grown.add(v)
+            runs.append(grown)
+        need = top + 1
         visit.append(v)
         visited.add(v)
-        for u in sorted(nbrs - visited):
+        for u in sorted(rest):
             w = weight[u]
             del buckets[w][u]
             weight[u] = w + 1
-            buckets[w + 1][u] = v
+            buckets[w + 1][u] = cur
         if buckets[top + 1]:
             top += 1
-    return EliminationOrder(tuple(reversed(visit)), perfect, later, parent)
+    return EliminationOrder(tuple(reversed(visit)), perfect, runs, links)
 
 
 def is_chordal(g: Graph) -> bool:
@@ -244,10 +270,7 @@ def _require_chordal(g: Graph):
 
 def omega_oracle(g: Graph) -> int:
     """Exact maximum clique size (= chromatic number) of a chordal graph."""
-    eo = _require_chordal(g)
-    if not eo.order:
-        return 0
-    return max(map(len, eo.later.values())) + 1
+    return max(map(len, _require_chordal(g).runs), default=0)
 
 
 def alpha_oracle(g: Graph) -> Set[int]:

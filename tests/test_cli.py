@@ -34,6 +34,40 @@ def test_graph_file_parse_errors():
         graph_from_text("n 2\n1 x\n")
 
 
+@pytest.mark.parametrize("text", [
+    "n 2 extra\n1 2\n",  # header with a third token
+    "n 3\n1 2 3\n",  # edge line with a third token
+    "n 2\nnode 1 2\nnode 2\n",  # node line with a third token
+    "n 2\n1 2\n2 1\n",  # edge listed twice
+    "n 1\nnode 1\nnode 1\n",  # node listed twice
+])
+def test_graph_file_rejects_extra_tokens_and_repeats(text):
+    with pytest.raises(ParseError):
+        graph_from_text(text)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (coloring_from_text, "1 1\n2 1 3\n"),
+    (coloring_from_text, "1 1\n2 1\n2 2\n"),
+    (independent_set_from_text, "1 3\n"),
+    (independent_set_from_text, "1\n3\n1\n"),
+])
+def test_solution_files_reject_extra_tokens_and_repeats(parse, text):
+    with pytest.raises(ParseError):
+        parse(text)
+
+
+def test_verify_rejects_a_node_listed_twice(workdir):
+    # the last line used to win, so this read as the legal coloring 1 1, 2 2
+    (workdir / "p.el").write_text("n 2\n1 2\n")
+    (workdir / "twice.sol").write_text("1 1\n2 1\n2 2\n")
+    assert main(["verify", "p.el", "twice.sol"]) == 3
+    (workdir / "twice.is").write_text("1\n1\n")
+    assert main(["verify", "p.el", "twice.is", "--kind", "is"]) == 3
+    (workdir / "p3.el").write_text("n 2\n1 2 3\n")
+    assert main(["run", "mvc", "central", "p3.el", "--eps", "1.0"]) == 3
+
+
 def test_gen_idempotent(workdir):
     assert main(["gen", "chordal", "60", "--seed", "21",
                  "--max-clique", "8", "--out", "a.el"]) == 0

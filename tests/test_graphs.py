@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 from collections import Counter
 from itertools import combinations
@@ -75,6 +76,26 @@ class TestMcsOrder:
                             assert b in g.adj[a]
 
 
+# sha256 of " ".join(order) for the benchmark's generators at seed 1000,
+# taken before the search recorded its clique runs
+PINNED_ORDERS = {
+    "random_trees": "4c6317f311d80c1dc6438bf475bc4a44e04b166c1d08acc4fe30cb96b13092d6",
+    "long_paths": "afddc62de8a9510d5d86a26143c3aa8281b7f633cd1b2beb929797f00f0c475c",
+    "dense_intervals": "4359ec61cab6e66802f4ae4aa01895cf5c934c9a2631e3e5a38bad6f23c42381",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED_ORDERS))
+def test_benchmark_visit_orders_pinned(workload):
+    make = {
+        "random_trees": lambda: gen_chordal(2048, 1000, max_clique=12),
+        "long_paths": lambda: long_paths_generator()(4096, 1000, max_clique=8),
+        "dense_intervals": lambda: gen_interval(2048, 1000),
+    }[workload]
+    order = " ".join(map(str, mcs_order(make()).order))
+    assert hashlib.sha256(order.encode()).hexdigest() == PINNED_ORDERS[workload]
+
+
 def lazy_heap_mcs(g):
     """Reference MCS that breaks ties by the smallest id: one heap of
     (-weight, id) entries, stale ones skipped."""
@@ -124,6 +145,31 @@ def later_and_parent(g, order):
     return later, parent
 
 
+def runs_and_links(g, order):
+    """Reference clique runs and T0 links: a second pass over `order` with L
+    and p recomputed from positions. A visit v joins the run grown so far iff
+    |L(v)| is one more than the previous visit's |L| and L(v) lies inside
+    that run, and otherwise opens {v} | L(v) below the run holding p(v). On
+    a chordal graph the first condition implies the second (Blair & Peyton),
+    which is asserted."""
+    later, parent = later_and_parent(g, order)
+    chordal = is_peo_by_positions(g, order)
+    runs, links, owner = [], [], {}
+    need = -1
+    for v in reversed(order):
+        lv = later[v]
+        if len(lv) == need and lv <= runs[-1]:
+            runs[-1].add(v)
+        else:
+            assert not (chordal and len(lv) == need)
+            if lv:
+                links.append((len(runs), owner[parent[v]], frozenset(lv)))
+            runs.append({v, *lv})
+        owner[v] = len(runs) - 1
+        need = len(lv) + 1
+    return runs, links
+
+
 def is_peo_by_positions(g, order):
     """Reference elimination-order check: a second pass over the order."""
     pos = {v: i for i, v in enumerate(order)}
@@ -163,6 +209,47 @@ def is_mcs_order(g, order):
     return True
 
 
+def first_failing_visit(g, order):
+    """|L(v)| for the first visit v whose L(v) is not a clique, and one more
+    than |L| of the visit before it."""
+    later, _ = later_and_parent(g, order)
+    need = -1
+    for v in reversed(order):
+        lv = later[v]
+        if any(b not in g.adj[a] for a, b in combinations(lv, 2)):
+            return len(lv), need
+        need = len(lv) + 1
+    return None
+
+
+def band(n, width, first=1):
+    """The interval graph of n unit steps, each node adjacent to the next
+    width - 1: a path of cliques of size width."""
+    return [(first + i, first + j) for i in range(n)
+            for j in range(i + 1, min(n, i + width))]
+
+
+def without_edge(edges, u, v):
+    return Graph([e for e in edges if set(e) != {u, v}])
+
+
+def cycle_on_band(length, shared):
+    """A chordless cycle glued to a clique path at `shared` of its nodes."""
+    g = cycle_graph(length)
+    for u, v in band(10, 4, first=length + 1 - shared):
+        g.add_edge(u, v)
+    return g
+
+
+NEAR_CHORDAL = [pytest.param(cycle_graph(4), id="c4")]
+NEAR_CHORDAL += [pytest.param(without_edge(band(n, w), i, i + 1),
+                              id="band%d-%d-minus-%d-%d" % (n, w, i, i + 1))
+                 for n, w in [(10, 4), (12, 5), (14, 6)] for i in (2, n // 2)]
+NEAR_CHORDAL += [pytest.param(cycle_on_band(length, shared),
+                              id="c%d-glued-at-%d" % (length, shared))
+                 for length in range(4, 9) for shared in (1, 2)]
+
+
 class TestMcsMatchesLazyHeap:
     """`mcs_order` may break ties differently from the smallest-id reference,
     but it must be a maximum cardinality search with the reference's verdict,
@@ -173,7 +260,7 @@ class TestMcsMatchesLazyHeap:
         assert is_mcs_order(g, eo.order)
         assert eo.is_perfect == is_peo_by_positions(g, lazy_heap_mcs(g))
         assert mcs_order(reversed_build(g)) == eo
-        assert (eo.later, eo.parent) == later_and_parent(g, eo.order)
+        assert (eo.runs, eo.links) == runs_and_links(g, eo.order)
         assert eo.is_perfect == is_peo_by_positions(g, eo.order)
         return eo
 
@@ -196,6 +283,22 @@ class TestMcsMatchesLazyHeap:
             assert self.check(gen_chordal(300, seed=seed, max_clique=8)).is_perfect
             assert self.check(gen_interval(200, seed=seed)).is_perfect
 
+    def test_generated_long_paths(self):
+        gen_long_paths = long_paths_generator()
+        for seed in range(3):
+            assert self.check(gen_long_paths(600, seed, max_clique=6)).is_perfect
+
+    @pytest.mark.parametrize("g", NEAR_CHORDAL)
+    def test_near_chordal_fails_at_the_extending_weight(self, g):
+        # the visit that first sees a non-clique L(v) has the weight that
+        # would extend the run being grown, so only the search's subset
+        # test keeps it from joining that run unchecked
+        weight, need = first_failing_visit(g, mcs_order(g).order)
+        assert weight == need
+        assert not self.check(g).is_perfect
+        with pytest.raises(NotChordal):
+            clique_forest(g)
+
     def test_disconnected_non_chordal(self):
         g = cycle_graph(6)
         for u, v in gen_caterpillar(4, 2).edges():
@@ -216,8 +319,8 @@ class TestMcsMatchesLazyHeap:
 def smallest_id_mcs(g):
     """`mcs_order`'s result for the smallest-id reference visit order."""
     order = lazy_heap_mcs(g)
-    later, parent = later_and_parent(g, order)
-    return EliminationOrder(order, is_peo_by_positions(g, order), later, parent)
+    return EliminationOrder(order, is_peo_by_positions(g, order),
+                            *runs_and_links(g, order))
 
 
 def tie_rule_outputs(g, mvc_eps=0.5):
