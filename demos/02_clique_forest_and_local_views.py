@@ -23,8 +23,10 @@ for p in paths:
           "diameter", path_diameter(p), "alpha", len(IntervalStrip(p.cliques).greedy_mis()))
 
 # Peeling the pendant paths leaves exactly the clique forest of the residual
-# graph; this invariant carries the whole layering machinery.
-residual_forest, removed = remove_paths(forest, g, paths)
+# graph; this invariant carries the whole layering machinery. The nodes a
+# path takes with it, its members, are those outside its attach cliques.
+residual_forest = remove_paths(forest, g, paths)
+removed = {v for p in paths for v in p.members}
 rest = g.subgraph(g.nodes - removed)
 print("peel removed %d nodes; residual forest equals recomputation: %s"
       % (len(removed), residual_forest.signature() == clique_forest(rest).signature()))

@@ -45,16 +45,19 @@ def _out_dir():
 
 
 def _build_graph(family, args):
-    if family == "chordal":
-        return gen_chordal(args.n, args.seed, args.max_clique)
-    if family == "interval":
-        return gen_interval(args.n, args.seed)
-    if family == "path":
-        return gen_path(args.n)
-    if family == "caterpillar":
-        return gen_caterpillar(args.spine, args.legs)
-    if family == "spider":
-        return gen_spider(args.legs, args.leg_len)
+    try:
+        if family == "chordal":
+            return gen_chordal(args.n, args.seed, args.max_clique)
+        if family == "interval":
+            return gen_interval(args.n, args.seed)
+        if family == "path":
+            return gen_path(args.n)
+        if family == "caterpillar":
+            return gen_caterpillar(args.spine, args.legs)
+        if family == "spider":
+            return gen_spider(args.legs, args.leg_len)
+    except ValueError as exc:  # the generators' argument checks
+        raise BadSpec("%s: %s" % (family, exc))
     raise BadSpec("unknown family %r" % family)
 
 
@@ -194,7 +197,12 @@ def _fit_slope(xs, ys):
 def cmd_bench(args) -> int:
     set_debug_invariants(args.debug_invariants)
     _require_round_cap(args)
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        raise BadSpec("--sizes takes integers separated by commas, not %r" % args.sizes)
+    if min(sizes) < 1 or args.max_clique < 1:
+        raise BadSpec("--sizes and --max-clique must be at least 1")
     writer = fileio.ReportWriter(args.out)
     points = []
     for n in sizes:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from .errors import DiameterTooSmall, RadiusTooSmall
+from .errors import DiameterTooSmall, RadiusTooSmall, debug_invariants
 from .graphs import Graph, bfs_distances, _require_chordal
 
 Word = Tuple[int, ...]
@@ -97,15 +97,13 @@ def _star_forest(n: int, links: List[Link]) -> Set[Tuple[int, int]]:
 class CliqueForest:
     """The canonical clique forest: cliques in word order plus forest edges."""
 
-    __slots__ = ("cliques", "words", "edges", "phi", "fadj")
+    __slots__ = ("cliques", "words", "edges", "fadj")
 
     def __init__(self, cliques: List[FrozenSet[int]], edges: Set[Tuple[int, int]],
-                 phi: Optional[Dict[int, Tuple[int, ...]]] = None,
                  words: Optional[List[Word]] = None):
         self.cliques = tuple(cliques)
         self.words = tuple(map(clique_word, self.cliques) if words is None else words)
         self.edges = frozenset(tuple(sorted(e)) for e in edges)
-        self.phi = _member_ids(self.cliques) if phi is None else phi
         fadj: Dict[int, Set[int]] = {i: set() for i in range(len(self.cliques))}
         for a, b in self.edges:
             fadj[a].add(b)
@@ -126,13 +124,14 @@ class CliqueForest:
         return (self.words, tuple(edge_words))
 
 
-def _member_ids(cliques) -> Dict[int, Tuple[int, ...]]:
-    """Per node, the ids of the cliques holding it, in increasing order."""
-    phi: Dict[int, List[int]] = {}
-    for i, c in enumerate(cliques):
-        for v in c:
-            phi.setdefault(v, []).append(i)
-    return {v: tuple(ids) for v, ids in phi.items()}
+def _holder_ids(cliques, ids) -> Dict[int, List[int]]:
+    """Per node of the cliques `ids`, those of `ids` that hold it, in the
+    order of `ids`."""
+    holders: Dict[int, List[int]] = {}
+    for i in ids:
+        for v in cliques[i]:
+            holders.setdefault(v, []).append(i)
+    return holders
 
 
 def clique_forest(g: Graph) -> CliqueForest:
@@ -157,8 +156,7 @@ def clique_forest(g: Graph) -> CliqueForest:
       without that id is joined to it exactly once.
     """
     cliques, words, links = _clique_tree(g)
-    return CliqueForest(cliques, _star_forest(len(cliques), links),
-                        _member_ids(cliques), words)
+    return CliqueForest(cliques, _star_forest(len(cliques), links), words)
 
 
 def local_view(ball: Graph, center: int, d: int) -> CliqueForest:
@@ -203,8 +201,12 @@ class PeelPath:
     `ids` are its clique ids in the forest it was classified on and
     `cliques` their sets, in path order; `attach_s` and `attach_e` are the
     junction cliques at its start and end sides, None where it has none.
-    `members` stays empty until `peel` selects the path: then it holds the
-    nodes whose whole subtree lies on the path, in increasing order.
+    `members` are the nodes whose whole subtree (the cliques holding them)
+    lies on the path, in increasing order. They are the nodes of its cliques
+    outside both attach cliques: its cliques have forest degree at most 2,
+    so only edges from its end cliques to its attach cliques leave it, and
+    the cliques holding a node span a subtree (Blair & Peyton 1993), so a
+    node whose subtree leaves the path lies in an attach clique.
     """
 
     ids: Tuple[int, ...]
@@ -212,7 +214,7 @@ class PeelPath:
     kind: str
     attach_s: Optional[FrozenSet[int]]
     attach_e: Optional[FrozenSet[int]]
-    members: Tuple[int, ...] = ()
+    members: Tuple[int, ...]
 
 
 def walk_path(fadj, comp) -> List[int]:
@@ -230,18 +232,12 @@ def walk_path(fadj, comp) -> List[int]:
     return seq
 
 
-def _orient(forest, seq, attach_s, attach_e):
-    if forest.words[seq[0]] > forest.words[seq[-1]]:
-        seq = list(reversed(seq))
-        attach_s, attach_e = attach_e, attach_s
-    return tuple(seq), attach_s, attach_e
-
-
 def classify_paths(forest: CliqueForest) -> List[PeelPath]:
     """All maximal pendant and internal paths plus whole path components.
 
     Isolated forest vertices count as pendant paths; every clique of forest
-    degree at most two lands in exactly one returned path.
+    degree at most two lands in exactly one returned path. Each path comes
+    with its `members` (see `PeelPath`).
     """
     cliques = forest.cliques
     paths = []
@@ -282,11 +278,13 @@ def classify_paths(forest: CliqueForest) -> List[PeelPath]:
             kind = PENDANT
         else:
             kind = INTERNAL
-        seq, attach_s, attach_e = _orient(forest, list(seq), attach_s, attach_e)
-        paths.append(PeelPath(
-            seq, tuple(map(cliques.__getitem__, seq)), kind,
-            None if attach_s is None else cliques[attach_s],
-            None if attach_e is None else cliques[attach_e]))
+        if forest.words[seq[0]] > forest.words[seq[-1]]:  # smaller end word first
+            seq.reverse()
+            attach_s, attach_e = attach_e, attach_s
+        run = tuple(map(cliques.__getitem__, seq))
+        ends = [None if a is None else cliques[a] for a in (attach_s, attach_e)]
+        members = set().union(*run).difference(*filter(None, ends))
+        paths.append(PeelPath(tuple(seq), run, kind, *ends, tuple(sorted(members))))
     paths.sort(key=lambda p: forest.words[p.ids[0]])
     return paths
 
@@ -421,15 +419,15 @@ def path_diameter(path: PeelPath) -> int:
     return IntervalStrip(path.cliques).diameter()
 
 
-def remove_paths(forest: CliqueForest, g: Graph, paths) -> Tuple[CliqueForest, Set[int]]:
+def remove_paths(forest: CliqueForest, g: Graph, paths) -> CliqueForest:
     """Peel the given `PeelPath`s, classified on `forest`, off it by their
     clique ids.
 
-    Internal paths must have diameter at least 4; the removed nodes are those
-    whose whole subtree lies on a removed path, and the surviving forest is
-    the clique forest of the residual graph. `g` is not read; it keeps the
-    paths the third positional argument, where wrappers of this function
-    (the benchmark's tracer) read them.
+    Internal paths must have diameter at least 4. The surviving forest is
+    the clique forest of the residual graph, and the removed nodes are the
+    paths' `members`. `g` is not read; it keeps the paths the third
+    positional argument, where wrappers of this function (the benchmark's
+    tracer) read them.
     """
     removed_ids: Set[int] = set()
     for p in paths:
@@ -438,27 +436,17 @@ def remove_paths(forest: CliqueForest, g: Graph, paths) -> Tuple[CliqueForest, S
         removed_ids.update(p.ids)
     keep = [i for i in range(len(forest)) if i not in removed_ids]
     remap = {old: new for new, old in enumerate(keep)}
-    cliques = [forest.cliques[i] for i in keep]
     edges = {
         (remap[a], remap[b]) for a, b in forest.edges
         if a in remap and b in remap
     }
-    # remap is increasing, so each restricted id tuple stays increasing
-    phi: Dict[int, Tuple[int, ...]] = {}
-    removed_nodes: Set[int] = set()
-    for v, ids in forest.phi.items():
-        kept = tuple([j for j in map(remap.get, ids) if j is not None])
-        if kept:
-            phi[v] = kept
-        else:
-            removed_nodes.add(v)
-    return CliqueForest(cliques, edges, phi, [forest.words[i] for i in keep]), removed_nodes
+    return CliqueForest([forest.cliques[i] for i in keep], edges,
+                        [forest.words[i] for i in keep])
 
 
 @dataclass(frozen=True)
 class PeelStep:
-    """One peeling iteration: the forest before it and the paths it peels,
-    each with its members."""
+    """One peeling iteration: the forest before it and the paths it peels."""
 
     index: int
     forest: CliqueForest
@@ -470,25 +458,22 @@ def peel(g: Graph, select) -> Iterator[PeelStep]:
 
     Builds the clique forest of `g` once and yields step 1, 2, ... without
     end; `select(i, forest, paths)` picks the paths of step i among all
-    classified paths, and the step holds them with their `members` filled
-    in. A step's paths are removed only when the caller asks for the next
-    step, so a caller that stops after a step removes nothing more.
+    classified paths. A step's paths are removed only when the caller asks
+    for the next step, so a caller that stops after a step removes nothing
+    more. Under `debug_invariants()` each step's paths have their members
+    checked against the per-node clique lists of the step's forest.
     """
     forest = clique_forest(g)
     i = 1
     while True:
-        phi = forest.phi
-        paths = []
-        peeled: Set[int] = set()
-        for p in select(i, forest, classify_paths(forest)):
-            ids = set(p.ids)
-            members = sorted([v for v in set().union(*p.cliques)
-                              if ids.issuperset(phi[v])])
-            peeled.update(members)
-            paths.append(PeelPath(p.ids, p.cliques, p.kind, p.attach_s,
-                                  p.attach_e, tuple(members)))
-        yield PeelStep(i, forest, tuple(paths))
-        forest, removed = remove_paths(forest, g, paths)
-        if peeled != removed:
-            raise AssertionError("peel bookkeeping mismatch")
+        paths = tuple(select(i, forest, classify_paths(forest)))
+        if debug_invariants():  # members by definition: all their holders on the path
+            phi = _holder_ids(forest.cliques, range(len(forest)))
+            for p in paths:
+                ids = set(p.ids)
+                if list(p.members) != sorted(v for v in set().union(*p.cliques)
+                                             if ids.issuperset(phi[v])):
+                    raise AssertionError("peel bookkeeping mismatch")
+        yield PeelStep(i, forest, paths)
+        forest = remove_paths(forest, g, paths)
         i += 1

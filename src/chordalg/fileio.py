@@ -4,7 +4,8 @@ Graph files: first a line `n <count>`, then one `node <id>` line per isolated
 node and one `u v` line per edge (u < v, sorted). Coloring files hold `id
 color` lines, independent-set files one `id` per line, both sorted by id.
 These layouts are golden-tested; do not change them. The readers reject a
-line with extra tokens and an item listed twice.
+line with extra tokens, an item listed twice and a `node` line for a node
+that has an edge.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ def graph_from_text(text: str) -> Graph:
         if item in listed:
             raise ParseError("line %r lists %r twice" % (ln, item))
         listed.add(item)
+    joined = sorted(v for v in listed if isinstance(v, int) and g.degree(v))
+    if joined:
+        raise ParseError("node %d has a 'node' line and an edge" % joined[0])
     if len(g) != count:
         raise ParseError("header says %d nodes, file defines %d" % (count, len(g)))
     return g

@@ -26,8 +26,8 @@ from itertools import accumulate
 from typing import Dict, List, Optional, Set, Tuple
 
 from .cliqueforest import (
-    CliqueForest, IntervalStrip, clique_forest, clique_word, strips_from_traces,
-    walk_path,
+    CliqueForest, IntervalStrip, _holder_ids, clique_forest, clique_word,
+    strips_from_traces, walk_path,
 )
 from .errors import BadEpsilon, Infeasible, NotInterval, NotProperInterval
 from .graphs import Graph
@@ -63,12 +63,13 @@ def _arrange_cliques(forest: CliqueForest, comp: List[int], cap: int) -> List[in
     there is none or when the search takes more than `cap` steps.
 
     The next clique must hold every open node (placed, with unplaced
-    holders), so it is an unplaced holder, listed by `forest.phi`, of the
-    open node with the fewest. Depth-first search tries the starts that
-    pass `_may_open`, then those holders, in id order, which is word order,
-    skipping placed sets (bit masks over ids) already seen to die.
+    holders), so it is an unplaced holder of the open node with the fewest;
+    all its holders lie in this component. Depth-first search tries the
+    starts that pass `_may_open`, then those holders, in id order (word
+    order), skipping placed sets (bit masks over ids) already seen to die.
     """
-    cliques, phi = forest.cliques, forest.phi
+    cliques = forest.cliques
+    holders = _holder_ids(cliques, sorted(comp))
     open_nodes: Set[int] = set()
     left: Dict[int, int] = {}  # per placed node, its unplaced holders
     placed: List[int] = []
@@ -86,7 +87,7 @@ def _arrange_cliques(forest: CliqueForest, comp: List[int], cap: int) -> List[in
             used ^= 1 << nxt
             for v in cliques[nxt]:
                 left[v] += 1
-                if left[v] < len(phi[v]):
+                if left[v] < len(holders[v]):
                     open_nodes.add(v)
                 else:
                     open_nodes.discard(v)
@@ -94,7 +95,7 @@ def _arrange_cliques(forest: CliqueForest, comp: List[int], cap: int) -> List[in
         placed.append(nxt)
         used |= 1 << nxt
         for v in cliques[nxt]:
-            left[v] = left.get(v, len(phi[v])) - 1
+            left[v] = left.get(v, len(holders[v])) - 1
             if left[v]:
                 open_nodes.add(v)
             else:
@@ -102,7 +103,7 @@ def _arrange_cliques(forest: CliqueForest, comp: List[int], cap: int) -> List[in
         if len(placed) == len(comp):
             return placed
         # filtered lazily: each time the search is back at this placed set
-        stack.append(i for i in phi[min(open_nodes, key=left.__getitem__)]
+        stack.append(i for i in holders[min(open_nodes, key=left.__getitem__)]
                      if not used >> i & 1 and open_nodes <= cliques[i]
                      and used | 1 << i not in dead)
     raise NotInterval("clique arrangement search hit its cap of %d steps;"

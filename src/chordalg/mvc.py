@@ -508,9 +508,10 @@ def local_peel_decision(gball: Graph, center: int, residual, k: int):
     def certified(i):
         return all(dist.get(u, radius + 1) <= radius - 1 for u in view.cliques[i])
 
-    if any(view.degree(i) > 2 for i in view.phi[center]):
+    held = [i for i, c in enumerate(view.cliques) if center in c]
+    if any(view.degree(i) > 2 for i in held):
         return False, None
-    run_seq = walk_path(view.fadj, view.phi[center])
+    run_seq = walk_path(view.fadj, held)
     stops = []
     blocked = set()
     for at_front in (False, True):

@@ -40,6 +40,7 @@ def test_graph_file_parse_errors():
     "n 2\nnode 1 2\nnode 2\n",  # node line with a third token
     "n 2\n1 2\n2 1\n",  # edge listed twice
     "n 1\nnode 1\nnode 1\n",  # node listed twice
+    "n 2\nnode 1\n1 2\n",  # node line for a node that has an edge
 ])
 def test_graph_file_rejects_extra_tokens_and_repeats(text):
     with pytest.raises(ParseError):
@@ -168,6 +169,12 @@ def test_exit_codes(workdir):
     assert main(["run", "mvc", "central", "nope.el", "--eps", "0.5"]) == 3
     # bad usage
     assert main(["run", "mvc"]) == 2
+    # generator arguments out of range, bad bench sizes
+    for argv in (["gen", "chordal", "0"], ["gen", "chordal", "20", "--max-clique", "0"],
+                 ["gen", "spider", "--legs", "0"], ["bench", "mis", "--sizes", "0"],
+                 ["bench", "mvc", "--sizes", "12,x"]):
+        assert main(argv + ["--out", "bad.out"]) == 2, argv
+    assert not (workdir / "bad.out").exists()
 
 
 def test_arrangement_cap_is_not_reported_as_a_proof(workdir, capsys, monkeypatch):

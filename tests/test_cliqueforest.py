@@ -12,11 +12,12 @@ from chordalg import (
     DiameterTooSmall, Graph, NotChordal, RadiusTooSmall, alpha_oracle,
     classify_paths, clique_forest, gen_caterpillar, gen_chordal,
     gen_interval, gen_path, gen_spider, is_chordal, local_view, maximal_cliques,
-    mcs_order, path_diameter, remove_paths,
+    mcs_order, path_diameter, remove_paths, set_debug_invariants,
 )
+from chordalg import cliqueforest
 from chordalg.cliqueforest import (
     BINARY_COMPONENT, INTERNAL, PENDANT, CliqueForest, IntervalStrip,
-    _clique_tree, _member_ids, clique_word, peel, strips_from_traces,
+    _clique_tree, clique_word, peel, strips_from_traces,
 )
 from chordalg.fileio import forest_dump
 from chordalg.graphs import ball, bfs_distances
@@ -156,20 +157,29 @@ class TestEdgeOrder:
         assert edge_less(e, f)
 
 
+def holder_ids(forest):
+    """Per node, the set of ids of the forest cliques that hold it."""
+    phi = {}
+    for i, c in enumerate(forest.cliques):
+        for v in c:
+            phi.setdefault(v, set()).add(i)
+    return phi
+
+
 def subtree_is_connected(forest, v) -> bool:
     """Whether the forest cliques holding `v` form one connected subtree
     (the clique-forest property)."""
-    ids = forest.phi[v]
-    idset = set(ids)
-    seen = {ids[0]}
-    queue = deque([ids[0]])
+    idset = holder_ids(forest)[v]
+    first = min(idset)
+    seen = {first}
+    queue = deque([first])
     while queue:
         i = queue.popleft()
         for j in forest.fadj[i]:
             if j in idset and j not in seen:
                 seen.add(j)
                 queue.append(j)
-    return len(seen) == len(ids)
+    return len(seen) == len(idset)
 
 
 class TestCliqueForest:
@@ -446,6 +456,34 @@ def check_path_record(forest, p):
             assert side == (nbrs[0] if nbrs else None)
 
 
+def check_members(p, phi):
+    """A record's members are exactly the nodes of its cliques whose holder
+    cliques (`phi`, from `holder_ids`) all lie on it, in increasing order."""
+    ids = set(p.ids)
+    assert set(p.members) == {v for v in set().union(*p.cliques) if phi[v] <= ids}
+    assert list(p.members) == sorted(p.members)
+
+
+def peel_checking_members(g, select):
+    """Peel `g` to the end with `select`. At every step, every classified
+    record's members follow the definition, and the selected records'
+    members together are exactly the nodes missing from the next step's
+    forest. Returns the steps."""
+    steps = []
+    for step in peel(g, select):
+        left = set().union(*step.forest.cliques)
+        if steps:
+            peeled = set().union(*(p.members for p in steps[-1].paths))
+            assert peeled <= nodes and left == nodes - peeled
+        phi = holder_ids(step.forest)
+        for p in classify_paths(step.forest):
+            check_members(p, phi)
+        steps.append(step)
+        nodes = left
+        if not nodes:
+            return steps
+
+
 RECORD_GRAPHS = {
     "chordal": lambda: gen_chordal(300, seed=11, max_clique=6),
     "long-paths": lambda: long_paths_generator()(800, 8, max_clique=4),
@@ -460,23 +498,13 @@ def test_path_records_match_their_forest(name):
     def select(i, forest, paths):
         for p in paths:
             check_path_record(forest, p)
-            assert p.members == ()
         return [p for p in paths if p.kind != INTERNAL or path_diameter(p) >= 6]
 
     kinds = set()
-    for step in peel(g, select):
-        forest = step.forest
-        if not len(forest):
-            break
-        classified = classify_paths(forest)
+    for step in peel_checking_members(g, select):
+        classified = classify_paths(step.forest)
         for p in step.paths:
-            check_path_record(forest, p)
-            # members: exactly the path's nodes whose cliques all lie on it
-            ids = set(p.ids)
-            assert set(p.members) == {v for v in set().union(*p.cliques)
-                                      if set(forest.phi[v]) <= ids}
-            assert list(p.members) == sorted(p.members)
-            assert replace(p, members=()) in classified
+            assert p in classified
             kinds.add(p.kind)
     assert PENDANT in kinds
     if name != "chordal":
@@ -486,6 +514,16 @@ def test_path_records_match_their_forest(name):
 def path_alpha(g, path) -> int:
     """Independence number of the subgraph induced by the path's cliques."""
     return len(alpha_oracle(g.subgraph(set().union(*path.cliques))))
+
+
+@given(chordal_graphs())
+@settings(max_examples=150, deadline=None)
+def test_members_rule_on_random_chordal_graphs(g):
+    def select(i, forest, paths):
+        return [p for p in paths if p.kind != INTERNAL or path_diameter(p) >= 4]
+
+    steps = peel_checking_members(g, select)
+    assert set().union(*(p.members for s in steps for p in s.paths)) == set(g.nodes)
 
 
 class TestPathMetrics:
@@ -518,15 +556,16 @@ class TestRemovePaths:
         g = gen_path(6)
         f = clique_forest(g)
         paths = classify_paths(f)
-        residual, removed = remove_paths(f, g, paths)
+        residual = remove_paths(f, g, paths)
         assert len(residual) == 0
-        assert removed == set(g.nodes)
+        assert {v for p in paths for v in p.members} == set(g.nodes)
 
     def test_spider_leg_removal_matches_recomputation(self):
         g = gen_spider(3, 10)
         f = clique_forest(g)
         pendants = [p for p in classify_paths(f) if p.kind == PENDANT]
-        residual, removed = remove_paths(f, g, pendants)
+        residual = remove_paths(f, g, pendants)
+        removed = {v for p in pendants for v in p.members}
         recomputed = clique_forest(g.subgraph(g.nodes - removed))
         assert residual.signature() == recomputed.signature()
 
@@ -542,7 +581,8 @@ class TestRemovePaths:
         f = clique_forest(g)
         internal = [p for p in classify_paths(f) if p.kind == INTERNAL]
         assert internal and path_diameter(internal[0]) >= 4
-        residual, removed = remove_paths(f, g, internal)
+        residual = remove_paths(f, g, internal)
+        removed = {v for p in internal for v in p.members}
         recomputed = clique_forest(g.subgraph(g.nodes - removed))
         assert residual.signature() == recomputed.signature()
 
@@ -552,7 +592,6 @@ class TestRemovePaths:
         f = clique_forest(g)
         # fake an internal path of one middle clique: diameter below 4
         paths = [p for p in classify_paths(f)]
-        from dataclasses import replace
         fake = replace(paths[0], kind=INTERNAL, ids=(1,), cliques=(f.cliques[1],))
         with pytest.raises(DiameterTooSmall):
             remove_paths(f, g, [fake])
@@ -565,23 +604,27 @@ class TestRemovePaths:
             while len(f):
                 paths = [p for p in classify_paths(f)
                          if p.kind != INTERNAL or path_diameter(p) >= 6]
-                f, removed = remove_paths(f, g, paths)
-                live -= removed
+                f = remove_paths(f, g, paths)
+                live -= {v for p in paths for v in p.members}
                 assert f.signature() == clique_forest(g.subgraph(live)).signature()
 
-    @pytest.mark.parametrize("g", [dumbbell(3, 5, 400), gen_chordal(300, seed=11, max_clique=6)],
-                             ids=["dumbbell", "chordal-11"])
-    def test_restricted_phi_matches_member_ids(self, g):
-        def select(i, forest, paths):
-            return [p for p in paths if p.kind != INTERNAL or path_diameter(p) >= 6]
-
-        steps = 0
-        for step in peel(g, select):
-            assert step.forest.phi == _member_ids(step.forest.cliques)
-            if not len(step.forest):
-                break
-            steps += 1
-        assert steps >= 2
+    def test_debug_check_catches_a_forest_without_the_subtree_property(
+            self, monkeypatch):
+        # three pendant paths on the junction {2, 3}: {1, 2}, {3, 4}-{1, 6}
+        # and {3, 5}. Node 1 lies in {1, 2} and in {1, 6}, which are not
+        # adjacent, so the rule counts it a member of both paths
+        cliques = [frozenset(c) for c in ({1, 2}, {1, 6}, {2, 3}, {3, 4}, {3, 5})]
+        broken = CliqueForest(cliques, {(0, 2), (2, 3), (2, 4), (1, 3)})
+        monkeypatch.setattr(cliqueforest, "clique_forest", lambda g: broken)
+        g = Graph([(1, 2)])
+        steps = peel(g, lambda i, forest, paths: paths)
+        assert next(steps).paths  # the check is off by default
+        set_debug_invariants(True)
+        try:
+            with pytest.raises(AssertionError, match="peel bookkeeping mismatch"):
+                next(peel(g, lambda i, forest, paths: paths))
+        finally:
+            set_debug_invariants(False)
 
 
 class TestStripsFromTraces:

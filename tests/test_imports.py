@@ -1,11 +1,13 @@
-"""Every name a library module imports is used in that module, and every
-import sits at module level.
+"""Every name a library module imports is used in that module, every
+import sits at module level, and every private module-level function or
+class is read somewhere in the library.
 
 No linter ships with the test environment, so this is a small stand-in for
-the unused-import and import-position checks: parse each module under
-``src/chordalg`` and compare the names bound by its import statements with
-the names it reads, and list the imports made inside functions.
-``__init__.py`` is skipped because its imports are re-exports.
+the unused-import, import-position and dead-code checks: parse each module
+under ``src/chordalg`` and compare the names bound by its import statements
+with the names it reads, list the imports made inside functions, and list
+the ``_name`` functions and classes that no module reads. ``__init__.py``
+is skipped by the import checks because its imports are re-exports.
 """
 
 import ast
@@ -41,6 +43,25 @@ def function_local_imports(source: str):
                    if isinstance(node, (ast.Import, ast.ImportFrom))})
 
 
+def unreferenced_private(sources):
+    """The module-level functions and classes named ``_x`` that no source in
+    ``sources`` (module name -> text) reads, as (module, name) pairs."""
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                         ast.ClassDef))
+                    and node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted((module, name) for module, name in defined if name not in read)
+
+
 def test_modules_found():
     assert len(MODULES) >= 10
 
@@ -63,6 +84,19 @@ def test_no_function_local_imports(path):
 def test_detects_a_function_local_import():
     source = "import os\n\ndef f():\n    from .graphs import Graph\n    return Graph\n"
     assert function_local_imports(source) == [4]
+
+
+def test_no_unreferenced_private_code():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unreferenced_private(sources) == []
+
+
+def test_detects_unreferenced_private_code():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _dead():\n    pass\n\nclass _Gone:\n    pass\n",
+        "b": "from .a import _used\n\ndef f():\n    return _used()\n",
+    }
+    assert unreferenced_private(sources) == [("a", "_Gone"), ("a", "_dead")]
 
 
 def test_package_exports_every_node_program():
