@@ -103,6 +103,8 @@ def _require_round_cap(args):
 def cmd_run(args, report=None) -> int:
     set_debug_invariants(args.debug_invariants)
     _require_round_cap(args)
+    if args.transcript and args.mode == "central":
+        raise BadSpec("--transcript needs the local mode")
     g = fileio.read_graph(args.graph)
     rounds = ""
     layers = ""
@@ -138,7 +140,7 @@ def cmd_run(args, report=None) -> int:
             kind = "is"
         else:
             raise BadSpec("unknown algorithm %r" % args.algorithm)
-    if args.transcript and args.mode == "local":
+    if args.transcript:
         with open(args.transcript, "w") as fh:
             fh.write(transcript.serialize())
     sol_path = args.solution
@@ -203,6 +205,8 @@ def cmd_bench(args) -> int:
         raise BadSpec("--sizes takes integers separated by commas, not %r" % args.sizes)
     if min(sizes) < 1 or args.max_clique < 1:
         raise BadSpec("--sizes and --max-clique must be at least 1")
+    if args.suite == "mvc" and args.eps <= 0:
+        raise EpsilonTooSmall("eps %.4f is not positive" % args.eps)
     writer = fileio.ReportWriter(args.out)
     points = []
     for n in sizes:

@@ -207,6 +207,18 @@ class PeelPath:
     so only edges from its end cliques to its attach cliques leave it, and
     the cliques holding a node span a subtree (Blair & Peyton 1993), so a
     node whose subtree leaves the path lies in an attach clique.
+
+    Every clique of a peeled record holds a member. Else some clique c lies
+    within attach_s | attach_e, and as no maximal clique lies inside another
+    the path is internal and c holds an x of attach_s only and a y of
+    attach_e only. x is on every clique from the start to c and y on every
+    one from c to the end, so the diameter is at most 3, yet `remove_paths`
+    peels internal paths from 4. So, in the graph the peel works on, the
+    members' other neighbours are the non-members of `cliques`, all peeled
+    later: a member's edge lies in one of its cliques, a non-member lies in
+    an attach clique (which outlives the peel) and shares a clique with a
+    member. With the members they induce `cliques` itself, since an attach
+    clique's nodes on the path lie in the adjacent end clique.
     """
 
     ids: Tuple[int, ...]

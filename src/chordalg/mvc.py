@@ -177,18 +177,36 @@ def _frontier(view: IntervalStrip, side, k: int) -> Optional[int]:
     return f if f < len(view.cliques) else None
 
 
-def _job_component(strip: IntervalStrip, w_set, sides, colors, k):
-    """Recolor one connected component of a path's strip.
+def build_correction_job(g: Graph, layering: Layering, record: PeelPath,
+                         layer: int, colors: Coloring, k: int) -> CorrectionJob:
+    """Recolor a layer-`layer` path's members against the later layers.
 
-    `sides` holds the higher-layer conflict nodes per attach side (possibly
-    empty sets). Only nodes within distance k + 3 of a conflict side may end
-    up with a new color. Returns new colors for the component's W nodes.
+    The context is the peel record's (proof in `PeelPath`): the members'
+    later-layer neighbours W' are the non-members of its cliques, split by
+    attach clique, and with the members they induce its clique path. Outside
+    `debug_invariants()`, `g` is read for the conflict test only and
+    `layering` not at all. Only members within k + 3 of W' may be recolored.
     """
-    compset = strip.nodes
+    w_set = set(record.members)
+    wprime = set().union(*record.cliques).difference(w_set)
+    if debug_invariants():
+        outside = {u for w in record.members for u in g.adj[w]} - w_set
+        if any(layering.layer[u] == layer for u in outside):
+            raise AssertionError("same-layer neighbor outside the path")
+        if {u for u in outside if layering.layer[u] > layer} != wprime:
+            raise AssertionError("higher-layer neighbours differ from the record's")
+    conflicted = any(
+        colors[w] == colors[u]
+        for w in record.members for u in g.adj[w] if u in wprime
+    )
+    if not conflicted:
+        return CorrectionJob(False, {v: colors[v] for v in w_set}, set())
+    strip = IntervalStrip(record.cliques)
     t = len(strip.cliques)
-    new_colors = {v: colors[v] for v in compset}
+    new_colors = {v: colors[v] for v in strip.lo}
 
-    portions = [s & compset for s in sides if s & compset]
+    # an attach clique meets its end clique, so no side is empty
+    portions = [wprime & s for s in (record.attach_s, record.attach_e) if s is not None]
     fixed_value_cap = max((colors[u] for part in portions for u in part), default=0)
     omega = max(len(c) for c in strip.cliques)
     budget = max(color_budget(k, omega), fixed_value_cap)
@@ -208,13 +226,18 @@ def _job_component(strip: IntervalStrip, w_set, sides, colors, k):
             out[v] = c
         return out
 
-    if t == 1:
-        side_union = set().union(set(), *portions)
-        new_colors.update(reseat_end(strip.cliques[0], side_union, {}))
-        return {v: new_colors[v] for v in compset & w_set}
+    def one_sided(view, side, f):
+        """Recolor from the side at view's first clique up to frontier f."""
+        fixed = reseat_end(view.cliques[0], side, {})
+        if f is None:
+            new_colors.update(greedy_fill(view, fixed))
+            return
+        seg = IntervalStrip(view.cliques[0:f + 1])
+        for u in seg.cliques[-1]:
+            fixed.setdefault(u, colors[u])
+        new_colors.update(extend_coloring(seg, budget, fixed))
 
-    left: Set[int] = set()
-    right: Set[int] = set()
+    left, right = set(), set()
     for part in portions:
         if part <= strip.cliques[0] and not left:
             left |= part
@@ -226,19 +249,9 @@ def _job_component(strip: IntervalStrip, w_set, sides, colors, k):
         strip = IntervalStrip(list(reversed(strip.cliques)))
         left, right = right, set()
 
-    def one_sided(view, side, f):
-        """Recolor from the side at view's first clique up to frontier f."""
-        fixed = reseat_end(view.cliques[0], side, {})
-        if f is None:
-            new_colors.update(greedy_fill(view, fixed))
-            return
-        seg_cliques = view.cliques[0:f + 1]
-        seg = IntervalStrip(seg_cliques)
-        for u in seg_cliques[-1]:
-            fixed.setdefault(u, colors[u])
-        new_colors.update(extend_coloring(seg, budget, fixed))
-
-    if left and right:
+    if t == 1:
+        new_colors.update(reseat_end(strip.cliques[0], wprime, {}))
+    elif left and right:
         rev = IntervalStrip(list(reversed(strip.cliques)))
         f_left = _frontier(strip, left, k)
         f_right = _frontier(rev, right, k)
@@ -249,46 +262,14 @@ def _job_component(strip: IntervalStrip, w_set, sides, colors, k):
             fixed = reseat_end(strip.cliques[0], left, {})
             fixed = reseat_end(strip.cliques[-1], right, fixed)
             new_colors.update(extend_coloring(strip, budget, fixed))
-    elif left:
+    else:
         one_sided(strip, left, _frontier(strip, left, k))
-    return {v: new_colors[v] for v in compset & w_set}
-
-
-def build_correction_job(g: Graph, layering: Layering, record: PeelPath,
-                         layer: int, colors: Coloring, k: int) -> CorrectionJob:
-    w_set = set(record.members)
-    wprime = set()
-    for w in record.members:
-        for u in g.adj[w]:
-            if u not in w_set:
-                if layering.layer[u] == layer:
-                    raise AssertionError("same-layer neighbor outside the path")
-                if layering.layer[u] > layer:
-                    wprime.add(u)
-    conflicted = any(
-        colors[w] == colors[u]
-        for w in record.members for u in g.adj[w] if u in wprime
-    )
-    if not conflicted:
-        return CorrectionJob(False, {v: colors[v] for v in w_set}, set())
-    sides = [s for s in (record.attach_s, record.attach_e) if s is not None]
-    side_conflict = [set(s) & wprime for s in sides]
-    if wprime - set().union(set(), *side_conflict):
-        raise AssertionError("conflict nodes outside the attach cliques")
-    ext_seq = [c for c in (record.attach_s, *record.cliques, record.attach_e)
-               if c is not None]
-    ctx_nodes = w_set | wprime
-    new_colors = {v: colors[v] for v in w_set}
-    for strip in strips_from_traces(ext_seq, ctx_nodes):
-        if not (strip.nodes & wprime):
-            continue  # no conflicts can touch this piece
-        new_colors.update(_job_component(strip, w_set, side_conflict, colors, k))
     changed = {v for v in w_set if new_colors[v] != colors[v]}
     if debug_invariants() and changed:
         reach = bfs_distances(g, wprime, cutoff=k + 4)
         if any(v not in reach for v in changed):
             raise AssertionError("recolored node beyond distance k + 4 of conflicts")
-    return CorrectionJob(True, new_colors, changed)
+    return CorrectionJob(True, {v: new_colors[v] for v in w_set}, changed)
 
 
 def correct_colors(g: Graph, layering: Layering, colors: Coloring, k: int) -> Coloring:

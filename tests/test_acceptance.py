@@ -16,7 +16,7 @@ from chordalg.fileio import coloring_to_text
 from chordalg.graphs import bfs_distances
 from chordalg.intervals import color_budget
 from chordalg.mis import mis_chordal_distributed, mis_chordal_run, verify_absorption
-from chordalg.mvc import eps_to_k, mvc_distributed_run, mvc_pipeline
+from chordalg.mvc import eps_to_k, mvc_distributed, mvc_distributed_run, mvc_pipeline
 
 @pytest.fixture
 def announce(capsys):
@@ -129,6 +129,27 @@ def test_criterion_3_mvc_round_bound(announce):
     announce("criterion 3 PASS: C=%.2f calibrated at n=128; max rounds per n: %s"
           " within 1.5*C*(1/eps)*log2(n)"
           % (calibration, {n: max(rounds[n]) for n in sizes}))
+
+
+@pytest.mark.parametrize("name,solve,make,grid,f", [
+    ("mvc", mvc_distributed, lambda s: gen_chordal(512, s, max_clique=40),
+     (1, 1 / 2, 1 / 4, 1 / 8), lambda eps: 1 / eps),
+    ("mis", mis_chordal_distributed, lambda s: gen_chordal(200, s, max_clique=30),
+     (0.45, 0.3, 0.2, 0.15), lambda eps: (1 / eps) * math.log2(1 / eps)),
+])
+def test_rounds_against_eps(announce, name, solve, make, grid, f):
+    """Rounds grow with 1/eps no faster than the paper's bounds: f(eps) =
+    1/eps for coloring and (1/eps)*log2(1/eps) for independent set, at a
+    fixed n, with C calibrated at the largest eps."""
+    graphs = [make(s) for s in range(3)]
+    rounds = {eps: [solve(g, eps)[1].rounds_elapsed for g in graphs] for eps in grid}
+    calibration = max(r / f(grid[0]) for r in rounds[grid[0]])
+    for eps in grid:
+        cap = 1.5 * calibration * f(eps)
+        assert all(r <= cap for r in rounds[eps]), (eps, max(rounds[eps]), cap)
+    announce("rounds-vs-eps %s PASS: C=%.1f calibrated at eps=%g; max rounds per"
+             " eps: %s within 1.5*C*f(eps)"
+             % (name, calibration, grid[0], {eps: max(rounds[eps]) for eps in grid}))
 
 
 def test_criterion_4_layer_bound_and_peel_soundness(mvc_corpus_results, announce):

@@ -175,6 +175,17 @@ def test_exit_codes(workdir):
                  ["bench", "mvc", "--sizes", "12,x"]):
         assert main(argv + ["--out", "bad.out"]) == 2, argv
     assert not (workdir / "bad.out").exists()
+    # a central run has no transcript to write
+    (workdir / "p.el").write_text(graph_to_text(Graph([(1, 2), (2, 3)])))
+    for algorithm in ("mvc", "mis"):
+        assert main(["run", algorithm, "central", "p.el", "--eps", "0.5",
+                     "--transcript", "t.log", "--solution", "p.sol",
+                     "--out", "bad.out"]) == 2
+    # no epsilon of the coloring bench is positive
+    for eps in ("0", "-1"):
+        assert main(["bench", "mvc", "--sizes", "20", "--seeds", "1",
+                     "--eps", eps, "--out", "bad.out"]) == 6
+    assert not any((workdir / f).exists() for f in ("t.log", "p.sol", "bad.out"))
 
 
 def test_arrangement_cap_is_not_reported_as_a_proof(workdir, capsys, monkeypatch):
@@ -217,6 +228,17 @@ def test_run_mis_interval_local(workdir):
     text = (workdir / "r.csv").read_text()
     row = text.splitlines()[1]
     assert row.split(",")[7] != ""  # rounds recorded for the local mode
+
+
+@pytest.mark.parametrize("algorithm", ["mvc", "mis"])
+def test_run_local_writes_its_transcript(workdir, algorithm):
+    assert main(["gen", "chordal", "60", "--seed", "3", "--max-clique", "6",
+                 "--out", "g.el"]) == 0
+    assert main(["run", algorithm, "local", "g.el", "--eps", "0.4",
+                 "--transcript", "t.log", "--out", "r.csv"]) == 0
+    rounds = (workdir / "r.csv").read_text().splitlines()[1].split(",")[7]
+    first = (workdir / "t.log").read_text().splitlines()[0]
+    assert first == "rounds %d" % int(rounds)
 
 
 @pytest.mark.parametrize("cap", ["0", "-3"])

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings
 
 import chordalg
 from chordalg import (
@@ -8,17 +9,19 @@ from chordalg import (
     gen_spider, mvc_centralized, mvc_distributed, omega_oracle, prune_layers,
     verify_coloring,
 )
-from chordalg.cliqueforest import INTERNAL, clique_word, strips_from_traces
+from chordalg.cliqueforest import INTERNAL, IntervalStrip, clique_word, strips_from_traces
 from chordalg.fileio import coloring_to_text
 from chordalg import errors, graphs
 from chordalg.graphs import bfs_distances
 from chordalg.intervals import _component_strips, color_budget
 from chordalg.mvc import (
-    _side_hops, color_layers, correct_colors, eps_to_k, local_peel_decision,
-    mvc_pipeline, mvc_distributed_run,
+    _side_hops, build_correction_job, color_layers, correct_colors, eps_to_k,
+    local_peel_decision, mvc_pipeline, mvc_distributed_run,
 )
 
-from conftest import complete_graph, cycle_graph, dumbbell, long_paths_generator
+from conftest import (
+    chordal_graphs, complete_graph, cycle_graph, dumbbell, long_paths_generator,
+)
 
 
 def bound(k, omega):
@@ -365,6 +368,81 @@ def test_layer_components_match_trace_strips():
                 assert not (strip.nodes & seen)
                 seen |= strip.nodes
         assert seen == set(layering.layer_nodes(i))
+
+
+def graph_context(g, layering, record, layer):
+    """A correction job's context derived from the graph, as the job once
+    did: W' is the members' neighbours in later layers, and the strips are
+    the members with W' over the path's cliques extended by its attach
+    cliques."""
+    w_set = set(record.members)
+    wprime = set()
+    for w in record.members:
+        for u in g.adj[w]:
+            if u not in w_set:
+                assert layering.layer[u] != layer, "same-layer neighbor outside the path"
+                if layering.layer[u] > layer:
+                    wprime.add(u)
+    ext_seq = [c for c in (record.attach_s, *record.cliques, record.attach_e)
+               if c is not None]
+    return wprime, strips_from_traces(ext_seq, w_set | wprime)
+
+
+def check_record_context(g, k):
+    """Every peeled record at k: each clique holds a member, W' is the
+    non-members of its cliques, and the context strip is its own clique
+    path. Returns the kinds of the records checked."""
+    layering = prune_layers(g, k)
+    kinds = []
+    for i, records in layering.peeled_paths.items():
+        for record in records:
+            assert all(not c.isdisjoint(record.members) for c in record.cliques)
+            wprime, strips = graph_context(g, layering, record, i)
+            assert wprime == set().union(*record.cliques).difference(record.members)
+            want = IntervalStrip(record.cliques)
+            assert [(s.cliques, s.lo, s.hi) for s in strips] == [
+                (want.cliques, want.lo, want.hi)]
+            kinds.append(record.kind)
+    return kinds
+
+
+@given(chordal_graphs())
+@settings(max_examples=150, deadline=None)
+def test_correction_context_is_the_record_on_random_chordal_graphs(g):
+    for k in (2, 4):
+        check_record_context(g, k)
+
+
+@pytest.mark.parametrize("make", [lambda: dumbbell(3, 6, 20)] + [
+    (lambda s=s, m=m: long_paths_generator()(600, s, max_clique=m))
+    for s, m in LONG_PATH_CASES
+], ids=["dumbbell"] + ["long_paths-%d-%d" % case for case in LONG_PATH_CASES])
+def test_correction_context_is_the_record_on_internal_peels(make):
+    g = make()
+    for k in (2, 4):
+        assert INTERNAL in check_record_context(g, k)
+
+
+@pytest.mark.parametrize("shift,match", [
+    (0, "same-layer neighbor outside the path"),
+    (-1, "higher-layer neighbours differ from the record's"),
+])
+def test_debug_check_catches_a_tampered_layering(monkeypatch, shift, match):
+    """A separator node moved into the path's own layer, or below it, no
+    longer matches the record; only the debug cross-check reads the layers."""
+    k = 4
+    g = dumbbell(3, 6, 3 * k + 8)
+    layering = prune_layers(g, k)
+    colors = color_layers(layering, k)
+    layer, record = next((i, r) for i, records in sorted(layering.peeled_paths.items())
+                         for r in records if r.kind == INTERNAL)
+    u = min(set().union(*record.cliques).difference(record.members))
+    layering.layer[u] = layer + shift
+    monkeypatch.setattr(errors, "_DEBUG_INVARIANTS", False)
+    build_correction_job(g, layering, record, layer, colors, k)
+    monkeypatch.setattr(errors, "_DEBUG_INVARIANTS", True)
+    with pytest.raises(AssertionError, match=match):
+        build_correction_job(g, layering, record, layer, colors, k)
 
 
 FROZEN_CAP_CONSTANT = 4  # calibrated once on small instances
