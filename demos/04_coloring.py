@@ -7,8 +7,8 @@ import math
 from chordalg import gen_chordal, omega_oracle, verify_coloring
 from chordalg.intervals import color_budget
 from chordalg.mvc import (
-    color_layers, correct_colors, eps_to_k, mvc_distributed_run, mvc_pipeline,
-    prune_layers,
+    color_layers, correct_colors, correction_forest, eps_to_k, mvc_distributed_run,
+    mvc_pipeline, prune_layers,
 )
 
 eps = 0.5
@@ -32,12 +32,14 @@ print("seam conflicts after independent coloring:", len(conflicts),
       "all between layers:",
       all(layering.layer[u] != layering.layer[v] for u, v in conflicts))
 
-# Phase 3: parents repair their children, highest layer first. Only nodes
-# close to a conflicting clique may change.
+# Phase 3: each peeled path is repaired against the later layers, highest
+# layer first. Only nodes close to a conflicting clique may change; those
+# are the nodes with a parent in the node program's correction forest.
 final = correct_colors(g, layering, base, k)
 changed = [v for v in base if base[v] != final[v]]
+parent = correction_forest(layering, k)[0]
 print("recolored nodes:", len(changed),
-      "all had parents:", all(layering.parent[v] is not None for v in changed))
+      "all had parents:", all(parent[v] is not None for v in changed))
 
 res = verify_coloring(g, final)
 print("legal:", res.legal, "palette:", res.palette,

@@ -88,10 +88,13 @@ def _verify_solution(graph_path, solution_path, kind, eps=None):
         ratio = verdict.palette / oracle if oracle else 1.0
         return {"result": verdict.palette, "oracle": oracle, "ratio": ratio}
     members = fileio.independent_set_from_text(text)
+    stray = sorted(members - g.nodes)
+    if stray:
+        raise VerificationFailed("node %d is not in the graph" % stray[0])
     if not verify_is(g, members):
         raise VerificationFailed("solution set is not independent")
     oracle = len(alpha_oracle(g))
-    ratio = oracle / len(members) if members else math.inf
+    ratio = oracle / len(members) if members else (math.inf if oracle else 1.0)
     return {"result": len(members), "oracle": oracle, "ratio": ratio}
 
 

@@ -2,9 +2,11 @@
 
 Pipeline: peel the clique forest into interval layers, color every layer
 independently within its budget, then repair the conflicts between layers
-from the top layer downwards. The distributed variant runs the same
-deterministic decisions as a node program on the round-based engine, so both
-variants return the identical coloring while the engine accounts rounds.
+from the top layer downwards, one peel record at a time. The distributed
+variant runs the same deterministic decisions as a node program on the
+round-based engine, so both variants return the identical coloring while
+the engine accounts rounds; only that program builds the correction forest
+(`correction_forest`), whose parents send their children's colors.
 """
 
 from __future__ import annotations
@@ -49,8 +51,6 @@ def set_color_latency(k: int) -> int:
 @dataclass
 class Layering:
     layer: Dict[int, int]
-    parent: Dict[int, Optional[int]]
-    children: Dict[int, Dict[int, Tuple[int, ...]]]
     peeled_paths: Dict[int, Tuple[PeelPath, ...]]
     num_layers: int
     clique_count: int
@@ -82,21 +82,8 @@ def _side_hops(cliques, limit: int) -> Dict[int, int]:
 def prune_layers(g: Graph, k: int) -> Layering:
     """Iteratively peel pendant paths and long internal paths off the forest.
 
-    Returns the layer index per node, parent/children assignments for the
-    correction phase, and the peeled path records per layer.
-
-    A member's parent is max(side) for the nearest attach side within k + 3
-    hops in `g`, ties going to the smaller clique word. The distance is read
-    off the peel record's own clique path [side, *path cliques oriented away
-    from side], which equals the distance in `g`:
-    - The side and the path cliques form a subpath of `g`'s clique tree, and
-      every other clique hangs off that subpath through a separator, which is
-      a clique. A shortest path that leaves side | path comes back through
-      the separator it left by, so one hop inside it replaces the detour.
-    - Earlier peels open no shortcut: the residual forest is `g`'s forest
-      less whole cliques and their edges, so the side and the path form a
-      subpath of `g`'s forest too, and a removed internal path splits it
-      for good.
+    Returns the layer index per node and the peeled path records and
+    forests per layer.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -105,8 +92,7 @@ def prune_layers(g: Graph, k: int) -> Layering:
         return [p for p in paths
                 if p.kind != INTERNAL or path_diameter(p) >= 3 * k]
 
-    layering = Layering({}, {}, {}, {}, 0, 0)
-    children_raw: Dict[int, Dict[int, List[int]]] = {}
+    layering = Layering({}, {}, 0, 0)
     for step in peel(g, select):
         i = step.index
         layering.forest_history.append(step.forest)
@@ -115,30 +101,61 @@ def prune_layers(g: Graph, k: int) -> Layering:
         if not step.paths:
             raise NonTermination("no peelable path found on a nonempty forest")
         for p in step.paths:
-            # parent: nearest attach side within k + 3, ties by clique word;
-            # each side's distances run along the path's own cliques
+            layering.layer.update(dict.fromkeys(p.members, i))
+        layering.peeled_paths[i] = step.paths
+    layering.num_layers = i - 1
+    layering.clique_count = len(layering.forest_history[0])
+    return layering
+
+
+def correction_forest(layering: Layering, k: int):
+    """The node program's correction forest: (parent, levels), where
+    parent[v] is every peeled node's parent or None, and levels[par] lists
+    par's correction levels top first as (layer, children, wait set).
+
+    A member's parent is max(side) for the nearest attach side within k + 3
+    hops in the graph, ties going to the smaller clique word. The distance
+    is read off the peel record's own clique path [side, *path cliques
+    oriented away from side], which equals the distance in the graph:
+    - The side and the path cliques form a subpath of the graph's clique
+      tree, and every other clique hangs off that subpath through a
+      separator, which is a clique. A shortest path that leaves side | path
+      comes back through the separator it left by, so one hop inside it
+      replaces the detour.
+    - Earlier peels open no shortcut: the residual forest is the graph's
+      forest less whole cliques and their edges, so the side and the path
+      form a subpath of the graph's forest too, and a removed internal path
+      splits it for good.
+
+    A wait set, the children's later-layer neighbours, is the non-members of
+    the record cliques that meet the children: at step i a level-i child's
+    neighbours are its record's members and the non-members of the cliques
+    holding it (`PeelPath`); its other neighbours were peeled earlier.
+    """
+    parent: Dict[int, Optional[int]] = {}
+    per: Dict[int, Dict[int, Tuple[Set[int], Set[int]]]] = {}  # (children, wait set)
+    for i, records in layering.peeled_paths.items():
+        for p in records:
             sides = [(_side_hops((side, *seq), k + 3), clique_word(side), side)
                      for side, seq in ((p.attach_s, p.cliques),
                                        (p.attach_e, p.cliques[::-1]))
                      if side is not None]
+            mine: Dict[int, Set[int]] = {}
             for v in p.members:
-                layering.layer[v] = i
                 keys = [(dist[v], word, side) for dist, word, side in sides
                         if v in dist]
+                parent[v] = max(min(keys)[2]) if keys else None
                 if keys:
-                    par = max(min(keys)[2])
-                    layering.parent[v] = par
-                    children_raw.setdefault(par, {}).setdefault(i, []).append(v)
-                else:
-                    layering.parent[v] = None
-        layering.peeled_paths[i] = step.paths
-    layering.num_layers = i - 1
-    layering.clique_count = len(layering.forest_history[0])
-    layering.children = {
-        par: {l: tuple(sorted(vs)) for l, vs in per.items()}
-        for par, per in children_raw.items()
-    }
-    return layering
+                    mine.setdefault(parent[v], set()).add(v)
+            w_set = set(p.members)
+            for par, vs in mine.items():
+                kids, wait = per.setdefault(par, {}).setdefault(i, (set(), set()))
+                kids |= vs
+                wait.update(*(c - w_set for c in p.cliques if not c.isdisjoint(vs)))
+    levels = {par: [(i, tuple(sorted(kids)), tuple(sorted(wait)))
+                    for i, (kids, wait) in sorted(at.items(), reverse=True)]
+              for par, at in per.items()}
+    return parent, levels
 
 
 def color_layers(layering: Layering, k: int) -> Coloring:
@@ -338,7 +355,7 @@ class _MvcNode:
     id: int
     phase: str = "wait_color"  # then "correct", then "done"
     color: Optional[int] = None
-    levels: Optional[List[int]] = None  # correction levels to serve
+    levels: Optional[list] = None  # (layer, children, wait set), top first
     poll: Optional[Collect] = None  # reads the wait set of levels[0]
 
 
@@ -367,42 +384,27 @@ class MvcProgram(StagedProgram):
         self.k = run.k
         self.poll_radius = correction_poll_radius(run.k)
         layering = run.layering
-        self.quiet = {v for v, par in layering.parent.items()
-                      if par is None}.difference(layering.children)
-        by_layer: Dict[int, Set[int]] = {}
-        for v, i in layering.layer.items():
-            by_layer.setdefault(i, set()).add(v)
+        self.parent, self.levels = correction_forest(layering, run.k)
+        self.quiet = {v for v, par in self.parent.items()
+                      if par is None}.difference(self.levels)
         # a layer-i node colors after prune stage i - 1, its last
         super().__init__(localsim.schedule(
             [prune_radius(run.k)] * layering.num_layers, {"color": strip_stages(run.k)},
-            {i - 1: {"color": nodes} for i, nodes in by_layer.items()}))
+            {i - 1: {"color": {v for p in records for v in p.members}}
+             for i, records in layering.peeled_paths.items()}))
 
     # -- helpers ----------------------------------------------------------
-    def _levels(self, v) -> List[int]:
-        per = self.run.layering.children.get(v, {})
-        return sorted(per, reverse=True)
-
-    def _wait_set(self, v, level) -> Tuple[int, ...]:
-        kids = self.run.layering.children[v][level]
-        need = set()
-        for child in kids:
-            for u in self.run.g.adj[child]:
-                if self.run.layering.layer[u] > level:
-                    need.add(u)
-        return tuple(sorted(need))
-
     def _finalize(self, state):
         state.phase = "correct"
-        state.levels = self._levels(state.id)
+        state.levels = self.levels.get(state.id, [])
         return self._next_level(state)
 
     def _next_level(self, state, sends=()):
         if not state.levels:
             state.phase = "done"
             return StepResult(state, output=state.color, requests=sends)
-        level = state.levels[0]
-        state.poll = Collect(self.poll_radius, ("poll", level),
-                             self._wait_set(state.id, level))
+        layer, _, wait = state.levels[0]
+        state.poll = Collect(self.poll_radius, ("poll", layer), wait)
         return StepResult(state, requests=[*sends, state.poll], output=state.color)
 
     # -- engine interface --------------------------------------------------
@@ -413,7 +415,7 @@ class MvcProgram(StagedProgram):
         run = self.run
         if v in self.quiet:
             return StepResult(v, output=run.final_colors[v])
-        if run.layering.parent[v] is None:
+        if self.parent[v] is None:
             return self._finalize(_MvcNode(v, color=run.final_colors[v]))
         return StepResult(_MvcNode(v))
 
@@ -429,14 +431,14 @@ class MvcProgram(StagedProgram):
         run = self.run
         if state.phase == "wait_color":
             # a waiting node steps once, for the color its parent sends
-            state.color = inbox["msg", run.layering.parent[state.id]][1]
+            state.color = inbox["msg", self.parent[state.id]][1]
             return self._finalize(state)
 
         if state.phase == "correct":
             poll = state.poll
             if len(inbox["collect", poll.tag].outputs) < len(poll.read):
                 return StepResult(state, requests=(poll,))
-            kids = run.layering.children[state.id][state.levels[0]]
+            kids = state.levels[0][1]
             sends = [
                 Send(child, ("set_color", run.final_colors[child]),
                      set_color_latency(self.k))

@@ -129,6 +129,13 @@ def dumbbell(legs, leg_len, bridge):
     return g
 
 
+def graph_wait_set(g, layering, children, level):
+    """A correction level's wait set read off the graph: the children's
+    neighbours in layers above `level`."""
+    return tuple(sorted({u for w in children for u in g.adj[w]
+                         if layering.layer[u] > level}))
+
+
 def long_paths_generator():
     """`gen_long_paths` of the benchmark's long_paths workload."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "longpaths.py"

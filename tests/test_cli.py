@@ -1,3 +1,4 @@
+import csv
 import os
 
 import pytest
@@ -147,7 +148,23 @@ def test_empty_graph_with_nonpositive_eps(workdir):
             assert main(["run", "mvc", mode, "empty.el", "--eps", eps]) == 6
 
 
-def test_exit_codes(workdir):
+@pytest.mark.parametrize("algorithm,mode", [
+    ("mis", "central"), ("mis", "local"), ("mis-interval", "local"), ("mvc", "local"),
+])
+def test_empty_graph_ratio_is_one(workdir, capsys, algorithm, mode):
+    # alpha = omega = 0: the empty solution is optimal; an empty coloring
+    # file reads as an independent set under --kind auto
+    (workdir / "e.el").write_text("n 0\n")
+    assert main(["run", algorithm, mode, "e.el", "--eps", "0.4",
+                 "--solution", "e.sol", "--out", "e.csv"]) == 0
+    with open(workdir / "e.csv") as fh:
+        assert [row["ratio"] for row in csv.DictReader(fh)] == ["1.0000"]
+    capsys.readouterr()
+    assert main(["verify", "e.el", "e.sol", "--eps", "0.4"]) == 0
+    assert "ratio=1.0000" in capsys.readouterr().out
+
+
+def test_exit_codes(workdir, capsys):
     # not chordal
     (workdir / "c4.el").write_text("n 4\n1 2\n1 4\n2 3\n3 4\n")
     assert main(["run", "mvc", "central", "c4.el", "--eps", "0.5"]) == 4
@@ -181,6 +198,14 @@ def test_exit_codes(workdir):
         assert main(["run", algorithm, "central", "p.el", "--eps", "0.5",
                      "--transcript", "t.log", "--solution", "p.sol",
                      "--out", "bad.out"]) == 2
+    # an independent set naming a node outside the graph
+    (workdir / "stray.sol").write_text("1\n99\n")
+    capsys.readouterr()
+    assert main(["verify", "p.el", "stray.sol", "--kind", "is"]) == 8
+    assert "node 99 is not in the graph" in capsys.readouterr().err
+    # an empty independent set of a graph with alpha > 0 has ratio inf
+    (workdir / "none.sol").write_text("")
+    assert main(["verify", "p.el", "none.sol", "--kind", "is", "--eps", "0.4"]) == 8
     # no epsilon of the coloring bench is positive
     for eps in ("0", "-1"):
         assert main(["bench", "mvc", "--sizes", "20", "--seeds", "1",

@@ -44,22 +44,30 @@ def function_local_imports(source: str):
 
 
 def unreferenced_private(sources):
-    """The module-level functions and classes named ``_x`` that no source in
-    ``sources`` (module name -> text) reads, as (module, name) pairs."""
+    """The module-level functions and classes named ``_x``, and the methods
+    named ``_x`` (not dunders) of module-level classes, that no source in
+    ``sources`` (module name -> text) reads, as (module, name) pairs; a
+    method's name is ``Class._x``."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     defined = []
     read = set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        defined += [(module, node.name) for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                         ast.ClassDef))
-                    and node.name.startswith("_")]
+        for node in tree.body:
+            if isinstance(node, (*functions, ast.ClassDef)) and node.name.startswith("_"):
+                defined.append((module, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(module, "%s.%s" % (node.name, item.name))
+                            for item in node.body if isinstance(item, functions)
+                            and item.name.startswith("_")
+                            and not (item.name.startswith("__") and item.name.endswith("__"))]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    return sorted((module, name) for module, name in defined if name not in read)
+    return sorted((module, name) for module, name in defined
+                  if name.rpartition(".")[2] not in read)
 
 
 def test_modules_found():
@@ -95,8 +103,12 @@ def test_detects_unreferenced_private_code():
     sources = {
         "a": "def _used():\n    pass\n\ndef _dead():\n    pass\n\nclass _Gone:\n    pass\n",
         "b": "from .a import _used\n\ndef f():\n    return _used()\n",
+        "c": ("class P:\n    def __init__(self):\n        self._step()\n\n"
+              "    def _step(self):\n        pass\n\n"
+              "    def _unread(self):\n        pass\n"),
     }
-    assert unreferenced_private(sources) == [("a", "_Gone"), ("a", "_dead")]
+    assert unreferenced_private(sources) == [
+        ("a", "_Gone"), ("a", "_dead"), ("c", "P._unread")]
 
 
 def test_package_exports_every_node_program():

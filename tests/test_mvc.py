@@ -11,16 +11,17 @@ from chordalg import (
 )
 from chordalg.cliqueforest import INTERNAL, IntervalStrip, clique_word, strips_from_traces
 from chordalg.fileio import coloring_to_text
-from chordalg import errors, graphs
+from chordalg import errors, graphs, mvc
 from chordalg.graphs import bfs_distances
 from chordalg.intervals import _component_strips, color_budget
 from chordalg.mvc import (
-    _side_hops, build_correction_job, color_layers, correct_colors, eps_to_k,
-    local_peel_decision, mvc_pipeline, mvc_distributed_run,
+    _side_hops, build_correction_job, color_layers, correct_colors, correction_forest,
+    eps_to_k, local_peel_decision, mvc_pipeline, mvc_distributed_run,
 )
 
 from conftest import (
-    chordal_graphs, complete_graph, cycle_graph, dumbbell, long_paths_generator,
+    chordal_graphs, complete_graph, cycle_graph, dumbbell, graph_wait_set,
+    long_paths_generator,
 )
 
 
@@ -34,21 +35,22 @@ class TestPruneLayers:
         layering = prune_layers(g, 4)
         assert layering.num_layers == 1
         assert all(l == 1 for l in layering.layer.values())
-        assert all(p is None for p in layering.parent.values())
+        assert all(p is None for p in correction_forest(layering, 4)[0].values())
 
     def test_spider_two_layers_and_parents(self):
         g = gen_spider(3, 20)
         layering = prune_layers(g, 3)
         assert layering.num_layers == 2
         assert sorted(layering.layer_nodes(2)) == [1, 42]
+        parent = correction_forest(layering, 3)[0]
         legs_near_center = [v for v in layering.layer_nodes(1)
-                            if layering.parent[v] is not None]
+                            if parent[v] is not None]
         assert legs_near_center
-        assert all(layering.parent[v] == 42 for v in legs_near_center)
+        assert all(parent[v] == 42 for v in legs_near_center)
         # nodes with a parent sit within k + 3 of the attach clique {1, 42}
         reach = bfs_distances(g, {1, 42}, cutoff=6)
         for v in layering.layer_nodes(1):
-            assert (layering.parent[v] is not None) == (v in reach)
+            assert (parent[v] is not None) == (v in reach)
 
     def test_partition_and_layer_bound(self):
         g = gen_chordal(500, seed=21, max_clique=6)
@@ -73,7 +75,7 @@ class TestPruneLayers:
     def test_parent_monotonicity_and_junction_halving(self):
         g = gen_chordal(400, seed=9, max_clique=6)
         layering = prune_layers(g, 4)
-        for v, par in layering.parent.items():
+        for v, par in correction_forest(layering, 4)[0].items():
             if par is not None:
                 assert layering.layer[par] > layering.layer[v]
         counts = [sum(1 for j in range(len(f)) if f.degree(j) > 2)
@@ -103,11 +105,18 @@ def reference_parents(g, layering, k):
     return parent, children
 
 
+def forest(layering, k):
+    """`correction_forest`'s parents, and its children in the shape of
+    `reference_parents`'."""
+    parent, levels = correction_forest(layering, k)
+    return parent, {par: {i: kids for i, kids, _ in per} for par, per in levels.items()}
+
+
 @pytest.mark.parametrize("seed,k", [(1, 4), (5, 2), (21, 4), (33, 3), (40, 6)])
 def test_prune_parents_match_full_balls_on_generated(seed, k):
     g = gen_chordal(400, seed=seed, max_clique=6)
     layering = prune_layers(g, k)
-    assert (layering.parent, layering.children) == reference_parents(g, layering, k)
+    assert forest(layering, k) == reference_parents(g, layering, k)
 
 
 def test_prune_parents_match_full_balls_on_dumbbell():
@@ -117,7 +126,7 @@ def test_prune_parents_match_full_balls_on_dumbbell():
     kinds = [r.kind for records in layering.peeled_paths.values() for r in records]
     assert INTERNAL in kinds
     parent, children = reference_parents(g, layering, k)
-    assert (layering.parent, layering.children) == (parent, children)
+    assert forest(layering, k) == (parent, children)
     # the internal path's far middle is beyond k + 3 of both junctions
     assert None in parent.values() and any(p is not None for p in parent.values())
 
@@ -139,8 +148,9 @@ def test_prune_parents_match_full_balls_on_long_paths(seed, m, k):
     k + 3 of the junctions."""
     g = long_paths_generator()(600, seed, max_clique=m)
     layering = prune_layers(g, k)
-    assert (layering.parent, layering.children) == reference_parents(g, layering, k)
-    inner = [layering.parent[v] for v in internal_members(layering)]
+    parent, children = forest(layering, k)
+    assert (parent, children) == reference_parents(g, layering, k)
+    inner = [parent[v] for v in internal_members(layering)]
     assert None in inner and any(p is not None for p in inner)
 
 
@@ -168,25 +178,30 @@ def test_prune_parents_match_full_balls_on_dumbbell_threshold(bridge):
     k = 2
     g = dumbbell(3, 6, bridge)
     layering = prune_layers(g, k)
-    assert (layering.parent, layering.children) == reference_parents(g, layering, k)
+    parent, children = forest(layering, k)
+    assert (parent, children) == reference_parents(g, layering, k)
     assert bool(internal_members(layering)) == (bridge >= 3 * k + 2)
-    parents = list(layering.parent.values())
+    parents = list(parent.values())
     assert None in parents and any(p is not None for p in parents)
 
 
-@pytest.mark.parametrize("make", [
+pipeline_graphs = pytest.mark.parametrize("make", [
     lambda: gen_chordal(400, seed=5, max_clique=12),
     lambda: long_paths_generator()(600, 2, max_clique=4),
 ], ids=["random_trees", "long_paths"])
-def test_prune_layers_searches_no_graph(monkeypatch, make):
-    """Parents come from the peel record alone: with every binding of
-    `bfs_distances` and `BfsBall` made to raise, and debug invariants off,
-    the layering is unchanged."""
+
+
+@pipeline_graphs
+def test_correction_forest_searches_no_graph(monkeypatch, make):
+    """The peel and the correction forest come from the peel records alone:
+    with every binding of `bfs_distances` and `BfsBall` made to raise, and
+    debug invariants off, the layering and the forest are unchanged."""
     g = make()
     expected = {k: prune_layers(g, k) for k in (2, 4)}
+    forests = {k: correction_forest(layering, k) for k, layering in expected.items()}
 
     def no_search(*args, **kwargs):
-        raise AssertionError("prune_layers searched the graph")
+        raise AssertionError("the graph was searched")
 
     monkeypatch.setattr(errors, "_DEBUG_INVARIANTS", False)
     searches = (graphs.bfs_distances, graphs.BfsBall)
@@ -196,8 +211,8 @@ def test_prune_layers_searches_no_graph(monkeypatch, make):
                 monkeypatch.setattr(module, name, no_search)
     for k, want in expected.items():
         got = prune_layers(g, k)
-        assert (got.layer, got.parent, got.children, got.num_layers) == (
-            want.layer, want.parent, want.children, want.num_layers)
+        assert (got.layer, got.num_layers) == (want.layer, want.num_layers)
+        assert correction_forest(got, k) == forests[k]
 
 
 class TestColorLayers:
@@ -237,8 +252,9 @@ class TestCorrectColors:
         final = correct_colors(g, layering, base, k)
         assert verify_coloring(g, final).legal
         changed = {v for v in base if base[v] != final[v]}
+        parent = correction_forest(layering, k)[0]
         for v in changed:
-            assert layering.parent[v] is not None
+            assert parent[v] is not None
 
     def test_global_bound(self):
         g = gen_chordal(400, seed=21, max_clique=6)
@@ -348,6 +364,7 @@ class TestLocalDecisions:
         for seed in (0, 3):
             g = gen_chordal(60, seed=seed, max_clique=4)
             layering = prune_layers(g, k)
+            parents = correction_forest(layering, k)[0]
             for i in range(1, layering.num_layers + 1):
                 residual = {v for v, l in layering.layer.items() if l >= i}
                 for v in sorted(residual):
@@ -355,7 +372,7 @@ class TestLocalDecisions:
                     peel, parent = local_peel_decision(ballg, v, residual, k)
                     assert peel == (layering.layer[v] == i)
                     if peel:
-                        assert parent == layering.parent[v]
+                        assert parent == parents[v]
 
 
 def test_layer_components_match_trace_strips():
@@ -413,14 +430,63 @@ def test_correction_context_is_the_record_on_random_chordal_graphs(g):
         check_record_context(g, k)
 
 
-@pytest.mark.parametrize("make", [lambda: dumbbell(3, 6, 20)] + [
+internal_peel_graphs = pytest.mark.parametrize("make", [lambda: dumbbell(3, 6, 20)] + [
     (lambda s=s, m=m: long_paths_generator()(600, s, max_clique=m))
     for s, m in LONG_PATH_CASES
 ], ids=["dumbbell"] + ["long_paths-%d-%d" % case for case in LONG_PATH_CASES])
+
+
+@internal_peel_graphs
 def test_correction_context_is_the_record_on_internal_peels(make):
     g = make()
     for k in (2, 4):
         assert INTERNAL in check_record_context(g, k)
+
+
+def check_wait_sets(g, k):
+    """Every parent's levels run top first, and each level's wait set, read
+    off the records, is the children's later-layer neighbours by the graph.
+    Returns the number of levels checked."""
+    layering = prune_layers(g, k)
+    levels = correction_forest(layering, k)[1]
+    for per in levels.values():
+        assert [i for i, _, _ in per] == sorted({i for i, _, _ in per}, reverse=True)
+        for i, kids, wait in per:
+            assert wait == graph_wait_set(g, layering, kids, i)
+    return sum(map(len, levels.values()))
+
+
+@given(chordal_graphs())
+@settings(max_examples=150, deadline=None)
+def test_wait_sets_are_the_graph_side_on_random_chordal_graphs(g):
+    for k in (2, 4):
+        check_wait_sets(g, k)
+
+
+@internal_peel_graphs
+def test_wait_sets_are_the_graph_side_on_internal_peels(make):
+    g = make()
+    for k in (2, 4):
+        assert check_wait_sets(g, k)
+
+
+@pipeline_graphs
+def test_pipeline_builds_no_correction_forest(monkeypatch, make):
+    """The centralized phase repairs record by record: with
+    `correction_forest` and `_side_hops` made to raise, `mvc_pipeline`
+    returns the same colors, and only the node program fails."""
+    g = make()
+    want = mvc_pipeline(g, 1.0).final_colors
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the correction forest was built")
+
+    monkeypatch.setattr(mvc, "correction_forest", refuse)
+    monkeypatch.setattr(mvc, "_side_hops", refuse)
+    run = mvc_pipeline(g, 1.0)
+    assert run.final_colors == want
+    with pytest.raises(AssertionError, match="correction forest was built"):
+        mvc_distributed_run(run)
 
 
 @pytest.mark.parametrize("shift,match", [

@@ -37,7 +37,7 @@ from chordalg import (
 from chordalg import localsim
 from chordalg.localsim import Collect, StepResult
 
-from conftest import dumbbell, long_paths_generator
+from conftest import dumbbell, graph_wait_set, long_paths_generator
 
 
 def digest(transcript):
@@ -290,17 +290,19 @@ class Collects(CountedGroupSteps):
 def test_replays_read_only_what_correction_waits_for(monkeypatch, name):
     # the MIS and interval replays make timer collects only; every MVC poll
     # reads its level's wait set, the higher-layer neighbours of the level's
-    # children, which is never empty and lies in the poller's closed
-    # neighbourhood
+    # children by the graph, which is never empty and lies in the poller's
+    # closed neighbourhood
     _, watched = watched_solve(monkeypatch, PINNED[name][0], counter=Collects)
     polls = [(v, req) for v, req in watched.collects if req.tag[0] == "poll"]
     assert all(not req.read for v, req in watched.collects if req.tag[0] != "poll")
     assert bool(polls) == name.endswith("-mvc")
     program = watched.program
     for v, req in polls:
+        run = program.run
+        kids = {i: kids for i, kids, _ in program.levels[v]}[req.tag[1]]
         assert req.radius == program.poll_radius
-        assert req.read == program._wait_set(v, req.tag[1])
-        assert req.read and set(req.read) <= program.run.g.adj[v] | {v}
+        assert req.read == graph_wait_set(run.g, run.layering, kids, req.tag[1])
+        assert req.read and set(req.read) <= run.g.adj[v] | {v}
 
 
 def strip_rounds(k):
