@@ -35,7 +35,7 @@ print("seam conflicts after independent coloring:", len(conflicts),
 # Phase 3: each peeled path is repaired against the later layers, highest
 # layer first. Only nodes close to a conflicting clique may change; those
 # are the nodes with a parent in the node program's correction forest.
-final = correct_colors(g, layering, base, k)
+final = correct_colors(layering, base, k)
 changed = [v for v in base if base[v] != final[v]]
 parent = correction_forest(layering, k)[0]
 print("recolored nodes:", len(changed),

@@ -231,7 +231,8 @@ class PeelPath:
 
 def walk_path(fadj, comp) -> List[int]:
     """The cliques of a path component `comp` of a forest, in path order
-    from its smallest-id end."""
+    from its smallest-id end. Cliques are numbered in word order, so that is
+    its smaller-word end."""
     compset = set(comp)
     seq = [min(i for i in compset
                if sum(1 for j in fadj[i] if j in compset) <= 1)]
@@ -249,7 +250,9 @@ def classify_paths(forest: CliqueForest) -> List[PeelPath]:
 
     Isolated forest vertices count as pendant paths; every clique of forest
     degree at most two lands in exactly one returned path. Each path comes
-    with its `members` (see `PeelPath`).
+    with its `members` (see `PeelPath`). Cliques are numbered in word order,
+    so `walk_path` already starts a path at its smaller end word, and a
+    single clique's junctions, listed by id in `fadj`, come in word order.
     """
     cliques = forest.cliques
     paths = []
@@ -269,30 +272,19 @@ def classify_paths(forest: CliqueForest) -> List[PeelPath]:
                     seen.add(j)
                     comp.append(j)
                     queue.append(j)
-        if len(comp) == 1:
-            seq = comp
-            junctions = sorted(
-                (j for j in forest.fadj[comp[0]] if j not in lowset),
-                key=lambda j: forest.words[j],
-            )
-            attach_s = junctions[0] if junctions else None
-            attach_e = junctions[1] if len(junctions) > 1 else None
-        else:
-            seq = walk_path(forest.fadj, comp)
-            attach = []
-            for end in (seq[0], seq[-1]):
-                junctions = [j for j in forest.fadj[end] if j not in lowset]
-                attach.append(junctions[0] if junctions else None)
-            attach_s, attach_e = attach
+        seq = walk_path(forest.fadj, comp) if len(comp) > 1 else comp
+        # a single clique lists its (at most two) junctions by id, which is
+        # word order; an end of a longer run has at most one, and the two
+        # ends never share one, as the forest has no cycle
+        attach_s = next((j for j in forest.fadj[seq[0]] if j not in lowset), None)
+        attach_e = next((j for j in forest.fadj[seq[-1]]
+                         if j not in lowset and j != attach_s), None)
         if attach_s is None and attach_e is None:
             kind = PENDANT if len(seq) == 1 else BINARY_COMPONENT
         elif attach_s is None or attach_e is None:
             kind = PENDANT
         else:
             kind = INTERNAL
-        if forest.words[seq[0]] > forest.words[seq[-1]]:  # smaller end word first
-            seq.reverse()
-            attach_s, attach_e = attach_e, attach_s
         run = tuple(map(cliques.__getitem__, seq))
         ends = [None if a is None else cliques[a] for a in (attach_s, attach_e)]
         members = set().union(*run).difference(*filter(None, ends))
@@ -472,20 +464,23 @@ def peel(g: Graph, select) -> Iterator[PeelStep]:
     end; `select(i, forest, paths)` picks the paths of step i among all
     classified paths. A step's paths are removed only when the caller asks
     for the next step, so a caller that stops after a step removes nothing
-    more. Under `debug_invariants()` each step's paths have their members
-    checked against the per-node clique lists of the step's forest.
+    more. Under `debug_invariants()` each step's paths are checked against
+    the step's forest (members: all their holders on the path) and against
+    `g` (the lemma of `PeelPath`, with the forest's nodes as the residual).
     """
     forest = clique_forest(g)
     i = 1
     while True:
         paths = tuple(select(i, forest, classify_paths(forest)))
-        if debug_invariants():  # members by definition: all their holders on the path
+        if debug_invariants():
             phi = _holder_ids(forest.cliques, range(len(forest)))
             for p in paths:
-                ids = set(p.ids)
-                if list(p.members) != sorted(v for v in set().union(*p.cliques)
-                                             if ids.issuperset(phi[v])):
+                ids, nodes = set(p.ids), set().union(*p.cliques)
+                if list(p.members) != sorted(v for v in nodes if ids.issuperset(phi[v])):
                     raise AssertionError("peel bookkeeping mismatch")
+                reach = set(p.members).union(*(g.adj[v] for v in p.members))
+                if phi.keys() & reach != nodes:  # the lemma of `PeelPath`
+                    raise AssertionError("members' neighbours differ from the record's")
         yield PeelStep(i, forest, paths)
         forest = remove_paths(forest, g, paths)
         i += 1

@@ -91,17 +91,16 @@ def absorbing_mis(cliques, component, anchor) -> Set[int]:
     return strips[0].greedy_mis(allowed=component)
 
 
-def _outside_anchor(g: Graph, record_sides, component, w_set, residual):
+def _outside_anchor(record, component):
     """The unique attach clique holding the component's residual outside
-    neighbors (earlier-peeled neighbors are no longer forest nodes)."""
-    outside = set()
-    for v in component:
-        outside |= (g.adj[v] & residual) - w_set
+    neighbours: the non-members of the record cliques that meet it (`PeelPath`)."""
+    outside = set().union(*(c for c in record.cliques if not c.isdisjoint(component)))
+    outside.difference_update(record.members)
     if not outside:
         return None
-    hits = [side for side in record_sides
-            if side is not None and outside & set(side)]
-    if len(hits) != 1 or not outside <= set(hits[0]):
+    hits = [side for side in (record.attach_s, record.attach_e)
+            if side is not None and not outside.isdisjoint(side)]
+    if len(hits) != 1 or not outside <= hits[0]:
         raise AssertionError("outside neighbors not confined to one attach clique")
     return hits[0]
 
@@ -145,7 +144,6 @@ def mis_chordal_run(g: Graph, eps: float) -> MisRun:
             active = w_set - frozen_forbidden
             if not active:
                 continue
-            sides = (p.attach_s, p.attach_e)
             for strip in strips_from_traces(p.cliques, active):
                 comp = set(strip.nodes)
                 # the strip is the component's clique path, so its sweep is exact
@@ -155,7 +153,7 @@ def mis_chordal_run(g: Graph, eps: float) -> MisRun:
                     part = mis_strip(strip, params.strip_eps)
                     tag = "approx"
                 elif i < iters:
-                    anchor = _outside_anchor(g, sides, comp, w_set, residual)
+                    anchor = _outside_anchor(p, comp)
                     if anchor is not None:
                         cliques = p.cliques[::-1] if anchor == p.attach_s else p.cliques
                         part = absorbing_mis(cliques, comp, anchor)

@@ -194,30 +194,24 @@ def _frontier(view: IntervalStrip, side, k: int) -> Optional[int]:
     return f if f < len(view.cliques) else None
 
 
-def build_correction_job(g: Graph, layering: Layering, record: PeelPath,
-                         layer: int, colors: Coloring, k: int) -> CorrectionJob:
-    """Recolor a layer-`layer` path's members against the later layers.
+def build_correction_job(record: PeelPath, colors: Coloring, k: int) -> CorrectionJob:
+    """Recolor a peeled path's members against the later layers, from the
+    record, the colors and k alone.
 
-    The context is the peel record's (proof in `PeelPath`): the members'
-    later-layer neighbours W' are the non-members of its cliques, split by
-    attach clique, and with the members they induce its clique path. Outside
-    `debug_invariants()`, `g` is read for the conflict test only and
-    `layering` not at all. Only members within k + 3 of W' may be recolored.
+    By the lemma of `PeelPath` (checked by `peel`), the members' later-layer
+    neighbours W' are the non-members of its cliques, split by attach
+    clique, and with the members they induce its clique path. So the job is
+    conflicted iff a record clique holds a member and a non-member of one
+    color. Only members within k + 3 of W' may be recolored.
     """
     w_set = set(record.members)
-    wprime = set().union(*record.cliques).difference(w_set)
-    if debug_invariants():
-        outside = {u for w in record.members for u in g.adj[w]} - w_set
-        if any(layering.layer[u] == layer for u in outside):
-            raise AssertionError("same-layer neighbor outside the path")
-        if {u for u in outside if layering.layer[u] > layer} != wprime:
-            raise AssertionError("higher-layer neighbours differ from the record's")
     conflicted = any(
-        colors[w] == colors[u]
-        for w in record.members for u in g.adj[w] if u in wprime
+        not {colors[u] for u in c - w_set}.isdisjoint([colors[w] for w in c & w_set])
+        for c in record.cliques if not c <= w_set
     )
     if not conflicted:
         return CorrectionJob(False, {v: colors[v] for v in w_set}, set())
+    wprime = set().union(*record.cliques).difference(w_set)
     strip = IntervalStrip(record.cliques)
     t = len(strip.cliques)
     new_colors = {v: colors[v] for v in strip.lo}
@@ -282,20 +276,16 @@ def build_correction_job(g: Graph, layering: Layering, record: PeelPath,
     else:
         one_sided(strip, left, _frontier(strip, left, k))
     changed = {v for v in w_set if new_colors[v] != colors[v]}
-    if debug_invariants() and changed:
-        reach = bfs_distances(g, wprime, cutoff=k + 4)
-        if any(v not in reach for v in changed):
-            raise AssertionError("recolored node beyond distance k + 4 of conflicts")
     return CorrectionJob(True, {v: new_colors[v] for v in w_set}, changed)
 
 
-def correct_colors(g: Graph, layering: Layering, colors: Coloring, k: int) -> Coloring:
-    """Repair inter-layer conflicts from the top layer downwards."""
+def correct_colors(layering: Layering, colors: Coloring, k: int) -> Coloring:
+    """Repair inter-layer conflicts from the top layer downwards, each job
+    from its record, its members' base colors and the final colors of W'."""
     out = dict(colors)
     for i in range(layering.num_layers - 1, 0, -1):
         for record in layering.peeled_paths[i]:
-            job = build_correction_job(g, layering, record, i, out, k)
-            out.update(job.new_colors)
+            out.update(build_correction_job(record, out, k).new_colors)
     return out
 
 
@@ -336,7 +326,13 @@ def mvc_pipeline(g: Graph, eps: float) -> MvcRun:
     omega = max(map(len, layering.forest_history[0].cliques), default=0)
     _require_eps(eps, omega)
     base = color_layers(layering, k)
-    final = correct_colors(g, layering, base, k)
+    final = correct_colors(layering, base, k)
+    if debug_invariants():  # a member is recolored only by its own record's job
+        for p in (p for records in layering.peeled_paths.values() for p in records):
+            changed = {v for v in p.members if final[v] != base[v]}
+            wprime = set().union(*p.cliques).difference(p.members)
+            if changed and not changed <= bfs_distances(g, wprime, cutoff=k + 4).keys():
+                raise AssertionError("recolored node beyond distance k + 4 of conflicts")
     return MvcRun(g, eps, k, omega, layering, base, final)
 
 

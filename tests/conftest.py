@@ -136,6 +136,30 @@ def graph_wait_set(g, layering, children, level):
                          if layering.layer[u] > level}))
 
 
+def graph_conflicted(g, layering, members, level, colors):
+    """A correction job's conflict test read off the graph: some member
+    shares its color with a neighbour in a layer above `level`."""
+    return any(colors[w] == colors[u] for w in members for u in g.adj[w]
+               if layering.layer[u] > level)
+
+
+def graph_outside(g, residual, members, component):
+    """A small MIS component's outside set read off the graph: its
+    neighbours in `residual` other than its record's members."""
+    return {u for v in component for u in g.adj[v] & residual}.difference(members)
+
+
+# (seed, max_clique) pairs whose `long_paths_generator()(600, ...)` graphs
+# reach internal peels at every k the tests use
+LONG_PATH_CASES = [(0, 3), (0, 6), (2, 4), (5, 3), (6, 6), (9, 4)]
+
+# the dumbbell and the `LONG_PATH_CASES` graphs, as a `make` parameter
+internal_peel_graphs = pytest.mark.parametrize("make", [lambda: dumbbell(3, 6, 20)] + [
+    (lambda s=s, m=m: long_paths_generator()(600, s, max_clique=m))
+    for s, m in LONG_PATH_CASES
+], ids=["dumbbell"] + ["long_paths-%d-%d" % case for case in LONG_PATH_CASES])
+
+
 def long_paths_generator():
     """`gen_long_paths` of the benchmark's long_paths workload."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "longpaths.py"

@@ -84,6 +84,16 @@ def test_gen_path_file(workdir):
     assert g.num_edges == 9
 
 
+def test_gen_without_out_writes_to_the_output_dir(workdir, monkeypatch, capsys):
+    (workdir / "out").mkdir()
+    monkeypatch.setenv("CHORDALG_OUT", str(workdir / "out"))
+    assert main(["gen", "caterpillar", "--spine", "4", "--legs", "2"]) == 0
+    path = workdir / "out" / "caterpillar-12-s0.el"
+    assert capsys.readouterr().out == "wrote %s (12 nodes, 11 edges)\n" % path
+    g = graph_from_text(path.read_text())
+    assert sorted(g.degree(v) for v in range(1, 5)) == [3, 3, 4, 4]
+
+
 def test_run_mvc_on_clique(workdir):
     # a K20: the coloring must use exactly 20 colors, ratio 1.0
     g = Graph()
@@ -234,6 +244,17 @@ def test_bench_emits_rows_and_slope(workdir, capsys):
     text = (workdir / "bench.csv").read_text()
     assert text.startswith("algorithm,")
     assert "# slope" in text
+
+
+def test_bench_mis_emits_rows_and_slope(workdir, capsys):
+    assert main(["bench", "mis", "--sizes", "20,40", "--eps", "0.4",
+                 "--seeds", "2", "--max-clique", "4"]) == 0
+    *rows, summary = capsys.readouterr().out.splitlines()
+    table = list(csv.DictReader(rows))
+    assert [(r["algorithm"], r["n"]) for r in table] == [
+        ("mis", "20"), ("mis", "20"), ("mis", "40"), ("mis", "40")]
+    assert all(float(r["ratio"]) <= 1.4 for r in table)
+    assert summary.startswith("# slope rounds-vs-n ") and summary.endswith(" over 4 runs")
 
 
 @pytest.mark.parametrize("eps,seeds", [("0.1", "1"), ("0.5", "0")])

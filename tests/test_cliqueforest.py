@@ -626,6 +626,26 @@ class TestRemovePaths:
         finally:
             set_debug_invariants(False)
 
+    def test_debug_check_catches_a_forest_of_another_graph(self, monkeypatch):
+        # the dumbbell's forest over the dumbbell plus one edge from a
+        # step-1 member to a node outside its record's cliques: members and
+        # ids still agree, but that member's neighbours are not the record's
+        g = dumbbell(3, 6, 20)
+        forest = clique_forest(g)
+        record = classify_paths(forest)[0]
+        far = min(g.nodes - set().union(*record.cliques))
+        h = Graph([*g.edges(), (record.members[0], far)])
+        monkeypatch.setattr(cliqueforest, "clique_forest", lambda g: forest)
+        steps = peel(h, lambda i, forest, paths: paths)
+        assert record in next(steps).paths  # the check is off by default
+        set_debug_invariants(True)
+        try:
+            with pytest.raises(AssertionError,
+                               match="members' neighbours differ from the record's"):
+                next(peel(h, lambda i, forest, paths: paths))
+        finally:
+            set_debug_invariants(False)
+
 
 class TestStripsFromTraces:
     def test_restriction_splits_components(self):

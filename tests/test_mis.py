@@ -2,6 +2,7 @@ import math
 import types
 
 import pytest
+from hypothesis import given, settings
 
 from chordalg import (
     BadEpsilon, Graph, absorbing_mis, alpha_oracle, brute_alpha,
@@ -17,7 +18,9 @@ from chordalg.graphs import bfs_distances
 from chordalg.intervals import _component_strips
 from chordalg.mis import MisParams, mis_chordal_run
 
-from conftest import complete_graph, dumbbell
+from conftest import (
+    chordal_graphs, complete_graph, dumbbell, graph_outside, internal_peel_graphs,
+)
 
 
 def blocked_set(state, g, i):
@@ -251,3 +254,44 @@ def test_mis_run_builds_one_forest_and_no_clique_path(monkeypatch):
     monkeypatch.setattr(intervals, "_component_strips", no_clique_path)
     mis_chordal_run(dumbbell(3, 5, 400), 0.4)
     assert len(built) == 1
+
+
+def check_outside_sets(g):
+    """Every small-component anchor of `mis_chordal_run` at eps = 0.4 and
+    0.2: the non-members of the record cliques that meet the component are
+    its neighbours in the step's residual outside the record, and the anchor
+    holds them. Returns the number of anchors found."""
+    anchors = 0
+    real = mis_module._outside_anchor
+    for eps in (0.4, 0.2):
+        calls = []
+
+        def spy(record, component):
+            calls.append((record, set(component), real(record, component)))
+            return calls[-1][2]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mis_module, "_outside_anchor", spy)
+            state = mis_chordal_run(g, eps).state
+        for record, component, anchor in calls:
+            residual = state.residuals[state.layer[min(component)] - 1]
+            outside = graph_outside(g, residual, record.members, component)
+            assert outside == set().union(*(
+                c for c in record.cliques if not c.isdisjoint(component)
+            )).difference(record.members)
+            assert (anchor is None) == (not outside)
+            if anchor is not None:
+                assert anchor in (record.attach_s, record.attach_e) and outside <= anchor
+                anchors += 1
+    return anchors
+
+
+@given(chordal_graphs())
+@settings(max_examples=150, deadline=None)
+def test_outside_sets_are_the_graph_side_on_random_chordal_graphs(g):
+    check_outside_sets(g)
+
+
+@internal_peel_graphs
+def test_outside_sets_are_the_graph_side_on_internal_peels(make):
+    assert check_outside_sets(make())

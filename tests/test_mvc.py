@@ -15,13 +15,13 @@ from chordalg import errors, graphs, mvc
 from chordalg.graphs import bfs_distances
 from chordalg.intervals import _component_strips, color_budget
 from chordalg.mvc import (
-    _side_hops, build_correction_job, color_layers, correct_colors, correction_forest,
-    eps_to_k, local_peel_decision, mvc_pipeline, mvc_distributed_run,
+    CorrectionJob, _side_hops, build_correction_job, color_layers, correct_colors,
+    correction_forest, eps_to_k, local_peel_decision, mvc_pipeline, mvc_distributed_run,
 )
 
 from conftest import (
-    chordal_graphs, complete_graph, cycle_graph, dumbbell, graph_wait_set,
-    long_paths_generator,
+    LONG_PATH_CASES, chordal_graphs, complete_graph, cycle_graph, dumbbell,
+    graph_conflicted, graph_wait_set, internal_peel_graphs, long_paths_generator,
 )
 
 
@@ -136,10 +136,6 @@ def internal_members(layering):
             if r.kind == INTERNAL for v in r.members]
 
 
-# (seed, max_clique) pairs whose long paths reach internal peels at every k
-LONG_PATH_CASES = [(0, 3), (0, 6), (2, 4), (5, 3), (6, 6), (9, 4)]
-
-
 @pytest.mark.parametrize("k", [2, 3, 4, 6])
 @pytest.mark.parametrize("seed,m", LONG_PATH_CASES)
 def test_prune_parents_match_full_balls_on_long_paths(seed, m, k):
@@ -242,14 +238,14 @@ class TestCorrectColors:
         k = 4
         layering = prune_layers(g, k)
         base = color_layers(layering, k)
-        assert correct_colors(g, layering, base, k) == base
+        assert correct_colors(layering, base, k) == base
 
     def test_conflicts_resolved_locally(self):
         g = gen_chordal(400, seed=21, max_clique=6)
         k = 4
         layering = prune_layers(g, k)
         base = color_layers(layering, k)
-        final = correct_colors(g, layering, base, k)
+        final = correct_colors(layering, base, k)
         assert verify_coloring(g, final).legal
         changed = {v for v in base if base[v] != final[v]}
         parent = correction_forest(layering, k)[0]
@@ -430,12 +426,6 @@ def test_correction_context_is_the_record_on_random_chordal_graphs(g):
         check_record_context(g, k)
 
 
-internal_peel_graphs = pytest.mark.parametrize("make", [lambda: dumbbell(3, 6, 20)] + [
-    (lambda s=s, m=m: long_paths_generator()(600, s, max_clique=m))
-    for s, m in LONG_PATH_CASES
-], ids=["dumbbell"] + ["long_paths-%d-%d" % case for case in LONG_PATH_CASES])
-
-
 @internal_peel_graphs
 def test_correction_context_is_the_record_on_internal_peels(make):
     g = make()
@@ -489,26 +479,55 @@ def test_pipeline_builds_no_correction_forest(monkeypatch, make):
         mvc_distributed_run(run)
 
 
-@pytest.mark.parametrize("shift,match", [
-    (0, "same-layer neighbor outside the path"),
-    (-1, "higher-layer neighbours differ from the record's"),
-])
-def test_debug_check_catches_a_tampered_layering(monkeypatch, shift, match):
-    """A separator node moved into the path's own layer, or below it, no
-    longer matches the record; only the debug cross-check reads the layers."""
-    k = 4
-    g = dumbbell(3, 6, 3 * k + 8)
+def check_conflict_tests(g, k):
+    """Every job of the repair at k, run on the colors it is given, is
+    conflicted iff a member shares its color with a later-layer neighbour in
+    the graph. Returns the number of conflicted jobs."""
     layering = prune_layers(g, k)
-    colors = color_layers(layering, k)
-    layer, record = next((i, r) for i, records in sorted(layering.peeled_paths.items())
-                         for r in records if r.kind == INTERNAL)
-    u = min(set().union(*record.cliques).difference(record.members))
-    layering.layer[u] = layer + shift
+    base = color_layers(layering, k)
+    out = dict(base)
+    conflicted = 0
+    for i in range(layering.num_layers - 1, 0, -1):
+        for record in layering.peeled_paths[i]:
+            job = build_correction_job(record, out, k)
+            assert job.conflicted == graph_conflicted(g, layering, record.members, i, out)
+            conflicted += job.conflicted
+            out.update(job.new_colors)
+    assert out == correct_colors(layering, base, k)
+    return conflicted
+
+
+@given(chordal_graphs())
+@settings(max_examples=150, deadline=None)
+def test_conflict_tests_are_the_graph_side_on_random_chordal_graphs(g):
+    for k in (2, 4):
+        check_conflict_tests(g, k)
+
+
+@internal_peel_graphs
+def test_conflict_tests_are_the_graph_side_on_internal_peels(make):
+    g = make()
+    assert sum(check_conflict_tests(g, k) for k in (2, 4))
+
+
+def test_debug_check_catches_a_far_recoloring(monkeypatch):
+    """A job that recolors every member, some far beyond k + 4 hops of W'
+    on a long spider leg: only the debug check in `mvc_pipeline`, which
+    holds the graph, notices."""
+    g = dumbbell(3, 20, 20)
+    real = mvc.build_correction_job
+
+    def shifted(record, colors, k):
+        job = real(record, colors, k)
+        return CorrectionJob(True, {v: c + 1 for v, c in job.new_colors.items()},
+                             set(job.new_colors))
+
+    monkeypatch.setattr(mvc, "build_correction_job", shifted)
     monkeypatch.setattr(errors, "_DEBUG_INVARIANTS", False)
-    build_correction_job(g, layering, record, layer, colors, k)
+    mvc_pipeline(g, 1.0)
     monkeypatch.setattr(errors, "_DEBUG_INVARIANTS", True)
-    with pytest.raises(AssertionError, match=match):
-        build_correction_job(g, layering, record, layer, colors, k)
+    with pytest.raises(AssertionError, match="beyond distance k \\+ 4 of conflicts"):
+        mvc_pipeline(g, 1.0)
 
 
 FROZEN_CAP_CONSTANT = 4  # calibrated once on small instances

@@ -437,3 +437,52 @@ def test_long_paths_reach_internal_peel_approx_branch_and_wide_palette():
     assert any(r.kind == INTERNAL for rs in records for r in rs)
     assert max(run.final_colors.values()) > run.omega
     assert "approx" in mis_chordal_run(LONG_PATHS, 0.4).state.branch.values()
+
+
+# (n, seed, max_clique, eps) of long-path instances on which exactly one
+# correction job takes the joint branch, one `extend_coloring` over the
+# whole strip with both sides fixed -> (coloring digest, transcript digest,
+# rounds), recorded before the job was rewritten to read only its record
+JOINT_BRANCH_PINNED = {
+    (200, 30, 6, 0.4): ("1ba33f45fe5f6a3704f5bb2fd560738a675769ab40cd5fa8a35ae6fa42236697",
+                        "b96ac02b3ac05461fac92818afafd28d481a36486009fee722003e8eed71de21",
+                        282),
+    (400, 16, 4, 0.5): ("a0b6e678ee31f8465c479f492d29e7188e446ddf6ab813a11d9b417b3593a6bd",
+                        "3b895ee1297d5a50e299e3fddb22ac85c24bc294d8471e8c81749661be0c1b91",
+                        245),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JOINT_BRANCH_PINNED),
+                         ids=lambda case: "longpaths-%d-%d-%d-%s" % case)
+def test_joint_correction_branch_is_pinned(monkeypatch, case):
+    from chordalg import mvc
+    from chordalg.fileio import coloring_to_text
+
+    jobs = []  # [record, joint extend_coloring calls]
+    real_job, real_extend = mvc.build_correction_job, mvc.extend_coloring
+
+    def job(record, colors, k):
+        jobs.append([record, 0])
+        return real_job(record, colors, k)
+
+    def extend(strip, budget, fixed):
+        # joint: the record's whole strip, with W' nodes of two distinct
+        # sides in its end cliques, all fixed
+        record = jobs[-1][0]
+        wprime = set().union(*record.cliques).difference(record.members)
+        ends = [wprime & strip.cliques[0], wprime & strip.cliques[-1]]
+        if (len(strip.cliques) == len(record.cliques) and all(ends)
+                and ends[0].isdisjoint(ends[1]) and fixed.keys() >= ends[0] | ends[1]):
+            jobs[-1][1] += 1
+        return real_extend(strip, budget, fixed)
+
+    monkeypatch.setattr(mvc, "build_correction_job", job)
+    monkeypatch.setattr(mvc, "extend_coloring", extend)
+    n, seed, max_clique, eps = case
+    colors, transcript = mvc_distributed(long_paths_generator()(n, seed, max_clique), eps)
+    assert sum(joint for _, joint in jobs) == 1
+    want_colors, want_transcript, rounds = JOINT_BRANCH_PINNED[case]
+    assert hashlib.sha256(coloring_to_text(colors).encode()).hexdigest() == want_colors
+    assert digest(transcript) == want_transcript
+    assert transcript.rounds_elapsed == rounds
