@@ -11,9 +11,12 @@ engine offers two services with honest round costs:
   end of the request round to that output: what flooding for `radius`
   rounds would bring, so every node of `read` must lie within `radius` hops
   of the requester (checked exactly under ``__debug__``, as for a Send).
-* ``Send(target, payload, latency)``: multi-hop unicast delivered after
-  `latency` rounds; `latency` must be at least the graph distance (checked
-  exactly under ``__debug__`` by a search at most `latency` hops deep).
+* ``Send(target, payload, latency, route)``: multi-hop unicast delivered
+  after `latency` rounds; `latency` must be at least the graph distance.
+  Under ``__debug__`` a Send with a `route`, the nodes of a path from the
+  sender to the target, is checked by that route: its ends, its edges in
+  the graph and at most `latency` of them. A Send without one is checked
+  exactly by a search at most `latency` hops deep, as a read is.
 
 Nodes that finished still relay traffic: the engine performs delivery for
 every collect or send regardless of the state of intermediate nodes.
@@ -85,6 +88,7 @@ class Send:
     target: int
     payload: Any
     latency: int
+    route: Optional[Tuple[int, ...]] = None  # sender, ..., target
 
 
 @dataclass(frozen=True)
@@ -201,6 +205,18 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
                 raise RuntimeError("node %r is not within %s %d of %s %d"
                                    % (t, what[0], hops, what[1], u))
 
+    def check_route(u, send):
+        """Check that a Send's route is a path of g from its sender u to its
+        target with at most `latency` edges: a certificate of the distance
+        bound, in O(latency) lookups."""
+        route = send.route
+        if (not route or route[0] != u or route[-1] != send.target
+                or len(route) > send.latency + 1
+                or any(b not in adj.get(a, ()) for a, b in zip(route, route[1:]))):
+            raise RuntimeError("route %r is not a path of at most latency %d "
+                               "from sender %d to %r"
+                               % (route, send.latency, u, send.target))
+
     def pad_to(rounds):
         """Record the quiet rounds up to (not including) round `rounds`."""
         quiet = rounds - len(message_counts)
@@ -303,8 +319,11 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
                         collect_buffer.append((v, req))
                     elif kind is Send:
                         if __debug__:
-                            check_within(v, (req.target,), req.latency,
-                                         ("latency", "sender"))
+                            if req.route is None:
+                                check_within(v, (req.target,), req.latency,
+                                             ("latency", "sender"))
+                            else:
+                                check_route(v, req)
                         at = rnd + req.latency
                         deliver(inboxes_at(at), at, req.target, ("msg", v), req.payload)
                         if log is not None:
@@ -372,7 +391,8 @@ class GatherProgram:
     local variable; after exactly `radius` rounds it outputs a map from every
     node within distance `radius` to that node's (neighbors, variable) pair.
     A node steps when it hears from a neighbor, and in round `radius`, which
-    it asks to wake for in round 0.
+    it asks to wake for in round 0. Every inbox item is a neighbor's message:
+    the program requests no collect, and a wake is an empty inbox.
     """
 
     def __init__(self, radius: int, local_vars: Optional[Dict[int, Any]] = None):
@@ -391,9 +411,7 @@ class GatherProgram:
             learned = dict(know)
         else:
             learned = {}
-            for key, payload in inbox.items():
-                if key[0] != "msg":
-                    continue
+            for payload in inbox.values():
                 for u, entry in payload.items():
                     if u not in know:
                         learned[u] = entry

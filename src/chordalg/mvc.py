@@ -60,23 +60,32 @@ class Layering:
         return sorted(v for v, l in self.layer.items() if l == i)
 
 
-def _side_hops(cliques, limit: int) -> Dict[int, int]:
+def _side_hops(cliques, limit: int):
     """Hop distance from the nodes of cliques[0], along the clique path
-    `cliques`, of every node within `limit` hops of them.
+    `cliques`, of every node within `limit` hops of them, and one relay per
+    hop.
 
     Let reach[0] = 0 and reach[h + 1] be the last clique that meets clique
     reach[h]. A node lies within h hops iff its first clique is at most
-    reach[h], so the walk stops after clique reach[limit].
+    reach[h], so the walk stops after clique reach[limit]. Returns (dist,
+    relays), where relays[h - 1] is a node of cliques reach[h - 1] and
+    reach[h]: it lies in every clique between them, so it is adjacent to
+    every node first reached at hop h, and to relays[h - 2], which shares
+    clique reach[h - 1] with it.
     """
     dist = dict.fromkeys(cliques[0], 0)
-    anchor, j, t = cliques[0], 1, len(cliques)
+    relays = []
+    j, t = 1, len(cliques)
     for h in range(1, limit + 1):
+        if j == t:
+            break
+        anchor = cliques[j - 1]
         while j < t and not anchor.isdisjoint(cliques[j]):
             for v in cliques[j] - cliques[j - 1]:
                 dist[v] = h
             j += 1
-        anchor = cliques[j - 1]
-    return dist
+        relays.append(max(anchor & cliques[j - 1]))
+    return dist, relays
 
 
 def prune_layers(g: Graph, k: int) -> Layering:
@@ -109,9 +118,10 @@ def prune_layers(g: Graph, k: int) -> Layering:
 
 
 def correction_forest(layering: Layering, k: int):
-    """The node program's correction forest: (parent, levels), where
-    parent[v] is every peeled node's parent or None, and levels[par] lists
-    par's correction levels top first as (layer, children, wait set).
+    """The node program's correction forest: (parent, levels, route), where
+    parent[v] is every peeled node's parent or None, levels[par] lists par's
+    correction levels top first as (layer, children, wait set), and
+    route[v] is a path of g from v's parent to v, for v's set-color Send.
 
     A member's parent is max(side) for the nearest attach side within k + 3
     hops in the graph, ties going to the smaller clique word. The distance
@@ -127,26 +137,39 @@ def correction_forest(layering: Layering, k: int):
       form a subpath of the graph's forest too, and a removed internal path
       splits it for good.
 
+    A child v at d hops from its side takes the route: the parent, then the
+    first d relays of that walk (`_side_hops`), then v. The first relay lies
+    in the side, a clique, so it follows the parent by one edge, or is the
+    parent and appears once; each other relay follows the one before, and v
+    follows the last. So the route has at most d + 1 <= k + 4 edges,
+    `set_color_latency(k)`, and no graph is searched for it.
+
     A wait set, the children's later-layer neighbours, is the non-members of
     the record cliques that meet the children: at step i a level-i child's
     neighbours are its record's members and the non-members of the cliques
     holding it (`PeelPath`); its other neighbours were peeled earlier.
     """
     parent: Dict[int, Optional[int]] = {}
+    route: Dict[int, Tuple[int, ...]] = {}
     per: Dict[int, Dict[int, Tuple[Set[int], Set[int]]]] = {}  # (children, wait set)
     for i, records in layering.peeled_paths.items():
         for p in records:
-            sides = [(_side_hops((side, *seq), k + 3), clique_word(side), side)
+            sides = [(*_side_hops((side, *seq), k + 3), clique_word(side), max(side))
                      for side, seq in ((p.attach_s, p.cliques),
                                        (p.attach_e, p.cliques[::-1]))
                      if side is not None]
             mine: Dict[int, Set[int]] = {}
             for v in p.members:
-                keys = [(dist[v], word, side) for dist, word, side in sides
+                keys = [(dist[v], word, par, relays) for dist, relays, word, par in sides
                         if v in dist]
-                parent[v] = max(min(keys)[2]) if keys else None
-                if keys:
-                    mine.setdefault(parent[v], set()).add(v)
+                if not keys:
+                    parent[v] = None
+                    continue
+                d, _, par, relays = min(keys)
+                parent[v] = par
+                hops = relays[:d]
+                route[v] = (*hops, v) if hops[0] == par else (par, *hops, v)
+                mine.setdefault(par, set()).add(v)
             w_set = set(p.members)
             for par, vs in mine.items():
                 kids, wait = per.setdefault(par, {}).setdefault(i, (set(), set()))
@@ -155,7 +178,7 @@ def correction_forest(layering: Layering, k: int):
     levels = {par: [(i, tuple(sorted(kids)), tuple(sorted(wait)))
                     for i, (kids, wait) in sorted(at.items(), reverse=True)]
               for par, at in per.items()}
-    return parent, levels
+    return parent, levels, route
 
 
 def color_layers(layering: Layering, k: int) -> Coloring:
@@ -367,12 +390,13 @@ class MvcProgram(StagedProgram):
     serves its correction levels from the top down. For each level it polls,
     reading the outputs of the level's wait set (the higher-layer neighbours
     of that level's children), until every one has output; then it sends the
-    children their colors. A node outputs its color in the step that gives
-    it, so an output is a final color, and the engine checks that the read
-    stays within the poll radius. A quiet root, with no parent and no
-    correction levels, only outputs its color as it leaves the schedule, so
-    ``leave_group`` answers the quiet roots of a group in one map and steps
-    each other node through ``leave``.
+    children their colors, each Send naming its route from
+    `correction_forest`. A node outputs its color in the step that gives it,
+    so an output is a final color. The engine checks that each read stays
+    within the poll radius and each route within the Send latency. A quiet
+    root, with no parent and no correction levels, only outputs its color as
+    it leaves the schedule, so ``leave_group`` answers the quiet roots of a
+    group in one map and steps each other node through ``leave``.
     """
 
     def __init__(self, run: MvcRun):
@@ -380,7 +404,7 @@ class MvcProgram(StagedProgram):
         self.k = run.k
         self.poll_radius = correction_poll_radius(run.k)
         layering = run.layering
-        self.parent, self.levels = correction_forest(layering, run.k)
+        self.parent, self.levels, self.routes = correction_forest(layering, run.k)
         self.quiet = {v for v, par in self.parent.items()
                       if par is None}.difference(self.levels)
         # a layer-i node colors after prune stage i - 1, its last
@@ -430,20 +454,16 @@ class MvcProgram(StagedProgram):
             state.color = inbox["msg", self.parent[state.id]][1]
             return self._finalize(state)
 
-        if state.phase == "correct":
-            poll = state.poll
-            if len(inbox["collect", poll.tag].outputs) < len(poll.read):
-                return StepResult(state, requests=(poll,))
-            kids = state.levels[0][1]
-            sends = [
-                Send(child, ("set_color", run.final_colors[child]),
-                     set_color_latency(self.k))
-                for child in kids
-            ]
-            state.levels = state.levels[1:]
-            return self._next_level(state, sends)
-
-        return StepResult(state)
+        # "correct": a "done" node has no request, wake or sender left
+        poll = state.poll
+        if len(inbox["collect", poll.tag].outputs) < len(poll.read):
+            return StepResult(state, requests=(poll,))
+        latency, routes = set_color_latency(self.k), self.routes
+        sends = [Send(child, ("set_color", run.final_colors[child]), latency,
+                      routes[child])
+                 for child in state.levels[0][1]]
+        state.levels = state.levels[1:]
+        return self._next_level(state, sends)
 
 
 def default_round_cap(g: Graph, eps: float) -> int:

@@ -1,11 +1,12 @@
 import importlib.util
 import itertools
+import math
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from chordalg import Graph, gen_spider
+from chordalg import Graph, gen_chordal, gen_spider, omega_oracle
 
 
 def graph_from_edge_mask(n, mask):
@@ -147,6 +148,24 @@ def graph_outside(g, residual, members, component):
     """A small MIS component's outside set read off the graph: its
     neighbours in `residual` other than its record's members."""
     return {u for v in component for u in g.adj[v] & residual}.difference(members)
+
+
+def chordal_corpus(eps, n: int, max_clique: int, count: int):
+    """The acceptance corpus: a deterministic stream of `count` graphs
+    `gen_chordal(n, seed, max_clique)` with their clique numbers, seeds from
+    0 up; skips instances whose clique number is too small for the requested
+    accuracy (eps >= 2/omega must hold)."""
+    need_omega = math.ceil(2 / eps)
+    seed = 0
+    produced = 0
+    while produced < count:
+        g = gen_chordal(n, seed=seed, max_clique=max_clique)
+        seed += 1
+        omega = omega_oracle(g)
+        if omega < need_omega:
+            continue
+        produced += 1
+        yield g, omega
 
 
 # (seed, max_clique) pairs whose `long_paths_generator()(600, ...)` graphs

@@ -18,6 +18,9 @@ from chordalg.intervals import color_budget
 from chordalg.mis import mis_chordal_distributed, mis_chordal_run, verify_absorption
 from chordalg.mvc import eps_to_k, mvc_distributed, mvc_distributed_run, mvc_pipeline
 
+from conftest import chordal_corpus
+
+
 @pytest.fixture
 def announce(capsys):
     """Print the criterion verdict on the live terminal, capture or not."""
@@ -32,22 +35,6 @@ MAX_CLIQUES = (8, 20)
 MVC_EPS = (Fraction(1, 2), Fraction(1, 4))
 MIS_EPS = (Fraction(2, 5), Fraction(1, 4))
 PER_CONFIG = 50
-
-
-def chordal_corpus(eps: Fraction, n: int, max_clique: int, count: int = PER_CONFIG):
-    """Deterministic instance stream; skips instances whose clique number is
-    too small for the requested accuracy (eps >= 2/omega must hold)."""
-    need_omega = math.ceil(2 / eps)
-    seed = 0
-    produced = 0
-    while produced < count:
-        g = gen_chordal(n, seed=seed, max_clique=max_clique)
-        seed += 1
-        omega = omega_oracle(g)
-        if omega < need_omega:
-            continue
-        produced += 1
-        yield g, omega
 
 
 class MvcCorpusResult:
@@ -69,7 +56,7 @@ def mvc_corpus_results():
         k = eps_to_k(float(eps))
         for n in MVC_SIZES:
             for mc in MAX_CLIQUES:
-                for g, omega in chordal_corpus(eps, n, mc):
+                for g, omega in chordal_corpus(eps, n, mc, PER_CONFIG):
                     out.instances += 1
                     run = mvc_pipeline(g, float(eps))
                     res = verify_coloring(g, run.final_colors)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from chordalg.localsim import (
     run, stage_chain,
 )
 
-from conftest import small_graphs
+from conftest import cycle_graph, small_graphs
 from reference_engine import reference_run
 
 
@@ -53,6 +55,11 @@ def test_gather_radius_two_on_path_center():
     t = run(gen_path(5), gather(2), 10)
     assert t.rounds_elapsed == 2
     assert sorted(t.outputs[3]) == [1, 2, 3, 4, 5]
+
+
+def test_gather_radius_below_one_raises():
+    with pytest.raises(ValueError, match="radius must be >= 1"):
+        gather(0)
 
 
 def test_gather_learns_exact_ball():
@@ -177,16 +184,18 @@ def test_send_multi_hop_latency_is_enforced():
 
 
 class Relay:
-    """Node 1 sends "hi" to node 4 with latency 3; node 4 outputs what it
-    received and when."""
+    """Node 1 sends `send`, by default "hi" to node 4 with latency 3; node 4
+    outputs what it received and when."""
+
+    def __init__(self, send=Send(4, "hi", latency=3)):
+        self.send = send
 
     def init(self, node, neighbors):
         return node
 
     def step(self, state, rnd, inbox):
         if rnd == 0 and state == 1:
-            return StepResult(state, output=0,
-                              requests=[Send(4, "hi", latency=3)])
+            return StepResult(state, output=0, requests=[self.send])
         for key, payload in inbox.items():
             if key[0] == "msg":
                 return StepResult(state, output=(key[1], payload, rnd))
@@ -313,6 +322,34 @@ def test_send_check_rejects_a_target_inside_a_ball_grown_deeper():
         run(gen_path(10), PlannedSends({0: [deep], 2: [Send(8, "x", latency=6)]}), 20)
     t = run(gen_path(10), PlannedSends({0: [deep], 2: [Send(8, "x", latency=7)]}), 20)
     assert t.complete
+
+
+# Sends from node 1 to node 4 of the cycle 1 - 2 - ... - 7 - 1, three hops
+# away, whose routes are not a path of at most `latency` edges from the
+# sender to the target; the target is within the latency, so only the route
+# is at fault
+BAD_ROUTES = {
+    "a non-edge": Send(4, "x", 3, (1, 2, 4)),
+    "one edge over the latency": Send(4, "x", 3, (1, 7, 6, 5, 4)),
+    "wrong first node": Send(4, "x", 3, (2, 3, 4)),
+    "wrong last node": Send(4, "x", 3, (1, 2, 3)),
+    "no node": Send(4, "x", 3, ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ROUTES))
+def test_send_with_a_bad_route_raises(name):
+    send = BAD_ROUTES[name]
+    assert run(cycle_graph(7), PlannedSends({0: [replace(send, route=None)]}), 10).complete
+    with pytest.raises(RuntimeError, match="is not a path of at most latency 3 "
+                       "from sender 1 to 4"):
+        run(cycle_graph(7), PlannedSends({0: [send]}), 10)
+
+
+def test_send_route_of_exactly_latency_edges_is_accepted():
+    # the long way round, one edge longer than the distance
+    t = run(cycle_graph(7), Relay(Send(4, "hi", 4, (1, 7, 6, 5, 4))), 10)
+    assert t.outputs[4] == (1, "hi", 4)
 
 
 # rounds in which no node has a delivery or a wake are skipped; the tests

@@ -11,17 +11,20 @@ from chordalg import (
 )
 from chordalg.cliqueforest import INTERNAL, IntervalStrip, clique_word, strips_from_traces
 from chordalg.fileio import coloring_to_text
-from chordalg import errors, graphs, mvc
+from chordalg import errors, graphs, localsim, mvc
 from chordalg.graphs import bfs_distances
 from chordalg.intervals import _component_strips, color_budget
 from chordalg.mvc import (
-    CorrectionJob, _side_hops, build_correction_job, color_layers, correct_colors,
-    correction_forest, eps_to_k, local_peel_decision, mvc_pipeline, mvc_distributed_run,
+    CorrectionJob, MvcProgram, _side_hops, build_correction_job, color_layers,
+    correct_colors, correction_forest, correction_poll_radius, default_round_cap,
+    eps_to_k, local_peel_decision, mvc_pipeline, mvc_distributed_run,
+    set_color_latency,
 )
 
 from conftest import (
-    LONG_PATH_CASES, chordal_graphs, complete_graph, cycle_graph, dumbbell,
-    graph_conflicted, graph_wait_set, internal_peel_graphs, long_paths_generator,
+    LONG_PATH_CASES, chordal_corpus, chordal_graphs, complete_graph, cycle_graph,
+    dumbbell, graph_conflicted, graph_wait_set, internal_peel_graphs,
+    long_paths_generator,
 )
 
 
@@ -108,7 +111,7 @@ def reference_parents(g, layering, k):
 def forest(layering, k):
     """`correction_forest`'s parents, and its children in the shape of
     `reference_parents`'."""
-    parent, levels = correction_forest(layering, k)
+    parent, levels, _ = correction_forest(layering, k)
     return parent, {par: {i: kids for i, kids, _ in per} for par, per in levels.items()}
 
 
@@ -163,7 +166,7 @@ def test_side_hops_match_graph_distances(seed, m):
                         continue
                     nodes = side.union(*seq)
                     full = bfs_distances(g, side, cutoff=k + 3)
-                    assert _side_hops((side, *seq), k + 3) == {
+                    assert _side_hops((side, *seq), k + 3)[0] == {
                         v: d for v, d in full.items() if v in nodes}
 
 
@@ -189,12 +192,14 @@ pipeline_graphs = pytest.mark.parametrize("make", [
 
 @pipeline_graphs
 def test_correction_forest_searches_no_graph(monkeypatch, make):
-    """The peel and the correction forest come from the peel records alone:
-    with every binding of `bfs_distances` and `BfsBall` made to raise, and
-    debug invariants off, the layering and the forest are unchanged."""
+    """The peel and the correction forest, the set-color routes included,
+    come from the peel records alone: with every binding of `bfs_distances`
+    and `BfsBall` made to raise, and debug invariants off, the layering and
+    the forest are unchanged."""
     g = make()
     expected = {k: prune_layers(g, k) for k in (2, 4)}
     forests = {k: correction_forest(layering, k) for k, layering in expected.items()}
+    assert all(routes for _, _, routes in forests.values())
 
     def no_search(*args, **kwargs):
         raise AssertionError("the graph was searched")
@@ -209,6 +214,109 @@ def test_correction_forest_searches_no_graph(monkeypatch, make):
         got = prune_layers(g, k)
         assert (got.layer, got.num_layers) == (want.layer, want.num_layers)
         assert correction_forest(got, k) == forests[k]
+
+
+def routed_sends(g, eps):
+    """Replay MVC's node program on g; returns the pipeline run and every
+    Send its steps make, as (sender, Send) pairs."""
+    run = mvc_pipeline(g, eps)
+    program = MvcProgram(run)
+    step, sends = program.step, []
+
+    def spy(state, rnd, inbox):
+        res = step(state, rnd, inbox)
+        sends.extend((res.state.id, req) for req in res.requests
+                     if type(req) is localsim.Send)
+        return res
+
+    program.step = spy
+    transcript = localsim.run(g, program, default_round_cap(g, eps))
+    assert transcript.outputs == run.final_colors
+    return run, sends
+
+
+def check_routes(g, eps):
+    """Every child of the correction forest gets one Send from its parent,
+    and its route is a path of g from the parent to the child with at most
+    `set_color_latency(k)` edges; `bfs_distances` finds the child within the
+    route's length of the parent. Returns the number of Sends."""
+    run, sends = routed_sends(g, eps)
+    latency = set_color_latency(run.k)
+    parent = correction_forest(run.layering, run.k)[0]
+    assert sorted(send.target for _, send in sends) == sorted(
+        v for v, par in parent.items() if par is not None)
+    by_sender = {}
+    for u, send in sends:
+        route = send.route
+        assert send.latency == latency
+        assert route[0] == u == parent[send.target] and route[-1] == send.target
+        assert len(route) - 1 <= latency
+        assert all(b in g.adj[a] for a, b in zip(route, route[1:]))
+        by_sender.setdefault(u, []).append(send)
+    for u, mine in by_sender.items():
+        dist = bfs_distances(g, u, cutoff=latency)
+        assert all(dist.get(send.target, latency + 1) <= len(send.route) - 1
+                   for send in mine)
+    return len(sends)
+
+
+# the first admissible instance of some acceptance-corpus configurations,
+# as (eps, n, max_clique)
+CORPUS_SAMPLE = [(0.5, 128, 8), (0.5, 512, 20), (0.5, 2048, 8), (0.25, 512, 8),
+                 (0.25, 2048, 20)]
+
+
+@pytest.mark.parametrize("eps,n,mc", CORPUS_SAMPLE)
+def test_set_color_routes_on_acceptance_corpus_sample(eps, n, mc):
+    (g, _), = chordal_corpus(eps, n, mc, 1)
+    assert check_routes(g, eps)
+
+
+@internal_peel_graphs
+def test_set_color_routes_on_internal_peels(make):
+    g = make()
+    for eps in (1.0, 0.5):
+        if eps >= 2.0 / omega_oracle(g):
+            assert check_routes(g, eps)
+
+
+@pytest.mark.parametrize("n,seed,mc,eps", [(200, 30, 6, 0.4), (400, 16, 4, 0.5)])
+def test_set_color_routes_on_joint_branch_instances(n, seed, mc, eps):
+    assert check_routes(long_paths_generator()(n, seed, max_clique=mc), eps)
+
+
+@pipeline_graphs
+def test_replay_grows_balls_only_for_poll_readers(monkeypatch, make):
+    """The engine checks every set-color Send by its route, so an MVC
+    replay grows a ball only for a node that reads a wait set, and only as
+    far as the poll radius. The same replay with route-less Sends grows
+    balls to the Send latency too."""
+    g = make()
+    run = mvc_pipeline(g, 0.5)
+    readers = set(correction_forest(run.layering, run.k)[1])
+    sources, limits = [], set()  # of every ball, and every depth it was asked for
+
+    class Spy(graphs.BfsBall):
+        def __init__(self, g, source):
+            sources.append(source)
+            super().__init__(g, source)
+
+        def reach(self, targets, limit):
+            limits.add(limit)
+            return super().reach(targets, limit)
+
+    monkeypatch.setattr(localsim, "BfsBall", Spy)
+    mvc_distributed_run(run)
+    assert sources and set(sources) <= readers
+    assert limits == {correction_poll_radius(run.k)}
+
+    def routeless(target, payload, latency, route):
+        return localsim.Send(target, payload, latency)
+
+    monkeypatch.setattr(mvc, "Send", routeless)
+    limits.clear()
+    mvc_distributed_run(run)
+    assert limits == {correction_poll_radius(run.k), set_color_latency(run.k)}
 
 
 class TestColorLayers:
