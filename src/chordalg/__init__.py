@@ -33,7 +33,7 @@ from .mvc import (
     prune_layers,
 )
 from .mis import (
-    MisParams, PeelState, absorbing_mis, mis_chordal_centralized,
+    MisParams, PeelState, mis_chordal_centralized,
     mis_chordal_distributed, mis_interval_distributed, residual_alpha_check,
     verify_absorption,
 )

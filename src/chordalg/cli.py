@@ -199,6 +199,10 @@ def _fit_slope(xs, ys):
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / den
 
 
+# each suite's default accuracy, inside its valid range (MIS needs eps < 1/2)
+BENCH_EPS = {"mvc": 0.5, "mis": 0.4}
+
+
 def cmd_bench(args) -> int:
     set_debug_invariants(args.debug_invariants)
     _require_round_cap(args)
@@ -208,6 +212,8 @@ def cmd_bench(args) -> int:
         raise BadSpec("--sizes takes integers separated by commas, not %r" % args.sizes)
     if min(sizes) < 1 or args.max_clique < 1:
         raise BadSpec("--sizes and --max-clique must be at least 1")
+    if args.eps is None:
+        args.eps = BENCH_EPS[args.suite]
     if args.suite == "mvc" and args.eps <= 0:
         raise EpsilonTooSmall("eps %.4f is not positive" % args.eps)
     writer = fileio.ReportWriter(args.out)
@@ -290,7 +296,7 @@ def build_parser():
     p_bench = sub.add_parser("bench", help="sweep a grid and report rounds")
     p_bench.add_argument("suite", choices=["mvc", "mis"])
     p_bench.add_argument("--sizes", default="128,256,512")
-    p_bench.add_argument("--eps", type=float, default=0.5)
+    p_bench.add_argument("--eps", type=float, default=None)
     p_bench.add_argument("--seeds", type=int, default=3)
     p_bench.add_argument("--max-clique", type=int, default=6)
     p_bench.add_argument("--round-cap", type=int, default=None)

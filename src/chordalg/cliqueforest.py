@@ -382,14 +382,13 @@ class IntervalStrip:
         return chosen
 
 
-def strips_from_traces(clique_seq, keep, oriented: bool = False) -> List[IntervalStrip]:
+def strips_from_traces(clique_seq, keep) -> List[IntervalStrip]:
     """Clique paths of the subgraph induced by `keep` inside a clique path.
 
     Restricting a consecutive clique arrangement to a node subset yields the
     arrangement of the induced subgraph: drop empty traces, swallow traces
     contained in a neighbor, and split where consecutive traces are disjoint.
-    One strip per connected component, canonically oriented unless `oriented`
-    asks to preserve the input direction.
+    One strip per connected component, canonically oriented.
     """
     keep = set(keep)
     traces = []
@@ -410,11 +409,10 @@ def strips_from_traces(clique_seq, keep, oriented: bool = False) -> List[Interva
             runs.append([frozenset(tr)])
     strips = []
     for run in runs:
-        if not oriented and clique_word(run[0]) > clique_word(run[-1]):
+        if clique_word(run[0]) > clique_word(run[-1]):
             run.reverse()
         strips.append(IntervalStrip(run))
-    if not oriented:
-        strips.sort(key=lambda s: clique_word(s.cliques[0]))
+    strips.sort(key=lambda s: clique_word(s.cliques[0]))
     return strips
 
 

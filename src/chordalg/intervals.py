@@ -384,7 +384,7 @@ def color_strip(strip: IntervalStrip, k: int) -> Coloring:
         colors.update(seg_colors)
     if bounds[-1] < len(strip.cliques) - 1:
         # a tail of one clique is the last boundary, colored above
-        tail = IntervalStrip(strip.cliques[bounds[-1]:])
+        tail = strip if bounds[-1] == 0 else IntervalStrip(strip.cliques[bounds[-1]:])
         fixed = {v: colors[v] for v in tail.nodes if v in colors}
         colors.update(greedy_fill(tail, fixed))
     return colors

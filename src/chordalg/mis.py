@@ -3,9 +3,12 @@
 A bounded number of peeling iterations (depending only on the accuracy
 target) removes pendant and long internal paths from the clique forest; the
 removed interval strips already hold an almost-maximum independent set.
-Small components are solved exactly on their clique strip, by its
-earliest-right-end sweep or, next to a residual anchor, by the absorbing
-sweep; large ones with the approximate interval routine.
+Each peeled record is cut once into component strips. Small components
+are solved exactly on their strip: by its earliest-right-end sweep or, next
+to a residual anchor clique X, by the absorbing sweep, which reads the order
+of the component-plus-X clique path off the same strip (`absorbing_sweep`).
+A component of fewer than d nodes gets that one sweep; large ones may take
+the approximate interval routine.
 """
 
 from __future__ import annotations
@@ -68,27 +71,66 @@ class PeelState:
     layer: Dict[int, int] = field(default_factory=dict)
 
 
-def absorbing_mis(cliques, component, anchor) -> Set[int]:
-    """Maximum independent set of a small interval component.
+def _runs_forward(cliques, strip: IntervalStrip) -> bool:
+    """Whether `strip`, cut from the clique path `cliques`, runs in the
+    direction of `cliques` (the cut may have turned it round).
 
-    `cliques` is the clique path the component was peeled from, ordered so
-    that its last clique lies next to the `anchor` clique. Nodes are taken
-    simplicial-first starting from the one remotest from the anchor.
-    Remoteness is position along the clique path of the component-plus-anchor
-    graph (hop counts are too coarse: all of a hanging clique sits at hop
-    distance one, yet only its far end keeps the chosen set absorbing). The
-    far-end sweep makes the chosen set absorb all independence of its closed
-    residual neighborhood minus the nodes already blocked.
+    A node only on the strip's first clique and one only on its last are
+    not adjacent, and the first starts on `cliques` before the second does
+    exactly when the strip runs forward.
     """
-    component = set(component)
-    anchor = frozenset(anchor)
-    strips = strips_from_traces(list(cliques) + [anchor], component | anchor,
-                                oriented=True)
-    if len(strips) != 1 or strips[0].cliques[-1] != anchor:
+    if len(strip.cliques) == 1:
+        return True
+    first = next(iter(strip.cliques[0] - strip.cliques[1]))
+    last = next(iter(strip.cliques[-1] - strip.cliques[-2]))
+    return first in next(c for c in cliques if first in c or last in c)
+
+
+def absorbing_sweep(g: Graph, record, strip: IntervalStrip, anchor) -> Set[int]:
+    """Maximum independent set of a small component, next to the residual
+    `anchor` clique X, that absorbs the independence of its neighbourhood.
+
+    `strip` is the component's strip, cut from `record.cliques`. The set is
+    the earliest-right-end sweep of the clique path of the component plus
+    X, with X last, taken from the remotest simplicial node (hop counts are
+    too coarse: all of a hanging clique sits one hop from X, yet only its
+    far end keeps the set absorbing). That path is not built; its order is
+    read off the strip from X's side:
+    - The cliques holding a node of X span a subtree of the clique forest
+      (Blair & Peyton 1993), and X is attached at one end of the record. So
+      on the record's cliques the nodes of X grow toward X: one on a record
+      clique lies on every record clique from there to X. A member meets X
+      only on its own cliques, so its anchor degree |N(v) & X| grows with
+      its last record clique.
+    - The traces of the record's cliques on component plus X are the
+      component's traces, each with that growing part of X. A trace the
+      cut swallows into a later one is swallowed here too. A trace kept
+      here only is one whose X part grew past a trace that holds its
+      component part, so no node starts on it: ties in the first clique
+      stay ties, and adjacency is the strip's. It only splits nodes that
+      end on the same strip clique, by their last record clique, and so by
+      anchor degree, equal degrees staying together.
+    So the sweep order is (last clique, anchor degree, first clique, id),
+    counted from X's side. The path is one path ending at X iff some node
+    of the strip's X-side end clique has a neighbour in X.
+    """
+    if (anchor == record.attach_e) == _runs_forward(record.cliques, strip):
+        last, first = strip.hi, strip.lo
+    else:  # X faces the strip's first clique: read it mirrored, positions negated
+        last = {v: -j for v, j in strip.lo.items()}
+        first = {v: -j for v, j in strip.hi.items()}
+    adj = g.adj
+    degree = {v: len(adj[v] & anchor) for v in last}
+    order = sorted(last, key=lambda v: (last[v], degree[v], first[v], v))
+    if not degree[order[-1]]:
         raise AssertionError("anchored strip is not one path ending at the anchor")
-    # smallest right endpoint in the anchored strip = remotest simplicial
-    # node first; anchor members only widen ranges, they are never picked
-    return strips[0].greedy_mis(allowed=component)
+    chosen: Set[int] = set()
+    blocked_to = -len(strip.cliques)  # below every first position
+    for v in order:
+        if first[v] > blocked_to:
+            chosen.add(v)
+            blocked_to = last[v]
+    return chosen
 
 
 def _outside_anchor(record, component):
@@ -145,18 +187,20 @@ def mis_chordal_run(g: Graph, eps: float) -> MisRun:
             if not active:
                 continue
             for strip in strips_from_traces(p.cliques, active):
-                comp = set(strip.nodes)
-                # the strip is the component's clique path, so its sweep is exact
-                part = strip.greedy_mis()
+                comp = strip.nodes
+                # fewer than d nodes means alpha < d: no plain sweep is needed
+                # before the anchor; a larger component may still be approximate
+                part = None if i < iters and len(comp) < d else strip.greedy_mis()
                 tag = "exact"
-                if len(part) >= d:
+                if part is not None and len(part) >= d:
                     part = mis_strip(strip, params.strip_eps)
                     tag = "approx"
                 elif i < iters:
                     anchor = _outside_anchor(p, comp)
                     if anchor is not None:
-                        cliques = p.cliques[::-1] if anchor == p.attach_s else p.cliques
-                        part = absorbing_mis(cliques, comp, anchor)
+                        part = absorbing_sweep(g, p, strip, anchor)
+                    elif part is None:
+                        part = strip.greedy_mis()
                     state.absorption.append(AbsorptionRecord(
                         i, frozenset(comp), frozenset(part),
                         frozen_forbidden, anchor))

@@ -257,6 +257,14 @@ def test_bench_mis_emits_rows_and_slope(workdir, capsys):
     assert summary.startswith("# slope rounds-vs-n ") and summary.endswith(" over 4 runs")
 
 
+@pytest.mark.parametrize("suite,eps", [("mvc", "0.5"), ("mis", "0.4")])
+def test_bench_default_eps_is_valid_per_suite(workdir, capsys, suite, eps):
+    # without --eps each suite runs at its own default, inside its range
+    assert main(["bench", suite, "--sizes", "20", "--seeds", "1"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()[:-1]))
+    assert [r["eps"] for r in rows] == [eps]
+
+
 @pytest.mark.parametrize("eps,seeds", [("0.1", "1"), ("0.5", "0")])
 def test_bench_without_a_qualifying_instance(workdir, capsys, eps, seeds):
     # eps 0.1 is below 2 / omega on every instance, and no seed runs none

@@ -705,6 +705,21 @@ class TestIntervalStrip:
         for v in range(2, 9):
             assert strip.dist(1, v) == dist[v]
 
+    def test_distances_either_way_round(self):
+        g = gen_path(8)
+        strip = IntervalStrip(classify_paths(clique_forest(g))[0].cliques)
+        for u in range(1, 9):
+            dist = bfs_distances(g, u)
+            for v in range(1, 9):
+                assert strip.dist(v, u) == strip.dist(u, v) == dist[v]
+
+    def test_disconnected_strip(self):
+        # without the None, the hop loop would never leave clique 0
+        strip = IntervalStrip([frozenset({1}), frozenset({2})])
+        assert strip.dist(1, 2) is None and strip.dist(2, 1) is None
+        with pytest.raises(ValueError, match="strip is disconnected"):
+            strip.diameter()
+
     def test_greedy_mis_is_exact(self):
         for seed in (1, 4):
             g = gen_interval(25, seed=seed)

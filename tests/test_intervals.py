@@ -1056,3 +1056,15 @@ def test_benchmark_calls_search_no_graph(monkeypatch, family):
             mis_chordal_distributed(g, 0.4)
     assert not bfs_calls
     assert not subgraph_callers
+
+
+def test_one_boundary_strip_is_its_own_tail():
+    # a strip shorter than the boundary spacing has the one boundary clique
+    # 0, so its tail is the whole strip and is colored without a copy
+    g = gen_path(6)
+    (strip,) = _component_strips(g)
+    assert _select_boundaries(strip, 4 + 3) == [0]
+    with mock.patch.object(intervals, "IntervalStrip",
+                           side_effect=AssertionError("strip rebuilt")):
+        colors = intervals.color_strip(strip, 4)
+    assert verify_coloring(g, colors) == (True, 2)

@@ -1,3 +1,5 @@
+import hashlib
+import inspect
 import math
 import types
 
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from chordalg import (
-    BadEpsilon, Graph, absorbing_mis, alpha_oracle, brute_alpha,
+    BadEpsilon, Graph, alpha_oracle, brute_alpha,
     gen_chordal, gen_interval, gen_path, mis_chordal_centralized,
     mis_chordal_distributed, mis_interval_distributed, residual_alpha_check,
     verify_absorption, verify_is,
@@ -13,14 +15,18 @@ from chordalg import (
 import chordalg
 import chordalg.mis as mis_module
 from chordalg import intervals
-from chordalg.cliqueforest import IntervalStrip, clique_forest
+from chordalg.cliqueforest import (
+    PENDANT, IntervalStrip, PeelPath, clique_forest, peel, strips_from_traces,
+)
 from chordalg.graphs import bfs_distances
 from chordalg.intervals import _component_strips
-from chordalg.mis import MisParams, mis_chordal_run
+from chordalg.mis import MisParams, absorbing_sweep, mis_chordal_run
 
 from conftest import (
-    chordal_graphs, complete_graph, dumbbell, graph_outside, internal_peel_graphs,
+    LONG_PATH_CASES, chordal_corpus, chordal_graphs, complete_graph, dumbbell,
+    graph_outside, internal_peel_graphs, long_paths_generator,
 )
+from reference_absorbing import reference_absorbing
 
 
 def blocked_set(state, g, i):
@@ -55,10 +61,24 @@ def path_cliques(n):
     return [frozenset({v, v + 1}) for v in range(1, n)]
 
 
-class TestAbsorbingMis:
-    def test_path_with_anchor_beyond_the_end(self):
+def anchored_sweep(g, cliques, anchor, at_start=False):
+    """`absorbing_sweep` on the pendant record of `cliques` (given from the
+    end away from `anchor`), attached to `anchor` at its end or, with
+    `at_start`, at its start, for the component of all its members."""
+    anchor = frozenset(anchor)
+    members = tuple(sorted(set().union(*cliques) - anchor))
+    cliques = tuple(cliques[::-1] if at_start else cliques)
+    ends = (anchor, None) if at_start else (None, anchor)
+    record = PeelPath(tuple(range(len(cliques))), cliques, PENDANT, *ends, members)
+    (strip,) = strips_from_traces(cliques, members)
+    return absorbing_sweep(g, record, strip, anchor)
+
+
+class TestAbsorbingSweep:
+    @pytest.mark.parametrize("at_start", [False, True])
+    def test_path_with_anchor_beyond_the_end(self, at_start):
         g = gen_path(5)
-        chosen = absorbing_mis(path_cliques(4), {1, 2, 3, 4}, frozenset({4, 5}))
+        chosen = anchored_sweep(g, path_cliques(4), {4, 5}, at_start)
         assert chosen == {1, 3}
         # absorption, brute-forced: closed neighborhood of the chosen set
         region = set()
@@ -66,9 +86,19 @@ class TestAbsorbingMis:
             region |= g.closed_neighborhood(v)
         assert len(chosen) == brute_alpha(g.subgraph(region))
 
-    def test_single_clique_takes_furthest_node(self):
-        chosen = absorbing_mis([frozenset({1, 2, 3})], {1, 2, 3}, frozenset({3, 4}))
-        assert chosen == {1}
+    @pytest.mark.parametrize("at_start", [False, True])
+    def test_single_clique_takes_furthest_node(self, at_start):
+        # one strip clique {1, 2}; node 2 meets more of the anchor
+        g = Graph([(1, 2), (1, 5), (2, 5), (2, 6), (5, 6), (5, 7), (6, 7)])
+        cliques = [frozenset({1, 2, 5}), frozenset({2, 5, 6})]
+        assert anchored_sweep(g, cliques, {5, 6, 7}, at_start) == {1}
+
+    @pytest.mark.parametrize("at_start", [False, True])
+    def test_anchor_meeting_no_member_is_rejected(self, at_start):
+        # {5, 6} is no neighbour of the members 1, 2, 3
+        g = gen_path(6)
+        with pytest.raises(AssertionError, match="not one path ending at the anchor"):
+            anchored_sweep(g, path_cliques(3), {5, 6}, at_start)
 
     def test_without_anchor_returns_elimination_greedy(self):
         # an unanchored component takes its strip's earliest-right-end sweep,
@@ -219,12 +249,12 @@ def rebuilt_anchored_mis(g, component, anchor):
 def test_anchored_mis_matches_rebuilt_clique_path(monkeypatch):
     calls = []
 
-    def spy(cliques, component, anchor):
-        chosen = absorbing_mis(cliques, component, anchor)
-        calls.append((set(component), anchor, chosen))
+    def spy(g, record, strip, anchor):
+        chosen = absorbing_sweep(g, record, strip, anchor)
+        calls.append((strip.nodes, anchor, chosen))
         return chosen
 
-    monkeypatch.setattr(mis_module, "absorbing_mis", spy)
+    monkeypatch.setattr(mis_module, "absorbing_sweep", spy)
     graphs = [dumbbell(3, 5, 400)]
     graphs += [gen_chordal(600, seed=seed, max_clique=6) for seed in range(1, 6)]
     for g in graphs:
@@ -236,8 +266,75 @@ def test_anchored_mis_matches_rebuilt_clique_path(monkeypatch):
             assert len(chosen) == len(alpha_oracle(g.subgraph(component)))
 
 
+def compare_with_reference(g, eps_values=(0.4, 0.25)):
+    """Runs `mis_chordal_run` at each eps, checking every anchored sweep
+    against the reference that cuts the anchored strip anew. Returns the
+    number of components compared."""
+    compared = 0
+
+    def spy(g, record, strip, anchor):
+        nonlocal compared
+        chosen = absorbing_sweep(g, record, strip, anchor)
+        assert chosen == reference_absorbing(record, strip, anchor)
+        compared += 1
+        return chosen
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mis_module, "absorbing_sweep", spy)
+        for eps in eps_values:
+            mis_chordal_run(g, eps)
+    return compared
+
+
+@pytest.mark.parametrize("eps,n,mc", [(0.4, 512, 8), (0.4, 2048, 20), (0.25, 512, 20)])
+def test_absorbing_sweep_matches_reference_on_acceptance_corpus_sample(eps, n, mc):
+    (g, _), = chordal_corpus(eps, n, mc, 1)
+    assert compare_with_reference(g, (eps,))
+
+
+@pytest.mark.parametrize("seed,mc", LONG_PATH_CASES)
+def test_absorbing_sweep_matches_reference_on_long_paths(seed, mc):
+    assert compare_with_reference(long_paths_generator()(600, seed, max_clique=mc))
+
+
+def test_absorbing_sweep_matches_reference_on_random_chordal_graphs():
+    compared = []
+
+    # derandomized, so that the count below does not hang on the draw
+    @given(chordal_graphs())
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def check(g):
+        compared.append(compare_with_reference(g))
+
+    check()
+    assert sum(compared)
+
+
+def test_wrong_anchor_in_a_run_is_rejected(monkeypatch):
+    # an anchor that meets no node of its component
+    monkeypatch.setattr(mis_module, "_outside_anchor",
+                        lambda record, component: frozenset({-1}))
+    with pytest.raises(AssertionError, match="not one path ending at the anchor"):
+        mis_chordal_run(gen_path(12), 0.4)
+
+
+def test_component_of_d_nodes_reads_its_anchor_after_its_sweep():
+    """A component of at least d nodes is swept before its anchor is read:
+    on this long_paths instance (the benchmark's held-out seed 9) reading
+    the anchor first raises, as one of them has outside neighbours in both
+    attach cliques. The set is the one recorded before the sweep was read
+    off the component's strip."""
+    g = long_paths_generator()(4096, 9003, max_clique=8)
+    chosen = sorted(mis_chordal_run(g, 0.4).chosen)
+    assert len(chosen) == 876
+    assert hashlib.sha256(repr(chosen).encode()).hexdigest() == (
+        "cbc9016686c8e37b5708c8a6844a7193df1141d4b0640d3e2cdbd9d19a60c66e")
+
+
 def test_mis_run_builds_one_forest_and_no_clique_path(monkeypatch):
     built = []
+    cuts = []
+    records = []
 
     def counting_forest(g):
         built.append(len(g))
@@ -246,14 +343,34 @@ def test_mis_run_builds_one_forest_and_no_clique_path(monkeypatch):
     def no_clique_path(h):
         raise AssertionError("clique path rebuilt from a subgraph")
 
+    def recording_peel(g, select):
+        for step in peel(g, select):
+            records.extend(step.paths)
+            yield step
+
+    def counting_cut(clique_seq, keep):
+        cuts.append(clique_seq)
+        return strips_from_traces(clique_seq, keep)
+
     for module in vars(chordalg).values():
         if not isinstance(module, types.ModuleType):
             continue
         if getattr(module, "clique_forest", None) is clique_forest:
             monkeypatch.setattr(module, "clique_forest", counting_forest)
     monkeypatch.setattr(intervals, "_component_strips", no_clique_path)
-    mis_chordal_run(dumbbell(3, 5, 400), 0.4)
+    monkeypatch.setattr(mis_module, "peel", recording_peel)
+    monkeypatch.setattr(mis_module, "strips_from_traces", counting_cut)
+    run = mis_chordal_run(dumbbell(3, 5, 400), 0.4)
     assert len(built) == 1
+    assert any(rec.anchor is not None for rec in run.state.absorption)
+    # each cut is of one record's cliques, none with an attach clique, and
+    # no record is cut twice
+    record_cliques = {id(p.cliques) for p in records}
+    assert cuts and all(id(seq) in record_cliques for seq in cuts)
+    assert len({id(seq) for seq in cuts}) == len(cuts)
+    # the re-cut sweep and the cut's direction-keeping flag are gone
+    assert not hasattr(mis_module, "absorbing_mis")
+    assert list(inspect.signature(strips_from_traces).parameters) == ["clique_seq", "keep"]
 
 
 def check_outside_sets(g):
