@@ -44,21 +44,20 @@ def _out_dir():
     return os.environ.get("CHORDALG_OUT", ".")
 
 
+GEN_FAMILIES = {  # the `gen` families, in the order of its choices
+    "chordal": lambda args: gen_chordal(args.n, args.seed, args.max_clique),
+    "interval": lambda args: gen_interval(args.n, args.seed),
+    "path": lambda args: gen_path(args.n),
+    "caterpillar": lambda args: gen_caterpillar(args.spine, args.legs),
+    "spider": lambda args: gen_spider(args.legs, args.leg_len),
+}
+
+
 def _build_graph(family, args):
     try:
-        if family == "chordal":
-            return gen_chordal(args.n, args.seed, args.max_clique)
-        if family == "interval":
-            return gen_interval(args.n, args.seed)
-        if family == "path":
-            return gen_path(args.n)
-        if family == "caterpillar":
-            return gen_caterpillar(args.spine, args.legs)
-        if family == "spider":
-            return gen_spider(args.legs, args.leg_len)
+        return GEN_FAMILIES[family](args)
     except ValueError as exc:  # the generators' argument checks
         raise BadSpec("%s: %s" % (family, exc))
-    raise BadSpec("unknown family %r" % family)
 
 
 def cmd_gen(args) -> int:
@@ -263,8 +262,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate an instance file")
-    p_gen.add_argument("family",
-                       choices=["chordal", "interval", "path", "caterpillar", "spider"])
+    p_gen.add_argument("family", choices=list(GEN_FAMILIES))
     p_gen.add_argument("n", type=int, nargs="?", default=10)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--max-clique", type=int, default=6)

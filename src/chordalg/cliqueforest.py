@@ -16,7 +16,6 @@ tie-breaking here is load-bearing.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
@@ -199,8 +198,9 @@ class PeelPath:
     """A maximal run of degree-<=2 cliques, oriented by smaller end word.
 
     `ids` are its clique ids in the forest it was classified on and
-    `cliques` their sets, in path order; `attach_s` and `attach_e` are the
-    junction cliques at its start and end sides, None where it has none.
+    `cliques` their sets, in path order from its smaller-id end, which is
+    its smaller-word end (see `classify_paths`); `attach_s` and `attach_e`
+    are the junction cliques at its start and end sides, None if none.
     `members` are the nodes whose whole subtree (the cliques holding them)
     lies on the path, in increasing order. They are the nodes of its cliques
     outside both attach cliques: its cliques have forest degree at most 2,
@@ -229,55 +229,51 @@ class PeelPath:
     members: Tuple[int, ...]
 
 
-def walk_path(fadj, comp) -> List[int]:
-    """The cliques of a path component `comp` of a forest, in path order
-    from its smallest-id end. Cliques are numbered in word order, so that is
-    its smaller-word end."""
-    compset = set(comp)
-    seq = [min(i for i in compset
-               if sum(1 for j in fadj[i] if j in compset) <= 1)]
+def walk_path(fadj, start, inside) -> List[int]:
+    """The path through the cliques `inside` from its end `start`, in path
+    order. `start` has at most one neighbour in `inside` and each clique on
+    the path at most two, so each step goes to the one it did not come from.
+    Callers pass the smaller-id end, which is the smaller-word end, as
+    cliques are numbered in word order in every forest (`clique_forest`,
+    `local_view`, `remove_paths`)."""
+    seq = [start]
     prev = None
-    while len(seq) < len(compset):
-        cur = seq[-1]
-        nxt = [j for j in fadj[cur] if j in compset and j != prev]
-        prev = cur
-        seq.append(nxt[0])
-    return seq
+    while True:
+        nxt = next((j for j in fadj[seq[-1]] if j != prev and j in inside), None)
+        if nxt is None:
+            return seq
+        prev = seq[-1]
+        seq.append(nxt)
 
 
 def classify_paths(forest: CliqueForest) -> List[PeelPath]:
-    """All maximal pendant and internal paths plus whole path components.
+    """All maximal pendant and internal paths plus whole path components,
+    in word order of their first cliques.
 
     Isolated forest vertices count as pendant paths; every clique of forest
     degree at most two lands in exactly one returned path. Each path comes
-    with its `members` (see `PeelPath`). Cliques are numbered in word order,
-    so `walk_path` already starts a path at its smaller end word, and a
-    single clique's junctions, listed by id in `fadj`, come in word order.
+    with its `members` (see `PeelPath`). The id-order scan walks from each
+    clique of degree <= 2 that is neither inside a run (both neighbours of
+    degree <= 2) nor the far end of a run it walked. Both ends of a run stay
+    unwalked until the run is walked, so each run is walked once, from the
+    end the scan meets first, its smaller-id end, and the records come in
+    increasing `ids[0]`: word order (see `walk_path`). A single clique's
+    junctions, listed by id in `fadj`, come in word order too.
     """
-    cliques = forest.cliques
+    cliques, fadj = forest.cliques, forest.fadj
     paths = []
     lowset = {i for i in range(len(forest)) if forest.degree(i) <= 2}
-    seen: Set[int] = set()
-    for start in sorted(lowset):
-        if start in seen:
+    walked: Set[int] = set()  # the far end of each run walked so far
+    for start in range(len(forest)):
+        if (start not in lowset or start in walked
+                or len(lowset.intersection(fadj[start])) == 2):
             continue
-        # the run = connected component of `start` among degree-<=2 cliques
-        comp = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for j in forest.fadj[cur]:
-                if j in lowset and j not in seen:
-                    seen.add(j)
-                    comp.append(j)
-                    queue.append(j)
-        seq = walk_path(forest.fadj, comp) if len(comp) > 1 else comp
-        # a single clique lists its (at most two) junctions by id, which is
-        # word order; an end of a longer run has at most one, and the two
-        # ends never share one, as the forest has no cycle
-        attach_s = next((j for j in forest.fadj[seq[0]] if j not in lowset), None)
-        attach_e = next((j for j in forest.fadj[seq[-1]]
+        seq = walk_path(fadj, start, lowset)
+        walked.add(seq[-1])
+        # an end of a longer run has at most one junction, and the two ends
+        # never share one, as the forest has no cycle
+        attach_s = next((j for j in fadj[seq[0]] if j not in lowset), None)
+        attach_e = next((j for j in fadj[seq[-1]]
                          if j not in lowset and j != attach_s), None)
         if attach_s is None and attach_e is None:
             kind = PENDANT if len(seq) == 1 else BINARY_COMPONENT
@@ -289,7 +285,6 @@ def classify_paths(forest: CliqueForest) -> List[PeelPath]:
         ends = [None if a is None else cliques[a] for a in (attach_s, attach_e)]
         members = set().union(*run).difference(*filter(None, ends))
         paths.append(PeelPath(tuple(seq), run, kind, *ends, tuple(sorted(members))))
-    paths.sort(key=lambda p: forest.words[p.ids[0]])
     return paths
 
 

@@ -370,16 +370,12 @@ def verify_coloring(g: Graph, colors: Coloring) -> VerifyResult:
     for v in colors:
         if v not in g.adj:
             raise UnknownNode("colored node %r not in graph" % (v,))
-    legal = True
-    for u, v in g.edges():
-        if u in colors and v in colors and colors[u] == colors[v]:
-            legal = False
-            break
-    return VerifyResult(legal, len(set(colors.values())))
+    return VerifyResult(first_conflict(g, colors) is None, len(set(colors.values())))
 
 
 def first_conflict(g: Graph, colors: Coloring):
-    """The smallest conflicting edge, or None. Used by the verifier CLI."""
+    """The smallest conflicting edge, or None. `verify_coloring` and the
+    verifier CLI use it."""
     for u, v in g.edges():
         if u in colors and v in colors and colors[u] == colors[v]:
             return (u, v)

@@ -139,7 +139,8 @@ def _component_strips(h: Graph) -> List[IntervalStrip]:
                     stack.append(j)
         if all(forest.degree(i) <= 2 for i in comp):
             # the canonical forest is already a path through this component
-            ids = walk_path(forest.fadj, comp)
+            end = min(i for i in comp if forest.degree(i) <= 1)
+            ids = walk_path(forest.fadj, end, set(comp))
         else:
             ids = _arrange_cliques(forest, comp, ARRANGE_CAP)
         strips.append(IntervalStrip([forest.cliques[i] for i in ids]))

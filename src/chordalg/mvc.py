@@ -510,7 +510,9 @@ def local_peel_decision(gball: Graph, center: int, residual, k: int):
     held = [i for i, c in enumerate(view.cliques) if center in c]
     if any(view.degree(i) > 2 for i in held):
         return False, None
-    run_seq = walk_path(view.fadj, held)
+    on_path = set(held)
+    end = min(i for i in held if len(on_path.intersection(view.fadj[i])) <= 1)
+    run_seq = walk_path(view.fadj, end, on_path)
     stops = []
     blocked = set()
     for at_front in (False, True):

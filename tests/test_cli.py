@@ -213,6 +213,11 @@ def test_exit_codes(workdir, capsys):
     capsys.readouterr()
     assert main(["verify", "p.el", "stray.sol", "--kind", "is"]) == 8
     assert "node 99 is not in the graph" in capsys.readouterr().err
+    # a coloring that misses a node, and a set that is not independent
+    (workdir / "part.sol").write_text("1 1\n2 2\n")
+    assert main(["verify", "p.el", "part.sol"]) == 8
+    (workdir / "dep.sol").write_text("1\n2\n")
+    assert main(["verify", "p.el", "dep.sol", "--kind", "is"]) == 8
     # an empty independent set of a graph with alpha > 0 has ratio inf
     (workdir / "none.sol").write_text("")
     assert main(["verify", "p.el", "none.sol", "--kind", "is", "--eps", "0.4"]) == 8

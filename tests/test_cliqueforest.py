@@ -12,7 +12,7 @@ from chordalg import (
     DiameterTooSmall, Graph, NotChordal, RadiusTooSmall, alpha_oracle,
     classify_paths, clique_forest, gen_caterpillar, gen_chordal,
     gen_interval, gen_path, gen_spider, is_chordal, local_view, maximal_cliques,
-    mcs_order, path_diameter, remove_paths, set_debug_invariants,
+    mcs_order, omega_oracle, path_diameter, remove_paths, set_debug_invariants,
 )
 from chordalg import cliqueforest
 from chordalg.cliqueforest import (
@@ -22,11 +22,15 @@ from chordalg.cliqueforest import (
 from chordalg.fileio import forest_dump
 from chordalg.graphs import ball, bfs_distances
 from chordalg.intervals import _component_strips
+from chordalg.mis import mis_chordal_run
+from chordalg.mvc import mvc_pipeline
 
 from conftest import (
-    brute_maximal_cliques, chordal_graphs, complete_graph, dumbbell,
-    interval_graphs, long_paths_generator, small_graphs,
+    LONG_PATH_CASES, brute_maximal_cliques, chordal_graphs, complete_graph,
+    dumbbell, interval_graphs, long_paths_generator, small_graphs,
 )
+from conftest import chordal_corpus as acceptance_corpus
+from reference_classify import reference_classify
 
 Word = Tuple[int, ...]
 
@@ -524,6 +528,88 @@ def test_members_rule_on_random_chordal_graphs(g):
 
     steps = peel_checking_members(g, select)
     assert set().union(*(p.members for s in steps for p in s.paths)) == set(g.nodes)
+
+
+def classify_as_reference(forests) -> int:
+    """Asserts that `classify_paths` gives the reference's records, in its
+    order, on each forest. Returns the number of forests compared."""
+    compared = 0
+    for forest in forests:
+        assert classify_paths(forest) == reference_classify(forest)
+        compared += 1
+    return compared
+
+
+def peel_forests(g):
+    """The forest of every step of a peel that takes each pendant path and
+    each internal path of diameter at least 4, until no clique is left."""
+    for step in peel(g, lambda i, forest, paths: [
+            p for p in paths if p.kind != INTERNAL or path_diameter(p) >= 4]):
+        if not len(step.forest):
+            return
+        yield step.forest
+
+
+def pipeline_forests(g, mvc_eps, mis_eps=0.4):
+    """The forest of every peel step of `mvc_pipeline` (where eps admits the
+    graph's clique number) and of `mis_chordal_run`."""
+    forests = []
+
+    def spy(forest):
+        forests.append(forest)
+        return classify_paths(forest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cliqueforest, "classify_paths", spy)
+        if mvc_eps >= 2.0 / omega_oracle(g):
+            mvc_pipeline(g, mvc_eps)
+        mis_chordal_run(g, mis_eps)
+    return forests
+
+
+def local_views(g, step=7):
+    """Local views of every `step`-th node's balls of radius 2, 4 and 8."""
+    for v in sorted(g.nodes)[::step]:
+        for d in (2, 4, 8):
+            yield local_view(ball(g, v, d), v, d)
+
+
+def test_classify_matches_reference_on_random_chordal_graphs():
+    compared = []
+
+    @given(chordal_graphs())
+    @settings(max_examples=150, deadline=None)
+    def check(g):
+        compared.append(classify_as_reference(peel_forests(g)))
+        compared.append(classify_as_reference(local_views(g, step=3)))
+
+    check()
+    assert sum(compared)
+
+
+# the first admissible instance of some acceptance-corpus configurations,
+# as (eps, n, max_clique)
+@pytest.mark.parametrize("eps,n,mc", [(0.5, 512, 8), (0.5, 2048, 20), (0.25, 512, 20)])
+def test_classify_matches_reference_on_acceptance_corpus_sample(eps, n, mc):
+    (g, _), = acceptance_corpus(eps, n, mc, 1)
+    assert classify_as_reference(pipeline_forests(g, eps))
+
+
+@pytest.mark.parametrize("seed,mc", LONG_PATH_CASES)
+def test_classify_matches_reference_on_long_paths(seed, mc):
+    g = long_paths_generator()(600, seed, max_clique=mc)
+    assert classify_as_reference(pipeline_forests(g, 0.5))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_classify_matches_reference_on_interval_graphs(seed):
+    g = gen_interval(300, seed)
+    assert classify_as_reference(pipeline_forests(g, 0.5))
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_GRAPHS))
+def test_classify_matches_reference_on_local_views(name):
+    assert classify_as_reference(local_views(RECORD_GRAPHS[name]()))
 
 
 class TestPathMetrics:

@@ -62,6 +62,10 @@ def test_bad_sizes():
         gen_spider(0, 3)
     with pytest.raises(ValueError):
         gen_chordal(0, seed=1)
+    with pytest.raises(ValueError):
+        gen_interval(0, seed=1)
+    with pytest.raises(ValueError):
+        gen_caterpillar(0, 2)
 
 
 def test_edge_list_format_frozen():

@@ -464,11 +464,24 @@ class TestBruteForce:
         assert brute_alpha(k4) == 1
         assert brute_chromatic(k4) == 4
 
+    def test_empty_graph(self):
+        assert brute_chromatic(Graph()) == 0
+
     def test_size_limits(self):
         with pytest.raises(TooLarge):
             brute_alpha(Graph(nodes=range(1, 22)))
         with pytest.raises(TooLarge):
             brute_chromatic(Graph(nodes=range(1, 14)))
+
+
+class TestGraph:
+    def test_argument_checks(self):
+        with pytest.raises(ValueError):
+            Graph(nodes=[0])
+        with pytest.raises(ValueError):
+            Graph([(2, 2)])
+        with pytest.raises(UnknownNode):
+            Graph([(1, 2)]).subgraph([1, 3])
 
 
 class TestVerifiers:

@@ -754,6 +754,11 @@ class TestDistanceKMis:
             distance_k_mis(star, 2)
         with pytest.raises(NotProperInterval):
             distance_k_mis(gen_spider(3, 2), 2)
+        assert not is_proper_interval(gen_spider(3, 2))  # not even interval
+        with pytest.raises(NotProperInterval):
+            distance_k_mis(Graph(nodes=[1, 2]), 2)  # not connected
+        with pytest.raises(ValueError):
+            distance_k_mis(gen_path(5), 0)
 
     def test_rejects_a_claw_beside_a_triangle(self):
         # 3, 4 and 5 are pairwise apart around 1; a greedy scan of 1's

@@ -423,6 +423,10 @@ class TestOmegaFromForest:
             with pytest.raises(NotChordal):
                 mvc_pipeline(cycle_graph(5), eps)
 
+    def test_prune_needs_k_at_least_two(self):
+        with pytest.raises(ValueError):
+            prune_layers(gen_path(4), 1)
+
     def test_nonpositive_eps_on_empty_graph(self):
         # no omega to compare with; the library's error, as on one node
         for g in (Graph(), Graph(nodes=[1])):
@@ -462,21 +466,46 @@ class TestMvcDistributed:
         assert a == b
 
 
+def check_local_decisions(g, k):
+    """Every node's `local_peel_decision` in every layer it is residual in,
+    on its radius-10k ball, against the layering and the correction
+    forest's parents. Returns the number of decisions."""
+    layering = prune_layers(g, k)
+    parents = correction_forest(layering, k)[0]
+    decisions = 0
+    for i in range(1, layering.num_layers + 1):
+        residual = {v for v, l in layering.layer.items() if l >= i}
+        for v in sorted(residual):
+            ballg = g.subgraph(bfs_distances(g, v, cutoff=10 * k))
+            peel, parent = local_peel_decision(ballg, v, residual, k)
+            assert peel == (layering.layer[v] == i)
+            if peel:
+                assert parent == parents[v]
+            decisions += 1
+    return decisions
+
+
+def stars_on_a_path():
+    """Two three-leaf stars whose centres, 1 and 5, end an 80-node path."""
+    return dumbbell(3, 1, 79)
+
+
 class TestLocalDecisions:
     def test_every_node_matches_pipeline(self):
-        k = 2
         for seed in (0, 3):
-            g = gen_chordal(60, seed=seed, max_clique=4)
-            layering = prune_layers(g, k)
-            parents = correction_forest(layering, k)[0]
-            for i in range(1, layering.num_layers + 1):
-                residual = {v for v, l in layering.layer.items() if l >= i}
-                for v in sorted(residual):
-                    ballg = g.subgraph(bfs_distances(g, v, cutoff=10 * k))
-                    peel, parent = local_peel_decision(ballg, v, residual, k)
-                    assert peel == (layering.layer[v] == i)
-                    if peel:
-                        assert parent == parents[v]
+            check_local_decisions(gen_chordal(60, seed=seed, max_clique=4), 2)
+
+    def test_horizon_stops_match_pipeline(self):
+        # nodes deep inside the path see no junction within their ball,
+        # so their run stops at the horizon
+        assert check_local_decisions(stars_on_a_path(), 2) == 90
+
+    def test_node_beyond_both_junctions_peels_without_parent(self):
+        k, g = 2, stars_on_a_path()
+        near = bfs_distances(g, {1, 5}, cutoff=10 * k)
+        v = min(g.nodes - near.keys())
+        ballg = g.subgraph(bfs_distances(g, v, cutoff=10 * k))
+        assert local_peel_decision(ballg, v, g.nodes, k) == (True, None)
 
 
 def test_layer_components_match_trace_strips():
