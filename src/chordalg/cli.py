@@ -102,46 +102,47 @@ def _require_round_cap(args):
         raise BadSpec("--round-cap must be at least 1, not %d" % args.round_cap)
 
 
+def _run_mvc(g, args):
+    pipeline = mvc_pipeline(g, args.eps)
+    if args.mode == "central":
+        solution, transcript = pipeline.final_colors, None
+    else:
+        solution, transcript = mvc_distributed_run(pipeline, args.round_cap)
+    layering = pipeline.layering
+    layers = layering.num_layers
+    per_layer = [len({solution[v] for v in layering.layer_nodes(i)})
+                 for i in range(1, layers + 1)]
+    print("layers=%d per-layer palettes=%s omega=%d" % (layers, per_layer, pipeline.omega))
+    return solution, transcript, layers
+
+
+def _run_set(central, local):
+    """An independent-set algorithm's solve: (set, transcript or None, no
+    layer count)."""
+    def solve(g, args):
+        if args.mode == "central":
+            return central(g, args.eps), None, ""
+        return (*local(g, args.eps, args.round_cap), "")
+    return solve
+
+
+RUN_ALGORITHMS = {  # the `run` algorithms, in the order of its choices
+    "mvc": ("coloring", _run_mvc),
+    "mis": ("is", _run_set(mis_chordal_centralized, mis_chordal_distributed)),
+    "mis-interval": ("is", _run_set(mis_interval, mis_interval_distributed)),
+}
+
+
 def cmd_run(args, report=None) -> int:
     set_debug_invariants(args.debug_invariants)
     _require_round_cap(args)
     if args.transcript and args.mode == "central":
         raise BadSpec("--transcript needs the local mode")
     g = fileio.read_graph(args.graph)
-    rounds = ""
-    layers = ""
+    kind, solve = RUN_ALGORITHMS[args.algorithm]
     with fileio.Stopwatch() as clock:
-        if args.algorithm == "mvc":
-            pipeline = mvc_pipeline(g, args.eps)
-            if args.mode == "central":
-                solution = pipeline.final_colors
-            else:
-                solution, transcript = mvc_distributed_run(pipeline, args.round_cap)
-                rounds = transcript.rounds_elapsed
-            layers = pipeline.layering.num_layers
-            per_layer = []
-            for i in range(1, layers + 1):
-                nodes = pipeline.layering.layer_nodes(i)
-                per_layer.append(len({solution[v] for v in nodes}))
-            print("layers=%d per-layer palettes=%s omega=%d"
-                  % (layers, per_layer, pipeline.omega))
-            kind = "coloring"
-        elif args.algorithm == "mis":
-            if args.mode == "central":
-                solution = mis_chordal_centralized(g, args.eps)
-            else:
-                solution, transcript = mis_chordal_distributed(g, args.eps, args.round_cap)
-                rounds = transcript.rounds_elapsed
-            kind = "is"
-        elif args.algorithm == "mis-interval":
-            if args.mode == "central":
-                solution = mis_interval(g, args.eps)
-            else:
-                solution, transcript = mis_interval_distributed(g, args.eps, args.round_cap)
-                rounds = transcript.rounds_elapsed
-            kind = "is"
-        else:
-            raise BadSpec("unknown algorithm %r" % args.algorithm)
+        solution, transcript, layers = solve(g, args)
+    rounds = "" if transcript is None else transcript.rounds_elapsed
     if args.transcript:
         with open(args.transcript, "w") as fh:
             fh.write(transcript.serialize())
@@ -273,7 +274,7 @@ def build_parser():
     p_gen.set_defaults(func=cmd_gen)
 
     p_run = sub.add_parser("run", help="run an algorithm on a graph file")
-    p_run.add_argument("algorithm", choices=["mvc", "mis", "mis-interval"])
+    p_run.add_argument("algorithm", choices=list(RUN_ALGORITHMS))
     p_run.add_argument("mode", choices=["central", "local"])
     p_run.add_argument("graph")
     p_run.add_argument("--eps", type=float, required=True)

@@ -70,8 +70,9 @@ def gen_chordal(n: int, seed: int, max_clique: int = 6) -> Graph:
     Bags of size at most max_clique are attached to a uniformly random earlier
     bag, sharing a random nonempty subset of it; the produced graph is the
     intersection graph of the node subtrees, hence chordal by construction.
-    New node ids are handed out sequentially, so the graph is connected and
-    its clique number never exceeds max_clique.
+    New node ids are handed out sequentially, so for max_clique >= 2 the
+    graph is connected (with max_clique 1 it is n isolated nodes), and its
+    clique number never exceeds max_clique.
     """
     if n < 1 or max_clique < 1:
         raise ValueError("need n >= 1 and max_clique >= 1")

@@ -42,11 +42,13 @@ engine's node -> state map, `key` is ``("collect", tag)``, `result` the
 shared ``CollectResult`` and `members` the set of member nodes, which the
 call must not change. Round 0 is one such call for every node, with `key` and
 `result` None, as no node has an inbox yet. It returns
-``(timed, stepped, outputs)``: `timed` maps ``(tag, radius)`` to the members
-whose only action is a lone ``Collect(radius, tag)`` timer, with their new
-states written to `states`; `outputs` maps each member whose step only
-outputs (it keeps its state, sends, requests and wakes for nothing) to its
-output, which the engine records at once; `stepped` holds a
+``(timed, stepped, outputs, waiting)``: `timed` maps ``(tag, radius)`` to
+the members whose only action is a lone ``Collect(radius, tag)`` timer, with
+their new states written to `states`; `outputs` maps each member whose step
+only outputs (it keeps its state, sends, requests and wakes for nothing) to
+its output, which the engine records at once; `waiting` holds the members
+whose step does nothing at all, ``StepResult(states[v])``: they keep their
+state and step next when a delivery comes; `stepped` holds a
 ``(node, StepResult)`` pair for every other member, handled like any step's
 result and in scan order. Each member must be answered once. A program may
 define ``step_group``; it must equal ``step(states[v], rnd, inbox)`` on each
@@ -66,7 +68,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import repeat
+from operator import contains, itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import RoundCapExceeded
@@ -74,6 +77,7 @@ from .graphs import BfsBall, Graph
 
 NO_OUTPUT = object()
 _first = itemgetter(0)
+_nowhere = repeat(())  # adj.get default: a node not in g has no neighbours
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,7 @@ class Collect:
     read: Sequence[int] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Send:
     target: int
     payload: Any
@@ -133,7 +137,7 @@ def _step_each(step):
     member, with an empty inbox in round 0."""
     def step_group(states, rnd, key, result, members):
         return {}, [(v, step(states[v], rnd, {} if key is None else {key: result}))
-                    for v in members], {}
+                    for v in members], {}, ()
     return step_group
 
 
@@ -212,7 +216,7 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
         route = send.route
         if (not route or route[0] != u or route[-1] != send.target
                 or len(route) > send.latency + 1
-                or any(b not in adj.get(a, ()) for a, b in zip(route, route[1:]))):
+                or not all(map(contains, map(adj.get, route, _nowhere), route[1:]))):
             raise RuntimeError("route %r is not a path of at most latency %d "
                                "from sender %d to %r"
                                % (route, send.latency, u, send.target))
@@ -254,16 +258,18 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
         for key, result, members in held.pop(rnd, ()):
             if not members:
                 continue
-            timed, stepped, done = step_group(states, rnd, key, result, members)
-            count = len(stepped) + len(done)
+            timed, stepped, done, waiting = step_group(states, rnd, key, result,
+                                                       members)
+            count = len(stepped) + len(done) + len(waiting)
             for req, group in timed.items():
                 if group:
                     timer_groups.setdefault(req, []).extend(group)
                     count += len(group)
                     svc_count += len(group)
-            # every member answered, by as many answers as there are members
+            # every member answered, by as many answers as there are members;
+            # a waiting member keeps its state and needs nothing more
             if (count != len(members) or members.difference(
-                    map(_first, stepped), done, *timed.values())):
+                    map(_first, stepped), done, waiting, *timed.values())):
                 raise RuntimeError("step_group did not answer each of its %d "
                                    "members once" % len(members))
             if done:
@@ -437,10 +443,12 @@ class StagedProgram:
     None is round 0, where no collect has come yet; its radius is unused. A
     next stage of None leaves the schedule, and ``leave`` says what the node
     does then: by default it outputs ``outputs[v]``. ``leave_group`` is
-    ``leave`` on a set of nodes, as a group step's ``(outputs, stepped)``:
-    the nodes that only output, in one map, and the others' results. By
-    default every node only outputs, so a group leaves in one comprehension;
-    a subclass that changes ``leave`` changes ``leave_group`` with it.
+    ``leave`` on a set of nodes, as a group step's ``(outputs, stepped,
+    waiting)``: the nodes that only output, in one map, the others' results,
+    and the nodes whose ``leave`` is ``StepResult(v)``: they keep their id as
+    their state and wait for a delivery. By default every node only outputs,
+    so a group leaves in one comprehension; a subclass that changes ``leave``
+    changes ``leave_group`` with it.
 
     A node's state is its id while it walks the schedule, and its stage is
     the tag in its inbox, so a group step splits its members by set
@@ -463,7 +471,7 @@ class StagedProgram:
 
     def leave_group(self, part, rnd):
         outputs = self.outputs
-        return {v: outputs[v] for v in part}, []
+        return {v: outputs[v] for v in part}, [], ()
 
     def step(self, v, rnd, inbox):
         key = next(iter(inbox), None)
@@ -490,14 +498,16 @@ class StagedProgram:
         timed: Dict[Tuple[Any, int], Set[int]] = {}
         stepped: List[Tuple[int, StepResult]] = []
         done: Dict[int, Any] = {}
+        waiting: Set[int] = set()
         for stage, part in moves:
             if stage is None:
-                outputs, results = self.leave_group(part, rnd)
+                outputs, results, waits = self.leave_group(part, rnd)
                 done.update(outputs)
                 stepped += results
+                waiting.update(waits)
             else:
                 timed[stage, self.table[stage][0]] = part
-        return timed, stepped, done
+        return timed, stepped, done, waiting
 
 
 def stage_chain(name, radii):

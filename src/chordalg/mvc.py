@@ -124,9 +124,18 @@ def correction_forest(layering: Layering, k: int):
     route[v] is a path of g from v's parent to v, for v's set-color Send.
 
     A member's parent is max(side) for the nearest attach side within k + 3
-    hops in the graph, ties going to the smaller clique word. The distance
-    is read off the peel record's own clique path [side, *path cliques
-    oriented away from side], which equals the distance in the graph:
+    hops in the graph, ties going to the smaller clique word: the sides are
+    read in word order, one pass over each side's hop labels, and a later
+    side takes a member only if it is strictly nearer. A one-sided record
+    takes the same loop with one side. Every side keeps a child, so each
+    claim is a correction level: the end clique next to a side holds a
+    member one hop from it (`PeelPath`). No member lies in a side, so the
+    first side never loses its own to a later one; and no member is one hop
+    from both sides of an internal path, else every two nodes of its cliques
+    would lie within 3 hops, while `remove_paths` peels internal paths from
+    diameter 4. The distance is read off the peel record's own clique path
+    [side, *path cliques oriented away from side], which equals the distance
+    in the graph:
     - The side and the path cliques form a subpath of the graph's clique
       tree, and every other clique hangs off that subpath through a
       separator, which is a clique. A shortest path that leaves side | path
@@ -154,24 +163,31 @@ def correction_forest(layering: Layering, k: int):
     per: Dict[int, Dict[int, Tuple[Set[int], Set[int]]]] = {}  # (children, wait set)
     for i, records in layering.peeled_paths.items():
         for p in records:
-            sides = [(*_side_hops((side, *seq), k + 3), clique_word(side), max(side))
-                     for side, seq in ((p.attach_s, p.cliques),
-                                       (p.attach_e, p.cliques[::-1]))
-                     if side is not None]
-            mine: Dict[int, Set[int]] = {}
-            for v in p.members:
-                keys = [(dist[v], word, par, relays) for dist, relays, word, par in sides
-                        if v in dist]
-                if not keys:
-                    parent[v] = None
-                    continue
-                d, _, par, relays = min(keys)
-                parent[v] = par
-                hops = relays[:d]
-                route[v] = (*hops, v) if hops[0] == par else (par, *hops, v)
-                mine.setdefault(par, set()).add(v)
             w_set = set(p.members)
-            for par, vs in mine.items():
+            sides = sorted(((side, seq) for side, seq in ((p.attach_s, p.cliques),
+                                                          (p.attach_e, p.cliques[::-1]))
+                            if side is not None), key=lambda s: clique_word(s[0]))
+            hops: Dict[int, int] = {}  # member -> hops to its nearest side so far
+            claims: List[Tuple[int, Set[int]]] = []  # (parent, children) per side
+            for side, seq in sides:
+                dist, relays = _side_hops((side, *seq), k + 3)
+                par = max(side)
+                # the parent, then the relays, with the parent once
+                lead = tuple(relays) if relays[:1] == [par] else (par, *relays)
+                skip = len(lead) - len(relays)
+                won = set()
+                for v in w_set.intersection(dist):
+                    d = dist[v]
+                    if d < hops.get(v, k + 4):  # every label is at most k + 3
+                        hops[v] = d
+                        parent[v] = par
+                        route[v] = (*lead[:d + skip], v)
+                        won.add(v)
+                for _, kids in claims:
+                    kids -= won
+                claims.append((par, won))
+            parent.update(dict.fromkeys(w_set.difference(hops)))
+            for par, vs in claims:
                 kids, wait = per.setdefault(par, {}).setdefault(i, (set(), set()))
                 kids |= vs
                 wait.update(*(c - w_set for c in p.cliques if not c.isdisjoint(vs)))
@@ -369,12 +385,11 @@ def mvc_centralized(g: Graph, eps: float) -> Coloring:
 
 @dataclass(slots=True)
 class _MvcNode:
-    """One node's progress once it left the prune/color schedule."""
+    """A node with its final color that serves its correction levels."""
 
     id: int
-    phase: str = "wait_color"  # then "correct", then "done"
-    color: Optional[int] = None
-    levels: Optional[list] = None  # (layer, children, wait set), top first
+    color: int
+    levels: list  # (layer, children, wait set) still to serve, top first
     poll: Optional[Collect] = None  # reads the wait set of levels[0]
 
 
@@ -386,17 +401,23 @@ class MvcProgram(StagedProgram):
     messages), which is what the transcript measures. The prune and color
     stages are a fixed schedule: a node collects once per prune iteration up
     to its own layer's, then walks the coloring stages. Correction, which
-    waits on other nodes, is the dynamic tail: a node with its final color
-    serves its correction levels from the top down. For each level it polls,
+    waits on other nodes, is the dynamic tail. A node with its final color
+    serves its correction levels from the top down: for each level it polls,
     reading the outputs of the level's wait set (the higher-layer neighbours
     of that level's children), until every one has output; then it sends the
     children their colors, each Send naming its route from
     `correction_forest`. A node outputs its color in the step that gives it,
     so an output is a final color. The engine checks that each read stays
-    within the poll radius and each route within the Send latency. A quiet
-    root, with no parent and no correction levels, only outputs its color as
-    it leaves the schedule, so ``leave_group`` answers the quiet roots of a
-    group in one map and steps each other node through ``leave``.
+    within the poll radius and each route within the Send latency.
+
+    As a node leaves the schedule: a quiet root, with no parent and no
+    correction levels, only outputs its final color; a correction child keeps
+    its id as its state and steps once, when its parent's Send arrives, to
+    output the color it receives; only a root with correction levels, or a
+    child that has levels of its own once its color came, becomes an
+    `_MvcNode`. So ``leave_group`` answers a group's quiet roots in one map
+    and its children as waiting members, and steps each other root through
+    ``leave``.
     """
 
     def __init__(self, run: MvcRun):
@@ -405,23 +426,17 @@ class MvcProgram(StagedProgram):
         self.poll_radius = correction_poll_radius(run.k)
         layering = run.layering
         self.parent, self.levels, self.routes = correction_forest(layering, run.k)
-        self.quiet = {v for v, par in self.parent.items()
-                      if par is None}.difference(self.levels)
+        roots = {v for v, par in self.parent.items() if par is None}
+        self.quiet = roots.difference(self.levels)
+        self.serving = roots.intersection(self.levels)
         # a layer-i node colors after prune stage i - 1, its last
         super().__init__(localsim.schedule(
             [prune_radius(run.k)] * layering.num_layers, {"color": strip_stages(run.k)},
             {i - 1: {"color": {v for p in records for v in p.members}}
              for i, records in layering.peeled_paths.items()}))
 
-    # -- helpers ----------------------------------------------------------
-    def _finalize(self, state):
-        state.phase = "correct"
-        state.levels = self.levels.get(state.id, [])
-        return self._next_level(state)
-
     def _next_level(self, state, sends=()):
         if not state.levels:
-            state.phase = "done"
             return StepResult(state, output=state.color, requests=sends)
         layer, _, wait = state.levels[0]
         state.poll = Collect(self.poll_radius, ("poll", layer), wait)
@@ -430,37 +445,40 @@ class MvcProgram(StagedProgram):
     # -- engine interface --------------------------------------------------
     def leave(self, v, rnd):
         """After the last color stage: a root of the correction forest takes
-        its final color, any other node waits for its parent's. A quiet root
-        only outputs."""
-        run = self.run
+        its final color and serves its levels, or only outputs it if it has
+        none; any other node waits for its parent's Send."""
+        if self.parent[v] is not None:
+            return StepResult(v)
+        color = self.run.final_colors[v]
         if v in self.quiet:
-            return StepResult(v, output=run.final_colors[v])
-        if self.parent[v] is None:
-            return self._finalize(_MvcNode(v, color=run.final_colors[v]))
-        return StepResult(_MvcNode(v))
+            return StepResult(v, output=color)
+        return self._next_level(_MvcNode(v, color, self.levels[v]))
 
     def leave_group(self, part, rnd):
-        quiet = part & self.quiet
+        quiet, serving = part & self.quiet, part & self.serving
         colors = self.run.final_colors
         return ({v: colors[v] for v in quiet},
-                [(v, self.leave(v, rnd)) for v in (part - quiet if quiet else part)])
+                [(v, self.leave(v, rnd)) for v in serving],
+                part - quiet - serving)
 
     def step(self, state, rnd, inbox):
-        if not isinstance(state, _MvcNode):
-            return super().step(state, rnd, inbox)
-        run = self.run
-        if state.phase == "wait_color":
-            # a waiting node steps once, for the color its parent sends
-            state.color = inbox["msg", self.parent[state.id]][1]
-            return self._finalize(state)
+        if type(state) is not _MvcNode:
+            sent = inbox.get(("msg", self.parent.get(state)))
+            if sent is None:
+                return super().step(state, rnd, inbox)
+            # a waiting child steps once, for the color its parent sends
+            levels = self.levels.get(state)
+            if levels is None:
+                return StepResult(state, output=sent[1])
+            return self._next_level(_MvcNode(state, sent[1], levels))
 
-        # "correct": a "done" node has no request, wake or sender left
+        # a node with no level left has no request, wake or sender left
         poll = state.poll
         if len(inbox["collect", poll.tag].outputs) < len(poll.read):
             return StepResult(state, requests=(poll,))
         latency, routes = set_color_latency(self.k), self.routes
-        sends = [Send(child, ("set_color", run.final_colors[child]), latency,
-                      routes[child])
+        colors = self.run.final_colors
+        sends = [Send(child, ("set_color", colors[child]), latency, routes[child])
                  for child in state.levels[0][1]]
         state.levels = state.levels[1:]
         return self._next_level(state, sends)

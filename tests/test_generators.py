@@ -50,6 +50,12 @@ def test_interval_generator_is_interval():
         _component_strips(gen_interval(30, seed=seed))
 
 
+def test_chordal_generator_with_cliques_of_one_is_edgeless():
+    g = gen_chordal(5, seed=3, max_clique=1)
+    assert g.sorted_nodes() == [1, 2, 3, 4, 5]
+    assert g.num_edges == 0 and omega_oracle(g) == 1
+
+
 def test_single_node():
     g = gen_chordal(1, seed=3)
     assert len(g) == 1 and is_chordal(g) and omega_oracle(g) == 1

@@ -483,6 +483,13 @@ class TestGraph:
         with pytest.raises(UnknownNode):
             Graph([(1, 2)]).subgraph([1, 3])
 
+    def test_membership_and_neighbors(self):
+        g = Graph([(1, 2), (2, 3)], nodes=[7])
+        assert 2 in g and 7 in g
+        assert 4 not in g
+        assert g.neighbors(2) == {1, 3}
+        assert g.neighbors(7) == set()
+
 
 class TestVerifiers:
     def test_coloring_legal(self):

@@ -334,6 +334,7 @@ BAD_ROUTES = {
     "wrong first node": Send(4, "x", 3, (2, 3, 4)),
     "wrong last node": Send(4, "x", 3, (1, 2, 3)),
     "no node": Send(4, "x", 3, ()),
+    "a node not in g": Send(4, "x", 3, (1, 9, 4)),
 }
 
 
@@ -523,18 +524,28 @@ def only_outputs(res, state):
             and not res.requests and res.wake_at is None)
 
 
+def only_waits(res, state):
+    """Whether a step's result does nothing at all, so that a group step may
+    answer it as a waiting member."""
+    return (res.output is NO_OUTPUT and res.state == state and not res.outbox
+            and not res.requests and res.wake_at is None)
+
+
 def step_members(step, states, rnd, key, result, members):
-    """A group step's ``(stepped, outputs)`` from `step` on each member: the
-    members that only output go to the map."""
+    """A group step's ``(stepped, outputs, waiting)`` from `step` on each
+    member: the members that only output go to the map, the members that do
+    nothing to the waiting set."""
     inbox = {} if key is None else {key: result}
-    stepped, outputs = [], {}
+    stepped, outputs, waiting = [], {}, set()
     for v in members:
         res = step(states[v], rnd, inbox)
         if only_outputs(res, states[v]):
             outputs[v] = res.output
+        elif only_waits(res, states[v]):
+            waiting.add(v)
         else:
             stepped.append((v, res))
-    return stepped, outputs
+    return stepped, outputs, waiting
 
 
 class GroupBadAtDue(BadAtDue):
@@ -545,9 +556,10 @@ class GroupBadAtDue(BadAtDue):
 
     def step_group(self, states, rnd, key, result, members):
         self.group_calls += 1
-        stepped, outputs = step_members(self.step, states, rnd, key, result, members)
+        stepped, outputs, waiting = step_members(self.step, states, rnd, key, result,
+                                                 members)
         self.bulk.update(outputs)
-        return {}, stepped, outputs
+        return {}, stepped, outputs, waiting
 
 
 BAD_RESULTS = {
@@ -602,21 +614,27 @@ def test_engine_checks_hold_for_a_member_delivered_alone():
 
 # group steps of the path 1 - 2 - 3 - 4 that do not answer each member once
 UNANSWERED = {
-    "no member": lambda states, members: ({}, [], {}),
+    "no member": lambda states, members: ({}, [], {}, ()),
     "a member left out": lambda states, members: (
-        {}, [(v, StepResult(v, output=0)) for v in sorted(members)[1:]], {}),
+        {}, [(v, StepResult(v, output=0)) for v in sorted(members)[1:]], {}, ()),
     "a member stepped twice": lambda states, members: (
-        {}, [(v, StepResult(v, output=0)) for v in [1, 1, 2, 3]], {}),
+        {}, [(v, StepResult(v, output=0)) for v in [1, 1, 2, 3]], {}, ()),
     "a member timed twice": lambda states, members: (
-        {("t", 1): [1, 1, 2, 3]}, [], {}),
+        {("t", 1): [1, 1, 2, 3]}, [], {}, ()),
     "a member timed and stepped": lambda states, members: (
-        {("t", 1): [1, 2]}, [(v, StepResult(v, output=0)) for v in [1, 3]], {}),
+        {("t", 1): [1, 2]}, [(v, StepResult(v, output=0)) for v in [1, 3]], {}, ()),
     "a node that is no member": lambda states, members: (
-        {("t", 1): [1, 2, 3]}, [(5, StepResult(5, output=0))], {}),
+        {("t", 1): [1, 2, 3]}, [(5, StepResult(5, output=0))], {}, ()),
     "a member output and stepped": lambda states, members: (
-        {}, [(v, StepResult(v, output=0)) for v in [1, 2, 3]], {1: 0}),
+        {}, [(v, StepResult(v, output=0)) for v in [1, 2, 3]], {1: 0}, ()),
     "an output for a node that is no member": lambda states, members: (
-        {("t", 1): [1, 2, 3]}, [], {5: 0}),
+        {("t", 1): [1, 2, 3]}, [], {5: 0}, ()),
+    "a member waiting and stepped": lambda states, members: (
+        {}, [(v, StepResult(v, output=0)) for v in [1, 2, 3]], {}, {1}),
+    "a member waiting twice": lambda states, members: (
+        {("t", 1): [2, 3]}, [], {}, [1, 1]),
+    "a waiting node that is no member": lambda states, members: (
+        {("t", 1): [1, 2, 3]}, [], {}, {5}),
 }
 
 
@@ -712,20 +730,22 @@ class Scripted:
 
 class GroupScripted(Scripted):
     """`Scripted` with a `step_group` that runs each member through `step`,
-    returns the members whose only action is one timer as timer groups and
-    the members whose only action is an output in the outputs map."""
+    returns the members whose only action is one timer as timer groups, the
+    members whose only action is an output in the outputs map and the members
+    that do nothing as waiting."""
 
     def __init__(self, script):
         super().__init__(script)
         self.group_calls = 0
         self.timed = 0  # members returned in timer groups
         self.bulk = 0  # members returned in outputs maps
+        self.waited = 0  # members returned as waiting
 
     def step_group(self, states, rnd, key, result, members):
         self.group_calls += 1
         timed, stepped = {}, []
-        stepped_all, outputs = step_members(self.step, states, rnd, key, result,
-                                            members)
+        stepped_all, outputs, waiting = step_members(self.step, states, rnd, key,
+                                                     result, members)
         for v, res in stepped_all:
             reqs = res.requests
             if (len(reqs) == 1 and type(reqs[0]) is Collect and not reqs[0].read
@@ -737,7 +757,8 @@ class GroupScripted(Scripted):
             else:
                 stepped.append((v, res))
         self.bulk += len(outputs)
-        return timed, stepped, outputs
+        self.waited += len(waiting)
+        return timed, stepped, outputs, waiting
 
 
 def run_scripted(engine, g, script, cap, scan, program_class=Scripted):
@@ -812,6 +833,14 @@ GROUP_CASES = {
         2: {0: [timer(2), ("wake", 7)], 2: [("output", None)]},
         3: {0: [timer(2), ("wake", 5)], 2: [("output", None)]},
     },
+    # nodes 2 and 3 output in round 0 and are held in a group due in round 2,
+    # where each does nothing and waits; node 4 messages node 3 in round 3,
+    # which steps it alone in round 4
+    "members that wait": {
+        2: {0: [timer(2), ("output", None)]},
+        3: {0: [timer(2), ("output", None)]},
+        4: {3: [("msg", {3: "later"})]},
+    },
 }
 
 
@@ -852,18 +881,21 @@ class TestEngineMatchesReference:
             g, script = group_case(name)
             program = GroupScripted(script)
             run(g, program, 20)
-            steps[name] = program.group_calls, program.timed, program.bulk
+            steps[name] = (program.group_calls, program.timed, program.bulk,
+                           program.waited)
         # round 0 is one group call of every node, then the timer groups;
         # node 1 of the data collect case only outputs in round 0
         assert steps == {
-            "two groups due in one round": (2, 0, 0),  # node 2's group of one
-            "a member with a data collect": (2, 0, 1),  # node 3 alone
-            "a member with a message and a Send": (2, 0, 0),  # node 3 alone
-            "a member that messages": (2, 0, 0),
-            "a member with a wake": (2, 0, 0),  # node 3 alone
-            "a member woken after its group": (2, 0, 0),  # node 3 alone
-            "members that ask for the next timer": (4, 2, 0),
-            "members that only output": (2, 0, 2),
+            "two groups due in one round": (2, 0, 0, 0),  # node 2's group of one
+            "a member with a data collect": (2, 0, 1, 0),  # node 3 alone
+            "a member with a message and a Send": (2, 0, 0, 0),  # node 3 alone
+            "a member that messages": (2, 0, 0, 0),
+            "a member with a wake": (2, 0, 0, 0),  # node 3 alone
+            "a member woken after its group": (2, 0, 0, 0),  # node 3 alone
+            # nodes 2 and 3 wait when their second timers are due
+            "members that ask for the next timer": (4, 2, 0, 2),
+            "members that only output": (2, 0, 2, 0),
+            "members that wait": (2, 0, 0, 2),
         }
 
     def test_round_zero_is_one_group_call_of_every_node(self):

@@ -211,6 +211,21 @@ class TestMisChordalDistributed:
             r.append(transcript.rounds_elapsed)
         assert abs(r[1] - r[0]) <= 0.1 * r[0]
 
+    def test_a_tampered_replay_output_diverges(self, monkeypatch):
+        """The distributed set is read off the replay's outputs and compared
+        with the centralized one: one flipped output makes the run raise."""
+        g = gen_chordal(150, seed=2, max_clique=6)
+        assert mis_chordal_distributed(g, 0.4)[0] == mis_chordal_centralized(g, 0.4)
+        replay = mis_module.replay
+
+        def tampered(h, outputs, *args):
+            v = min(outputs)
+            return replay(h, {**outputs, v: not outputs[v]}, *args)
+
+        monkeypatch.setattr(mis_module, "replay", tampered)
+        with pytest.raises(AssertionError, match="distributed set diverged"):
+            mis_chordal_distributed(g, 0.4)
+
 
 class TestMisIntervalDistributed:
     def test_equals_centralized_and_finishes(self):

@@ -465,6 +465,29 @@ class TestMvcDistributed:
         b = mvc_distributed(g, 0.5)[1].serialize()
         assert a == b
 
+    @pytest.mark.parametrize("serves", [False, True],
+                             ids=["child", "child with levels"])
+    def test_a_tampered_set_color_payload_diverges(self, monkeypatch, serves):
+        """A correction child outputs the color its parent's Send carries,
+        and the run compares the replayed colors with the pipeline's: one
+        Send that carries another color, to a child with or without
+        correction levels of its own, makes the run raise."""
+        run = mvc_pipeline(gen_chordal(150, seed=2, max_clique=6), 0.5)
+        levels = correction_forest(run.layering, run.k)[1]
+        tampered = []
+
+        def send(target, payload, latency, route):
+            if not tampered and (target in levels) == serves:
+                tampered.append(target)
+                payload = ("set_color", payload[1] + 1)
+            return localsim.Send(target, payload, latency, route)
+
+        assert mvc_distributed_run(run)[0] == run.final_colors
+        monkeypatch.setattr(mvc, "Send", send)
+        with pytest.raises(AssertionError, match="distributed coloring diverged"):
+            mvc_distributed_run(run)
+        assert len(tampered) == 1
+
 
 def check_local_decisions(g, k):
     """Every node's `local_peel_decision` in every layer it is residual in,
@@ -571,15 +594,21 @@ def test_correction_context_is_the_record_on_internal_peels(make):
 
 
 def check_wait_sets(g, k):
-    """Every parent's levels run top first, and each level's wait set, read
-    off the records, is the children's later-layer neighbours by the graph.
+    """Every parent's levels run top first, each has children, and each
+    level's wait set, read off the records, is the children's later-layer
+    neighbours by the graph. Every attach side of a record keeps a child.
     Returns the number of levels checked."""
     layering = prune_layers(g, k)
-    levels = correction_forest(layering, k)[1]
+    parent, levels, _ = correction_forest(layering, k)
     for per in levels.values():
         assert [i for i, _, _ in per] == sorted({i for i, _, _ in per}, reverse=True)
         for i, kids, wait in per:
+            assert kids
             assert wait == graph_wait_set(g, layering, kids, i)
+    for records in layering.peeled_paths.values():
+        for record in records:
+            for side in (record.attach_s, record.attach_e):
+                assert side is None or max(side) in map(parent.get, record.members)
     return sum(map(len, levels.values()))
 
 

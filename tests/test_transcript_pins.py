@@ -10,7 +10,8 @@ when the programs step whole timer groups, each member counted as a step.
 The calls of a program's per-node `step` are pinned apart from node-steps:
 a group that falls back to stepping each member shows up there. So are the
 calls of its per-node `leave`: a group whose members only output answers them
-in one map, and a fall-back to leaving node by node shows up there. The
+in one map, and those that only wait in one set, so a fall-back to leaving
+node by node shows up there. The
 `tree-mis` and `longpaths-mis` digests were re-pinned once, when the exact
 small components began taking their strip's sweep instead of a greedy along
 a maximum cardinality search: the same rounds, traffic and set sizes (112
@@ -95,11 +96,12 @@ STEP_CALLS = {
 }
 
 # name -> calls of the program's per-node `leave`: a schedule's default leave
-# is answered in one outputs map, and MVC leaves per node only the nodes with
-# a correction parent or correction levels
+# is answered in one outputs map, and MVC leaves per node only the roots of
+# the correction forest with correction levels; its quiet roots are answered
+# in the outputs map and its correction children as waiting members
 LEAVE_CALLS = {
-    "tree-mvc": 295, "tree-mis": 0, "dumbbell-mvc": 42, "dumbbell-mis": 0,
-    "longpaths-mvc": 93, "longpaths-mis": 0, "interval-mis": 0,
+    "tree-mvc": 1, "tree-mis": 0, "dumbbell-mvc": 2, "dumbbell-mis": 0,
+    "longpaths-mvc": 3, "longpaths-mis": 0, "interval-mis": 0,
     "interval-coloring": 0, "path-distance-mis": 0,
 }
 
@@ -159,7 +161,7 @@ class CountedGroupSteps(CountedSteps):
         if hasattr(program, "step_group"):
             return program.step_group(states, rnd, key, result, members)
         return {}, [(v, program.step(states[v], rnd, inbox_of(key, result)))
-                    for v in members], {}
+                    for v in members], {}, ()
 
 
 class CheckedGroupSteps(CountedGroupSteps):
@@ -169,7 +171,8 @@ class CheckedGroupSteps(CountedGroupSteps):
         alone = {v: self.program.step(copy.deepcopy(states[v]), rnd,
                                       inbox_of(key, result))
                  for v in members}
-        timed, stepped, outputs = super().step_group(states, rnd, key, result, members)
+        timed, stepped, outputs, waiting = super().step_group(
+            states, rnd, key, result, members)
         for (tag, radius), group in timed.items():
             for v in group:
                 assert alone.pop(v) == StepResult(
@@ -178,8 +181,10 @@ class CheckedGroupSteps(CountedGroupSteps):
             assert alone.pop(v) == res
         for v, output in outputs.items():
             assert alone.pop(v) == StepResult(states[v], output=output)
+        for v in waiting:
+            assert alone.pop(v) == StepResult(states[v])
         assert not alone
-        return timed, stepped, outputs
+        return timed, stepped, outputs, waiting
 
 
 def watched_solve(monkeypatch, solve, scan="forward", counter=CountedSteps):
@@ -277,13 +282,13 @@ class Collects(CountedGroupSteps):
         return res
 
     def step_group(self, states, rnd, key, result, members):
-        timed, stepped, outputs = super().step_group(states, rnd, key, result,
-                                                     members)
+        answer = super().step_group(states, rnd, key, result, members)
+        timed, stepped = answer[:2]
         for (tag, radius), group in timed.items():
             self.collects.extend((v, Collect(radius, tag)) for v in group)
         for v, res in stepped:
             self.record(v, res)
-        return timed, stepped, outputs
+        return answer
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
