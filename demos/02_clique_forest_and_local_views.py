@@ -25,7 +25,8 @@ for p in paths:
 # Peeling the pendant paths leaves exactly the clique forest of the residual
 # graph; this invariant carries the whole layering machinery. The nodes a
 # path takes with it, its members, are those outside its attach cliques.
-residual_forest = remove_paths(forest, g, paths)
+residual_forest = remove_paths(forest, g, paths,
+                               [IntervalStrip(p.cliques) for p in paths])
 removed = {v for p in paths for v in p.members}
 rest = g.subgraph(g.nodes - removed)
 print("peel removed %d nodes; residual forest equals recomputation: %s"

@@ -288,11 +288,25 @@ def classify_paths(forest: CliqueForest) -> List[PeelPath]:
     return paths
 
 
+def _jump(t: int, lo: Dict[int, int], hi: Dict[int, int]) -> List[int]:
+    """jump[j]: the last clique that a node starting at or before clique j
+    reaches, or j when that is further."""
+    reach = list(range(t))
+    for v, j in lo.items():
+        if hi[v] > reach[j]:
+            reach[j] = hi[v]
+    return list(accumulate(reach, max))
+
+
 class IntervalStrip:
     """An ordered clique path with per-node index ranges and O(1)-ish hops.
 
     Distances computed here agree with distances in the host graph restricted
-    to the strip, because consecutive-clique separators are cliques.
+    to the strip, because consecutive-clique separators are cliques. Only
+    the constructor reads the clique sets for the ranges; `segment` and
+    `reversed` derive a cut or reversed strip from the ranges `lo`/`hi` and
+    the `jump` table, equal to the strip the constructor builds from the
+    same cliques.
     """
 
     def __init__(self, cliques: List[FrozenSet[int]]):
@@ -312,11 +326,32 @@ class IntervalStrip:
         for v in prev:
             hi[v] = t - 1
         self.lo, self.hi = lo, hi
-        reach = list(range(t))
-        for v, j in lo.items():
-            if hi[v] > reach[j]:
-                reach[j] = hi[v]
-        self.jump = list(accumulate(reach, max))
+        self.jump = _jump(t, lo, hi)
+
+    @classmethod
+    def _view(cls, cliques, lo, hi, jump) -> "IntervalStrip":
+        strip = cls.__new__(cls)
+        strip.cliques, strip.lo, strip.hi, strip.jump = cliques, lo, hi, jump
+        return strip
+
+    def segment(self, a: int, b: int) -> "IntervalStrip":
+        """The strip of cliques a..b: the nodes whose range meets [a, b],
+        with their ranges clipped to it. For a <= j <= b the cut's jump is
+        min(jump[j], b) - a: the nodes starting at or before j that end
+        before a also end before j, so they never raise jump[j]."""
+        lo, hi = self.lo, self.hi
+        nodes = [v for v, j in lo.items() if j <= b and hi[v] >= a]
+        return self._view(self.cliques[a:b + 1],
+                          {v: max(lo[v], a) - a for v in nodes},
+                          {v: min(hi[v], b) - a for v in nodes},
+                          [min(j, b) - a for j in self.jump[a:b + 1]])
+
+    def reversed(self) -> "IntervalStrip":
+        """The same cliques in the opposite order: lo' = t - 1 - hi."""
+        last = len(self.cliques) - 1
+        lo = {v: last - j for v, j in self.hi.items()}
+        hi = {v: last - j for v, j in self.lo.items()}
+        return self._view(self.cliques[::-1], lo, hi, _jump(last + 1, lo, hi))
 
     @property
     def nodes(self):
@@ -416,9 +451,10 @@ def path_diameter(path: PeelPath) -> int:
     return IntervalStrip(path.cliques).diameter()
 
 
-def remove_paths(forest: CliqueForest, g: Graph, paths) -> CliqueForest:
+def remove_paths(forest: CliqueForest, g: Graph, paths, strips) -> CliqueForest:
     """Peel the given `PeelPath`s, classified on `forest`, off it by their
-    clique ids.
+    clique ids; `strips[j]` is the strip of `paths[j].cliques` where that
+    path is internal (and is not read otherwise).
 
     Internal paths must have diameter at least 4. The surviving forest is
     the clique forest of the residual graph, and the removed nodes are the
@@ -427,8 +463,8 @@ def remove_paths(forest: CliqueForest, g: Graph, paths) -> CliqueForest:
     tracer) read them.
     """
     removed_ids: Set[int] = set()
-    for p in paths:
-        if p.kind == INTERNAL and path_diameter(p) < 4:
+    for p, strip in zip(paths, strips):
+        if p.kind == INTERNAL and strip.diameter() < 4:
             raise DiameterTooSmall("internal path of diameter < 4 cannot be peeled")
         removed_ids.update(p.ids)
     keep = [i for i in range(len(forest)) if i not in removed_ids]
@@ -454,17 +490,27 @@ def peel(g: Graph, select) -> Iterator[PeelStep]:
     """The peeling loop shared by coloring and independent set.
 
     Builds the clique forest of `g` once and yields step 1, 2, ... without
-    end; `select(i, forest, paths)` picks the paths of step i among all
-    classified paths. A step's paths are removed only when the caller asks
-    for the next step, so a caller that stops after a step removes nothing
-    more. Under `debug_invariants()` each step's paths are checked against
-    the step's forest (members: all their holders on the path) and against
-    `g` (the lemma of `PeelPath`, with the forest's nodes as the residual).
+    end. Step i peels every classified pendant path and path component, and
+    each internal path for which `select(i, strip)` holds, `strip` being
+    the path's own clique path. That strip is built once per step: `select`
+    and `remove_paths`' diameter check read the same one, and it is not
+    kept on the record. A step's paths are removed only when the caller
+    asks for the next step, so a caller that stops after a step removes
+    nothing more. Under `debug_invariants()` each step's paths are checked
+    against the step's forest (members: all their holders on the path) and
+    against `g` (the lemma of `PeelPath`, with the forest's nodes as the
+    residual).
     """
     forest = clique_forest(g)
     i = 1
     while True:
-        paths = tuple(select(i, forest, classify_paths(forest)))
+        paths, strips = [], []
+        for p in classify_paths(forest):
+            strip = IntervalStrip(p.cliques) if p.kind == INTERNAL else None
+            if strip is None or select(i, strip):
+                paths.append(p)
+                strips.append(strip)
+        paths = tuple(paths)
         if debug_invariants():
             phi = _holder_ids(forest.cliques, range(len(forest)))
             for p in paths:
@@ -475,5 +521,5 @@ def peel(g: Graph, select) -> Iterator[PeelStep]:
                 if phi.keys() & reach != nodes:  # the lemma of `PeelPath`
                     raise AssertionError("members' neighbours differ from the record's")
         yield PeelStep(i, forest, paths)
-        forest = remove_paths(forest, g, paths)
+        forest = remove_paths(forest, g, paths, strips)
         i += 1

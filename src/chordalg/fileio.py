@@ -4,8 +4,9 @@ Graph files: first a line `n <count>`, then one `node <id>` line per isolated
 node and one `u v` line per edge (u < v, sorted). Coloring files hold `id
 color` lines, independent-set files one `id` per line, both sorted by id.
 These layouts are golden-tested; do not change them. The readers reject a
-line with extra tokens, an item listed twice and a `node` line for a node
-that has an edge.
+line with extra tokens, an item listed twice, a `node` line for a node
+that has an edge, and any number that is not plain ASCII decimal digits
+(`int` alone would read `1_0` as 10, `+5` as 5 and `١` as 1).
 """
 
 from __future__ import annotations
@@ -23,6 +24,12 @@ CSV_FIELDS = [
 ]
 
 
+def _number(token: str) -> int:
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError("not a plain decimal number: %r" % token)
+    return int(token)
+
+
 def graph_to_text(g: Graph) -> str:
     lines = ["n %d" % len(g)]
     for v in g.sorted_nodes():
@@ -38,7 +45,7 @@ def graph_from_text(text: str) -> Graph:
     if not lines or not lines[0].startswith("n "):
         raise ParseError("graph file must start with a 'n <count>' line")
     try:
-        count = int(lines[0].split(maxsplit=1)[1])
+        count = _number(lines[0].split(maxsplit=1)[1])
     except ValueError:
         raise ParseError("malformed header: %r" % lines[0])
     g = Graph()
@@ -47,10 +54,10 @@ def graph_from_text(text: str) -> Graph:
         try:
             a, b = ln.split()
             if a == "node":
-                item = int(b)
+                item = _number(b)
                 g.add_node(item)
             else:
-                item = tuple(sorted((int(a), int(b))))
+                item = tuple(sorted((_number(a), _number(b))))
                 g.add_edge(*item)
         except ValueError as exc:
             raise ParseError("bad line %r: %s" % (ln, exc))
@@ -93,7 +100,7 @@ def coloring_from_text(text: str):
     colors = {}
     for ln in filter(str.strip, text.splitlines()):
         try:
-            v, c = map(int, ln.split())
+            v, c = map(_number, ln.split())
         except ValueError:
             raise ParseError("bad coloring line %r" % ln)
         if v in colors:
@@ -110,7 +117,7 @@ def independent_set_from_text(text: str):
     members = set()
     for ln in filter(str.strip, text.splitlines()):
         try:
-            v = int(ln)
+            v = _number(ln.strip())
         except ValueError:
             raise ParseError("bad independent-set line %r" % ln)
         if v in members:

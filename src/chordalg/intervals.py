@@ -250,7 +250,8 @@ def _sweep(strip: IntervalStrip, fixed: Coloring, budget: Optional[int]) -> Colo
             s.add(c)
 
     free: List[int] = []
-    frontier_at: List[Tuple[int, ...]] = []  # positions in `free`
+    # positions in `free`; only a search can read them, so greedy keeps none
+    frontier_at: List[Tuple[int, ...]] = []
     # color[i] is free[i]'s color while i is below the search position, and
     # the last color tried at i otherwise (0: none yet)
     color: List[int] = []
@@ -275,7 +276,8 @@ def _sweep(strip: IntervalStrip, fixed: Coloring, budget: Optional[int]) -> Colo
             if budget is not None and c > budget:
                 stuck, c = len(free), 0
         color.append(c)
-        frontier_at.append(tuple(active))
+        if budget is not None:
+            frontier_at.append(tuple(active))
         active.append(len(free))
         free.append(v)
 
@@ -366,28 +368,48 @@ def _select_boundaries(strip: IntervalStrip, spacing: int) -> List[int]:
 
 def color_strip(strip: IntervalStrip, k: int) -> Coloring:
     """Legal coloring of one component's strip with at most
-    floor((1 + 1/k) * omega) + 1 colors."""
-    spacing = k + 3
-    bounds = _select_boundaries(strip, spacing)
+    floor((1 + 1/k) * omega) + 1 colors.
+
+    Boundary cliques k + 3 hops apart (`_select_boundaries`) are colored
+    1, 2, ... in id order; then one greedy sweep colors every other node
+    around them. It equals one sweep per segment (the cliques from one
+    boundary to the next) and one over the tail past the last boundary,
+    each around the boundary colors it holds:
+    - A free node lies in no boundary clique, and its cliques are
+      consecutive, so its range falls strictly between two consecutive
+      boundaries, or past the last one. Free nodes of different segments
+      never share a clique, and the sweep's canonical order lists each
+      segment's free nodes together, in their order within the segment.
+    - So a free node's frontier, the earlier free nodes that overlap it, is
+      its frontier in its segment's sweep, and the fixed colors on its
+      cliques are those of the two boundary cliques around it (a boundary
+      node that reaches one of its cliques lies in one of those two, as its
+      own cliques are consecutive too). Greedy takes the same color in both.
+    A segment within its own budget, color_budget(k, omega of the
+    segment), is then exactly what `extend_coloring` gives it: its first
+    descent is this greedy. Boundary colors are at most that omega, below
+    the budget, so a segment is over budget iff one of its free nodes is,
+    and only such a segment is colored again by `extend_coloring` on its
+    cut of the strip. The tail has no budget. A one-clique strip is its
+    own boundary and is not swept.
+    """
+    bounds = _select_boundaries(strip, k + 3)
+    cliques = strip.cliques
     colors: Coloring = {}
     for b in bounds:
-        c = 1
-        for v in sorted(strip.cliques[b]):
-            if v not in colors:
-                colors[v] = c
-            c += 1
+        colors.update(zip(sorted(cliques[b]), range(1, len(cliques[b]) + 1)))
+    if len(cliques) == 1:
+        return colors
+    colors = greedy_fill(strip, colors)
+    top = [0] * len(cliques)  # top[j]: the highest color of a node starting at j
+    for v, j in strip.lo.items():
+        if colors[v] > top[j]:
+            top[j] = colors[v]
     for left, right in zip(bounds, bounds[1:]):
-        seg_cliques = strip.cliques[left:right + 1]
-        seg = IntervalStrip(seg_cliques)
-        omega = max(len(c) for c in seg_cliques)
-        fixed = {v: colors[v] for v in strip.cliques[left] | strip.cliques[right]}
-        seg_colors = extend_coloring(seg, color_budget(k, omega), fixed)
-        colors.update(seg_colors)
-    if bounds[-1] < len(strip.cliques) - 1:
-        # a tail of one clique is the last boundary, colored above
-        tail = strip if bounds[-1] == 0 else IntervalStrip(strip.cliques[bounds[-1]:])
-        fixed = {v: colors[v] for v in tail.nodes if v in colors}
-        colors.update(greedy_fill(tail, fixed))
+        budget = color_budget(k, max(map(len, cliques[left:right + 1])))
+        if max(top[left:right + 1]) > budget:
+            fixed = {v: colors[v] for v in cliques[left] | cliques[right]}
+            colors.update(extend_coloring(strip.segment(left, right), budget, fixed))
     return colors
 
 
@@ -412,18 +434,26 @@ def strip_stages(k: int) -> List[int]:
 
 def color_interval_distributed(h: Graph, k: int, round_cap=None):
     """Distributed form of color_interval: identical coloring, rounds charged
-    per the uniform coloring schedule."""
-    transcript = replay(h, color_interval(h, k), strip_stages(k), round_cap=round_cap)
+    per the uniform coloring schedule; the replayed colors are compared with
+    the centralized ones."""
+    colors = color_interval(h, k)
+    transcript = replay(h, colors, strip_stages(k), round_cap=round_cap)
+    if transcript.outputs != colors:
+        raise AssertionError("distributed coloring diverged from centralized")
     return dict(transcript.outputs), transcript
 
 
 def distance_k_mis_distributed(h: Graph, k: int, round_cap=None):
     """Distributed form of distance_k_mis: skeleton selection charged as the
-    successor-chain color reduction (constant iterations at desk scale)."""
+    successor-chain color reduction (constant iterations at desk scale); the
+    replayed set is compared with the centralized one."""
     members = distance_k_mis(h, k)
     outputs = {v: (v in members) for v in h.nodes}
     transcript = replay(h, outputs, [2] + [k + 1] * 9, round_cap=round_cap)
-    return {v for v, flag in transcript.outputs.items() if flag}, transcript
+    chosen = {v for v, flag in transcript.outputs.items() if flag}
+    if chosen != members:
+        raise AssertionError("distributed set diverged from centralized")
+    return chosen, transcript
 
 
 def mis_strip(strip: IntervalStrip, eps: float) -> Set[int]:

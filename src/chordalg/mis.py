@@ -17,9 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from .cliqueforest import (
-    INTERNAL, IntervalStrip, path_diameter, peel, strips_from_traces,
-)
+from .cliqueforest import IntervalStrip, peel, strips_from_traces
 from .errors import BadEpsilon, debug_invariants
 from .graphs import Graph, alpha_oracle
 from .intervals import (
@@ -158,12 +156,10 @@ def mis_chordal_run(g: Graph, eps: float) -> MisRun:
     params = MisParams.from_eps(eps)
     d, iters = params.d, params.k
 
-    def select(i, forest, paths):
+    def select(i, strip):
         if i < iters:
-            return [p for p in paths
-                    if p.kind != INTERNAL or path_diameter(p) >= 2 * d + 3]
-        return [p for p in paths
-                if p.kind != INTERNAL or len(IntervalStrip(p.cliques).greedy_mis()) >= d]
+            return strip.diameter() >= 2 * d + 3
+        return len(strip.greedy_mis()) >= d
 
     residual = set(g.nodes)
     chosen: Set[int] = set()
@@ -286,7 +282,8 @@ def mis_chordal_distributed(g: Graph, eps: float, round_cap: Optional[int] = Non
 
 def mis_interval_distributed(h: Graph, eps: float, round_cap: Optional[int] = None):
     """Distributed form of the interval MIS routine: same output set, with
-    rounds charged per component branch (exact window or skeleton build)."""
+    rounds charged per component branch (exact window or skeleton build);
+    the replayed set is compared with the centralized one."""
     ki, strips, chosen = _mis_interval_parts(h, eps)
     turns = {"exact": set(), "approx": set()}
     for strip in strips:
@@ -296,4 +293,6 @@ def mis_interval_distributed(h: Graph, eps: float, round_cap: Optional[int] = No
                         {"exact": [10 * ki + 2], "approx": strip_stages(ki)},
                         {0: turns}, round_cap)
     members = {v for v, flag in transcript.outputs.items() if flag}
+    if members != chosen:
+        raise AssertionError("distributed set diverged from centralized")
     return members, transcript

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from .cliqueforest import (
-    INTERNAL, CliqueForest, IntervalStrip, PeelPath, clique_word, local_view,
-    path_diameter, peel, strips_from_traces, walk_path,
+    CliqueForest, IntervalStrip, PeelPath, clique_word, local_view, peel,
+    strips_from_traces, walk_path,
 )
 from .errors import EpsilonTooSmall, NonTermination, debug_invariants
 from .graphs import Graph, bfs_distances, omega_oracle
@@ -97,12 +97,8 @@ def prune_layers(g: Graph, k: int) -> Layering:
     if k < 2:
         raise ValueError("k must be at least 2")
 
-    def select(i, forest, paths):
-        return [p for p in paths
-                if p.kind != INTERNAL or path_diameter(p) >= 3 * k]
-
     layering = Layering({}, {}, 0, 0)
-    for step in peel(g, select):
+    for step in peel(g, lambda i, strip: strip.diameter() >= 3 * k):
         i = step.index
         layering.forest_history.append(step.forest)
         if not len(step.forest):
@@ -262,13 +258,19 @@ def build_correction_job(record: PeelPath, colors: Coloring, k: int) -> Correcti
     budget = max(color_budget(k, omega), fixed_value_cap)
 
     def reseat_end(end, side, existing):
-        """End clique colors: the side keeps its finals, W members re-seated."""
+        """End clique colors: the side keeps its finals, W members re-seated.
+
+        `existing` seats no node of `end` - `side`. Only the joint branch
+        passes seated nodes, those of the first end clique, with `end` the
+        last. A node in both end cliques lies in every record clique, so any
+        two nodes of the record would be within 2 hops. But the joint branch
+        has two attach sides, so the record is internal, and `prune_layers`
+        peels an internal path only at diameter 3k >= 6.
+        """
         out = dict(existing)
         for u in side:
             out[u] = colors[u]
         for v in sorted(end - side):
-            if v in out:
-                continue
             taken = {out[u] for u in end if u in out}
             c = 1
             while c in taken:
@@ -282,7 +284,7 @@ def build_correction_job(record: PeelPath, colors: Coloring, k: int) -> Correcti
         if f is None:
             new_colors.update(greedy_fill(view, fixed))
             return
-        seg = IntervalStrip(view.cliques[0:f + 1])
+        seg = view.segment(0, f)
         for u in seg.cliques[-1]:
             fixed.setdefault(u, colors[u])
         new_colors.update(extend_coloring(seg, budget, fixed))
@@ -296,13 +298,13 @@ def build_correction_job(record: PeelPath, colors: Coloring, k: int) -> Correcti
         else:
             raise AssertionError("conflict nodes outside the end cliques")
     if not left and right:
-        strip = IntervalStrip(list(reversed(strip.cliques)))
+        strip = strip.reversed()
         left, right = right, set()
 
     if t == 1:
         new_colors.update(reseat_end(strip.cliques[0], wprime, {}))
     elif left and right:
-        rev = IntervalStrip(list(reversed(strip.cliques)))
+        rev = strip.reversed()
         f_left = _frontier(strip, left, k)
         f_right = _frontier(rev, right, k)
         if f_left is not None and f_right is not None and f_left <= t - 1 - f_right:

@@ -59,6 +59,35 @@ def test_solution_files_reject_extra_tokens_and_repeats(parse, text):
         parse(text)
 
 
+# `int` reads each of these numbers: `1_0` as 10, `+2` as 2, `-1` as -1,
+# and the Arabic-Indic digit `\u0661` as 1
+NOT_PLAIN = ["1_0", "+2", "-1", "\u0661"]
+
+
+@pytest.mark.parametrize("token", NOT_PLAIN)
+def test_graph_reader_takes_only_plain_decimal_numbers(token):
+    for text in ("n %s\nnode 1\nnode 2\n" % token, "n 2\n%s 5\n" % token,
+                 "n 2\n5 %s\n" % token, "n 1\nnode %s\n" % token):
+        with pytest.raises(ParseError):
+            graph_from_text(text)
+    assert len(graph_from_text("n 2\n1 5\n")) == 2
+
+
+@pytest.mark.parametrize("token", NOT_PLAIN)
+def test_coloring_reader_takes_only_plain_decimal_numbers(token):
+    for text in ("%s 3\n" % token, "3 %s\n" % token):
+        with pytest.raises(ParseError, match="bad coloring line"):
+            coloring_from_text(text)
+    assert coloring_from_text("3 1\n") == {3: 1}
+
+
+@pytest.mark.parametrize("token", NOT_PLAIN)
+def test_independent_set_reader_takes_only_plain_decimal_numbers(token):
+    with pytest.raises(ParseError, match="bad independent-set line"):
+        independent_set_from_text("3\n%s\n" % token)
+    assert independent_set_from_text(" 3 \n") == {3}
+
+
 def test_verify_rejects_a_node_listed_twice(workdir):
     # the last line used to win, so this read as the legal coloring 1 1, 2 2
     (workdir / "p.el").write_text("n 2\n1 2\n")

@@ -23,11 +23,12 @@ from chordalg.fileio import forest_dump
 from chordalg.graphs import ball, bfs_distances
 from chordalg.intervals import _component_strips
 from chordalg.mis import mis_chordal_run
-from chordalg.mvc import mvc_pipeline
+from chordalg.mvc import mvc_pipeline, prune_layers
 
 from conftest import (
     LONG_PATH_CASES, brute_maximal_cliques, chordal_graphs, complete_graph,
-    dumbbell, interval_graphs, long_paths_generator, small_graphs,
+    dumbbell, internal_peel_graphs, interval_graphs, long_paths_generator,
+    proper_interval_graphs, small_graphs,
 )
 from conftest import chordal_corpus as acceptance_corpus
 from reference_classify import reference_classify
@@ -498,15 +499,11 @@ RECORD_GRAPHS = {
 @pytest.mark.parametrize("name", sorted(RECORD_GRAPHS))
 def test_path_records_match_their_forest(name):
     g = RECORD_GRAPHS[name]()
-
-    def select(i, forest, paths):
-        for p in paths:
-            check_path_record(forest, p)
-        return [p for p in paths if p.kind != INTERNAL or path_diameter(p) >= 6]
-
     kinds = set()
-    for step in peel_checking_members(g, select):
+    for step in peel_checking_members(g, lambda i, strip: strip.diameter() >= 6):
         classified = classify_paths(step.forest)
+        for p in classified:
+            check_path_record(step.forest, p)
         for p in step.paths:
             assert p in classified
             kinds.add(p.kind)
@@ -523,10 +520,7 @@ def path_alpha(g, path) -> int:
 @given(chordal_graphs())
 @settings(max_examples=150, deadline=None)
 def test_members_rule_on_random_chordal_graphs(g):
-    def select(i, forest, paths):
-        return [p for p in paths if p.kind != INTERNAL or path_diameter(p) >= 4]
-
-    steps = peel_checking_members(g, select)
+    steps = peel_checking_members(g, lambda i, strip: strip.diameter() >= 4)
     assert set().union(*(p.members for s in steps for p in s.paths)) == set(g.nodes)
 
 
@@ -543,8 +537,7 @@ def classify_as_reference(forests) -> int:
 def peel_forests(g):
     """The forest of every step of a peel that takes each pendant path and
     each internal path of diameter at least 4, until no clique is left."""
-    for step in peel(g, lambda i, forest, paths: [
-            p for p in paths if p.kind != INTERNAL or path_diameter(p) >= 4]):
+    for step in peel(g, lambda i, strip: strip.diameter() >= 4):
         if not len(step.forest):
             return
         yield step.forest
@@ -637,12 +630,18 @@ class TestPathMetrics:
                 assert path_diameter(p) == best
 
 
+def strips_of(paths):
+    """The strip of each path's cliques, as `peel` hands them to
+    `remove_paths`."""
+    return [IntervalStrip(p.cliques) for p in paths]
+
+
 class TestRemovePaths:
     def test_remove_whole_path_graph(self):
         g = gen_path(6)
         f = clique_forest(g)
         paths = classify_paths(f)
-        residual = remove_paths(f, g, paths)
+        residual = remove_paths(f, g, paths, strips_of(paths))
         assert len(residual) == 0
         assert {v for p in paths for v in p.members} == set(g.nodes)
 
@@ -650,7 +649,7 @@ class TestRemovePaths:
         g = gen_spider(3, 10)
         f = clique_forest(g)
         pendants = [p for p in classify_paths(f) if p.kind == PENDANT]
-        residual = remove_paths(f, g, pendants)
+        residual = remove_paths(f, g, pendants, strips_of(pendants))
         removed = {v for p in pendants for v in p.members}
         recomputed = clique_forest(g.subgraph(g.nodes - removed))
         assert residual.signature() == recomputed.signature()
@@ -667,7 +666,7 @@ class TestRemovePaths:
         f = clique_forest(g)
         internal = [p for p in classify_paths(f) if p.kind == INTERNAL]
         assert internal and path_diameter(internal[0]) >= 4
-        residual = remove_paths(f, g, internal)
+        residual = remove_paths(f, g, internal, strips_of(internal))
         removed = {v for p in internal for v in p.members}
         recomputed = clique_forest(g.subgraph(g.nodes - removed))
         assert residual.signature() == recomputed.signature()
@@ -680,7 +679,7 @@ class TestRemovePaths:
         paths = [p for p in classify_paths(f)]
         fake = replace(paths[0], kind=INTERNAL, ids=(1,), cliques=(f.cliques[1],))
         with pytest.raises(DiameterTooSmall):
-            remove_paths(f, g, [fake])
+            remove_paths(f, g, [fake], strips_of([fake]))
 
     def test_peeling_soundness_on_generated_instances(self):
         for seed in (5, 9):
@@ -690,7 +689,7 @@ class TestRemovePaths:
             while len(f):
                 paths = [p for p in classify_paths(f)
                          if p.kind != INTERNAL or path_diameter(p) >= 6]
-                f = remove_paths(f, g, paths)
+                f = remove_paths(f, g, paths, strips_of(paths))
                 live -= {v for p in paths for v in p.members}
                 assert f.signature() == clique_forest(g.subgraph(live)).signature()
 
@@ -703,12 +702,12 @@ class TestRemovePaths:
         broken = CliqueForest(cliques, {(0, 2), (2, 3), (2, 4), (1, 3)})
         monkeypatch.setattr(cliqueforest, "clique_forest", lambda g: broken)
         g = Graph([(1, 2)])
-        steps = peel(g, lambda i, forest, paths: paths)
+        steps = peel(g, lambda i, strip: True)
         assert next(steps).paths  # the check is off by default
         set_debug_invariants(True)
         try:
             with pytest.raises(AssertionError, match="peel bookkeeping mismatch"):
-                next(peel(g, lambda i, forest, paths: paths))
+                next(peel(g, lambda i, strip: True))
         finally:
             set_debug_invariants(False)
 
@@ -722,13 +721,13 @@ class TestRemovePaths:
         far = min(g.nodes - set().union(*record.cliques))
         h = Graph([*g.edges(), (record.members[0], far)])
         monkeypatch.setattr(cliqueforest, "clique_forest", lambda g: forest)
-        steps = peel(h, lambda i, forest, paths: paths)
+        steps = peel(h, lambda i, strip: True)
         assert record in next(steps).paths  # the check is off by default
         set_debug_invariants(True)
         try:
             with pytest.raises(AssertionError,
                                match="members' neighbours differ from the record's"):
-                next(peel(h, lambda i, forest, paths: paths))
+                next(peel(h, lambda i, strip: True))
         finally:
             set_debug_invariants(False)
 
@@ -814,6 +813,85 @@ class TestIntervalStrip:
                 strip = IntervalStrip(p.cliques)
                 sub = g.subgraph(set().union(*p.cliques))
                 assert len(strip.greedy_mis()) == len(alpha_oracle(sub))
+
+
+def check_views(strip, cuts) -> int:
+    """`reversed()`, and `segment(a, b)` for each (a, b) in `cuts`, of
+    `strip` and of its reverse, and the reverse of each cut, equal the
+    strips the constructor builds from the same cliques. Returns the number
+    of views compared."""
+    def same(view, cliques):
+        built = IntervalStrip(cliques)
+        assert ((view.cliques, view.lo, view.hi, view.jump)
+                == (built.cliques, built.lo, built.hi, built.jump))
+        return 1
+
+    cliques = strip.cliques
+    back = strip.reversed()
+    compared = same(back, cliques[::-1])
+    for a, b in cuts:
+        compared += same(strip.segment(a, b), cliques[a:b + 1])
+        compared += same(back.segment(a, b), cliques[::-1][a:b + 1])
+        compared += same(strip.segment(a, b).reversed(), cliques[a:b + 1][::-1])
+    return compared
+
+
+@given(proper_interval_graphs())
+@settings(max_examples=150, deadline=None)
+def test_views_equal_rebuilt_strips(g):
+    for strip in _component_strips(g):
+        t = len(strip.cliques)
+        check_views(strip, [(a, b) for a in range(t) for b in range(a, t)])
+
+
+@pytest.mark.parametrize("seed, max_clique", LONG_PATH_CASES)
+def test_views_equal_rebuilt_strips_on_peel_records(seed, max_clique):
+    g = long_paths_generator()(600, seed, max_clique=max_clique)
+    kinds = set()
+    compared = 0
+    for records in prune_layers(g, 2).peeled_paths.values():
+        for record in records:
+            strip = IntervalStrip(record.cliques)
+            t = len(strip.cliques)
+            compared += check_views(strip, [(a, b) for a in range(t)
+                                            for b in sorted({a, min(a + 3, t - 1), t - 1})])
+            kinds.add(record.kind)
+    assert INTERNAL in kinds and compared
+
+
+@internal_peel_graphs
+def test_peel_builds_each_internal_strip_once(monkeypatch, make):
+    """`prune_layers` builds one strip per internal record classified at
+    each step, and `remove_paths` checks the strip `select` was given."""
+    g = make()
+    built, given_to_select, checked = [], [], []
+    real_strip, real_remove = IntervalStrip, cliqueforest.remove_paths
+
+    def counting(cliques):
+        built.append(cliques)
+        return real_strip(cliques)
+
+    def remove(forest, g, paths, strips):
+        checked.extend(s for p, s in zip(paths, strips) if p.kind == INTERNAL)
+        return real_remove(forest, g, paths, strips)
+
+    def select(i, strip):
+        given_to_select.append(strip)
+        return strip.diameter() >= 6
+
+    monkeypatch.setattr(cliqueforest, "IntervalStrip", counting)
+    monkeypatch.setattr(cliqueforest, "remove_paths", remove)
+    layering = prune_layers(g, 2)
+    internal = [p.cliques for f in layering.forest_history
+                for p in classify_paths(f) if p.kind == INTERNAL]
+    assert internal and built == internal
+    built.clear()
+    checked.clear()
+    for step in peel(g, select):
+        if not len(step.forest):
+            break
+    assert len(built) == len(given_to_select)
+    assert checked and set(map(id, checked)) <= set(map(id, given_to_select))
 
 
 def test_forest_path_strips_are_interval_graphs():

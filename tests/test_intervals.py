@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List
@@ -20,7 +21,7 @@ from chordalg import (
     remove_dominated, verify_coloring, verify_is,
 )
 from chordalg.cliqueforest import (
-    IntervalStrip, classify_paths, clique_forest, clique_word,
+    IntervalStrip, classify_paths, clique_forest, clique_word, strips_from_traces,
 )
 from chordalg.graphs import bfs_distances
 from chordalg.intervals import (
@@ -32,9 +33,11 @@ from chordalg.intervals import (
 from chordalg.mvc import _frontier
 
 from conftest import (
-    complete_graph, intersection_graph, interval_graphs, interval_models,
-    long_paths_generator, proper_interval_graphs, small_graphs,
+    LONG_PATH_CASES, chordal_corpus, complete_graph, intersection_graph,
+    interval_graphs, interval_models, long_paths_generator,
+    proper_interval_graphs, small_graphs,
 )
+from reference_color_strip import reference_color_strip
 
 
 def overlapping_blocks(width, count, overlap):
@@ -832,6 +835,25 @@ class TestDistributedVariants:
         _, bigger = distance_k_mis_distributed(gen_path(300), 5)
         assert bigger.rounds_elapsed == transcript.rounds_elapsed
 
+    @pytest.mark.parametrize("solve, h, arg, flip", [
+        (intervals.color_interval_distributed, gen_interval(120, seed=6), 4,
+         lambda out: out + 1),
+        (intervals.distance_k_mis_distributed, gen_path(60), 5, lambda out: not out),
+    ], ids=["color_interval", "distance_k_mis"])
+    def test_a_tampered_replay_output_diverges(self, monkeypatch, solve, h, arg, flip):
+        """The replay's outputs are compared with the centralized answer:
+        one changed output makes the run raise."""
+        solve(h, arg)
+        replay = intervals.replay
+
+        def tampered(g, outputs, *args, **kwargs):
+            v = min(outputs)
+            return replay(g, {**outputs, v: flip(outputs[v])}, *args, **kwargs)
+
+        monkeypatch.setattr(intervals, "replay", tampered)
+        with pytest.raises(AssertionError, match="diverged from centralized"):
+            solve(h, arg)
+
 
 def pairwise_mis_component(strip, k):
     """`_mis_component` as it filled the skeleton one gap at a time: an
@@ -1061,6 +1083,60 @@ def test_benchmark_calls_search_no_graph(monkeypatch, family):
             mis_chordal_distributed(g, 0.4)
     assert not bfs_calls
     assert not subgraph_callers
+
+
+def layer_strips(g, k):
+    """The strips `color_layers` colors at k: each peel record's member
+    components."""
+    layering = mvc.prune_layers(g, k)
+    return [strip for records in layering.peeled_paths.values() for record in records
+            for strip in strips_from_traces(record.cliques, set(record.members))]
+
+
+COLOR_STRIP_SOURCES = {
+    "acceptance": lambda: [
+        (strip, mvc.eps_to_k(float(eps))) for eps, n, mc in (
+            (Fraction(1, 2), 512, 8), (Fraction(1, 4), 512, 20), (Fraction(1, 2), 2048, 20))
+        for g, _ in chordal_corpus(eps, n, mc, 2)
+        for strip in layer_strips(g, mvc.eps_to_k(float(eps)))],
+    "long_paths": lambda: [
+        (strip, k) for s, m in LONG_PATH_CASES for k in (2, 4)
+        for strip in layer_strips(long_paths_generator()(600, s, max_clique=m), k)],
+    "gen_interval_2048": lambda: [
+        (strip, 4) for seed in (1000, 1001, 1002)
+        for strip in _component_strips(gen_interval(2048, seed))],
+    "pinned_k6": lambda: [(strip, 6) for strip in _component_strips(gen_interval(229, seed=129))],
+}
+
+
+@pytest.mark.parametrize("source", sorted(COLOR_STRIP_SOURCES))
+def test_one_sweep_matches_per_segment_reference(monkeypatch, source):
+    """`color_strip`'s one sweep gives the per-segment reference's coloring,
+    item order included, and extends exactly the segments whose greedy
+    colors exceed their budget, the ones the reference backtracks in."""
+    real = intervals.extend_coloring
+    extended, over = [], []
+
+    def watched(seg, budget, fixed):
+        extended.append((seg.cliques, seg.lo, seg.hi, seg.jump, budget, fixed))
+        return real(seg, budget, fixed)
+
+    def reference_extend(seg, budget, fixed):
+        free = greedy_fill(seg, fixed).items() - fixed.items()
+        if max((c for _, c in free), default=0) > budget:
+            over.append((seg.cliques, seg.lo, seg.hi, seg.jump, budget, fixed))
+        return real(seg, budget, fixed)
+
+    monkeypatch.setattr(intervals, "extend_coloring", watched)
+    swept = 0
+    for strip, k in COLOR_STRIP_SOURCES[source]():
+        assert (list(intervals.color_strip(strip, k).items())
+                == list(reference_color_strip(strip, k, reference_extend).items()))
+        swept += len(strip.cliques) > 1
+    assert swept
+    assert extended == over
+    # the pinned case holds the one over-budget segment known
+    assert len(over) == (source == "pinned_k6")
 
 
 def test_one_boundary_strip_is_its_own_tail():

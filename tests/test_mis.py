@@ -235,6 +235,21 @@ class TestMisIntervalDistributed:
         assert members == mis_interval(g, 0.4)
         assert transcript.complete
 
+    def test_a_tampered_replay_output_diverges(self, monkeypatch):
+        """The replayed set is compared with the centralized one: one
+        flipped output makes the run raise."""
+        g = gen_interval(150, seed=4)
+        mis_interval_distributed(g, 0.4)
+        replay = mis_module.replay
+
+        def tampered(h, outputs, *args):
+            v = min(outputs)
+            return replay(h, {**outputs, v: not outputs[v]}, *args)
+
+        monkeypatch.setattr(mis_module, "replay", tampered)
+        with pytest.raises(AssertionError, match="distributed set diverged"):
+            mis_interval_distributed(g, 0.4)
+
 
 def complete_binary_tree(depth):
     return Graph([(v // 2, v) for v in range(2, 2 ** (depth + 1))])
@@ -248,6 +263,34 @@ def test_last_iteration_exact_branch():
                for v, i in run.state.layer.items() if i == k)
     assert verify_is(g, run.chosen)
     assert len(alpha_oracle(g)) <= 1.4 * len(run.chosen)
+
+
+def binary_trees_joined(depth, bridge):
+    """Two `complete_binary_tree(depth)`s whose roots are joined by a path
+    of `bridge` edges; returns the graph and the path's inner nodes."""
+    g = complete_binary_tree(depth)
+    shift = 2 ** (depth + 1)
+    for u, v in list(g.edges()):
+        g.add_edge(u + shift, v + shift)
+    inner = range(3 * shift, 3 * shift + bridge - 1)
+    for u, v in zip([1, *inner], [*inner, 1 + shift]):
+        g.add_edge(u, v)
+    return g, set(inner)
+
+
+@pytest.mark.parametrize("bridge, peeled", [(300, False), (320, True)])
+def test_last_iteration_peels_an_internal_path_by_its_alpha(bridge, peeled):
+    """At eps = 0.4 (d = 160, 11 iterations) the trees of depth 12 keep
+    both roots' junctions to the last iteration, so the bridge stays an
+    internal path of diameter below 2d + 3 until then. There it is peeled
+    iff its strip's alpha reaches d: 160 on 320 edges, 150 on 300."""
+    g, inner = binary_trees_joined(12, bridge)
+    run = mis_chordal_run(g, 0.4)
+    layers = [run.state.layer.get(v) for v in inner]
+    assert set(layers) <= {run.params.k, None}
+    # the path's end nodes may lie in its attach cliques, and so stay
+    assert layers.count(run.params.k) >= (bridge - 3 if peeled else 0)
+    assert layers.count(None) >= (0 if peeled else len(inner))
 
 
 def rebuilt_anchored_mis(g, component, anchor):

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 
 import chordalg
 from chordalg import (
-    EpsilonTooSmall, Graph, NotChordal, clique_forest, gen_chordal, gen_interval, gen_path,
+    EpsilonTooSmall, Graph, NonTermination, NotChordal, clique_forest, gen_chordal, gen_interval, gen_path,
     gen_spider, mvc_centralized, mvc_distributed, omega_oracle, prune_layers,
     verify_coloring,
 )
@@ -674,6 +675,40 @@ def test_conflict_tests_are_the_graph_side_on_random_chordal_graphs(g):
 def test_conflict_tests_are_the_graph_side_on_internal_peels(make):
     g = make()
     assert sum(check_conflict_tests(g, k) for k in (2, 4))
+
+
+def test_a_step_that_peels_nothing_raises_non_termination(monkeypatch):
+    """A nonempty forest has a leaf, so each step peels a pendant path or a
+    path component. A peel whose first step selects nothing raises instead
+    of looping."""
+    real = mvc.peel
+
+    def stalled(g, select):
+        for step in real(g, select):
+            yield replace(step, paths=())
+
+    monkeypatch.setattr(mvc, "peel", stalled)
+    with pytest.raises(NonTermination, match="no peelable path"):
+        prune_layers(gen_spider(3, 6), 4)
+
+
+def test_conflict_nodes_off_the_end_cliques_raise():
+    """W' lies in the attach cliques, which meet the path only in its end
+    cliques (`PeelPath`). A record whose start attach clique also claims a
+    middle node, taken from the members and given a member's color, fails
+    that check."""
+    run = mvc_pipeline(dumbbell(3, 6, 20), 1.0)
+    record = next(p for records in run.layering.peeled_paths.values()
+                  for p in records if p.kind == INTERNAL)
+    ends = record.cliques[0] | record.cliques[-1]
+    x = next(v for v in record.members if v not in ends)
+    y = min(set().union(*(c for c in record.cliques if x in c)) - ends - {x})
+    mutant = replace(record, members=tuple(v for v in record.members if v != x),
+                     attach_s=record.attach_s | {x})
+    colors = {**run.final_colors, x: run.final_colors[y]}
+    assert not build_correction_job(record, run.final_colors, run.k).conflicted
+    with pytest.raises(AssertionError, match="conflict nodes outside the end cliques"):
+        build_correction_job(mutant, colors, run.k)
 
 
 def test_debug_check_catches_a_far_recoloring(monkeypatch):
