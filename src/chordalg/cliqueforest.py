@@ -52,7 +52,8 @@ def maximal_cliques(g: Graph) -> List[FrozenSet[int]]:
     return _clique_tree(g)[0]
 
 
-def _star_forest(n: int, links: List[Link]) -> Set[Tuple[int, int]]:
+def _star_forest(n: int, links: List[Link],
+                 forced: Optional[Dict[int, List[int]]] = None) -> Set[Tuple[int, int]]:
     """The canonical forest from the clique tree T0: one star per separator.
 
     `links` are T0's edges (a, b, K_a & K_b) over `n` cliques in word order.
@@ -63,6 +64,10 @@ def _star_forest(n: int, links: List[Link]) -> Set[Tuple[int, int]]:
     two cliques in different pieces meet in exactly S. With `hub` the
     largest id in T_S, every piece without it is joined to `hub` at the
     piece's own largest id, its `top`.
+
+    When T_S is just its one edge's two cliques, S lies in no third clique:
+    that edge is forced (see `intervals._arrange_cliques`). If a dict
+    `forced` is given, each end of a forced edge is listed under the other.
     """
     tree: List[List[Tuple[int, FrozenSet[int]]]] = [[] for _ in range(n)]
     ends: Dict[FrozenSet[int], List[int]] = {}  # S -> the endpoints of E_S
@@ -90,6 +95,10 @@ def _star_forest(n: int, links: List[Link]) -> Set[Tuple[int, int]]:
             tops.append(top)
         hub = max(tops)
         edges.update((top, hub) for top in tops if top != hub)
+        if forced is not None and len(seen) == 2:
+            a, b = tops
+            forced.setdefault(a, []).append(b)
+            forced.setdefault(b, []).append(a)
     return edges
 
 
@@ -133,10 +142,11 @@ def _holder_ids(cliques, ids) -> Dict[int, List[int]]:
     return holders
 
 
-def clique_forest(g: Graph) -> CliqueForest:
+def clique_forest(g: Graph, forced: Optional[Dict[int, List[int]]] = None) -> CliqueForest:
     """The canonical clique forest of a chordal graph, read off the clique
     tree T0 that `mcs_order` records (renumbered by `_clique_tree`) by the
-    star rule of `_star_forest`.
+    star rule of `_star_forest`, which lists the forced neighbours of each
+    clique in `forced` when that dict is given.
 
     This is the forest Kruskal picks in decreasing (weight, lower id,
     higher id) order over every intersecting clique pair:
@@ -155,7 +165,7 @@ def clique_forest(g: Graph) -> CliqueForest:
       without that id is joined to it exactly once.
     """
     cliques, words, links = _clique_tree(g)
-    return CliqueForest(cliques, _star_forest(len(cliques), links), words)
+    return CliqueForest(cliques, _star_forest(len(cliques), links, forced), words)
 
 
 def local_view(ball: Graph, center: int, d: int) -> CliqueForest:

@@ -122,7 +122,8 @@ def gen_interval(n: int, seed: int, span: int = 0, max_len: int = 0) -> Graph:
     g = Graph(nodes=range(1, n + 1))
     order = sorted(intervals)
     for i, (lo, hi, v) in enumerate(order):
-        for lo2, hi2, w in order[i + 1:]:
+        for j in range(i + 1, n):
+            lo2, _, w = order[j]
             if lo2 > hi:
                 break
             g.add_edge(v, w)

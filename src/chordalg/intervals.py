@@ -5,7 +5,10 @@ which fills a distance-k skeleton with one sweep over the nodes that meet no
 skeleton member.
 
 Every component reaches these routines as an `IntervalStrip`: its maximal
-cliques in path order, canonically oriented (smaller end word first). Each
+cliques in path order, canonically oriented (smaller end word first). Where
+the canonical clique forest branches, the order is searched chain by chain:
+pairs of cliques whose separator lies in no third clique are adjacent in
+every order, so their maximal runs are placed whole. Each
 graph question is answered from the strip's clique ranges `lo`/`hi` and its
 `jump` table, never by a search over a graph: adjacency is range overlap, and
 a node that ends at or after clique j lies within h hops of clique j's
@@ -26,7 +29,7 @@ from itertools import accumulate
 from typing import Dict, List, Optional, Set, Tuple
 
 from .cliqueforest import (
-    CliqueForest, IntervalStrip, _holder_ids, clique_forest, clique_word,
+    CliqueForest, IntervalStrip, clique_forest, clique_word,
     strips_from_traces, walk_path,
 )
 from .errors import BadEpsilon, Infeasible, NotInterval, NotProperInterval
@@ -37,7 +40,7 @@ Coloring = Dict[int, int]
 
 # step cap of the backtracking in `extend_coloring`
 EXTENSION_CAP = 2_000_000
-# step cap of the clique arrangement search in `_arrange_cliques`
+# cap on the chains `_arrange_cliques` places
 ARRANGE_CAP = 500_000
 
 
@@ -57,57 +60,131 @@ def _may_open(forest: CliqueForest, i: int) -> bool:
     return all(s <= widest for s in seps)
 
 
-def _arrange_cliques(forest: CliqueForest, comp: List[int], cap: int) -> List[int]:
+def _arrange_cliques(forest: CliqueForest, comp: List[int],
+                     forced: Dict[int, List[int]], cap: int) -> List[int]:
     """The word-first consecutive order of one component's cliques (the one
     whose sequence of words is smallest), as forest ids; NotInterval when
-    there is none or when the search takes more than `cap` steps.
+    there is none or when the search places more than `cap` chains.
 
-    The next clique must hold every open node (placed, with unplaced
-    holders), so it is an unplaced holder of the open node with the fewest;
-    all its holders lie in this component. Depth-first search tries the
-    starts that pass `_may_open`, then those holders, in id order (word
-    order), skipping placed sets (bit masks over ids) already seen to die.
+    Forced pairs. A forest edge (a, b) listed in `forced` (see
+    `_star_forest`) has a separator S = a & b that lies in no third
+    clique. Then a and b are adjacent in every consecutive order: the
+    cliques holding a node form an interval of the order, so the cliques
+    holding all of S (S is not empty) form an interval too, and that
+    interval is {a, b}. So the forced edges form paths, the chains, and a
+    clique with three forced neighbours has no order. Each chain is a block
+    of every order, in its path order or reversed.
+
+    Placing a chain. The cliques holding a node span a subtree of the
+    forest, a clique tree (Blair & Peyton 1993), so those in a chain form a
+    subpath of it. A node held only by the chain opens and closes inside
+    the block, whatever comes before or after. The other nodes of the
+    chain, its outside nodes, each lie in the separator of a non-forced
+    edge at the chain; for them `left` counts the chains holding them that
+    are not placed. Entered at end e and left by end f, the chain keeps the
+    order consecutive iff every open node (placed, with unplaced holders)
+    lies in e, and every outside node that is not in f has this chain as
+    its last unplaced one: its run in the block ends before f, so it closes
+    there. The outside nodes of f with unplaced holders left are then the
+    open nodes, and the next chain is entered at an end holding them all.
+
+    Alike ends. Two ends whose chains have the same outside nodes, with the
+    same of them in the entry end and in the far end, are interchangeable.
+    Swap the two blocks in an order, each entered at the matching end (for
+    the two ends of one chain, reverse its block). A node held by neither
+    chain lies within one stretch between or beside them (else it would lie
+    in a block it spans), an outside node fills the start, the end or all of
+    each block as it lies in the entry end, the far end or both, and every
+    other node stays inside its block. So the order stays consecutive, and
+    once an end fails at a placed set, the ends alike to it are skipped
+    there.
+
+    The search is the depth-first search over cliques in id order (word
+    order) with every candidate pruned that cannot complete: a clique inside
+    a chain (its two chain neighbours would both have to follow it), an end
+    whose chain breaks the entry rule, and an end alike to one that failed.
+    Two orders first differ where both enter a chain, so trying the entries
+    in id order still finds the word-first order first. Starts must pass
+    `_may_open`, and placed chain sets (bit masks over chains) already seen
+    to die are skipped. Each placement of a chain is one step.
     """
-    cliques = forest.cliques
-    holders = _holder_ids(cliques, sorted(comp))
-    open_nodes: Set[int] = set()
-    left: Dict[int, int] = {}  # per placed node, its unplaced holders
-    placed: List[int] = []
-    used = 0  # the placed set as a bit mask
+    cliques, fadj = forest.cliques, forest.fadj
+    ids = sorted(comp)
+    if any(len(forced.get(a, ())) > 2 for a in ids):
+        raise NotInterval("component has no consecutive clique arrangement")
+    chains: List[List[int]] = []
+    chain_of: Dict[int, int] = {}
+    run: Dict[int, List[int]] = {}  # per chain end, its chain entered there
+    for a in ids:
+        if a not in chain_of and len(forced.get(a, ())) < 2:
+            chain = walk_path(forced, a, forced) if a in forced else [a]
+            chain_of.update(dict.fromkeys(chain, len(chains)))
+            chains.append(chain)
+            run[chain[0]], run[chain[-1]] = chain, chain[::-1]
+    outside: List[Set[int]] = [set() for _ in chains]
+    left: Dict[int, int] = {}  # per outside node, its unplaced chains
+    for a in ids:
+        for b in fadj[a]:
+            if a < b and b not in forced.get(a, ()):
+                sep = cliques[a] & cliques[b]
+                outside[chain_of[a]] |= sep
+                outside[chain_of[b]] |= sep
+                for v in sep:
+                    left[v] = left.get(v, 1) + 1
+    shape = {}  # per end: its chain's outside nodes, those in it, those in the far end
+    for chain, out in zip(chains, map(frozenset, outside)):
+        first, last = out & cliques[chain[0]], out & cliques[chain[-1]]
+        shape[chain[0]], shape[chain[-1]] = (out, first, last), (out, last, first)
+    ends = sorted(run)
+    ends_of: Dict[int, List[int]] = {}  # per outside node, the ends holding it
+    for e in ends:
+        for v in shape[e][1]:
+            ends_of.setdefault(v, []).append(e)
+    must_close = {e: out - far for e, (out, _, far) in shape.items()}
     dead: Set[int] = set()
-    stack = [(i for i in sorted(comp) if _may_open(forest, i))]
-    for _ in range(cap):
-        nxt = next(stack[-1], None)
-        if nxt is None:
+
+    def entries(pool, open_nodes, used):
+        """The chain ends of `pool` that may come next, filtered lazily:
+        each time the search is back at this placed set, after the last
+        end given has failed."""
+        failed = set()
+        for e in pool:
+            if (not used >> chain_of[e] & 1 and open_nodes <= cliques[e]
+                    and all(left[v] == 1 for v in must_close[e])
+                    and used | 1 << chain_of[e] not in dead and shape[e] not in failed):
+                failed.add(shape[e])
+                yield e
+
+    placed: List[Tuple[int, Set[int]]] = []  # entry ends, with the open nodes before
+    open_nodes: Set[int] = set()
+    used = 0  # the placed chains as a bit mask
+    stack = [entries((e for e in ends if _may_open(forest, e)), open_nodes, used)]
+    steps = 0
+    while True:
+        e = next(stack[-1], None)
+        if e is None:
             stack.pop()
             if not placed:
                 raise NotInterval("component has no consecutive clique arrangement")
             dead.add(used)
-            nxt = placed.pop()
-            used ^= 1 << nxt
-            for v in cliques[nxt]:
+            e, open_nodes = placed.pop()
+            used ^= 1 << chain_of[e]
+            for v in outside[chain_of[e]]:
                 left[v] += 1
-                if left[v] < len(holders[v]):
-                    open_nodes.add(v)
-                else:
-                    open_nodes.discard(v)
             continue
-        placed.append(nxt)
-        used |= 1 << nxt
-        for v in cliques[nxt]:
-            left[v] = left.get(v, len(holders[v])) - 1
-            if left[v]:
-                open_nodes.add(v)
-            else:
-                open_nodes.discard(v)
-        if len(placed) == len(comp):
-            return placed
-        # filtered lazily: each time the search is back at this placed set
-        stack.append(i for i in holders[min(open_nodes, key=left.__getitem__)]
-                     if not used >> i & 1 and open_nodes <= cliques[i]
-                     and used | 1 << i not in dead)
-    raise NotInterval("clique arrangement search hit its cap of %d steps;"
-                      " the graph may still be interval" % cap)
+        if steps == cap:
+            raise NotInterval("clique arrangement search hit its cap of %d steps;"
+                              " the graph may still be interval" % cap)
+        steps += 1
+        placed.append((e, open_nodes))
+        used |= 1 << chain_of[e]
+        for v in outside[chain_of[e]]:
+            left[v] -= 1
+        if len(placed) == len(chains):
+            return [c for e, _ in placed for c in run[e]]
+        open_nodes = {v for v in outside[chain_of[e]] & cliques[run[e][-1]] if left[v]}
+        stack.append(entries(ends_of[min(open_nodes, key=left.__getitem__)],
+                             open_nodes, used))
 
 
 def _component_strips(h: Graph) -> List[IntervalStrip]:
@@ -118,10 +195,14 @@ def _component_strips(h: Graph) -> List[IntervalStrip]:
     A component is ordered by its canonical forest where that is a path,
     walked from the smaller-id end. Weight ties can make the forest branch
     on interval graphs; then `_arrange_cliques` takes the word-first order,
+    chain by chain over the forced edges that `clique_forest` reports,
     trying only starts that pass `_may_open`. Its reverse is consecutive
     too, so either order starts at the smaller end word, as canonical.
+    A path forest is walked, not searched: its walk need not be the
+    word-first order (the star K1,3 walks (1,2),(1,4),(1,3)).
     """
-    forest = clique_forest(h)
+    forced: Dict[int, List[int]] = {}
+    forest = clique_forest(h, forced)
     strips: List[IntervalStrip] = []
     seen = set()
     for start in range(len(forest)):
@@ -142,7 +223,7 @@ def _component_strips(h: Graph) -> List[IntervalStrip]:
             end = min(i for i in comp if forest.degree(i) <= 1)
             ids = walk_path(forest.fadj, end, set(comp))
         else:
-            ids = _arrange_cliques(forest, comp, ARRANGE_CAP)
+            ids = _arrange_cliques(forest, comp, forced, ARRANGE_CAP)
         strips.append(IntervalStrip([forest.cliques[i] for i in ids]))
     strips.sort(key=lambda s: clique_word(s.cliques[0]))
     return strips

@@ -270,12 +270,13 @@ def build_correction_job(record: PeelPath, colors: Coloring, k: int) -> Correcti
         out = dict(existing)
         for u in side:
             out[u] = colors[u]
+        taken = {out[u] for u in end if u in out}
+        c = 1  # the smallest free color only grows as members are seated
         for v in sorted(end - side):
-            taken = {out[u] for u in end if u in out}
-            c = 1
             while c in taken:
                 c += 1
             out[v] = c
+            taken.add(c)
         return out
 
     def one_sided(view, side, f):

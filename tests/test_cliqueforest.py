@@ -269,6 +269,20 @@ class TestForestMatchesWordKeyedKruskal:
     def test_subtree_intersection_graphs(self, g):
         assert clique_forest(g).signature() == word_keyed_signature(g)
 
+    @given(chordal_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_forced_edges_are_those_no_third_clique_holds(self, g):
+        # the forced edges the star rule reports are the forest edges whose
+        # separator lies in no other clique; asking for them changes nothing
+        forced = {}
+        forest = clique_forest(g, forced)
+        assert forest.signature() == clique_forest(g).signature()
+        cl = forest.cliques
+        want = {(a, b) for a, b in forest.edges
+                if not any(cl[a] & cl[b] <= c for i, c in enumerate(cl) if i not in (a, b))}
+        assert {(a, b) for a in forced for b in forced[a] if a < b} == want
+        assert all(a in forced[b] for a in forced for b in forced[a])
+
     def test_more_seeds(self):
         for seed in range(6):
             g = gen_chordal(60, seed=100 + seed, max_clique=5)

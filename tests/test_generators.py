@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
 from chordalg import (
-    gen_caterpillar, gen_chordal, gen_interval, gen_path, gen_spider,
+    Graph, gen_caterpillar, gen_chordal, gen_interval, gen_path, gen_spider,
     is_chordal, omega_oracle,
 )
 from chordalg.fileio import graph_to_text
+from chordalg.generators import _rand_below
 from chordalg.intervals import _component_strips
 
 
@@ -43,6 +46,40 @@ def test_interval_generator_deterministic():
     a = gen_interval(60, seed=2)
     b = gen_interval(60, seed=2)
     assert graph_to_text(a) == graph_to_text(b)
+
+
+def reference_gen_interval(n, seed, span=0, max_len=0):
+    """`gen_interval` as it was written first: each interval scans a copy of
+    the rest of the sorted list."""
+    rng = random.Random(seed)
+    span = span or 4 * n
+    max_len = max_len or max(2, n // 10)
+    intervals = []
+    for v in range(1, n + 1):
+        lo = _rand_below(rng, span)
+        hi = lo + 1 + _rand_below(rng, max_len)
+        intervals.append((lo, hi, v))
+    g = Graph(nodes=range(1, n + 1))
+    order = sorted(intervals)
+    for i, (lo, hi, v) in enumerate(order):
+        for lo2, hi2, w in order[i + 1:]:
+            if lo2 > hi:
+                break
+            g.add_edge(v, w)
+    return g
+
+
+@pytest.mark.parametrize("n,seed,span,max_len", [
+    (1, 0, 0, 0), (60, 2, 0, 0), (300, 7, 0, 0), (2048, 1000, 0, 0),
+    (2048, 1001, 0, 0), (400, 3, 50, 0), (200, 11, 0, 1), (500, 12, 600, 90),
+])
+def test_interval_generator_matches_the_copying_loop(n, seed, span, max_len):
+    g = gen_interval(n, seed, span, max_len)
+    ref = reference_gen_interval(n, seed, span, max_len)
+    assert list(g.edges()) == list(ref.edges())
+    assert graph_to_text(g) == graph_to_text(ref)
+    # the same edges in the same order: every adjacency set iterates alike
+    assert all(list(g.adj[v]) == list(ref.adj[v]) for v in ref.adj)
 
 
 def test_interval_generator_is_interval():

@@ -22,6 +22,7 @@ from chordalg import (
 )
 from chordalg.cliqueforest import (
     IntervalStrip, classify_paths, clique_forest, clique_word, strips_from_traces,
+    walk_path,
 )
 from chordalg.graphs import bfs_distances
 from chordalg.intervals import (
@@ -552,13 +553,14 @@ def holder_scan_arrange(cliques, cap=500_000):
 
 
 def arranged_components(g, monkeypatch):
-    """The (forest, component) pairs `_component_strips(g)` hands to
-    `_arrange_cliques`: the components whose canonical forest branches."""
+    """The (forest, component, forced edges) that `_component_strips(g)`
+    hands to `_arrange_cliques`: the components whose canonical forest
+    branches."""
     seen = []
 
-    def spy(forest, comp, cap):
-        seen.append((forest, list(comp)))
-        return _arrange_cliques(forest, comp, cap)
+    def spy(forest, comp, forced, cap):
+        seen.append((forest, list(comp), forced))
+        return _arrange_cliques(forest, comp, forced, cap)
 
     with monkeypatch.context() as m:
         m.setattr(intervals, "_arrange_cliques", spy)
@@ -569,15 +571,15 @@ def arranged_components(g, monkeypatch):
     return seen
 
 
-def search_steps(forest, comp, most):
+def search_steps(forest, comp, forced, most):
     """The steps `_arrange_cliques` takes on a component, found by bisection
     as the smallest cap it completes within; it must complete within `most`."""
-    _arrange_cliques(forest, comp, most)
+    _arrange_cliques(forest, comp, forced, most)
     lo, hi = 1, most
     while lo < hi:
         mid = (lo + hi) // 2
         try:
-            _arrange_cliques(forest, comp, mid)
+            _arrange_cliques(forest, comp, forced, mid)
             hi = mid
         except NotInterval:
             lo = mid + 1
@@ -608,11 +610,11 @@ def dense_components(seed):
         return tuple(arranged_components(gen_interval(2048, seed), monkeypatch))
 
 
-def assert_matches_reference(forest, comp):
+def assert_matches_reference(forest, comp, forced):
     """Assert that the search returns the reference's arrangement, compared
     by clique words, within the reference's steps; return those steps."""
     ref, ref_steps = holder_scan_arrange([forest.cliques[i] for i in comp])
-    ids = _arrange_cliques(forest, comp, ref_steps)
+    ids = _arrange_cliques(forest, comp, forced, ref_steps)
     assert [forest.words[i] for i in ids] == list(map(clique_word, ref))
     return ref_steps
 
@@ -636,18 +638,19 @@ class TestArrangeCliques:
         instances += [Graph([(1, v) for v in range(2, 7)]), spider]
         arranged = 0
         for g in instances:
-            for forest, comp in arranged_components(g, monkeypatch):
+            for forest, comp, forced in arranged_components(g, monkeypatch):
                 if g is spider:
                     # no order exists: the search must say so within the
                     # reference's steps
                     ref, ref_steps = holder_scan_arrange([forest.cliques[i] for i in comp])
                     assert ref is None
                     with pytest.raises(NotInterval, match="no consecutive"):
-                        _arrange_cliques(forest, comp, ref_steps)
+                        _arrange_cliques(forest, comp, forced, ref_steps)
                     continue
-                steps = search_steps(forest, comp, assert_matches_reference(forest, comp))
+                steps = search_steps(forest, comp, forced,
+                                     assert_matches_reference(forest, comp, forced))
                 with pytest.raises(NotInterval, match="cap of %d steps" % (steps - 1)):
-                    _arrange_cliques(forest, comp, steps - 1)
+                    _arrange_cliques(forest, comp, forced, steps - 1)
                 arranged += 1
         assert arranged >= 10
 
@@ -656,21 +659,80 @@ class TestArrangeCliques:
     def test_matches_holder_scan_on_interval_graphs(self, g):
         with pytest.MonkeyPatch.context() as monkeypatch:
             arranged = arranged_components(g, monkeypatch)
-        for forest, comp in arranged:
-            assert_matches_reference(forest, comp)
+        for forest, comp, forced in arranged:
+            assert_matches_reference(forest, comp, forced)
 
     @pytest.mark.parametrize("seed", range(1000, 1005))
     def test_matches_holder_scan_on_dense_instances(self, seed):
         assert dense_components(seed)
-        for forest, comp in dense_components(seed):
-            assert_matches_reference(forest, comp)
+        for forest, comp, forced in dense_components(seed):
+            assert_matches_reference(forest, comp, forced)
 
     @pytest.mark.parametrize("seed", range(1000, 1005))
     def test_dense_instances_take_few_steps_beyond_one_per_clique(self, seed):
         # one step places each clique, and a start that fails the start
         # test costs no step
-        for forest, comp in dense_components(seed):
-            _arrange_cliques(forest, comp, math.ceil(1.25 * len(comp)))
+        for forest, comp, forced in dense_components(seed):
+            _arrange_cliques(forest, comp, forced, math.ceil(1.25 * len(comp)))
+
+    @pytest.mark.parametrize("seed", range(1000, 1005))
+    def test_dense_instances_place_each_chain_about_once(self, seed):
+        # 23 to 49 chains of about 1,000 cliques; the search backtracks at
+        # most twice on these
+        for forest, comp, forced in dense_components(seed):
+            chains = len(comp) - sum(len(forced.get(i, ())) for i in comp) // 2
+            assert chains < 50
+            _arrange_cliques(forest, comp, forced, chains + 2)
+
+    def test_three_forced_neighbours_refute_before_any_step(self, monkeypatch):
+        # the net: triangle 1-2-3 with pendants 4-1, 5-2 and 6-3; each
+        # pendant edge meets the triangle in a node no third clique holds
+        net = Graph([(1, 2), (2, 3), (1, 3), (1, 4), (2, 5), (3, 6)])
+        (forest, comp, forced), = arranged_components(net, monkeypatch)
+        assert sorted(len(forced.get(i, ())) for i in comp) == [1, 1, 1, 3]
+        with pytest.raises(NotInterval, match="no consecutive"):
+            _arrange_cliques(forest, comp, forced, 0)
+        with pytest.raises(NotInterval, match="no consecutive"):
+            _component_strips(net)
+
+    @given(interval_graphs(max_nodes=40))
+    @settings(max_examples=200, deadline=None)
+    def test_forced_pairs_are_adjacent_in_the_reference_order(self, g):
+        forced = {}
+        forest = clique_forest(g, forced)
+        ids = {c: i for i, c in enumerate(forest.cliques)}
+        for comp in g.connected_components():
+            ref, _ = holder_scan_arrange(
+                [c for c in forest.cliques if not c.isdisjoint(comp)])
+            pos = {ids[c]: p for p, c in enumerate(ref)}
+            for a in pos:
+                assert all(abs(pos[a] - pos[b]) == 1 for b in forced.get(a, ()))
+                if len(forced.get(a, ())) < 2:
+                    # the chain from this end fills consecutive places
+                    chain = walk_path(forced, a, forced) if a in forced else [a]
+                    places = [pos[c] for c in chain]
+                    assert places in (list(range(places[0], places[0] + len(chain))),
+                                      list(range(places[0], places[0] - len(chain), -1)))
+
+    @pytest.mark.parametrize("s", [108, 150, 198, 210, 342, 390])
+    def test_non_interval_trees_are_refuted_within_the_cap(self, s, monkeypatch):
+        # trees with an asteroidal triple, on which the search once spent
+        # its whole cap; it now refutes each within 1,000 placements
+        g = gen_chordal(30 + s % 40, s, max_clique=2 + s % 6)
+        monkeypatch.setattr(intervals, "ARRANGE_CAP", 1000)
+        with pytest.raises(NotInterval, match="no consecutive"):
+            _component_strips(g)
+
+    def test_alike_chain_ends_are_tried_once(self, monkeypatch):
+        # the subdivided claw with 20 more leaves on its centre has no
+        # order; trying each leaf clique at each placed set would visit
+        # every subset of the leaves
+        claw = gen_spider(3, 2)
+        centre = next(v for v in claw.nodes if claw.degree(v) == 3)
+        g = Graph([*claw.edges(), *((centre, 100 + i) for i in range(20))])
+        (forest, comp, forced), = arranged_components(g, monkeypatch)
+        with pytest.raises(NotInterval, match="no consecutive"):
+            _arrange_cliques(forest, comp, forced, 100)
 
     @given(interval_models())
     @settings(max_examples=200, deadline=None)
@@ -708,9 +770,9 @@ class TestReducedStrips:
         forests, searches = [], []
         real_forest, real_mcs = intervals.clique_forest, graphs.mcs_order
 
-        def counting_forest(h):
+        def counting_forest(h, *forced):
             forests.append(len(h))
-            return real_forest(h)
+            return real_forest(h, *forced)
 
         def counting_mcs(h):
             searches.append(len(h))

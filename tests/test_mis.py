@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import math
@@ -374,6 +375,51 @@ def test_wrong_anchor_in_a_run_is_rejected(monkeypatch):
                         lambda record, component: frozenset({-1}))
     with pytest.raises(AssertionError, match="not one path ending at the anchor"):
         mis_chordal_run(gen_path(12), 0.4)
+
+
+def test_outside_neighbours_in_both_or_beyond_an_attach_clique_are_rejected():
+    # a record whose outside neighbours meet both attach cliques, or lie
+    # partly outside the one they meet, breaks the attach-clique rule
+    found = []
+    real = mis_module._outside_anchor
+
+    def spy(record, component):
+        anchor = real(record, component)
+        if anchor is not None:
+            found.append((record, component, anchor))
+        return anchor
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mis_module, "_outside_anchor", spy)
+        mis_chordal_run(gen_chordal(120, 0, 5), 0.4)
+    assert found
+    record, component, anchor = found[0]
+    outside = set().union(*(c for c in record.cliques if not c.isdisjoint(component)))
+    outside.difference_update(record.members)
+    both = dataclasses.replace(record, attach_s=anchor, attach_e=anchor)
+    part = dataclasses.replace(record, attach_s=anchor - {min(outside)}, attach_e=None)
+    for broken in (both, part):
+        with pytest.raises(AssertionError, match="not confined to one attach clique"):
+            real(broken, component)
+
+
+def test_a_greedy_pick_short_of_alpha_violates_the_absorption_equation(monkeypatch):
+    # a greedy sweep that drops its first pick: on the path 1..12 the one
+    # small component keeps {3, 5, 7, 9, 11}, whose closed neighbourhood
+    # {2, ..., 12} has alpha 6
+    real = IntervalStrip.greedy_mis
+    monkeypatch.setattr(IntervalStrip, "greedy_mis",
+                        lambda strip, allowed=None: set(sorted(real(strip, allowed))[1:]))
+    g = gen_path(12)
+    run = mis_chordal_run(g, 0.4)  # the check is off by default
+    assert [set(rec.chosen) for rec in run.state.absorption] == [{3, 5, 7, 9, 11}]
+    assert not verify_absorption(g, run)
+    chordalg.set_debug_invariants(True)
+    try:
+        with pytest.raises(AssertionError, match="absorption equation violated"):
+            mis_chordal_run(g, 0.4)
+    finally:
+        chordalg.set_debug_invariants(False)
 
 
 def test_component_of_d_nodes_reads_its_anchor_after_its_sweep():
