@@ -3,7 +3,7 @@
 
 from chordalg import (
     classify_paths, clique_forest, gen_chordal, gen_spider, local_view,
-    path_diameter, remove_paths,
+    remove_paths,
 )
 from chordalg.cliqueforest import IntervalStrip
 from chordalg.fileio import forest_dump
@@ -19,8 +19,9 @@ print(forest_dump(forest))
 # sweep gives an exact maximum independent set.
 paths = classify_paths(forest)
 for p in paths:
+    strip = IntervalStrip(p.cliques)
     print(p.kind, "len", len(p.cliques),
-          "diameter", path_diameter(p), "alpha", len(IntervalStrip(p.cliques).greedy_mis()))
+          "diameter", strip.diameter(), "alpha", len(strip.greedy_mis()))
 
 # Peeling the pendant paths leaves exactly the clique forest of the residual
 # graph; this invariant carries the whole layering machinery. The nodes a

@@ -16,8 +16,8 @@ from .graphs import (
 from .generators import gen_caterpillar, gen_chordal, gen_interval, gen_path, gen_spider
 from .cliqueforest import (
     CliqueForest, IntervalStrip, PeelPath, classify_paths, clique_forest,
-    clique_word, local_view, maximal_cliques, path_diameter,
-    remove_paths, strips_from_traces,
+    clique_word, local_view, maximal_cliques, remove_paths,
+    strips_from_traces,
 )
 from .localsim import (
     Collect, GatherProgram, Send, StagedProgram, StepResult, Transcript,

@@ -456,11 +456,6 @@ def strips_from_traces(clique_seq, keep) -> List[IntervalStrip]:
     return strips
 
 
-def path_diameter(path: PeelPath) -> int:
-    """Largest pairwise distance among nodes of the path's cliques."""
-    return IntervalStrip(path.cliques).diameter()
-
-
 def remove_paths(forest: CliqueForest, g: Graph, paths, strips) -> CliqueForest:
     """Peel the given `PeelPath`s, classified on `forest`, off it by their
     clique ids; `strips[j]` is the strip of `paths[j].cliques` where that

@@ -7,6 +7,7 @@ always produces the identical graph, byte for byte once serialized.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 
 from .graphs import Graph
 
@@ -81,10 +82,12 @@ def gen_chordal(n: int, seed: int, max_clique: int = 6) -> Graph:
     if max_clique == 1:
         return g
 
+    adj = g.adj
+
     def add_bag(members):
+        # each member's set takes the bag's other members, in bag order
         for i, u in enumerate(members):
-            for w in members[i + 1:]:
-                g.add_edge(u, w)
+            adj[u].update(members[:i] + members[i + 1:])
 
     first = min(1 + _rand_below(rng, max_clique), n)
     bags = [list(range(1, first + 1))]
@@ -120,11 +123,14 @@ def gen_interval(n: int, seed: int, span: int = 0, max_len: int = 0) -> Graph:
         hi = lo + 1 + _rand_below(rng, max_len)
         intervals.append((lo, hi, v))
     g = Graph(nodes=range(1, n + 1))
+    adj = g.adj
     order = sorted(intervals)
-    for i, (lo, hi, v) in enumerate(order):
-        for j in range(i + 1, n):
-            lo2, _, w = order[j]
-            if lo2 > hi:
-                break
-            g.add_edge(v, w)
+    los = [lo for lo, _, _ in order]
+    ids = [v for _, _, v in order]
+    for i, (_, hi, v) in enumerate(order):
+        # the later intervals that start by hi: v's neighbours after it
+        run = ids[i + 1:bisect_right(los, hi, i + 1)]
+        adj[v].update(run)
+        for w in run:
+            adj[w].add(v)
     return g

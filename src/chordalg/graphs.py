@@ -3,6 +3,11 @@ and the exact oracles used to check approximation ratios. One maximum
 cardinality search (`mcs_order`) yields the elimination order, the
 chordality verdict and the clique tree every clique forest starts from.
 
+A graph is built with `add_node` and `add_edge`, which check an id once,
+when it first comes in: `add_edge` skips the check for an exact `int`
+already in the graph. `Graph.subgraph` and the generators write adjacency
+sets directly, for ids already in a graph or made by `Graph(nodes=...)`.
+
 All operations are pure: nothing here mutates a graph after it is built,
 and every tie is broken by a rule on the node ids and edges alone, never on
 the build order, so repeated runs give identical output.
@@ -44,10 +49,15 @@ class Graph:
     def add_edge(self, u: int, v: int):
         if u == v:
             raise ValueError("self-loops are not allowed")
-        self.add_node(u)
-        self.add_node(v)
-        self.adj[u].add(v)
-        self.adj[v].add(u)
+        adj = self.adj
+        # An exact int already in the graph passed `add_node` when it came
+        # in; anything else (a new id, 1.0, True) takes the full check.
+        if type(u) is not int or u not in adj:
+            self.add_node(u)
+        if type(v) is not int or v not in adj:
+            self.add_node(v)
+        adj[u].add(v)
+        adj[v].add(u)
 
     @property
     def nodes(self) -> Set[int]:

@@ -12,7 +12,7 @@ from chordalg import (
     DiameterTooSmall, Graph, NotChordal, RadiusTooSmall, alpha_oracle,
     classify_paths, clique_forest, gen_caterpillar, gen_chordal,
     gen_interval, gen_path, gen_spider, is_chordal, local_view, maximal_cliques,
-    mcs_order, omega_oracle, path_diameter, remove_paths, set_debug_invariants,
+    mcs_order, omega_oracle, remove_paths, set_debug_invariants,
 )
 from chordalg import cliqueforest
 from chordalg.cliqueforest import (
@@ -622,13 +622,13 @@ def test_classify_matches_reference_on_local_views(name):
 class TestPathMetrics:
     def test_single_clique_in_k4(self, k4):
         p = classify_paths(clique_forest(k4))[0]
-        assert path_diameter(p) == 1
+        assert IntervalStrip(p.cliques).diameter() == 1
         assert path_alpha(k4, p) == 1
 
     def test_full_clique_path_of_path7(self):
         g = gen_path(7)
         p = classify_paths(clique_forest(g))[0]
-        assert path_diameter(p) == 6
+        assert IntervalStrip(p.cliques).diameter() == 6
         assert path_alpha(g, p) == 4
 
     def test_diameter_matches_bfs_oracle(self):
@@ -641,7 +641,7 @@ class TestPathMetrics:
                 for u in nodes:
                     dist = bfs_distances(g.subgraph(nodes), u)
                     best = max(best, max(dist.values()))
-                assert path_diameter(p) == best
+                assert IntervalStrip(p.cliques).diameter() == best
 
 
 def strips_of(paths):
@@ -679,7 +679,7 @@ class TestRemovePaths:
         g.add_edge(7, 37)
         f = clique_forest(g)
         internal = [p for p in classify_paths(f) if p.kind == INTERNAL]
-        assert internal and path_diameter(internal[0]) >= 4
+        assert internal and IntervalStrip(internal[0].cliques).diameter() >= 4
         residual = remove_paths(f, g, internal, strips_of(internal))
         removed = {v for p in internal for v in p.members}
         recomputed = clique_forest(g.subgraph(g.nodes - removed))
@@ -702,7 +702,7 @@ class TestRemovePaths:
             live = set(g.nodes)
             while len(f):
                 paths = [p for p in classify_paths(f)
-                         if p.kind != INTERNAL or path_diameter(p) >= 6]
+                         if p.kind != INTERNAL or IntervalStrip(p.cliques).diameter() >= 6]
                 f = remove_paths(f, g, paths, strips_of(paths))
                 live -= {v for p in paths for v in p.members}
                 assert f.signature() == clique_forest(g.subgraph(live)).signature()

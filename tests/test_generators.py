@@ -7,8 +7,10 @@ from chordalg import (
     is_chordal, omega_oracle,
 )
 from chordalg.fileio import graph_to_text
-from chordalg.generators import _rand_below
+from chordalg.generators import _rand_below, _sample_sorted
 from chordalg.intervals import _component_strips
+
+from reference_graph import ReferenceGraph
 
 
 def test_path_edges():
@@ -80,6 +82,91 @@ def test_interval_generator_matches_the_copying_loop(n, seed, span, max_len):
     assert graph_to_text(g) == graph_to_text(ref)
     # the same edges in the same order: every adjacency set iterates alike
     assert all(list(g.adj[v]) == list(ref.adj[v]) for v in ref.adj)
+
+
+def reference_gen_path(n):
+    g = ReferenceGraph(nodes=[1])
+    for v in range(2, n + 1):
+        g.add_edge(v - 1, v)
+    return g
+
+
+def reference_gen_caterpillar(spine, legs):
+    g = reference_gen_path(spine)
+    nxt = spine + 1
+    for s in range(1, spine + 1):
+        for _ in range(legs):
+            g.add_edge(s, nxt)
+            nxt += 1
+    return g
+
+
+def reference_gen_spider(legs, leg_len):
+    g = ReferenceGraph(nodes=[1])
+    nxt = 2
+    for _ in range(legs):
+        prev = 1
+        for _ in range(leg_len):
+            g.add_edge(prev, nxt)
+            prev = nxt
+            nxt += 1
+    return g
+
+
+def reference_gen_chordal(n, seed, max_clique=6):
+    """`gen_chordal` as it was written first: every pair u < w of a bag is
+    added as an edge, each end checked by `add_node`."""
+    rng = random.Random(seed)
+    g = ReferenceGraph(nodes=range(1, n + 1))
+    if max_clique == 1:
+        return g
+
+    def add_bag(members):
+        for i, u in enumerate(members):
+            for w in members[i + 1:]:
+                g.add_edge(u, w)
+
+    first = min(1 + _rand_below(rng, max_clique), n)
+    bags = [list(range(1, first + 1))]
+    add_bag(bags[0])
+    nxt = first + 1
+    while nxt <= n:
+        parent = bags[_rand_below(rng, len(bags))]
+        size = 2 + _rand_below(rng, max_clique - 1)
+        shared_k = 1 + _rand_below(rng, min(size - 1, len(parent)))
+        shared = _sample_sorted(rng, sorted(parent), shared_k)
+        fresh = list(range(nxt, min(nxt + size - shared_k, n + 1)))
+        nxt += len(fresh)
+        bag = shared + fresh
+        add_bag(bag)
+        bags.append(bag)
+    return g
+
+
+def assert_built_alike(g, ref):
+    assert list(g.edges()) == list(ref.edges())
+    assert graph_to_text(g) == graph_to_text(ref)
+    # the same ids inserted in the same order: every set iterates alike
+    assert list(g.adj) == list(ref.adj)
+    assert all(list(g.adj[v]) == list(ref.adj[v]) for v in ref.adj)
+
+
+@pytest.mark.parametrize("n,seed,max_clique", [
+    (1, 0, 6), (5, 3, 1), (500, 4, 1), (2, 1, 2), (300, 5, 2), (50, 9, 5),
+    (80, 4, 6), (400, 8, 3), (150, 2, 30), (2048, 1000, 12), (2048, 1001, 12),
+    (2048, 1002, 12), (2048, 1003, 12),
+])
+def test_chordal_generator_matches_the_pair_loop(n, seed, max_clique):
+    assert_built_alike(gen_chordal(n, seed, max_clique),
+                       reference_gen_chordal(n, seed, max_clique))
+
+
+@pytest.mark.parametrize("n,k", [(1, 0), (1, 3), (2, 1), (7, 2), (40, 5)])
+def test_tree_generators_match_their_edge_loops(n, k):
+    assert_built_alike(gen_path(n), reference_gen_path(n))
+    assert_built_alike(gen_caterpillar(n, k), reference_gen_caterpillar(n, k))
+    if k:
+        assert_built_alike(gen_spider(k, n), reference_gen_spider(k, n))
 
 
 def test_interval_generator_is_interval():

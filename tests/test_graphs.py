@@ -19,6 +19,7 @@ from chordalg.graphs import EliminationOrder
 from chordalg.mis import mis_chordal_run
 from chordalg.mvc import mvc_pipeline
 
+from reference_graph import ReferenceGraph
 from conftest import (
     complete_graph, cycle_graph, dumbbell, long_paths_generator, small_graphs,
 )
@@ -482,6 +483,33 @@ class TestGraph:
             Graph([(2, 2)])
         with pytest.raises(UnknownNode):
             Graph([(1, 2)]).subgraph([1, 3])
+
+    # new (7) and existing (1, 2) ids, and ids that are not positive ints
+    # or are ints only by subclass
+    IDS = [1, 2, 7, 0, -3, 1.0, "1", None, True, [1], 2 ** 70]
+
+    @staticmethod
+    def built(make):
+        """The type and message of the exception `make` raises, or None."""
+        try:
+            make()
+        except Exception as exc:
+            return type(exc), str(exc)
+        return None
+
+    @staticmethod
+    def snapshot(g):
+        """The adjacency in iteration order, with the type of every id."""
+        return [(repr(v), [repr(w) for w in s]) for v, s in g.adj.items()]
+
+    @pytest.mark.parametrize("start", [[], [1, 2, 3], [True, 2]])
+    def test_add_edge_accepts_and_rejects_as_the_reference(self, start):
+        for u in self.IDS:
+            for v in self.IDS:
+                g, ref = Graph(nodes=start), ReferenceGraph(nodes=start)
+                assert self.built(lambda: g.add_edge(u, v)) == \
+                    self.built(lambda: ref.add_edge(u, v)), (u, v)
+                assert self.snapshot(g) == self.snapshot(ref), (u, v)
 
     def test_membership_and_neighbors(self):
         g = Graph([(1, 2), (2, 3)], nodes=[7])
