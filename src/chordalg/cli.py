@@ -97,6 +97,12 @@ def _verify_solution(graph_path, solution_path, kind, eps=None):
     return {"result": len(members), "oracle": oracle, "ratio": ratio}
 
 
+def _require_finite_eps(eps):
+    # nan passes every range comparison, and ratio > 1 + nan is never true
+    if eps is not None and not math.isfinite(eps):
+        raise BadEpsilon("--eps must be finite, not %g" % eps)
+
+
 def _require_round_cap(args):
     if args.round_cap is not None and args.round_cap < 1:
         raise BadSpec("--round-cap must be at least 1, not %d" % args.round_cap)
@@ -136,6 +142,7 @@ RUN_ALGORITHMS = {  # the `run` algorithms, in the order of its choices
 def cmd_run(args, report=None) -> int:
     set_debug_invariants(args.debug_invariants)
     _require_round_cap(args)
+    _require_finite_eps(args.eps)
     if args.transcript and args.mode == "central":
         raise BadSpec("--transcript needs the local mode")
     g = fileio.read_graph(args.graph)
@@ -170,6 +177,7 @@ def cmd_run(args, report=None) -> int:
 
 
 def cmd_verify(args) -> int:
+    _require_finite_eps(args.eps)
     if args.eps is not None and args.eps < 0:
         raise BadEpsilon("--eps must not be negative, not %g" % args.eps)
     kind = args.kind
@@ -214,6 +222,7 @@ def cmd_bench(args) -> int:
         raise BadSpec("--sizes and --max-clique must be at least 1")
     if args.eps is None:
         args.eps = BENCH_EPS[args.suite]
+    _require_finite_eps(args.eps)
     if args.suite == "mvc" and args.eps <= 0:
         raise EpsilonTooSmall("eps %.4f is not positive" % args.eps)
     writer = fileio.ReportWriter(args.out)

@@ -368,8 +368,12 @@ class IntervalStrip:
         return set(self.lo)
 
     def sorted_nodes(self):
-        """Canonical order along the strip: by (first clique, last clique, id)."""
-        return sorted(self.lo, key=lambda v: (self.lo[v], self.hi[v], v))
+        """Canonical order along the strip: by (first clique, last clique, id),
+        as three stable sorts, by the last key first."""
+        order = sorted(self.lo)
+        order.sort(key=self.hi.__getitem__)
+        order.sort(key=self.lo.__getitem__)
+        return order
 
     def adjacent(self, u, v):
         return self.lo[u] <= self.hi[v] and self.lo[v] <= self.hi[u]

@@ -16,15 +16,20 @@ members iff its first clique is at most `strip.hop(j, h)`. Every sweep
 follows the canonical node order (first clique, last clique, id), which is
 what makes the centralized and simulated distributed variants produce
 identical answers. The coloring sweep shared by `extend_coloring` and
-`greedy_fill` reads a node's blocked colors from its frontier (the earlier
-free nodes whose range overlaps its own) and the fixed colors on its
-cliques; greedy in this order is optimal on interval graphs (Olariu 1991),
-so the budgeted search rarely backtracks.
+`greedy_fill` gives each node the smallest color that neither its frontier
+(the earlier free nodes whose range overlaps its own) nor a fixed node on
+its cliques holds, taken from a heap of the colors released by ranges that
+have ended, in O(log omega) per node (the left-edge sweep of Gupta, Lee &
+Leung 1979). Greedy in this order is optimal on interval graphs (Olariu
+1991), so the budgeted search rarely backtracks; only then are the
+frontiers listed.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from heapq import heappop, heappush
 from itertools import accumulate
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -307,97 +312,157 @@ def _sweep(strip: IntervalStrip, fixed: Coloring, budget: Optional[int]) -> Colo
     first, around the `fixed` ones; the body of `extend_coloring` and, with
     budget None, of `greedy_fill`.
 
-    A free node's blocked colors are read off what the sweep already holds:
-    the colors of its frontier, the earlier free nodes whose range overlaps
-    its own, and the fixed colors on its cliques. Later free nodes are not
-    colored yet, so nothing else can block it. The greedy descent colors
-    each node as the sweep reaches it. Only when a node finds no color
-    within the budget does the backtracking search take over from there,
-    with the frontiers listed by the sweep; its dead-state keys are built
-    only once a state has died.
+    A free node's blocked colors are the colors of its frontier, the earlier
+    free nodes whose range overlaps its own, and the fixed colors on its
+    cliques. Later free nodes are not colored yet, so nothing else can
+    block it. Fixed colors are recorded only on the cliques that hold a
+    fixed node: `marks` maps each such clique to its fixed colors, and
+    `marked` lists those cliques in order.
+
+    The greedy descent is the left-edge sweep with a pool of released
+    colors (Gupta, Lee & Leung 1979): O(log omega) per node, plus one step
+    per fixed color passed over. It keeps a heap `active` of (last clique,
+    color) of the free nodes colored so far that have not ended, and a heap
+    `spare`, such that {1, ..., fresh - 1} is the disjoint union of `spare`
+    and the active colors. Before v is colored, the nodes ending before
+    lo[v] leave `active` and give their colors back to `spare`. An earlier
+    node u has lo[u] <= lo[v], so it overlaps v iff hi[u] >= lo[v]: the
+    active nodes are then exactly v's frontier. They all hold clique lo[v],
+    so each is in the frontier of every later one and their colors are
+    distinct. So the colors that no frontier node holds are those of
+    `spare` and every color from `fresh` on. Taking them smallest first and
+    passing over the ones fixed on v's cliques gives the smallest color
+    that is neither a frontier color nor fixed there, the greedy choice.
+    v's color becomes active and the passed colors go to `spare`, so the
+    invariant holds for the next node.
+
+    Only when a node finds no color within the budget does the backtracking
+    search take over from there. It then lists every position's frontier
+    from `lo`/`hi`, and builds its dead-state keys only once a state has
+    died.
     """
     lo, hi = strip.lo, strip.hi
-    fixed_at: List[Set[int]] = [set() for _ in strip.cliques]
+    # per clique that holds a fixed node, the fixed colors on it
+    marks: Dict[int, Set[int]] = {}
     # a budget brings checks of `fixed`, made in id order
     for v in sorted(fixed) if budget is not None else fixed:
         c = fixed[v]
-        cover = fixed_at[lo[v]:hi[v] + 1]
+        cover = range(lo[v], hi[v] + 1)
         if budget is not None:
             if not 1 <= c <= budget:
                 raise Infeasible("fixed color %d outside budget %d" % (c, budget))
-            if any(c in s for s in cover):
+            if any(c in marks.get(j, ()) for j in cover):
                 raise Infeasible("fixed coloring is not legal")
-        for s in cover:
-            s.add(c)
+        for j in cover:
+            if j in marks:
+                marks[j].add(c)
+            else:
+                marks[j] = {c}
+    # the marked cliques in order, then one past the last clique
+    marked = [*sorted(marks), len(strip.cliques)]
 
-    free: List[int] = []
-    # positions in `free`; only a search can read them, so greedy keeps none
-    frontier_at: List[Tuple[int, ...]] = []
-    # color[i] is free[i]'s color while i is below the search position, and
-    # the last color tried at i otherwise (0: none yet)
-    color: List[int] = []
-    active: List[int] = []
-    start = 0
-    stuck = None  # where the greedy descent runs out of colors
-    for v in strip.sorted_nodes():
+    def pinned(a, end) -> Set[int]:
+        """The fixed colors on the cliques from marked[a] to `end`; when
+        that is one clique, its own set in `marks`, to be read only."""
+        b = bisect_right(marked, end, a)
+        if b == a + 1:
+            return marks[marked[a]]
+        return set().union(*map(marks.__getitem__, marked[a:b]))
+
+    order = strip.sorted_nodes()
+    out = dict(fixed)
+    limit = math.inf if budget is None else budget
+    # the descent's step cap; without a budget, one no position passes
+    cap = EXTENSION_CAP if budget is not None else len(order)
+    active: List[Tuple[int, int]] = []
+    spare: List[int] = []
+    fresh = 1
+    a = 0  # the first marked clique at or after the current start, in `marked`
+    stuck = 0  # the descent's position among the free nodes
+    for v in order:
         if v in fixed:
             continue
+        if stuck > cap:
+            raise Infeasible("search cap exceeded (budget %d)" % budget)
+        start = lo[v]
+        while active and active[0][0] < start:
+            heappush(spare, heappop(active)[1])
+        while marked[a] < start:
+            a += 1
+        if marked[a] > hi[v]:  # no fixed color on v's cliques
+            if spare:
+                c = heappop(spare)
+            else:
+                c, fresh = fresh, fresh + 1
+        else:
+            taken = pinned(a, hi[v])
+            passed = []
+            while True:
+                if spare:
+                    c = heappop(spare)
+                else:
+                    c, fresh = fresh, fresh + 1
+                if c not in taken:
+                    break
+                passed.append(c)
+            for p in passed:
+                heappush(spare, p)
+        if c > limit:
+            break
+        heappush(active, (hi[v], c))
+        out[v] = c
+        stuck += 1
+    else:  # the descent colored every free node
+        return out
+
+    free = [v for v in order if v not in fixed]
+    # color[i] is free[i]'s color while i is below the search position, and
+    # the last color tried at i otherwise (0: none yet)
+    color = [out[v] for v in free[:stuck]] + [0] * (len(free) - stuck)
+    frontier_at: List[Tuple[int, ...]] = []  # positions in `free`
+    front: List[int] = []
+    start = 0
+    for i, v in enumerate(free):
         if lo[v] != start:  # ranges leave the frontier only as the start moves on
             start = lo[v]
-            active = [p for p in active if hi[free[p]] >= start]
-        c = 0
-        if stuck is None:
-            if budget is not None and len(free) > EXTENSION_CAP:
-                raise Infeasible("search cap exceeded (budget %d)" % budget)
-            taken = set(map(color.__getitem__, active))
-            taken.update(*fixed_at[start:hi[v] + 1])
-            c = 1
+            front = [p for p in front if hi[free[p]] >= start]
+        frontier_at.append(tuple(front))
+        front.append(i)
+
+    def state_key(i):
+        named = set(fixed.values())
+        seen: Dict[int, int] = {}
+        return (i, tuple(-c if c in named else seen.setdefault(c, len(seen))
+                         for c in map(color.__getitem__, frontier_at[i])))
+
+    dead = set()
+    # the descent made one expansion per position below `stuck`
+    expansions = i = stuck
+    while i < len(free):
+        if expansions > EXTENSION_CAP:
+            raise Infeasible("search cap exceeded (budget %d)" % budget)
+        if color[i] == 0 and dead and state_key(i) in dead:
+            c = None
+        else:
+            v = free[i]
+            taken = set(pinned(bisect_left(marked, lo[v]), hi[v]))
+            taken.update(map(color.__getitem__, frontier_at[i]))
+            c = color[i] + 1
             while c in taken:
                 c += 1
-            if budget is not None and c > budget:
-                stuck, c = len(free), 0
-        color.append(c)
-        if budget is not None:
-            frontier_at.append(tuple(active))
-        active.append(len(free))
-        free.append(v)
-
-    if stuck is not None:
-        def state_key(i):
-            named = set(fixed.values())
-            fresh: Dict[int, int] = {}
-            return (i, tuple(-c if c in named else fresh.setdefault(c, len(fresh))
-                             for c in map(color.__getitem__, frontier_at[i])))
-
-        dead = set()
-        # the descent made one expansion per position below `stuck`
-        expansions = i = stuck
-        while i < len(free):
-            if expansions > EXTENSION_CAP:
-                raise Infeasible("search cap exceeded (budget %d)" % budget)
-            if color[i] == 0 and dead and state_key(i) in dead:
+            if c > budget:
                 c = None
-            else:
-                v = free[i]
-                taken = set(map(color.__getitem__, frontier_at[i]))
-                taken.update(*fixed_at[lo[v]:hi[v] + 1])
-                c = color[i] + 1
-                while c in taken:
-                    c += 1
-                if c > budget:
-                    c = None
-            if c is None:
-                if color[i] == 0:
-                    dead.add(state_key(i))
-                color[i] = 0
-                if i == 0:
-                    raise Infeasible("no extension within budget %d" % budget)
-                i -= 1
-                continue
-            expansions += 1
-            color[i] = c
-            i += 1
-    out = dict(fixed)
+        if c is None:
+            if color[i] == 0:
+                dead.add(state_key(i))
+            color[i] = 0
+            if i == 0:
+                raise Infeasible("no extension within budget %d" % budget)
+            i -= 1
+            continue
+        expansions += 1
+        color[i] = c
+        i += 1
     out.update(zip(free, color))
     return out
 
@@ -406,10 +471,11 @@ def extend_coloring(strip: IntervalStrip, budget: int, fixed: Coloring) -> Color
     """Extend a partial coloring of a clique path to all of it within `budget`.
 
     Colors are tried smallest-first along the canonical order, so the first
-    descent is the plain greedy sweep, which reads each free node's blocked
-    colors from its frontier and the fixed colors on its cliques (see
-    `_sweep`); backtracking with dead-state memoization only kicks in when
-    the fixed far boundary forces it. Raises Infeasible when a fixed color
+    descent is the plain greedy sweep, which takes each free node's color
+    from a heap of released colors, passing over the fixed colors on its
+    cliques (see `_sweep`); backtracking with dead-state memoization only
+    kicks in when the fixed far boundary forces it, and only then are the
+    frontiers of the free nodes listed. Raises Infeasible when a fixed color
     lies outside 1..budget or clashes with another, when no extension exists
     within the budget (never when the separation preconditions hold), or
     when the search takes more than `EXTENSION_CAP` steps.
@@ -418,9 +484,9 @@ def extend_coloring(strip: IntervalStrip, budget: int, fixed: Coloring) -> Color
 
 
 def greedy_fill(strip: IntervalStrip, fixed: Coloring) -> Coloring:
-    """One-sided greedy extension along the canonical order: the sweep of
-    `extend_coloring` without a budget, so it never backtracks, and without
-    checking `fixed`."""
+    """One-sided greedy extension along the canonical order: the
+    released-color heap sweep of `extend_coloring` without a budget, so it
+    never backtracks or lists a frontier, and without checking `fixed`."""
     return _sweep(strip, fixed, None)
 
 

@@ -14,6 +14,7 @@ the approximate interval routine.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
@@ -38,8 +39,11 @@ class MisParams:
     def from_eps(cls, eps: float) -> "MisParams":
         if not 0 < eps < 0.5:
             raise BadEpsilon("eps must lie in (0, 1/2)")
-        d = math.ceil(64.0 / eps)
-        k = math.ceil(math.log2(d / eps) + 2)
+        try:
+            d = math.ceil(64.0 / eps)
+            k = math.ceil(math.log2(d / eps) + 2)
+        except OverflowError:
+            raise BadEpsilon("eps %g is too small: its parameters overflow" % eps)
         return cls(eps, d, k)
 
     @property
@@ -257,6 +261,14 @@ def exact_branch_stages(d: int) -> List[int]:
     return [2 * d + 6]
 
 
+def _require_countable(eps: float, prefix: List[int], branches: Dict[str, List[int]]):
+    """BadEpsilon when a replay at eps would charge more rounds than a
+    transcript can index."""
+    if sum(prefix) + max(map(sum, branches.values())) > sys.maxsize:
+        raise BadEpsilon("eps %g is too small: its replay charges more than %d rounds"
+                         % (eps, sys.maxsize))
+
+
 def mis_chordal_distributed(g: Graph, eps: float, round_cap: Optional[int] = None):
     """Simulate the node program; returns (independent set, transcript).
 
@@ -272,8 +284,9 @@ def mis_chordal_distributed(g: Graph, eps: float, round_cap: Optional[int] = Non
     exits = {params.k - 1: {name: {v for v, b in run.state.branch.items() if b == name}
                             for name in branches}}
     outputs = {v: v in run.chosen for v in g.nodes}
-    transcript = replay(g, outputs, [peel_radius(params.d)] * params.k,
-                        branches, exits, round_cap)
+    prefix = [peel_radius(params.d)] * params.k
+    _require_countable(eps, prefix, branches)
+    transcript = replay(g, outputs, prefix, branches, exits, round_cap)
     members = {v for v, flag in transcript.outputs.items() if flag}
     if members != run.chosen:
         raise AssertionError("distributed set diverged from centralized")
@@ -289,9 +302,10 @@ def mis_interval_distributed(h: Graph, eps: float, round_cap: Optional[int] = No
     for strip in strips:
         turns["exact" if in_exact_window(strip, ki) else "approx"] |= strip.nodes
     # dominated-node screening, then the component's branch
+    branches = {"exact": [10 * ki + 2], "approx": strip_stages(ki)}
+    _require_countable(eps, [2], branches)
     transcript = replay(h, {v: (v in chosen) for v in h.nodes}, [2],
-                        {"exact": [10 * ki + 2], "approx": strip_stages(ki)},
-                        {0: turns}, round_cap)
+                        branches, {0: turns}, round_cap)
     members = {v for v, flag in transcript.outputs.items() if flag}
     if members != chosen:
         raise AssertionError("distributed set diverged from centralized")

@@ -19,7 +19,7 @@ from .cliqueforest import (
     CliqueForest, IntervalStrip, PeelPath, clique_word, local_view, peel,
     strips_from_traces, walk_path,
 )
-from .errors import EpsilonTooSmall, NonTermination, debug_invariants
+from .errors import BadEpsilon, EpsilonTooSmall, NonTermination, debug_invariants
 from .graphs import Graph, bfs_distances, omega_oracle
 from .intervals import (
     color_budget, color_strip, extend_coloring, greedy_fill, strip_stages,
@@ -354,13 +354,17 @@ def _require_eps(eps: float, omega: int):
 def mvc_pipeline(g: Graph, eps: float) -> MvcRun:
     """Peel, color every layer, correct; both variants share the result.
 
-    ω is read off the largest clique of the forest the peel builds, so the
-    check eps >= 2/ω follows the peel. The errors keep their order: a graph
-    that is not chordal raises NotChordal from the forest, and for eps < 2/ω
-    the peel runs with k >= 2 and cannot raise first. Only eps <= 0, for
-    which no k exists, asks the ω oracle up front; it raises EpsilonTooSmall
-    on every chordal graph, the empty one included.
+    An eps that is not finite, or is 2 or more (k = ceil(2/eps) would be
+    below 2), raises BadEpsilon first, as the MIS entry points check their
+    range. ω is read off the largest clique of the forest the peel builds,
+    so the check eps >= 2/ω follows the peel. The errors keep their order:
+    a graph that is not chordal raises NotChordal from the forest, and for
+    eps < 2/ω the peel runs with k >= 2 and cannot raise first. Only
+    eps <= 0, for which no k exists, asks the ω oracle up front; it raises
+    EpsilonTooSmall on every chordal graph, the empty one included.
     """
+    if not (math.isfinite(eps) and eps < 2):
+        raise BadEpsilon("eps must be finite and below 2, not %g" % eps)
     if eps <= 0:
         _require_eps(eps, omega_oracle(g))
     k = eps_to_k(eps)

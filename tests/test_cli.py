@@ -180,6 +180,40 @@ def test_verify_ratio_limit_at_eps_zero(workdir):
     assert main(["verify", "p3.el", "three.sol", "--eps", "-0.1"]) == 6
 
 
+def test_verify_rejects_an_eps_that_is_not_finite(workdir):
+    # a legal 40-coloring has ratio 40 / 6 to omega = 6; nan would pass any
+    # ratio, as ratio > 1 + nan is false
+    assert main(["gen", "chordal", "40", "--seed", "1", "--out", "g.el"]) == 0
+    (workdir / "c.sol").write_text("".join("%d %d\n" % (v, v) for v in range(1, 41)))
+    assert main(["verify", "g.el", "c.sol"]) == 0
+    assert main(["verify", "g.el", "c.sol", "--eps", "0.5"]) == 8
+    for eps in ("nan", "inf"):
+        assert main(["verify", "g.el", "c.sol", "--eps", eps]) == 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "mvc", "central", "g.el", "--eps", "2"],
+    ["run", "mvc", "local", "g.el", "--eps", "2"],
+    ["run", "mvc", "central", "g.el", "--eps", "inf"],
+    ["run", "mvc", "local", "g.el", "--eps", "nan"],
+    ["run", "mis", "central", "g.el", "--eps", "nan"],
+    ["run", "mis-interval", "central", "i.el", "--eps", "nan"],
+    ["bench", "mvc", "--sizes", "20", "--seeds", "1", "--eps", "2"],
+    ["bench", "mis", "--sizes", "20", "--seeds", "1", "--eps", "nan"],
+    ["run", "mis", "central", "g.el", "--eps", "1e-300"],
+    ["run", "mis", "local", "g.el", "--eps", "1e-300"],
+    ["run", "mis-interval", "local", "i.el", "--eps", "1e-300"],
+])
+def test_eps_out_of_range_is_a_bad_epsilon(workdir, capsys, argv):
+    # each of these raised a traceback or was accepted before
+    assert main(["gen", "chordal", "40", "--seed", "1", "--out", "g.el"]) == 0
+    assert main(["gen", "interval", "40", "--seed", "1", "--out", "i.el"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--out", "bad.out"]) == 6
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (workdir / "bad.out").exists()
+
+
 def test_empty_graph_with_nonpositive_eps(workdir):
     (workdir / "empty.el").write_text("n 0\n")
     for eps in ("0", "-0.5"):

@@ -39,6 +39,7 @@ from conftest import (
     proper_interval_graphs, small_graphs,
 )
 from reference_color_strip import reference_color_strip
+from reference_sweep import reference_sweep
 
 
 def overlapping_blocks(width, count, overlap):
@@ -367,6 +368,42 @@ class TestFrontierSweepMatchesCounters:
             expected = outcome(reference_extend_coloring, strip, budget, fixed, log)
             assert outcome(extend_coloring, strip, budget, fixed) == expected
         assert log[0][2] > 0
+
+
+def test_heap_sweep_matches_reference_at_large_omega():
+    """The released-color heap sweep against the frontier sweep it replaced
+    (`tests/reference_sweep.py`) on the one large component of
+    `gen_interval(1400, s)`, omega 32: without a budget around boundary
+    cliques colored as `color_strip` colors them, and within budget
+    floor(1.25 omega) + 1 on cuts of the strip whose two end cliques are
+    colored at random, which also draws clashing end colorings. Item lists
+    (order included) and errors must be equal."""
+    compared = []
+    for seed in (1, 2, 3, 4):
+        rng = random.Random(seed)
+        (strip,) = (s for s in _component_strips(gen_interval(1400, seed)) if len(s.lo) > 50)
+        omega = max(map(len, strip.cliques))
+        assert omega >= 30
+        for k in (2, 4):
+            fixed = {}
+            for b in _select_boundaries(strip, k + 3):
+                fixed.update(zip(sorted(strip.cliques[b]), range(1, len(strip.cliques[b]) + 1)))
+            assert (list(greedy_fill(strip, fixed).items())
+                    == list(reference_sweep(strip, fixed, None).items()))
+        budget = 5 * omega // 4 + 1
+        last = len(strip.cliques) - 1
+        for _ in range(12):
+            a = rng.randrange(last)
+            cut = strip.segment(a, min(last, a + rng.choice([3, 10, 30, 100, last])))
+            fixed = {}
+            for end in (cut.cliques[0], cut.cliques[-1]):
+                for v, c in zip(sorted(end), rng.sample(range(1, budget + 1), len(end))):
+                    fixed.setdefault(v, c)
+            got = outcome(extend_coloring, cut, budget, fixed)
+            assert got == outcome(reference_sweep, cut, fixed, budget)
+            compared.append(isinstance(got, list))
+    # both colorings and errors were compared
+    assert 0 < sum(compared) < len(compared)
 
 
 class TestColorInterval:

@@ -52,9 +52,22 @@ class TestMisParams:
             assert MisParams.from_eps(eps).k >= 2
 
     def test_eps_range(self):
-        for bad in (0.0, 0.5, 0.9, -0.1):
+        for bad in (0.0, 0.5, 0.9, -0.1, math.nan, math.inf):
             with pytest.raises(BadEpsilon):
                 MisParams.from_eps(bad)
+
+    def test_eps_whose_parameters_or_rounds_overflow(self):
+        # at 1e-300 the iteration count is not a finite float; at 1e-150 the
+        # parameters exist, but the replay would charge more rounds than a
+        # transcript can index; the interval replay's k overflows likewise
+        for eps in (1e-300, 5e-324):
+            with pytest.raises(BadEpsilon, match="parameters overflow"):
+                MisParams.from_eps(eps)
+        with pytest.raises(BadEpsilon, match="replay charges more than"):
+            mis_chordal_distributed(gen_path(5), 1e-150)
+        assert verify_is(gen_path(5), mis_chordal_centralized(gen_path(5), 1e-150))
+        with pytest.raises(BadEpsilon, match="replay charges more than"):
+            mis_interval_distributed(gen_path(5), 1e-300)
 
 
 def path_cliques(n):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 import chordalg
 from chordalg import (
-    EpsilonTooSmall, Graph, NonTermination, NotChordal, clique_forest, gen_chordal, gen_interval, gen_path,
+    BadEpsilon, EpsilonTooSmall, Graph, NonTermination, NotChordal, clique_forest, gen_chordal, gen_interval, gen_path,
     gen_spider, mvc_centralized, mvc_distributed, omega_oracle, prune_layers,
     verify_coloring,
 )
@@ -382,6 +382,15 @@ class TestMvcCentralized:
         for eps in (0.3, 0.0, -0.5):
             with pytest.raises(EpsilonTooSmall):
                 mvc_centralized(k4, eps)
+
+    def test_eps_not_finite_or_two_and_above(self, k4):
+        # k = ceil(2 / eps) is below 2 there, or not a number; the range is
+        # checked before the graph, as the MIS entry points check theirs
+        for g in (k4, cycle_graph(5), Graph()):
+            for eps in (2.0, 7.5, math.inf, -math.inf, math.nan):
+                with pytest.raises(BadEpsilon):
+                    mvc_pipeline(g, eps)
+        assert verify_coloring(k4, mvc_centralized(k4, 1.99)).legal
 
     def test_ratio_on_generated(self):
         g = gen_chordal(500, seed=21, max_clique=6)
