@@ -6,13 +6,15 @@ from chordalg import (
     remove_paths,
 )
 from chordalg.cliqueforest import IntervalStrip
-from chordalg.fileio import forest_dump
 from chordalg.graphs import ball
 
 g = gen_spider(3, 6)
 forest = clique_forest(g)
 print("cliques of the spider:")
-print(forest_dump(forest))
+for i, word in enumerate(forest.words):
+    print("C%d: %s" % (i, ",".join(map(str, word))))
+for i, j in sorted(forest.edges):
+    print("E: %d-%d" % (i, j))
 
 # Path classification: the spider is three pendant chains meeting at one
 # degree-3 clique. A path's cliques form an interval strip, whose greedy

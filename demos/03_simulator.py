@@ -1,11 +1,11 @@
-# The round-based message-passing engine: gather combinators, transcripts,
+# The round-based message-passing engine: the flooding program, transcripts,
 # and the locality guarantee ("after t rounds you know your radius-t ball").
 
 from chordalg import Graph, gen_path
-from chordalg.localsim import Collect, StepResult, gather, run
+from chordalg.localsim import Collect, GatherProgram, StepResult, run
 
 # Flooding for two rounds teaches the center of a 5-path every id.
-t = run(gen_path(5), gather(2), round_cap=10)
+t = run(gen_path(5), GatherProgram(2), round_cap=10)
 print("rounds:", t.rounds_elapsed, "complete:", t.complete)
 print("node 3 knows:", sorted(t.outputs[3]))
 
@@ -14,8 +14,8 @@ print("node 3 knows:", sorted(t.outputs[3]))
 # indistinguishable to it.
 base = [(i, i + 1) for i in range(1, 9)]
 with_extra = base + [(1, 9)]
-a = run(Graph(base), gather(2), 10).outputs[5]
-b = run(Graph(with_extra), gather(2), 10).outputs[5]
+a = run(Graph(base), GatherProgram(2), 10).outputs[5]
+b = run(Graph(with_extra), GatherProgram(2), 10).outputs[5]
 print("radius-2 views agree despite the far-away edge:", a == b)
 
 # A Collect is delivered after exactly `radius` rounds, what flooding that
@@ -44,6 +44,6 @@ print("read delivered at round", t2.rounds_elapsed,
       "; outputs:", [t2.outputs[v] for v in sorted(t2.outputs)])
 
 # Transcripts are deterministic byte for byte, whatever the scan order.
-s1 = run(gen_path(6), gather(3), 10).serialize()
-s2 = run(gen_path(6), gather(3), 10, scan="reverse").serialize()
+s1 = run(gen_path(6), GatherProgram(3), 10).serialize()
+s2 = run(gen_path(6), GatherProgram(3), 10, scan="reverse").serialize()
 print("transcripts identical under a different scheduler order:", s1 == s2)

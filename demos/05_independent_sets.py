@@ -4,7 +4,7 @@
 
 from chordalg import (
     alpha_oracle, gen_chordal, gen_interval, gen_path, mis_chordal_distributed,
-    mis_interval, remove_dominated, residual_alpha_check, verify_is,
+    mis_interval, verify_is,
 )
 from chordalg.mis import MisParams, mis_chordal_run, verify_absorption
 
@@ -15,10 +15,6 @@ chosen = mis_interval(h, 0.1)
 alpha = len(alpha_oracle(h))
 print("interval: |I|=%d alpha=%d independent=%s within 1.1x=%s"
       % (len(chosen), alpha, verify_is(h, chosen), 1.1 * len(chosen) >= alpha))
-
-surviving = remove_dominated(h)
-print("dominated removal kept alpha:",
-      len(alpha_oracle(surviving)) == alpha)
 
 # A long path forces the skeleton branch.
 p = gen_path(2000)
@@ -41,7 +37,8 @@ print("chordal: |I|=%d alpha=%d ratio=%.3f independent=%s"
 # What the analysis promises, checked directly on this run: the leftover
 # graph holds almost no independence, and every small-component pick
 # absorbed all independence of its closed residual neighborhood.
-print("residual alpha ratio:", residual_alpha_check(g, run),
+leftover = g.subgraph(run.state.residuals[-1])
+print("residual alpha ratio:", len(alpha_oracle(leftover)) / alpha,
       "<= eps/2 =", eps / 2)
 print("absorption identity exact on %d picks: %s"
       % (len(run.state.absorption), verify_absorption(g, run)))

@@ -20,22 +20,16 @@ from .cliqueforest import (
     strips_from_traces,
 )
 from .localsim import (
-    Collect, GatherProgram, Send, StagedProgram, StepResult, Transcript,
-    gather, run,
+    Collect, GatherProgram, Send, StagedProgram, StepResult, Transcript, run,
 )
-from .intervals import (
-    color_interval, color_interval_distributed, distance_k_mis,
-    distance_k_mis_distributed, extend_coloring, is_proper_interval,
-    mis_interval, remove_dominated,
-)
+from .intervals import color_interval, distance_k_mis, extend_coloring, mis_interval
 from .mvc import (
     Layering, color_layers, correct_colors, mvc_centralized, mvc_distributed,
     prune_layers,
 )
 from .mis import (
-    MisParams, PeelState, mis_chordal_centralized,
-    mis_chordal_distributed, mis_interval_distributed, residual_alpha_check,
-    verify_absorption,
+    MisParams, PeelState, mis_chordal_centralized, mis_chordal_distributed,
+    mis_interval_distributed, verify_absorption,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

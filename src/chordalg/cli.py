@@ -232,7 +232,7 @@ def cmd_bench(args) -> int:
             g = gen_chordal(n, seed, args.max_clique)
             if args.suite == "mvc":
                 omega = omega_oracle(g)
-                if omega == 0 or args.eps < 2.0 / omega:
+                if omega > 1 and args.eps < 2.0 / omega:  # as mvc._require_eps
                     continue
                 pipeline = mvc_pipeline(g, args.eps)
                 _, transcript = mvc_distributed_run(pipeline, args.round_cap)

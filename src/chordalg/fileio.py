@@ -1,4 +1,4 @@
-"""Frozen text formats: graphs, clique forest dumps, solutions, CSV reports.
+"""Frozen text formats: graphs, solutions, CSV reports.
 
 Graph files: first a line `n <count>`, then one `node <id>` line per isolated
 node and one `u v` line per edge (u < v, sorted). Coloring files hold `id
@@ -80,16 +80,6 @@ def write_graph(g: Graph, path):
 def read_graph(path) -> Graph:
     with open(path) as fh:
         return graph_from_text(fh.read())
-
-
-def forest_dump(forest) -> str:
-    """Canonical clique forest dump: `C<i>: ...` member lines, then `E: i-j`."""
-    lines = []
-    for i, word in enumerate(forest.words):
-        lines.append("C%d: %s" % (i, ",".join(str(v) for v in word)))
-    for i, j in sorted(forest.edges):
-        lines.append("E: %d-%d" % (i, j))
-    return "\n".join(lines) + "\n"
 
 
 def coloring_to_text(colors) -> str:

@@ -39,7 +39,6 @@ from .cliqueforest import (
 )
 from .errors import BadEpsilon, Infeasible, NotInterval, NotProperInterval
 from .graphs import Graph
-from .localsim import replay
 
 Coloring = Dict[int, int]
 
@@ -266,15 +265,6 @@ def strip_is_proper(strip: IntervalStrip) -> bool:
     return all(sufmin[j + 1] >= hi[v] for v, j in strip.lo.items())
 
 
-def is_proper_interval(h: Graph) -> bool:
-    """True iff h is an interval graph with no induced three-leaf star."""
-    try:
-        strips = _component_strips(h)
-    except NotInterval:
-        return False
-    return all(map(strip_is_proper, strips))
-
-
 def strip_dominated(strip: IntervalStrip) -> Set[int]:
     """Nodes of a strip whose closed neighborhood strictly contains another's.
 
@@ -293,18 +283,6 @@ def strip_dominated(strip: IntervalStrip) -> Set[int]:
 def undominated_strips(strip: IntervalStrip) -> List[IntervalStrip]:
     """The strips of the graph a strip spans, without its dominated nodes."""
     return strips_from_traces(strip.cliques, strip.nodes - strip_dominated(strip))
-
-
-def remove_dominated(h: Graph) -> Graph:
-    """Drop every node whose closed neighborhood strictly contains another's.
-
-    One simultaneous pass, swept along each component's strip; preserves the
-    independence number and leaves a proper interval graph.
-    """
-    doomed: Set[int] = set()
-    for strip in _component_strips(h):
-        doomed |= strip_dominated(strip)
-    return h.subgraph(h.nodes - doomed)
 
 
 def _sweep(strip: IntervalStrip, fixed: Coloring, budget: Optional[int]) -> Coloring:
@@ -574,33 +552,9 @@ def color_interval(h: Graph, k: int) -> Coloring:
 def strip_stages(k: int) -> List[int]:
     """Collect radii charged for one distributed strip routine at parameter
     k: structure gather, id-based boundary symmetry breaking, segment fill.
-    They are the replay prefix of the interval coloring, the coloring branch
-    of the MVC replay and the skeleton branch of the MIS replays."""
+    They are the coloring branch of the MVC replay and the skeleton branch
+    of the MIS replays."""
     return [2 * k + 12] + [k + 6] * 9 + [3 * k + 15]
-
-
-def color_interval_distributed(h: Graph, k: int, round_cap=None):
-    """Distributed form of color_interval: identical coloring, rounds charged
-    per the uniform coloring schedule; the replayed colors are compared with
-    the centralized ones."""
-    colors = color_interval(h, k)
-    transcript = replay(h, colors, strip_stages(k), round_cap=round_cap)
-    if transcript.outputs != colors:
-        raise AssertionError("distributed coloring diverged from centralized")
-    return dict(transcript.outputs), transcript
-
-
-def distance_k_mis_distributed(h: Graph, k: int, round_cap=None):
-    """Distributed form of distance_k_mis: skeleton selection charged as the
-    successor-chain color reduction (constant iterations at desk scale); the
-    replayed set is compared with the centralized one."""
-    members = distance_k_mis(h, k)
-    outputs = {v: (v in members) for v in h.nodes}
-    transcript = replay(h, outputs, [2] + [k + 1] * 9, round_cap=round_cap)
-    chosen = {v for v, flag in transcript.outputs.items() if flag}
-    if chosen != members:
-        raise AssertionError("distributed set diverged from centralized")
-    return chosen, transcript
 
 
 def mis_strip(strip: IntervalStrip, eps: float) -> Set[int]:

@@ -428,11 +428,6 @@ class GatherProgram:
         return StepResult(state, outbox, wake_at=self.radius if rnd == 0 else None)
 
 
-def gather(radius: int, local_vars: Optional[Dict[int, Any]] = None) -> GatherProgram:
-    """Program combinator: gather the radius-ball."""
-    return GatherProgram(radius, local_vars)
-
-
 class StagedProgram:
     """Walk a schedule of timer collects fixed before the run, then leave it.
 

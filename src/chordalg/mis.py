@@ -226,14 +226,6 @@ def mis_chordal_centralized(g: Graph, eps: float) -> Set[int]:
     return mis_chordal_run(g, eps).chosen
 
 
-def residual_alpha_check(g: Graph, run: MisRun):
-    """Ratio alpha(residual after the last iteration) / alpha(input graph)."""
-    leftover = run.state.residuals[-1]
-    a_rest = len(alpha_oracle(g.subgraph(leftover))) if leftover else 0
-    a_full = len(alpha_oracle(g)) if len(g) else 0
-    return a_rest / a_full if a_full else 0.0
-
-
 def verify_absorption(g: Graph, run: MisRun) -> bool:
     """Check, for every recorded small-component pick, that the chosen set is
     as large as the independence number of its closed residual neighborhood

@@ -221,6 +221,22 @@ def test_empty_graph_with_nonpositive_eps(workdir):
             assert main(["run", "mvc", mode, "empty.el", "--eps", eps]) == 6
 
 
+@pytest.mark.parametrize("family", [["path", "1"], ["chordal", "50", "--max-clique", "1"]],
+                         ids=["one-node", "fifty-isolated"])
+def test_mvc_on_an_edgeless_graph(workdir, family):
+    # omega = 1 asks for no eps >= 2/omega; the palette is 1 in both modes
+    assert main(["gen", *family, "--out", "g.el"]) == 0
+    for eps in ("0.01", "0.5", "1", "1.5", "1.99"):
+        for mode in ("central", "local"):
+            assert main(["run", "mvc", mode, "g.el", "--eps", eps,
+                         "--solution", mode + ".sol", "--out", "r.csv"]) == 0
+        assert (workdir / "central.sol").read_text() == (workdir / "local.sol").read_text()
+    with open(workdir / "r.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 10
+    assert {(row["result"], row["oracle"]) for row in rows} == {("1", "1")}
+
+
 @pytest.mark.parametrize("algorithm,mode", [
     ("mis", "central"), ("mis", "local"), ("mis-interval", "local"), ("mvc", "local"),
 ])
@@ -341,6 +357,14 @@ def test_bench_without_a_qualifying_instance(workdir, capsys, eps, seeds):
     out = capsys.readouterr().out
     assert out.startswith("algorithm,")
     assert out.endswith("# slope rounds-vs-log2n 0.0000 over 0 runs\n")
+
+
+def test_bench_mvc_on_edgeless_graphs(workdir, capsys):
+    assert main(["bench", "mvc", "--sizes", "16,32", "--max-clique", "1",
+                 "--seeds", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "# slope rounds-vs-log2n 0.0000 over 4 runs"
+    assert [row.split(",")[4:7] for row in lines[1:-1]] == [["1", "1", "1.0000"]] * 4
 
 
 def test_run_mis_interval_local(workdir):

@@ -19,7 +19,6 @@ from chordalg.cliqueforest import (
     BINARY_COMPONENT, INTERNAL, PENDANT, CliqueForest, IntervalStrip,
     _clique_tree, clique_word, peel, strips_from_traces,
 )
-from chordalg.fileio import forest_dump
 from chordalg.graphs import ball, bfs_distances
 from chordalg.intervals import _component_strips
 from chordalg.mis import mis_chordal_run
@@ -211,10 +210,6 @@ class TestCliqueForest:
         edges = list(g1.edges())
         g2 = Graph(reversed(edges), nodes=g1.nodes)
         assert clique_forest(g1).signature() == clique_forest(g2).signature()
-
-    def test_dump_format_frozen(self):
-        f = clique_forest(gen_path(4))
-        assert forest_dump(f) == "C0: 1,2\nC1: 2,3\nC2: 3,4\nE: 0-1\nE: 1-2\n"
 
 
 def word_keyed_kruskal(words):

@@ -5,14 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordalg import (
-    Graph, RoundCapExceeded, color_interval_distributed, distance_k_mis_distributed,
-    gen_chordal, gen_interval, gen_path, gen_spider, mis_chordal_distributed,
-    mis_interval_distributed, mvc_distributed,
+    Graph, RoundCapExceeded, gen_chordal, gen_interval, gen_path, gen_spider,
+    mis_chordal_distributed, mis_interval_distributed, mvc_distributed,
 )
 from chordalg.graphs import bfs_distances
 from chordalg.localsim import (
-    NO_OUTPUT, Collect, CollectResult, Send, StagedProgram, StepResult, gather,
-    run, stage_chain,
+    NO_OUTPUT, Collect, CollectResult, GatherProgram, Send, StagedProgram,
+    StepResult, run, stage_chain,
 )
 
 from conftest import cycle_graph, small_graphs
@@ -52,19 +51,19 @@ def test_echo_one_round():
 
 
 def test_gather_radius_two_on_path_center():
-    t = run(gen_path(5), gather(2), 10)
+    t = run(gen_path(5), GatherProgram(2), 10)
     assert t.rounds_elapsed == 2
     assert sorted(t.outputs[3]) == [1, 2, 3, 4, 5]
 
 
 def test_gather_radius_below_one_raises():
     with pytest.raises(ValueError, match="radius must be >= 1"):
-        gather(0)
+        GatherProgram(0)
 
 
 def test_gather_learns_exact_ball():
     n, k = 9, 3
-    t = run(gen_path(n), gather(k), 10)
+    t = run(gen_path(n), GatherProgram(k), 10)
     mid = 5
     assert len(t.outputs[mid]) == min(2 * k + 1, n)
     assert len(t.outputs[1]) == k + 1
@@ -72,14 +71,14 @@ def test_gather_learns_exact_ball():
 
 def test_gather_star_center_one_round():
     star = Graph([(1, v) for v in range(2, 6)])
-    t = run(star, gather(1), 5)
+    t = run(star, GatherProgram(1), 5)
     assert t.rounds_elapsed == 1
     assert sorted(t.outputs[1]) == [1, 2, 3, 4, 5]
 
 
 def test_gather_carries_local_vars():
     g = gen_path(4)
-    t = run(g, gather(3, local_vars={v: v * 10 for v in g.nodes}), 10)
+    t = run(g, GatherProgram(3, local_vars={v: v * 10 for v in g.nodes}), 10)
     know = t.outputs[2]
     assert know[4][1] == 40 and know[1][1] == 10
 
@@ -94,9 +93,9 @@ def test_round_cap_exceeded_carries_partial_transcript():
 
 def test_transcript_deterministic_and_scan_independent():
     g = gen_spider(3, 4)
-    a = run(g, gather(3), 10).serialize()
-    b = run(g, gather(3), 10).serialize()
-    c = run(g, gather(3), 10, scan="reverse").serialize()
+    a = run(g, GatherProgram(3), 10).serialize()
+    b = run(g, GatherProgram(3), 10).serialize()
+    c = run(g, GatherProgram(3), 10, scan="reverse").serialize()
     assert a == b == c
 
 
@@ -105,8 +104,8 @@ def test_no_oracle_leakage():
     base = [(i, i + 1) for i in range(1, 9)]
     g1 = Graph(base)
     g2 = Graph(base + [(1, 9)])
-    o1 = run(g1, gather(2), 10).outputs[5]
-    o2 = run(g2, gather(2), 10).outputs[5]
+    o1 = run(g1, GatherProgram(2), 10).outputs[5]
+    o2 = run(g2, GatherProgram(2), 10).outputs[5]
     assert o1 == o2
 
 
@@ -228,7 +227,7 @@ def test_write_once_output_enforced():
 
 def test_message_log_records_traffic():
     from chordalg.localsim import run as sim_run
-    t = sim_run(gen_path(3), gather(2), 10, record_messages=True)
+    t = sim_run(gen_path(3), GatherProgram(2), 10, record_messages=True)
     assert t.message_log is not None
     assert any(log for log in t.message_log)
     senders = {s for log in t.message_log for (s, _r, _p) in log}
@@ -463,9 +462,7 @@ def test_delivery_in_the_requesting_round_raises(request_):
     lambda cap: mis_chordal_distributed(gen_chordal(50, seed=1, max_clique=4), 0.4,
                                         round_cap=cap),
     lambda cap: mis_interval_distributed(gen_interval(40, seed=1), 0.4, round_cap=cap),
-    lambda cap: color_interval_distributed(gen_interval(40, seed=1), 3, round_cap=cap),
-    lambda cap: distance_k_mis_distributed(gen_path(30), 3, round_cap=cap),
-], ids=["mvc", "mis-chordal", "mis-interval", "color-interval", "distance-k-mis"])
+], ids=["mvc", "mis-chordal", "mis-interval"])
 def test_wrappers_hand_an_explicit_round_cap_of_zero_to_the_engine(solve):
     with pytest.raises(ValueError, match="round_cap must be >= 1"):
         solve(0)
@@ -927,8 +924,8 @@ class TestEngineMatchesReference:
     @pytest.mark.parametrize("scan", ["forward", "reverse"])
     def test_gather_program(self, scan):
         g = gen_spider(3, 4)
-        new = run(g, gather(3), 20, record_messages=True, scan=scan)
-        old = reference_run(g, gather(3), 20, record_messages=True, scan=scan)
+        new = run(g, GatherProgram(3), 20, record_messages=True, scan=scan)
+        old = reference_run(g, GatherProgram(3), 20, record_messages=True, scan=scan)
         assert new.serialize() == old.serialize()
         assert new.message_log == old.message_log
         assert new.outputs == old.outputs

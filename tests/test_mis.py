@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from chordalg import (
     BadEpsilon, Graph, alpha_oracle, brute_alpha,
     gen_chordal, gen_interval, gen_path, mis_chordal_centralized,
-    mis_chordal_distributed, mis_interval_distributed, residual_alpha_check,
-    verify_absorption, verify_is,
+    mis_chordal_distributed, mis_interval_distributed, verify_absorption,
+    verify_is,
 )
 import chordalg
 import chordalg.mis as mis_module
@@ -157,17 +157,19 @@ class TestMisChordalCentralized:
 
 
 class TestPeelStateChecks:
+    # alpha of the residual after the last iteration, over alpha of the input
     def test_residual_ratio_zero_on_interval(self):
         g = gen_interval(100, seed=7)
         run = mis_chordal_run(g, 0.4)
-        assert residual_alpha_check(g, run) == 0.0
+        assert run.state.residuals[-1] == set()
 
     def test_residual_ratio_bound(self):
         for seed in (31, 8):
             g = gen_chordal(500, seed=seed, max_clique=6)
+            alpha = len(alpha_oracle(g))
             for eps in (0.4, 0.25):
-                run = mis_chordal_run(g, eps)
-                assert residual_alpha_check(g, run) <= eps / 2
+                leftover = mis_chordal_run(g, eps).state.residuals[-1]
+                assert len(alpha_oracle(g.subgraph(leftover))) / alpha <= eps / 2
 
     def test_absorption_equation(self):
         for seed in (31, 3):

@@ -18,8 +18,7 @@ from chordalg.intervals import _component_strips, color_budget
 from chordalg.mvc import (
     CorrectionJob, MvcProgram, _side_hops, build_correction_job, color_layers,
     correct_colors, correction_forest, correction_poll_radius, default_round_cap,
-    eps_to_k, local_peel_decision, mvc_pipeline, mvc_distributed_run,
-    set_color_latency,
+    eps_to_k, mvc_pipeline, mvc_distributed_run, set_color_latency,
 )
 
 from conftest import (
@@ -27,6 +26,7 @@ from conftest import (
     dumbbell, graph_conflicted, graph_wait_set, internal_peel_graphs,
     long_paths_generator,
 )
+from local_peel import local_peel_decision
 
 
 def bound(k, omega):
@@ -443,6 +443,17 @@ class TestOmegaFromForest:
             for eps in (0.0, -0.5):
                 with pytest.raises(EpsilonTooSmall):
                     mvc_pipeline(g, eps)
+
+    @pytest.mark.parametrize("n", [1, 3, 50])
+    def test_edgeless_graph_takes_every_eps_below_two(self, n):
+        # omega = 1 asks for no eps >= 2/omega: every strip is one node,
+        # colored 1, and both variants agree
+        g = Graph(nodes=range(1, n + 1))
+        for eps in (0.01, 0.5, 1.0, 1.5, 1.99):
+            run = mvc_pipeline(g, eps)
+            assert run.omega == 1
+            assert set(run.final_colors.values()) == {1}
+            assert mvc_distributed_run(run)[0] == run.final_colors
 
 
 class TestMvcDistributed:

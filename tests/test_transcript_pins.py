@@ -21,6 +21,13 @@ table moved to the shared builder.
 
 The default round cap of each distributed entry point is pinned to the
 formula it was first written with, spelled out here.
+
+The `interval-coloring` and `path-distance-mis` rows replay the interval
+coloring and the distance-k independent set through `localsim.replay`
+directly, over the prefix-only schedules their distributed forms charged
+before those forms left the library. They are the only replays whose table
+has no branch, and their digests, node-steps and default caps still pin the
+engine there.
 """
 
 import copy
@@ -31,12 +38,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chordalg import (
-    Graph, color_interval_distributed, distance_k_mis_distributed, gen_chordal,
-    gen_interval, gen_path, gen_spider, mis_chordal_distributed,
-    mis_interval_distributed, mvc_distributed,
+    Graph, color_interval, distance_k_mis, gen_chordal, gen_interval, gen_path,
+    gen_spider, mis_chordal_distributed, mis_interval_distributed, mvc_distributed,
 )
 from chordalg import localsim
-from chordalg.localsim import Collect, StepResult
+from chordalg.intervals import strip_stages
+from chordalg.localsim import Collect, GatherProgram, StepResult
 
 from conftest import dumbbell, graph_wait_set, long_paths_generator
 
@@ -53,6 +60,21 @@ INTERVAL = gen_interval(200, seed=3)
 # long clique paths: an internal peel and a palette above omega for MVC, an
 # approximate-branch component for MIS
 LONG_PATHS = long_paths_generator()(800, 8, max_clique=4)
+
+
+def replayed_coloring(h, k):
+    """The interval coloring at k replayed over `strip_stages(k)`:
+    (outputs, transcript)."""
+    t = localsim.replay(h, color_interval(h, k), strip_stages(k))
+    return t.outputs, t
+
+
+def replayed_distance_mis(h, k):
+    """The distance-k independent set replayed over a gather of 2 and nine
+    stages of k + 1, its membership flags as outputs: (outputs, transcript)."""
+    members = distance_k_mis(h, k)
+    t = localsim.replay(h, {v: v in members for v in h.nodes}, [2] + [k + 1] * 9)
+    return t.outputs, t
 
 
 # name -> (solve, transcript digest, node-steps of the run); the step counts
@@ -79,10 +101,10 @@ PINNED = {
     "interval-mis": (lambda: mis_interval_distributed(INTERVAL, 0.4),
                      "be7157c03257622f460baad99722f625c7e7e35add21357e41e18a8b281dfde1",
                      487),
-    "interval-coloring": (lambda: color_interval_distributed(INTERVAL, 3),
+    "interval-coloring": (lambda: replayed_coloring(INTERVAL, 3),
                           "b3e05b87db27fe3a346b30d0ce2e48336a4939a0435790af8cf886d529c24f74",
                           2400),
-    "path-distance-mis": (lambda: distance_k_mis_distributed(gen_path(60), 2),
+    "path-distance-mis": (lambda: replayed_distance_mis(gen_path(60), 2),
                           "be0ea460c1e16eb0c4354ecb9c9c372e29cdc5ed767ff6ceb9a59425f5335c90",
                           660),
 }
@@ -247,9 +269,9 @@ SMALL_SOLVES = {
     "mvc": lambda seed: mvc_distributed(gen_chordal(40, seed, max_clique=5), 1.0),
     "mis": lambda seed: mis_chordal_distributed(gen_chordal(40, seed, max_clique=5), 0.4),
     "interval-mis": lambda seed: mis_interval_distributed(gen_interval(40, seed), 0.4),
-    "interval-coloring": lambda seed: color_interval_distributed(gen_interval(40, seed), 2),
+    "interval-coloring": lambda seed: replayed_coloring(gen_interval(40, seed), 2),
     # its input is a connected proper interval graph
-    "distance-mis": lambda seed: distance_k_mis_distributed(gen_path(5 + seed % 40), 2),
+    "distance-mis": lambda seed: replayed_distance_mis(gen_path(5 + seed % 40), 2),
 }
 
 
@@ -335,9 +357,9 @@ CAP_INTERVAL = gen_interval(60, seed=2)
 # entry point -> (solve at a parameter, three or more parameters, the default
 # cap at a parameter as the entry point first computed it)
 DEFAULT_CAPS = {
-    "interval-coloring": (lambda k: color_interval_distributed(CAP_INTERVAL, k),
+    "interval-coloring": (lambda k: replayed_coloring(CAP_INTERVAL, k),
                           (2, 3, 5), lambda k: 2 * (strip_rounds(k) + 10)),
-    "distance-mis": (lambda k: distance_k_mis_distributed(gen_path(40), k),
+    "distance-mis": (lambda k: replayed_distance_mis(gen_path(40), k),
                      (1, 2, 4), lambda k: 2 * (9 * (k + 1) + 12)),
     "interval-mis": (lambda eps: mis_interval_distributed(CAP_INTERVAL, eps),
                      (0.2, 0.4, 0.9),
@@ -415,7 +437,7 @@ GATHER_PINNED = {
 @pytest.mark.parametrize("scan", ["forward", "reverse"])
 @pytest.mark.parametrize("name,radius", sorted(GATHER_PINNED))
 def test_gather_transcript_and_message_log_are_pinned(name, radius, scan):
-    t = localsim.run(GATHER_GRAPHS[name](), localsim.gather(radius), 20,
+    t = localsim.run(GATHER_GRAPHS[name](), GatherProgram(radius), 20,
                      record_messages=True, scan=scan)
     text = t.serialize() + repr(t.message_log)
     expected = GATHER_PINNED[name, radius][scan == "reverse"]
