@@ -71,10 +71,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _verify_solution(graph_path, solution_path, kind, eps=None):
+def _verify_solution(graph_path, solution_path, kind):
     g = fileio.read_graph(graph_path)
     with open(solution_path) as fh:
         text = fh.read()
+    if kind == "auto":  # a coloring's first line that is not blank has two fields
+        first = next(filter(None, map(str.split, text.splitlines())), ())
+        kind = "coloring" if len(first) == 2 else "is"
     if kind == "coloring":
         colors = fileio.coloring_from_text(text)
         if set(colors) != g.nodes:
@@ -180,12 +183,7 @@ def cmd_verify(args) -> int:
     _require_finite_eps(args.eps)
     if args.eps is not None and args.eps < 0:
         raise BadEpsilon("--eps must not be negative, not %g" % args.eps)
-    kind = args.kind
-    if kind == "auto":
-        with open(args.solution) as fh:
-            first = fh.readline().split()
-        kind = "coloring" if len(first) == 2 else "is"
-    checked = _verify_solution(args.graph, args.solution, kind)
+    checked = _verify_solution(args.graph, args.solution, args.kind)
     if args.eps is not None and checked["ratio"] > 1.0 + args.eps + 1e-12:
         raise VerificationFailed(
             "ratio %.4f exceeds 1 + eps = %.4f" % (checked["ratio"], 1.0 + args.eps))
@@ -231,12 +229,12 @@ def cmd_bench(args) -> int:
         for seed in range(args.seeds):
             g = gen_chordal(n, seed, args.max_clique)
             if args.suite == "mvc":
-                omega = omega_oracle(g)
-                if omega > 1 and args.eps < 2.0 / omega:  # as mvc._require_eps
+                try:
+                    pipeline = mvc_pipeline(g, args.eps)
+                except EpsilonTooSmall:  # eps < 2/omega: the instance is skipped
                     continue
-                pipeline = mvc_pipeline(g, args.eps)
                 _, transcript = mvc_distributed_run(pipeline, args.round_cap)
-                oracle = omega
+                oracle = pipeline.omega
                 result = len(set(pipeline.final_colors.values()))
                 ratio = result / oracle
             else:

@@ -24,7 +24,7 @@ every collect or send regardless of the state of intermediate nodes.
 A node acts only on what it received or on its own clock: it steps in round
 0 and afterwards only in rounds where it has a delivery or asked to wake
 (``wake_at``). The engine keeps a heap of those due rounds and jumps from one
-to the next, recording the rounds in between as quiet.
+to the next; its transcript keeps only the rounds that carry traffic.
 
 A step reads its inbox as a ``key -> payload`` dict that the engine hands
 over (it is not copied, and the step may keep it): ``("msg", sender)`` for a
@@ -67,7 +67,7 @@ same stage, and the step splits `members` by set intersection
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from operator import contains, itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
@@ -116,12 +116,31 @@ class StepResult:
 
 @dataclass
 class Transcript:
+    """A run's rounds, outputs and traffic. Of the `rounds_recorded` rounds
+    from round 0, only those with a message or a service request are stored:
+    `traffic` maps each to the two counts, `log` (if messages are recorded) to
+    its (sender, receiver, payload) entries. The views list every round."""
+
     rounds_elapsed: int
     outputs: Dict[int, Any]
     complete: bool
-    message_counts: List[int] = field(default_factory=list)
-    service_counts: List[int] = field(default_factory=list)
-    message_log: Optional[List[List[Tuple[int, int, Any]]]] = None
+    rounds_recorded: int
+    traffic: Dict[int, Tuple[int, int]]
+    log: Optional[Dict[int, List[Tuple[int, int, Any]]]] = None
+
+    @property
+    def message_counts(self) -> List[int]:
+        return [self.traffic.get(r, (0, 0))[0] for r in range(self.rounds_recorded)]
+
+    @property
+    def service_counts(self) -> List[int]:
+        return [self.traffic.get(r, (0, 0))[1] for r in range(self.rounds_recorded)]
+
+    @property
+    def message_log(self) -> Optional[List[List[Tuple[int, int, Any]]]]:
+        if self.log is None:
+            return None
+        return [self.log.get(r, []) for r in range(self.rounds_recorded)]
 
     def serialize(self) -> str:
         lines = ["rounds %d" % self.rounds_elapsed, "complete %s" % self.complete]
@@ -163,9 +182,8 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
     # group of every node.
     held: Dict[int, List[Tuple[Any, Optional[CollectResult], Set[int]]]] = {
         0: [(None, None, set(adj))]}
-    message_counts: List[int] = []
-    service_counts: List[int] = []
-    log: Optional[List[List[Tuple[int, int, Any]]]] = [] if record_messages else None
+    traffic: Dict[int, Tuple[int, int]] = {}  # busy round -> its two counts
+    log: Optional[Dict[int, List[Tuple[int, int, Any]]]] = {} if record_messages else None
     balls: Dict[int, BfsBall] = {}  # per sender or reader, for the checks
 
     def inboxes_at(at) -> Dict[int, Dict[Any, Any]]:
@@ -221,23 +239,9 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
                                "from sender %d to %r"
                                % (route, send.latency, u, send.target))
 
-    def pad_to(rounds):
-        """Record the quiet rounds up to (not including) round `rounds`."""
-        quiet = rounds - len(message_counts)
-        message_counts.extend([0] * quiet)
-        service_counts.extend([0] * quiet)
-        if log is not None:
-            log.extend([] for _ in range(quiet))
-
-    def transcript(rounds, complete):
-        return Transcript(rounds, dict(outputs), complete,
-                          message_counts, service_counts, log)
-
     # round 0 is the setup phase: every node steps once with an empty inbox
     # and may already send; a message sent in round r is readable in round
     # r + 1, so after round t every node has exactly its radius-t knowledge.
-    # Rounds in which no node has a delivery or a wake are skipped and
-    # recorded as quiet.
     rnd = 0
     while True:
         inboxes = agenda.pop(rnd, {})
@@ -375,18 +379,16 @@ def run(g: Graph, program, round_cap: int, record_messages: bool = False,
             for v in alone:
                 deliver(due, at, v, key, result)
             held.setdefault(at, []).append((key, result, members))
-        message_counts.append(msg_count)
-        service_counts.append(svc_count)
-        if log is not None:
-            log.append(round_log)
+        if msg_count or svc_count:
+            traffic[rnd] = (msg_count, svc_count)
+            if round_log:
+                log[rnd] = round_log
         if len(outputs) == len(adj):
-            return transcript(max(rnd, 1), True)
+            return Transcript(max(rnd, 1), dict(outputs), True, rnd + 1, traffic, log)
         nxt = heapq.heappop(due_rounds) if due_rounds else round_cap + 1
         if nxt > round_cap:
-            pad_to(round_cap + 1)
-            raise RoundCapExceeded("round cap %d reached" % round_cap,
-                                   transcript(round_cap, False))
-        pad_to(nxt)
+            raise RoundCapExceeded("round cap %d reached" % round_cap, Transcript(
+                round_cap, dict(outputs), False, round_cap + 1, traffic, log))
         rnd = nxt
 
 
@@ -514,28 +516,28 @@ def stage_chain(name, radii):
             for s, radius in enumerate(radii)}
 
 
-def schedule(prefix, branches=None, exits=None):
+def schedule(prefix, branches, exits):
     """The `StagedProgram` table of a replay: every node walks the stages
     ``("prefix", i)`` with the radii `prefix`. After prefix stage i, the
     nodes of ``exits[i][name]`` (disjoint sets) turn to branch `name`, the
     stages ``(name, s)`` with the radii ``branches[name]``. A node leaves the
     schedule at the end of the prefix or of its branch."""
     table = {None: (None, ("prefix", 0), {}), **stage_chain("prefix", prefix)}
-    for i, turns in (exits or {}).items():
+    for i, turns in exits.items():
         radius, nxt, _ = table["prefix", i]
         table["prefix", i] = (radius, nxt, {(name, 0): nodes
                                             for name, nodes in turns.items()})
-    for name, radii in (branches or {}).items():
+    for name, radii in branches.items():
         table.update(stage_chain(name, radii))
     return table
 
 
-def replay(g: Graph, outputs: Dict[int, Any], prefix, branches=None, exits=None,
+def replay(g: Graph, outputs: Dict[int, Any], prefix, branches, exits,
            round_cap: Optional[int] = None) -> Transcript:
     """Run the `schedule` table on `g`; each node outputs ``outputs[v]`` as
     it leaves. The default cap is twice the rounds of the prefix and the
     longest branch, plus 10."""
     if round_cap is None:
-        longest = max(map(sum, (branches or {}).values()), default=0)
+        longest = max(map(sum, branches.values()), default=0)
         round_cap = 2 * (sum(prefix) + longest + 10)
     return run(g, StagedProgram(schedule(prefix, branches, exits), outputs), round_cap)

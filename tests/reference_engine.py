@@ -5,7 +5,9 @@ delivered by group and requests were dispatched on their exact type. It
 reads an outbox of ``None``, which `StepResult` now defaults to, and like the
 engine it steps a node after round 0 only for a delivery or a wake. A collect
 that reads named nodes returns their outputs as they stood at the end of the
-request round, and the nodes must lie within its radius.
+request round, and the nodes must lie within its radius. It records every
+round, quiet ones included, and builds the sparse `Transcript` from those
+lists.
 """
 
 import heapq
@@ -71,8 +73,12 @@ def reference_run(g: Graph, program, round_cap: int, record_messages: bool = Fal
             log.extend([] for _ in range(quiet))
 
     def transcript(rounds, complete):
-        return Transcript(rounds, dict(outputs), complete,
-                          message_counts, service_counts, log)
+        """The rounds recorded so far, with the counts and log entries of each
+        round that has any."""
+        busy = {r: counts for r, counts in enumerate(zip(message_counts, service_counts))
+                if any(counts)}
+        sent = None if log is None else {r: items for r, items in enumerate(log) if items}
+        return Transcript(rounds, dict(outputs), complete, len(message_counts), busy, sent)
 
     # round 0 is the setup phase: every node steps once with an empty inbox
     # and may already send; a message sent in round r is readable in round

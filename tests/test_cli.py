@@ -158,6 +158,19 @@ def test_run_mis_and_verify(workdir):
     assert main(["verify", "g.el", "m.sol", "--eps", "0.4"]) == 0
 
 
+@pytest.mark.parametrize("kind,text", [("coloring", "\n1 1\n2 2\n3 1\n"),
+                                       ("is", "\n  \n1\n3\n")])
+def test_verify_auto_reads_the_first_line_that_is_not_blank(workdir, capsys, kind, text):
+    # the readers skip blank lines, and so does the detection of the kind
+    assert main(["gen", "path", "3", "--out", "p.el"]) == 0
+    (workdir / "lead.sol").write_text(text)
+    capsys.readouterr()
+    assert main(["verify", "p.el", "lead.sol", "--kind", kind]) == 0
+    expected = capsys.readouterr().out
+    assert main(["verify", "p.el", "lead.sol"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_verify_catches_conflict(workdir):
     assert main(["gen", "path", "6", "--out", "p.el"]) == 0
     assert main(["run", "mvc", "central", "p.el", "--eps", "1.0",
@@ -365,6 +378,23 @@ def test_bench_mvc_on_edgeless_graphs(workdir, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "# slope rounds-vs-log2n 0.0000 over 4 runs"
     assert [row.split(",")[4:7] for row in lines[1:-1]] == [["1", "1", "1.0000"]] * 4
+
+
+def test_bench_mvc_searches_each_instance_once(workdir, capsys, monkeypatch):
+    # the pipeline's forest gives omega and the 2/omega skip; no oracle runs
+    from chordalg import graphs
+    real = graphs.mcs_order
+    calls = []
+    monkeypatch.setattr(graphs, "mcs_order", lambda h: calls.append(len(h)) or real(h))
+    assert main(["bench", "mvc", "--sizes", "20,40", "--seeds", "2"]) == 0
+    assert calls == [20, 20, 40, 40]
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()[:-1]))
+    assert [int(row["oracle"]) for row in rows] == [
+        graphs.omega_oracle(gen_chordal(n, seed, 6)) for n in (20, 40) for seed in (0, 1)]
+    # a skipped instance is searched once too
+    calls.clear()
+    assert main(["bench", "mvc", "--sizes", "40", "--seeds", "1", "--eps", "0.1"]) == 0
+    assert calls == [40]
 
 
 def test_run_mis_interval_local(workdir):

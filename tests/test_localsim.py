@@ -388,6 +388,7 @@ def test_idle_program_pads_to_the_cap():
     assert t.rounds_elapsed == cap
     assert len(t.message_counts) == len(t.service_counts) == cap + 1
     assert t.message_counts == t.service_counts == [0] * (cap + 1)
+    assert t.rounds_recorded == cap + 1 and t.traffic == {} and t.message_log is None
     with pytest.raises(RoundCapExceeded) as stepped:
         run(gen_path(3), SteppedIdleWaiter(), cap)
     assert stepped.value.transcript.serialize() == t.serialize()
@@ -399,6 +400,9 @@ def test_message_log_holds_the_skipped_rounds():
     assert len(t.message_log) == len(t.message_counts) == 4
     assert t.message_log == [[(1, 4, "hi")], [], [], []]
     assert t.service_counts == [1, 0, 0, 0]
+    # only round 0 carried traffic, and only it is stored
+    assert t.rounds_recorded == 4
+    assert t.traffic == {0: (0, 1)} and t.log == {0: [(1, 4, "hi")]}
 
 
 def test_delivery_and_wake_in_one_round_step_once():
@@ -759,12 +763,15 @@ class GroupScripted(Scripted):
 
 
 def run_scripted(engine, g, script, cap, scan, program_class=Scripted):
+    """The run's text, message log, inboxes and the rounds its transcript
+    stores. The reference stores exactly its rounds with a message or a
+    service request, so an equal run stores one entry for each of those."""
     program = program_class(script)
     try:
         t = engine(g, program, cap, record_messages=True, scan=scan)
     except RoundCapExceeded as exc:
         t = exc.transcript
-    return t.serialize(), t.message_log, program.received
+    return t.serialize(), t.message_log, program.received, sorted(t.traffic)
 
 
 def timer(radius, tag="t"):
@@ -872,6 +879,13 @@ class TestEngineMatchesReference:
         assert "complete True" in expected[0]
         assert run_scripted(run, g, script, 20, scan, GroupScripted) == expected
 
+    @pytest.mark.parametrize("name", sorted(GROUP_CASES))
+    def test_capped_group_cases(self, name):
+        g, script = group_case(name)
+        expected = run_scripted(reference_run, g, script, 4, "forward")
+        assert "complete False" in expected[0]
+        assert run_scripted(run, g, script, 4, "forward", GroupScripted) == expected
+
     def test_group_cases_take_the_group_path(self):
         steps = {}
         for name in sorted(GROUP_CASES):
@@ -929,3 +943,6 @@ class TestEngineMatchesReference:
         assert new.serialize() == old.serialize()
         assert new.message_log == old.message_log
         assert new.outputs == old.outputs
+        busy = [r for r, counts in enumerate(zip(old.message_counts, old.service_counts))
+                if any(counts)]
+        assert sorted(new.traffic) == busy and len(busy) < new.rounds_recorded

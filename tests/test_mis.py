@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import inspect
 import math
+import tracemalloc
 import types
 
 import pytest
@@ -226,6 +227,20 @@ class TestMisChordalDistributed:
             _, transcript = mis_chordal_distributed(gen_chordal(n, seed=1, max_clique=5), 0.4)
             r.append(transcript.rounds_elapsed)
         assert abs(r[1] - r[0]) <= 0.1 * r[0]
+
+    def test_memory_grows_with_the_traffic_not_the_rounds(self):
+        """At eps = 0.002 the replay charges 1,728,318 rounds, and 27 of them
+        carry a service request: the transcript stores those 27 alone."""
+        g = gen_chordal(40, 1, 6)
+        tracemalloc.start()
+        try:
+            _, transcript = mis_chordal_distributed(g, 0.002)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert transcript.rounds_elapsed == 1_728_318
+        assert len(transcript.traffic) == 27
 
     def test_a_tampered_replay_output_diverges(self, monkeypatch):
         """The distributed set is read off the replay's outputs and compared

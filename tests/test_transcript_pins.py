@@ -65,7 +65,7 @@ LONG_PATHS = long_paths_generator()(800, 8, max_clique=4)
 def replayed_coloring(h, k):
     """The interval coloring at k replayed over `strip_stages(k)`:
     (outputs, transcript)."""
-    t = localsim.replay(h, color_interval(h, k), strip_stages(k))
+    t = localsim.replay(h, color_interval(h, k), strip_stages(k), {}, {})
     return t.outputs, t
 
 
@@ -73,7 +73,8 @@ def replayed_distance_mis(h, k):
     """The distance-k independent set replayed over a gather of 2 and nine
     stages of k + 1, its membership flags as outputs: (outputs, transcript)."""
     members = distance_k_mis(h, k)
-    t = localsim.replay(h, {v: v in members for v in h.nodes}, [2] + [k + 1] * 9)
+    t = localsim.replay(h, {v: v in members for v in h.nodes}, [2] + [k + 1] * 9,
+                        {}, {})
     return t.outputs, t
 
 
