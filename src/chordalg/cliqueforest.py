@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .errors import DiameterTooSmall, RadiusTooSmall, debug_invariants
 from .graphs import Graph, bfs_distances, _require_chordal
@@ -35,14 +35,22 @@ def clique_word(clique) -> Word:
 def _clique_tree(g: Graph) -> Tuple[List[FrozenSet[int]], List[Word], List[Link]]:
     """The maximal cliques of a chordal graph in word order, their words, and
     the clique tree T0 that `mcs_order` records as it visits, its edges
-    (child id, parent id, separator) renumbered to word order.
+    (child id, parent id, separator) renumbered to word order. Each
+    separator is the intersection of the edge's two cliques, which is L(v)
+    for the visit v that opened the child (see `EliminationOrder`).
     """
     eo = _require_chordal(g)
     words = [clique_word(c) for c in eo.runs]
     order = sorted(range(len(words)), key=words.__getitem__)
-    rank = {k: i for i, k in enumerate(order)}
-    return ([frozenset(eo.runs[k]) for k in order], [words[k] for k in order],
-            [(rank[a], rank[b], sep) for a, b, sep in eo.links])
+    rank = [0] * len(order)
+    for i, k in enumerate(order):
+        rank[k] = i
+    cliques = [frozenset(eo.runs[k]) for k in order]
+    links = []
+    for a, b in eo.links:
+        a, b = rank[a], rank[b]
+        links.append((a, b, cliques[a] & cliques[b]))
+    return cliques, [words[k] for k in order], links
 
 
 def maximal_cliques(g: Graph) -> List[FrozenSet[int]]:
@@ -53,70 +61,100 @@ def maximal_cliques(g: Graph) -> List[FrozenSet[int]]:
 
 
 def _star_forest(n: int, links: List[Link],
-                 forced: Optional[Dict[int, List[int]]] = None) -> Set[Tuple[int, int]]:
-    """The canonical forest from the clique tree T0: one star per separator.
+                 forced: Optional[Dict[int, List[int]]] = None) -> List[Tuple[int, int]]:
+    """The canonical forest from the clique tree T0: one star per separator,
+    as (lower id, higher id) edges.
 
     `links` are T0's edges (a, b, K_a & K_b) over `n` cliques in word order.
     For a separator S let E_S be the T0 edges with separator S. The cliques
-    that contain S form a subtree T_S of T0, walked from E_S's endpoints by
-    stepping to T0 neighbours that contain S (across an edge whose separator
-    strictly contains S). Removing E_S splits T_S into |E_S| + 1 pieces, and
-    two cliques in different pieces meet in exactly S. With `hub` the
-    largest id in T_S, every piece without it is joined to `hub` at the
-    piece's own largest id, its `top`.
+    that contain S form a subtree T_S of T0 (the subtree property). Removing
+    E_S splits T_S into |E_S| + 1 pieces, and two cliques in different
+    pieces meet in exactly S. With `hub` the largest id in T_S, every piece
+    without it is joined to `hub` at the piece's own largest id, its `top`.
 
-    When T_S is just its one edge's two cliques, S lies in no third clique:
-    that edge is forced (see `intervals._arrange_cliques`). If a dict
-    `forced` is given, each end of a forced edge is listed under the other.
+    Most separators need no walk. T_S is just the two cliques of an edge
+    (a, b) iff E_S is that edge alone and no T0 edge at a or at b has a
+    separator strictly containing S. Such an edge's far end holds S, so it
+    lies in T_S. Conversely, a third clique in T_S would make some clique c
+    of T_S a T0 neighbour of a or b other than across (a, b), as T_S is a
+    subtree. K_c holds S, so the separator of that edge contains S, and as
+    E_S is (a, b) alone it is not S. The star is then the edge (a, b), and
+    it is forced: S lies in no third clique (see `intervals._arrange_cliques`).
+    Every other separator, shared by several T0 edges or inside a larger
+    one, is walked by `_pieces`. If a dict `forced` is given, each end of a
+    forced edge is listed under the other, in order of the separators'
+    first T0 edges.
     """
     tree: List[List[Tuple[int, FrozenSet[int]]]] = [[] for _ in range(n)]
     ends: Dict[FrozenSet[int], List[int]] = {}  # S -> the endpoints of E_S
     for a, b, sep in links:
         tree[a].append((b, sep))
         tree[b].append((a, sep))
-        ends.setdefault(sep, []).extend((a, b))
-    edges = set()
+        cut = ends.get(sep)
+        if cut is None:
+            ends[sep] = [a, b]
+        else:
+            cut += a, b
+    edges = []
     for sep, cut in ends.items():
-        tops = []
-        seen: Set[int] = set()
-        for start in cut:
-            if start in seen:
+        if len(cut) == 2:
+            a, b = cut
+            for _, s in tree[a] + tree[b]:
+                if sep < s:
+                    break
+            else:  # T_S is {a, b}
+                edges.append((a, b) if a < b else (b, a))
+                if forced is not None:
+                    forced.setdefault(a, []).append(b)
+                    forced.setdefault(b, []).append(a)
                 continue
-            seen.add(start)
-            top = start
-            stack = [start]
-            while stack:
-                for c, s in tree[stack.pop()]:
-                    if c not in seen and sep < s:
-                        seen.add(c)
-                        stack.append(c)
-                        if c > top:
-                            top = c
-            tops.append(top)
+        tops = _pieces(tree, sep, cut)
         hub = max(tops)
-        edges.update((top, hub) for top in tops if top != hub)
-        if forced is not None and len(seen) == 2:
-            a, b = tops
-            forced.setdefault(a, []).append(b)
-            forced.setdefault(b, []).append(a)
+        edges += [(top, hub) for top in tops if top != hub]
     return edges
 
 
+def _pieces(tree, sep, cut) -> List[int]:
+    """The `top` of each piece of T_S less E_S, walked from the endpoints of
+    E_S in `cut` (see `_star_forest`). A walk steps to the T0 neighbours
+    that contain S, which are those across an edge whose separator strictly
+    contains S."""
+    tops = []
+    seen: Set[int] = set()
+    for start in cut:
+        if start in seen:
+            continue
+        seen.add(start)
+        top = start
+        stack = [start]
+        while stack:
+            for c, s in tree[stack.pop()]:
+                if c not in seen and sep < s:
+                    seen.add(c)
+                    stack.append(c)
+                    if c > top:
+                        top = c
+        tops.append(top)
+    return tops
+
+
 class CliqueForest:
-    """The canonical clique forest: cliques in word order plus forest edges."""
+    """The canonical clique forest: cliques in word order plus forest edges,
+    given as (lower id, higher id) pairs, and `fadj`, each clique's forest
+    neighbours in increasing id order."""
 
     __slots__ = ("cliques", "words", "edges", "fadj")
 
-    def __init__(self, cliques: List[FrozenSet[int]], edges: Set[Tuple[int, int]],
+    def __init__(self, cliques: List[FrozenSet[int]], edges: Iterable[Tuple[int, int]],
                  words: Optional[List[Word]] = None):
         self.cliques = tuple(cliques)
         self.words = tuple(map(clique_word, self.cliques) if words is None else words)
-        self.edges = frozenset(tuple(sorted(e)) for e in edges)
-        fadj: Dict[int, Set[int]] = {i: set() for i in range(len(self.cliques))}
+        self.edges = frozenset(edges)
+        fadj: List[List[int]] = [[] for _ in self.cliques]
         for a, b in self.edges:
-            fadj[a].add(b)
-            fadj[b].add(a)
-        self.fadj = {i: tuple(sorted(s)) for i, s in fadj.items()}
+            fadj[a].append(b)
+            fadj[b].append(a)
+        self.fadj = {i: tuple(sorted(s)) for i, s in enumerate(fadj)}
 
     def __len__(self):
         return len(self.cliques)
@@ -192,8 +230,8 @@ def local_view(ball: Graph, center: int, d: int) -> CliqueForest:
     cliques = forest.cliques
     keep = [i for i, c in enumerate(cliques) if not c.isdisjoint(core)]
     rank = {i: r for r, i in enumerate(keep)}
-    edges = {(rank[a], rank[b]) for a, b in forest.edges
-             if not (cliques[a] & cliques[b]).isdisjoint(core)}
+    edges = frozenset((rank[a], rank[b]) for a, b in forest.edges
+                      if not (cliques[a] & cliques[b]).isdisjoint(core))
     return CliqueForest([cliques[i] for i in keep], edges,
                         words=[forest.words[i] for i in keep])
 
@@ -478,10 +516,8 @@ def remove_paths(forest: CliqueForest, g: Graph, paths, strips) -> CliqueForest:
         removed_ids.update(p.ids)
     keep = [i for i in range(len(forest)) if i not in removed_ids]
     remap = {old: new for new, old in enumerate(keep)}
-    edges = {
-        (remap[a], remap[b]) for a, b in forest.edges
-        if a in remap and b in remap
-    }
+    edges = frozenset((remap[a], remap[b]) for a, b in forest.edges
+                      if a in remap and b in remap)
     return CliqueForest([forest.cliques[i] for i in keep], edges,
                         [forest.words[i] for i in keep])
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .errors import NotChordal, TooLarge, UnknownNode
 
@@ -181,14 +181,17 @@ class EliminationOrder:
     them. A visit v opens the run {v} | L(v) in `runs`, or joins the run
     grown so far when L(v) is that run; on a chordal graph the runs are the
     maximal cliques. `links` has one T0 edge (run opened by v, run holding
-    p(v), L(v)) per run opened with L(v) nonempty. Both lists are read off
-    the search, so they take no part in comparisons.
+    p(v)) per run opened with L(v) nonempty. Its separator is not stored: on
+    a chordal graph it is the intersection of the two runs, which is L(v).
+    The parent run was closed before v opened its run, and the nodes that
+    join v's run later lie in no earlier run. Both lists are read off the
+    search, so they take no part in comparisons.
     """
 
     order: Tuple[int, ...]
     is_perfect: bool
     runs: List[Set[int]] = field(compare=False, repr=False)
-    links: List[Tuple[int, int, FrozenSet[int]]] = field(compare=False, repr=False)
+    links: List[Tuple[int, int]] = field(compare=False, repr=False)
 
 
 def mcs_order(g: Graph) -> EliminationOrder:
@@ -220,12 +223,13 @@ def mcs_order(g: Graph) -> EliminationOrder:
     other visit computes L(v) = N(v) & visited, checks it and opens a run.
     A move is O(1), so with the sort the search costs O(n + m log Δ); a
     visit that joins K spends O(|N(v)|) on one subset test and a difference.
+    A visit raises nodes to at most `top` + 1, so the buckets grow one at a
+    time, to the largest weight reached plus one: on a chordal graph at most
+    ω + 1 of them, however large the degrees.
     """
     adj = g.adj
     weight = dict.fromkeys(adj, 0)
-    buckets = [dict.fromkeys(sorted(adj))]
-    # one bucket per weight up to the largest degree, plus an empty one above
-    buckets += [{} for _ in range(max(map(len, adj.values()), default=0) + 1)]
+    buckets = [dict.fromkeys(sorted(adj)), {}]
     top = 0
     visit = []
     visited: Set[int] = set()
@@ -250,11 +254,13 @@ def mcs_order(g: Graph) -> EliminationOrder:
             cur += 1
             if grown:
                 perfect = perfect and grown <= runs[r]
-                links.append((cur, r, frozenset(grown)))
+                links.append((cur, r))
             rest = nbrs - visited
             grown.add(v)
             runs.append(grown)
         need = top + 1
+        if need == len(buckets):
+            buckets.append({})
         visit.append(v)
         visited.add(v)
         for u in sorted(rest):

@@ -142,13 +142,31 @@ class Transcript:
             return None
         return [self.log.get(r, []) for r in range(self.rounds_recorded)]
 
+    def _counts(self, i: int) -> List[str]:
+        """Pieces that join to the comma-joined message (i = 0) or service
+        (i = 1) counts of every recorded round, written from `traffic`: each
+        quiet stretch is one repeated "0," string."""
+        last = self.rounds_recorded - 1
+        parts = []
+        nxt = 0  # the first round not written yet
+        for r in sorted(self.traffic):
+            if r > last:
+                break
+            parts.append("0," * (r - nxt))
+            parts.append(str(self.traffic[r][i]) + ("," if r < last else ""))
+            nxt = r + 1
+        if nxt <= last:
+            parts += ["0," * (last - nxt), "0"]
+        return parts
+
     def serialize(self) -> str:
-        lines = ["rounds %d" % self.rounds_elapsed, "complete %s" % self.complete]
+        """The text `rounds`, `complete`, one `out` line per node by id, and
+        the `msgs` and `svc` lines of comma-joined per-round counts. Its size
+        grows with the rounds recorded, so it is joined once from pieces."""
+        parts = ["rounds %d\n" % self.rounds_elapsed, "complete %s\n" % self.complete]
         for v in sorted(self.outputs):
-            lines.append("out %d %r" % (v, self.outputs[v]))
-        lines.append("msgs %s" % ",".join(map(str, self.message_counts)))
-        lines.append("svc %s" % ",".join(map(str, self.service_counts)))
-        return "\n".join(lines) + "\n"
+            parts.append("out %d %r\n" % (v, self.outputs[v]))
+        return "".join([*parts, "msgs ", *self._counts(0), "\nsvc ", *self._counts(1), "\n"])
 
 
 def _step_each(step):

@@ -156,3 +156,14 @@ def reference_run(g: Graph, program, round_cap: int, record_messages: bool = Fal
                                    transcript(round_cap, False))
         pad_to(nxt)
         rnd = nxt
+
+
+def dense_text(t: Transcript) -> str:
+    """A transcript's text as `Transcript.serialize` wrote it before it read
+    `traffic` directly: joined from the per-round views."""
+    lines = ["rounds %d" % t.rounds_elapsed, "complete %s" % t.complete]
+    for v in sorted(t.outputs):
+        lines.append("out %d %r" % (v, t.outputs[v]))
+    lines.append("msgs %s" % ",".join(map(str, t.message_counts)))
+    lines.append("svc %s" % ",".join(map(str, t.service_counts)))
+    return "\n".join(lines) + "\n"

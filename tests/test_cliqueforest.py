@@ -323,6 +323,64 @@ class TestStarRule:
         assert links == [(1 - root, root, frozenset({1, 2}))]
         assert clique_forest(g).signature() == word_keyed_signature(g)
 
+    @staticmethod
+    def walked(monkeypatch, g):
+        """`clique_forest(g, forced)`, `forced`, and the separators that the
+        star rule walks."""
+        walked = []
+        pieces = cliqueforest._pieces
+
+        def spy(tree, sep, cut):
+            walked.append(sep)
+            return pieces(tree, sep, cut)
+
+        monkeypatch.setattr(cliqueforest, "_pieces", spy)
+        forced = {}
+        forest = clique_forest(g, forced)
+        assert forest.signature() == word_keyed_signature(g)
+        return forest, forced, walked
+
+    def test_lone_separators_take_the_forced_shortcut(self, monkeypatch):
+        # {1, 2, 3} - {2, 3, 4} - {3, 4, 5}: neither separator holds the other
+        g = Graph([(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
+        f, forced, walked = self.walked(monkeypatch, g)
+        assert walked == []
+        assert f.edges == {(0, 1), (1, 2)}
+        # listed in the order of T0's edges: the search links {3, 4} first
+        assert [sep for _a, _b, sep in _clique_tree(g)[2]] == [{3, 4}, {2, 3}]
+        assert forced == {0: [1], 1: [2, 0], 2: [1]}
+
+    def test_a_separator_of_three_cliques_is_walked(self, monkeypatch):
+        f, forced, walked = self.walked(monkeypatch, shared_separator(3, 2))
+        assert walked == [frozenset({1, 2})]
+        assert f.edges == {(0, 2), (1, 2)}
+        assert forced == {}
+
+    def test_a_separator_inside_a_larger_one_is_walked(self, monkeypatch):
+        # {1, 2, 3} and {2, 3, 4} meet in {2, 3}, which holds {3}, the
+        # separator of {3, 5}; the lone {2, 3} is forced, {3} is not
+        g = Graph([(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5)])
+        f, forced, walked = self.walked(monkeypatch, g)
+        assert walked == [frozenset({3})]
+        assert f.edges == {(0, 1), (1, 2)}
+        assert forced == {0: [1], 1: [0]}
+
+    def test_forced_edges_are_the_two_clique_subtrees(self):
+        # forced, recomputed from the cliques: T_S for S = K_a & K_b is
+        # {a, b} exactly when no third clique holds S
+        for g in (gen_chordal(200, seed=5, max_clique=6), gen_interval(120, seed=1),
+                  long_paths_generator()(300, 2, max_clique=5)):
+            forced = {}
+            f = clique_forest(g, forced)
+            want = {}
+            for a, b in sorted(f.edges):
+                sep = f.cliques[a] & f.cliques[b]
+                if sum(sep <= c for c in f.cliques) == 2:
+                    want.setdefault(a, set()).add(b)
+                    want.setdefault(b, set()).add(a)
+            assert {a: set(bs) for a, bs in forced.items()} == want
+            assert all(len(bs) == len(set(bs)) for bs in forced.values())
+
     def test_disjoint_union(self):
         g = gen_chordal(80, seed=4, max_clique=5)
         h = gen_interval(60, seed=2)

@@ -15,13 +15,15 @@ from chordalg import (
     verify_coloring, verify_is,
 )
 from chordalg import graphs
+from chordalg.cliqueforest import _clique_tree
 from chordalg.graphs import EliminationOrder
 from chordalg.mis import mis_chordal_run
 from chordalg.mvc import mvc_pipeline
 
 from reference_graph import ReferenceGraph
 from conftest import (
-    complete_graph, cycle_graph, dumbbell, long_paths_generator, small_graphs,
+    chordal_graphs, complete_graph, cycle_graph, dumbbell, long_paths_generator,
+    small_graphs,
 )
 
 
@@ -86,15 +88,46 @@ PINNED_ORDERS = {
 }
 
 
-@pytest.mark.parametrize("workload", sorted(PINNED_ORDERS))
-def test_benchmark_visit_orders_pinned(workload):
-    make = {
+# sha256 of repr(forest.signature()) and of repr(sorted(forced.items())) for
+# `clique_forest(g, forced)` on the same graphs, taken before the search
+# stopped storing separators and the star rule took its forced shortcut
+PINNED_FORESTS = {
+    "random_trees": (
+        "a082d05fb88977f38781b26f554608a445332febc784ef89a8a9af91f9d8acc6",
+        "139d630f97c76b6837d8bbd9e342f6f1cc7cfc7d790db5bfb431f3184fd7b00b"),
+    "long_paths": (
+        "f9acbba430036da86fcdce756c29872ed2393caae17b4f3878bd23eaee49b4b1",
+        "2679a59904574ebae9f0a057d3410e96a9a022d9db8f982bd57d930411bd38a1"),
+    "dense_intervals": (
+        "0c96e3c80331719510e928f0743850a7afeae9696d94d53bc9fd9a661b29bf47",
+        "8cc9a9679b1e3f43699b177e81b470428388971f64dd7700445fb7c271780108"),
+}
+
+
+def benchmark_graph(workload):
+    return {
         "random_trees": lambda: gen_chordal(2048, 1000, max_clique=12),
         "long_paths": lambda: long_paths_generator()(4096, 1000, max_clique=8),
         "dense_intervals": lambda: gen_interval(2048, 1000),
-    }[workload]
-    order = " ".join(map(str, mcs_order(make()).order))
-    assert hashlib.sha256(order.encode()).hexdigest() == PINNED_ORDERS[workload]
+    }[workload]()
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED_ORDERS))
+def test_benchmark_visit_orders_pinned(workload):
+    order = " ".join(map(str, mcs_order(benchmark_graph(workload)).order))
+    assert sha256(order) == PINNED_ORDERS[workload]
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED_FORESTS))
+def test_benchmark_forests_pinned(workload):
+    forced = {}
+    forest = clique_forest(benchmark_graph(workload), forced)
+    assert (sha256(repr(forest.signature())), sha256(repr(sorted(forced.items())))
+            ) == PINNED_FORESTS[workload]
 
 
 def lazy_heap_mcs(g):
@@ -147,12 +180,12 @@ def later_and_parent(g, order):
 
 
 def runs_and_links(g, order):
-    """Reference clique runs and T0 links: a second pass over `order` with L
-    and p recomputed from positions. A visit v joins the run grown so far iff
-    |L(v)| is one more than the previous visit's |L| and L(v) lies inside
-    that run, and otherwise opens {v} | L(v) below the run holding p(v). On
-    a chordal graph the first condition implies the second (Blair & Peyton),
-    which is asserted."""
+    """Reference clique runs and T0 links (child run, parent run): a second
+    pass over `order` with L and p recomputed from positions. A visit v joins
+    the run grown so far iff |L(v)| is one more than the previous visit's |L|
+    and L(v) lies inside that run, and otherwise opens {v} | L(v) below the
+    run holding p(v). On a chordal graph the first condition implies the
+    second (Blair & Peyton), which is asserted."""
     later, parent = later_and_parent(g, order)
     chordal = is_peo_by_positions(g, order)
     runs, links, owner = [], [], {}
@@ -164,11 +197,45 @@ def runs_and_links(g, order):
         else:
             assert not (chordal and len(lv) == need)
             if lv:
-                links.append((len(runs), owner[parent[v]], frozenset(lv)))
+                links.append((len(runs), owner[parent[v]]))
             runs.append({v, *lv})
         owner[v] = len(runs) - 1
         need = len(lv) + 1
     return runs, links
+
+
+def check_derived_separators(g):
+    """Each separator that `_clique_tree` derives by intersecting a T0 link's
+    two cliques is L(v) recomputed from positions, for the visit v that
+    opened the child run. A node's own run is the first run that holds it,
+    and a run's opener is the first visit it owns."""
+    eo = mcs_order(g)
+    later, _ = later_and_parent(g, eo.order)
+    own = {}
+    for k, run in enumerate(eo.runs):
+        for v in run:
+            own.setdefault(v, k)
+    opener = {}
+    for v in reversed(eo.order):
+        opener.setdefault(own[v], v)
+    cliques, _words, links = _clique_tree(g)
+    assert len(links) == len(eo.links)
+    for (child, parent), (a, b, sep) in zip(eo.links, links):
+        assert (cliques[a], cliques[b]) == (eo.runs[child], eo.runs[parent])
+        assert sep == later[opener[child]]
+
+
+class TestDerivedSeparators:
+    @given(chordal_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_random_chordal_graphs(self, g):
+        check_derived_separators(g)
+
+    def test_generated_graphs(self):
+        for seed in range(3):
+            check_derived_separators(gen_chordal(300, seed=seed, max_clique=8))
+            check_derived_separators(gen_interval(200, seed=seed))
+            check_derived_separators(long_paths_generator()(600, seed, max_clique=6))
 
 
 def is_peo_by_positions(g, order):

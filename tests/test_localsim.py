@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -5,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordalg import (
-    Graph, RoundCapExceeded, gen_chordal, gen_interval, gen_path, gen_spider,
-    mis_chordal_distributed, mis_interval_distributed, mvc_distributed,
+    Graph, RoundCapExceeded, Transcript, gen_chordal, gen_interval, gen_path,
+    gen_spider, mis_chordal_distributed, mis_interval_distributed, mvc_distributed,
 )
 from chordalg.graphs import bfs_distances
 from chordalg.localsim import (
@@ -15,7 +16,7 @@ from chordalg.localsim import (
 )
 
 from conftest import cycle_graph, small_graphs
-from reference_engine import reference_run
+from reference_engine import dense_text, reference_run
 
 
 class Echo:
@@ -946,3 +947,64 @@ class TestEngineMatchesReference:
         busy = [r for r, counts in enumerate(zip(old.message_counts, old.service_counts))
                 if any(counts)]
         assert sorted(new.traffic) == busy and len(busy) < new.rounds_recorded
+
+
+# ---------------------------------------------------------------------------
+# the transcript text, written from the busy rounds alone
+
+
+def serialize_peak(t):
+    """The text of `t.serialize()` and the peak of the memory traced while
+    it is built."""
+    tracemalloc.start()
+    try:
+        text = t.serialize()
+        return text, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSerialize:
+    @given(scripted_runs(), st.sampled_from(["forward", "reverse"]))
+    @settings(max_examples=200, deadline=None)
+    def test_scripted_programs(self, case, scan):
+        g, script, cap = case
+        try:
+            t = run(g, Scripted(script), cap, scan=scan)
+        except RoundCapExceeded as exc:
+            t = exc.transcript
+        assert t.serialize() == dense_text(t)
+
+    @pytest.mark.parametrize("cap", [4, 20])
+    @pytest.mark.parametrize("name", sorted(GROUP_CASES))
+    def test_group_cases(self, name, cap):
+        g, script = group_case(name)
+        try:
+            t = run(g, GroupScripted(script), cap)
+        except RoundCapExceeded as exc:
+            t = exc.transcript
+        assert t.serialize() == dense_text(t)
+
+    def test_edge_cases(self):
+        for recorded, traffic in [(0, {}), (1, {}), (1, {0: (2, 1)}), (3, {2: (0, 4)}),
+                                  (3, {0: (1, 0), 1: (5, 5), 2: (7, 0)}),
+                                  (2, {0: (1, 1), 5: (9, 9)})]:
+            t = Transcript(recorded, {2: ("x", 1), 1: None}, recorded > 1, recorded, traffic)
+            assert t.serialize() == dense_text(t)
+
+    def test_quiet_rounds_cost_text_not_lists(self):
+        # the peak while the text is built stays under three times the
+        # text's length (a bound set before it was measured): the per-round
+        # lists of the views are never built. Joining those lists here would
+        # take over 100 MB, so the text is checked by its shape.
+        _, long_replay = mis_chordal_distributed(gen_chordal(40, 1, max_clique=6), 0.002)
+        synthetic = Transcript(2_000_000, {1: 0, 7: 1}, True, 2_000_000,
+                               {0: (3, 1), 17: (2, 0), 1_999_999: (1, 5)})
+        for t in (long_replay, synthetic):
+            assert t.rounds_recorded > 1_000_000 and len(t.traffic) < 100
+            text, peak = serialize_peak(t)
+            assert peak < 3 * len(text)
+            msgs, svc = text.split("\n")[-3:-1]
+            assert msgs.count(",") == svc.count(",") == t.rounds_recorded - 1
+        assert msgs.startswith("msgs 3,0,") and msgs.endswith(",0,1")
+        assert svc.startswith("svc 1,0,") and svc.endswith(",0,5")

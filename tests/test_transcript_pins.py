@@ -46,6 +46,7 @@ from chordalg.intervals import strip_stages
 from chordalg.localsim import Collect, GatherProgram, StepResult
 
 from conftest import dumbbell, graph_wait_set, long_paths_generator
+from reference_engine import dense_text
 
 
 def digest(transcript):
@@ -232,6 +233,12 @@ def test_transcript_digest_is_pinned(monkeypatch, name):
     transcript, counted = watched_solve(monkeypatch, solve)
     assert digest(transcript) == expected
     assert counted.steps == steps
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_text_equals_the_join_of_the_dense_views(name):
+    _, transcript = PINNED[name][0]()
+    assert transcript.serialize() == dense_text(transcript)
 
 
 REVERSE_SCAN = sorted(PINNED)
